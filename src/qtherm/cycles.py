@@ -334,8 +334,8 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
         StrokeRecord("IsentropicCompression", w_ba, 0.0, ramp_duration),
         StrokeRecord("HotIsochore", 0.0, q_h, thermalization_time),
     ]
-    eta = net_out / q_h if q_h > 1e-14 else None
     mode = classify_mode(q_h, q_c, -(net_out), tol=1e-12)
+    eta = net_out / q_h if mode == "Engine" and q_h > 1e-14 else None
     margin = (1 - t_c / t_h) - eta if eta is not None else 0.0
     return CycleReport(
         strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,

@@ -21,8 +21,11 @@ class InvalidSubsystem(QThermError):
     """A subsystem index is out of range for the composite space."""
 
 
-class InvalidParams(QThermError):
-    """Physical parameters violate an operation's preconditions."""
+class InvalidParams(QThermError, ValueError):
+    """Physical parameters violate an operation's preconditions.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
 
 
 class NumericalInstability(QThermError):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import lindblad, qcore
-from .errors import NoCoupling, TruncationTooSmall, UnclassifiableState
+from .errors import InvalidParams, NoCoupling, TruncationTooSmall, UnclassifiableState
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
@@ -166,7 +166,7 @@ class CTMConfig:
 
     def __post_init__(self):
         if not self.hot_bath.temperature > self.cold_bath.temperature > 0:
-            raise ValueError("require T_h > T_c > 0")
+            raise InvalidParams("require T_h > T_c > 0")
 
 
 def spectral_separation_preset(
@@ -289,6 +289,9 @@ def classify_mode(j_h: float, j_c: float, p: float, tol: float = 1e-9) -> str:
         return "Refrigerator"
     if sh <= 0 and sc <= 0 and sp >= 0:
         return "Heater"
+    if sh >= 0 and sc <= 0 and sp >= 0:
+        # work consumed while heat still flows from hot to cold
+        return "Accelerator"
     raise UnclassifiableState(
         f"sign pattern (J_h={j_h}, J_c={j_c}, P={p}) matches no operating mode"
     )

@@ -8,16 +8,28 @@ Frequency ramps are integrated in the instantaneous squeeze frame: with
 xi(t) = ½ ln(omega(t)/omega_ref) and S(xi) = exp(xi (a² - a†²)/2) one has
 S† H(omega) S = omega (a†a + ½), so after removing the diagonal phases
 analytically the frame Hamiltonian is O(d omega/dt / omega) — tiny for
-near-adiabatic ramps — which makes long ramps cheap and accurate.
+near-adiabatic ramps — which makes long ramps cheap and accurate. That
+frame Hamiltonian only holds a² and a†², which shift a Fock row by two, so
+the right-hand side applies them as shifted row scalings.
+
+Thermalization at fixed frequency is solved exactly rather than
+integrated. In the frame where H(omega) is diagonal, the damping
+dissipator with jump operators a and a† maps rho[m, n] only to
+rho[m±1, n±1], so it never mixes the diagonals k = m - n of rho. Each
+diagonal obeys its own real tridiagonal linear system, propagated with one
+matrix exponential. This holds for the truncated ladder operators as they
+are, so it is the same model an ODE solver would integrate, without the
+step-size error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import expm
 
-from .errors import CutoffTooSmall
+from .errors import CutoffTooSmall, InvalidParams
 
 
 def destroy(n_max: int) -> np.ndarray:
@@ -36,12 +48,6 @@ def hamiltonian(omega: float, omega_ref: float, n_max: int) -> np.ndarray:
     """H(omega) = p²/2 + omega² x²/2 in the reference Fock basis."""
     x, p = xp_ops(omega_ref, n_max)
     return (p @ p) / 2 + (omega**2) * (x @ x) / 2
-
-
-def ladder_at(omega: float, omega_ref: float, n_max: int) -> np.ndarray:
-    """Lowering operator of the omega-frequency mode in the reference basis."""
-    x, p = xp_ops(omega_ref, n_max)
-    return np.sqrt(omega / 2) * x + 1j * p / np.sqrt(2 * omega)
 
 
 def squeeze(xi: float, n_max: int) -> np.ndarray:
@@ -87,25 +93,35 @@ class FrequencyRamp:
         self.n_max = int(n_max)
         ts = np.linspace(0.0, tau, grid_points)
         omegas = np.array([float(omega_of_t(t)) for t in ts])
-        if np.any(omegas <= 0):
-            raise ValueError("frequency ramp must stay positive")
+        if not np.all(omegas > 0):  # also rejects the NaN of omega² < 0
+            raise InvalidParams("frequency ramp must stay positive")
         self.omega_ref = omegas[0]
         spline = CubicSpline(ts, omegas)
-        self._omega = spline
-        self._omega_dot = spline.derivative()
-        self._alpha = spline.antiderivative()  # int_0^t omega
-        a = destroy(n_max)
-        a2 = a @ a
+        # omega, d omega/dt and int_0^t omega of the spline as one
+        # vector-valued PPoly, so the right-hand side makes one call, not
+        # three; the zero-padded high orders add exact zeros, so the values
+        # equal those of the three separate polynomials
+        coeffs = np.zeros((5, ts.size - 1, 3))
+        coeffs[1:, :, 0] = spline.c
+        coeffs[2:, :, 1] = spline.derivative().c
+        coeffs[:, :, 2] = spline.antiderivative().c
+        self._profile = PPoly(coeffs, ts)
         dim = n_max + 1
+        # <n|a²|n+2> = sqrt(n+1) sqrt(n+2), the same floats a @ a holds
+        up = (np.sqrt(np.arange(1, dim - 1)) * np.sqrt(np.arange(2, dim)))[:, None]
 
         def rhs(t, y):
             u = y.reshape(dim, dim)
-            w = float(self._omega(t))
-            xi_dot = float(self._omega_dot(t)) / (2 * w)
+            w, w_dot, alpha = self._profile(t)
+            xi_dot = w_dot / (2 * w)
             if xi_dot == 0.0:
                 return np.zeros_like(y)
-            phase = np.exp(-2j * float(self._alpha(t)))
-            htilde_u = -(xi_dot / 2) * (phase * (a2 @ u) - np.conj(phase) * (a2.conj().T @ u))
+            phase = np.exp(-2j * alpha)
+            # a² u moves row n+2 to row n; a†² u moves row n to row n+2
+            htilde_u = np.zeros_like(u)
+            htilde_u[:-2] = phase * (up * u[2:])
+            htilde_u[2:] -= np.conj(phase) * (up * u[:-2])
+            htilde_u *= -(xi_dot / 2)
             return htilde_u.reshape(-1)
 
         w_max = float(np.max(omegas))
@@ -123,10 +139,9 @@ class FrequencyRamp:
         return self._times
 
     def propagator_at_index(self, k: int) -> np.ndarray:
-        t = self._times[k]
-        w = float(self._omega(t))
+        w, _, alpha = self._profile(self._times[k])
         xi = 0.5 * np.log(w / self.omega_ref)
-        phases = np.exp(-1j * (np.arange(self.n_max + 1) + 0.5) * float(self._alpha(t)))
+        phases = np.exp(-1j * (np.arange(self.n_max + 1) + 0.5) * alpha)
         u = phases[:, None] * self._frames[k]
         if xi != 0.0:
             u = squeeze(xi, self.n_max) @ u
@@ -137,41 +152,45 @@ class FrequencyRamp:
             return self.propagator_at_index(len(self._times) - 1)
         k = int(np.argmin(np.abs(self._times - t)))
         if abs(self._times[k] - t) > 1e-9 * max(1.0, self.tau):
-            raise ValueError("requested time was not in t_eval")
+            raise InvalidParams("requested time was not in t_eval")
         return self.propagator_at_index(k)
 
 
 def damp_thermalize(rho: np.ndarray, omega: float, omega_ref: float,
                     temperature: float, kappa: float, tau: float,
-                    n_max: int, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+                    n_max: int) -> np.ndarray:
     """Thermalize an oscillator of frequency omega toward temperature T.
 
     Standard damping channel with jump operators a (rate kappa(nbar+1)) and
-    a† (rate kappa nbar) of the omega-mode, integrated in the interaction
-    picture of H(omega) where the dissipator is time independent and the
-    dynamics is non-oscillatory. The free phase is restored at the end.
+    a† (rate kappa nbar) of the omega-mode, solved in the interaction
+    picture of H(omega) where the dissipator is time independent. There,
+    the dissipator couples rho[m, n] only to rho[m±1, n±1], with the
+    truncated a a† = diag(1, ..., n_max, 0), so each diagonal k = m - n
+    evolves on its own under a real tridiagonal generator G_k. Diagonals k
+    and -k share G_k, and exp(G_k tau) propagates both exactly. The free
+    phase is restored at the end.
     """
     xi = 0.5 * np.log(omega / omega_ref)
     s = squeeze(xi, n_max) if xi != 0.0 else np.eye(n_max + 1, dtype=complex)
     rho_f = s.conj().T @ rho @ s  # frame where H = omega(n + 1/2) is diagonal
     nbar = 1.0 / np.expm1(omega / temperature)
-    a = destroy(n_max)
-    ad = a.conj().T
     g_down = kappa * (nbar + 1)
     g_up = kappa * nbar
-    n_op = ad @ a
-    aad = a @ ad
     dim = n_max + 1
-
-    def rhs(_t, y):
-        r = y.reshape(dim, dim)
-        dr = g_down * (a @ r @ ad - 0.5 * (n_op @ r + r @ n_op))
-        dr += g_up * (ad @ r @ a - 0.5 * (aad @ r + r @ aad))
-        return dr.reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, tau), rho_f.reshape(-1), method="DOP853",
-                    rtol=rtol, atol=atol)
-    rho_f = sol.y[:, -1].reshape(dim, dim)
-    phases = np.exp(-1j * omega * (np.arange(dim) + 0.5) * tau)
-    rho_f = phases[:, None] * rho_f * np.conj(phases)[None, :]
-    return s @ rho_f @ s.conj().T
+    levels = np.arange(dim)
+    aad = np.append(levels[1:], 0)  # diagonal of the truncated a a†
+    out = np.empty_like(rho_f)
+    for k in range(dim):
+        m = levels[k:]  # the elements rho[m, j] of diagonal k
+        j = m - k
+        gen = np.diag(-0.5 * (g_down * (m + j) + g_up * (aad[m] + aad[j])))
+        # a rho a† feeds rho[m, j] from rho[m+1, j+1]
+        gen += np.diag(g_down * np.sqrt((m[:-1] + 1) * (j[:-1] + 1)), 1)
+        # a† rho a feeds rho[m, j] from rho[m-1, j-1]
+        gen += np.diag(g_up * np.sqrt(m[1:] * j[1:]), -1)
+        prop = expm(gen * tau)
+        out[m, j] = prop @ rho_f[m, j]
+        out[j, m] = prop @ rho_f[j, m]
+    phases = np.exp(-1j * omega * (levels + 0.5) * tau)
+    out = phases[:, None] * out * np.conj(phases)[None, :]
+    return s @ out @ s.conj().T

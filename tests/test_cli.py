@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtherm import cli
+from qtherm.errors import TrapInversionWarning
 
 SPEC_EXPERIMENTS = {
     "maser", "box-carnot", "otto", "otto-squeezed", "otto-numeric",
@@ -274,6 +275,22 @@ dt = 0.01
     assert "CutoffTooSmall" in capsys.readouterr().err
 
 
+def test_bad_physical_parameter_exits_3(capsys):
+    # passes the schema, then fails the CTM's T_h > T_c check
+    assert cli.main(["ctm", "--set", "omega0=10", "--set", "drive_frequency=1",
+                     "--set", "t_hot=1", "--set", "t_cold=1"]) == 3
+    assert "InvalidParams" in capsys.readouterr().err
+
+
+def test_inverted_trap_exits_3(capsys):
+    # so short a shortcut needs omega(t)² < 0 mid-ramp, which the Fock
+    # check of the invariant cannot integrate
+    with pytest.warns(TrapInversionWarning), np.errstate(invalid="ignore"):
+        assert cli.main(["sta-ermakov", "--set", "omega_i=4",
+                         "--set", "omega_f=1", "--set", "tau=0.3"]) == 3
+    assert "InvalidParams" in capsys.readouterr().err
+
+
 # --- experiment spot checks ---------------------------------------------------------
 
 
@@ -283,6 +300,15 @@ def _run_rows(args, capsys):
              if not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def test_friction_dominated_otto_is_accelerator(capsys):
+    rows = _run_rows(["otto-numeric", "--set", "omega_a=2", "--set", "omega_b=1",
+                      "--set", "t_h=2", "--set", "t_c=0.5",
+                      "--set", "ramp_duration=0.5",
+                      "--set", "thermalization_time=20"], capsys)
+    assert rows[0]["mode"] == "Accelerator"
+    assert rows[0]["efficiency"] == "nan"
 
 
 def test_ergotropy_experiment(capsys):

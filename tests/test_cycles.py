@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from qtherm import cycles, oscillators, qcore
@@ -223,6 +225,122 @@ def test_otto_numeric_friction_decreases_with_ramp_time():
         excesses.append(rep.extras["diabatic_work_excess"])
     assert excesses[0] > excesses[1] > excesses[2]
     assert all(e >= -1e-9 for e in excesses)
+
+
+def test_otto_numeric_friction_dominated_is_accelerator():
+    # friction turns the cycle into an accelerator: work is consumed while
+    # heat still flows from the hot bath to the cold one
+    rep = cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=0.5,
+                              thermalization_time=20.0, n_max=40)
+    assert rep.mode == "Accelerator"
+    assert rep.q_hot > 0 > rep.q_cold
+    assert rep.net_work_output < 0
+    assert rep.efficiency is None
+    assert rep.carnot_margin == 0.0
+    assert_first_law(rep, rel=1e-7)
+
+
+# --- oscillator damping and ramps ---------------------------------------------------------
+
+
+def _random_state(n_max, support, rank, seed):
+    """Random mixed state with coherences on the lowest ``support`` levels."""
+    gen = np.random.default_rng(seed)
+    psi = np.zeros((n_max + 1, rank), dtype=complex)
+    psi[:support] = (gen.normal(size=(support, rank))
+                     + 1j * gen.normal(size=(support, rank)))
+    rho = psi @ psi.conj().T
+    return rho / np.trace(rho).real
+
+
+def _damp_dense_ode(rho, omega, omega_ref, temperature, kappa, tau, n_max):
+    """Damping channel integrated as a dense ODE in the omega frame."""
+    xi = 0.5 * np.log(omega / omega_ref)
+    s = oscillators.squeeze(xi, n_max)
+    rho_f = s.conj().T @ rho @ s
+    nbar = 1.0 / np.expm1(omega / temperature)
+    a = oscillators.destroy(n_max)
+    ad = a.conj().T
+    g_down = kappa * (nbar + 1)
+    g_up = kappa * nbar
+    n_op = ad @ a
+    aad = a @ ad
+    dim = n_max + 1
+
+    def rhs(_t, y):
+        r = y.reshape(dim, dim)
+        dr = g_down * (a @ r @ ad - 0.5 * (n_op @ r + r @ n_op))
+        dr += g_up * (ad @ r @ a - 0.5 * (aad @ r + r @ aad))
+        return dr.reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, tau), rho_f.reshape(-1), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    rho_f = sol.y[:, -1].reshape(dim, dim)
+    phases = np.exp(-1j * omega * (np.arange(dim) + 0.5) * tau)
+    rho_f = phases[:, None] * rho_f * np.conj(phases)[None, :]
+    return s @ rho_f @ s.conj().T
+
+
+@pytest.mark.parametrize("tau", [0.7, 20.0])
+def test_damp_thermalize_matches_dense_ode_oracle(tau):
+    n_max = 20
+    rho0 = _random_state(n_max, support=8, rank=3, seed=5)
+    args = (1.3, 2.0, 0.9, 0.7, tau, n_max)
+    out = oscillators.damp_thermalize(rho0, *args)
+    assert np.max(np.abs(out - _damp_dense_ode(rho0, *args))) < 1e-10
+
+
+@pytest.mark.parametrize("omega, omega_ref", [(2.0, 2.0), (1.0, 2.0)])
+def test_damp_thermalize_number_relaxes_exponentially(omega, omega_ref):
+    n_max, temperature, kappa, tau = 40, 0.8, 1.0, 1.5
+    s = oscillators.squeeze(0.5 * np.log(omega / omega_ref), n_max)
+    # number operator of the omega-mode in the reference basis
+    n_op = s @ np.diag(np.arange(n_max + 1.0)) @ s.conj().T
+    rho0 = s @ _random_state(n_max, support=6, rank=2, seed=9) @ s.conj().T
+    out = oscillators.damp_thermalize(rho0, omega, omega_ref, temperature,
+                                      kappa, tau, n_max)
+    nbar = 1.0 / np.expm1(omega / temperature)
+    n0 = np.trace(rho0 @ n_op).real
+    want = nbar + (n0 - nbar) * np.exp(-kappa * tau)
+    assert np.trace(out @ n_op).real == pytest.approx(want, abs=1e-10)
+
+
+def test_frequency_ramp_matches_dense_integration():
+    n_max, tau = 20, 1.0
+    omega_of_t = lambda t: 2.0 - t / tau  # noqa: E731
+    t_eval = np.linspace(0.0, tau, 5)
+    ramp = oscillators.FrequencyRamp(omega_of_t, tau, n_max, t_eval=t_eval)
+
+    ts = np.linspace(0.0, tau, 4001)
+    spline = CubicSpline(ts, [omega_of_t(t) for t in ts])
+    omega_dot, alpha = spline.derivative(), spline.antiderivative()
+    a2 = oscillators.destroy(n_max) @ oscillators.destroy(n_max)
+    dim = n_max + 1
+
+    def rhs(t, y):
+        u = y.reshape(dim, dim)
+        xi_dot = float(omega_dot(t)) / (2 * float(spline(t)))
+        phase = np.exp(-2j * float(alpha(t)))
+        return (-(xi_dot / 2) * (phase * (a2 @ u)
+                                 - np.conj(phase) * (a2.conj().T @ u))).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, tau), np.eye(dim, dtype=complex).reshape(-1),
+                    t_eval=t_eval, method="DOP853", rtol=1e-11, atol=1e-13,
+                    max_step=np.pi / (4 * 2.0))  # pi / (4 max omega), as the ramp
+    for k, t in enumerate(t_eval):
+        phases = np.exp(-1j * (np.arange(dim) + 0.5) * float(alpha(t)))
+        s = oscillators.squeeze(0.5 * np.log(float(spline(t)) / 2.0), n_max)
+        want = s @ (phases[:, None] * sol.y[:, k].reshape(dim, dim))
+        assert np.max(np.abs(ramp.propagator(t) - want)) < 1e-12
+
+
+def test_frequency_ramp_rejects_bad_inputs():
+    with pytest.raises(InvalidParams):
+        oscillators.FrequencyRamp(lambda t: 1.0 - t, 2.0, 4)
+    ramp = oscillators.FrequencyRamp(lambda t: 1.0 + t, 1.0, 4,
+                                     t_eval=[0.0, 1.0])
+    with pytest.raises(ValueError):  # InvalidParams is also a ValueError
+        ramp.propagator(0.5)
 
 
 def test_damp_thermalize_reaches_gibbs():

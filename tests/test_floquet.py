@@ -180,6 +180,7 @@ def test_classify_mode_table():
     assert floquet.classify_mode(-1.0, 0.6, 0.4) == "Refrigerator"
     assert floquet.classify_mode(-0.5, -0.5, 1.0) == "Heater"
     assert floquet.classify_mode(0.0, 0.0, 0.0) == "Off"
+    assert floquet.classify_mode(0.578, -0.651, 0.073) == "Accelerator"
 
 
 def test_classify_mode_inconsistent():
