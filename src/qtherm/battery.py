@@ -60,11 +60,6 @@ class BatterySpec:
     def dim(self) -> int:
         return self.cell_dim ** self.n_cells
 
-    @property
-    def cell_energies(self) -> np.ndarray:
-        """Single-cell eigenvalues, ascending."""
-        return np.linalg.eigvalsh(self.cell_hamiltonian)
-
     def battery_hamiltonian(self) -> np.ndarray:
         """H0 = sum_i h0_i on the full composite space."""
         d, n = self.cell_dim, self.n_cells
@@ -297,13 +292,11 @@ def _power_and_fisher(pops: np.ndarray, group_e: np.ndarray, energies: np.ndarra
     mask = pops > P_FLOOR
     dp_kept = np.where(mask, dp, 0.0)
     powers = ((group_e[None, :] - energies[:, None]) * dp_kept).sum(axis=1)
-    terms = np.where(mask, dp**2 / np.where(mask, pops, 1.0), 0.0)
-    return powers, terms.sum(axis=1)
+    return powers, _fisher(pops, dp, mask)
 
 
-def _fisher_series(pops: np.ndarray, dt: float) -> np.ndarray:
-    dp = np.gradient(pops, dt, axis=0)
-    mask = pops > P_FLOOR
+def _fisher(pops: np.ndarray, dp: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Fisher information sum_g dp_g^2 / p_g over the masked populations."""
     terms = np.where(mask, dp**2 / np.where(mask, pops, 1.0), 0.0)
     return terms.sum(axis=1)
 
@@ -316,12 +309,12 @@ def energy_fisher(trajectory: Sequence[np.ndarray], h0: np.ndarray,
     h0 = qcore.require_hermitian(np.asarray(h0, dtype=complex))
     evals, evecs = qcore.hermitian_eig(h0)
     _energies, groups = _group_energies(evals)
-    pops = np.array([
+    pops = _aggregate(np.array([
         np.real(np.einsum("ik,ij,jk->k", evecs.conj(),
                           np.asarray(rho, dtype=complex), evecs))
         for rho in trajectory
-    ])
-    return _fisher_series(_aggregate(pops, groups), dt)
+    ]), groups)
+    return _fisher(pops, np.gradient(pops, dt, axis=0), pops > P_FLOOR)
 
 
 def power_bound_check(trace: ChargeTrace) -> float:
@@ -340,7 +333,7 @@ def variance_decomposition(rho: np.ndarray, spec: BatterySpec) -> dict:
     space = qcore.CompositeSpace([spec.cell_dim] * spec.n_cells)
     h = spec.cell_hamiltonian
     h2 = h @ h
-    hh = qcore.kron(h, h)
+    hh = np.kron(h, h)
     n = spec.n_cells
     means = np.zeros(n)
     local_sum = 0.0
@@ -528,18 +521,6 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     return trace
 
 
-def _angular_momentum(j: float):
-    """Spin-j operators (jx, jy, jz) in the |j, m> basis, m ascending."""
-    m = np.arange(-j, j + 1)
-    jz = np.diag(m).astype(complex)
-    lower = np.sqrt(j * (j + 1) - m[1:] * (m[1:] - 1))
-    jm = np.diag(lower, k=-1).astype(complex)  # <m-1| J- |m>
-    jp = jm.conj().T
-    jx = (jp + jm) / 2
-    jy = (jp - jm) / (2j)
-    return jx, jy, jz
-
-
 def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                dt: float) -> ChargeTrace:
     """Collective-spin battery with bare H0 = B sum_i sigma_z^i charged by
@@ -548,7 +529,7 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
     if n_cells > 14:
         raise TooLarge("symmetric-sector LMG limited to N <= 14")
     j = n_cells / 2.0
-    jx, jy, jz = _angular_momentum(j)
+    jx, jy, jz = qcore.spin_operators(j)
     sx, sy, sz = 2 * jx, 2 * jy, 2 * jz
     eye = np.eye(n_cells + 1)
     v = (lam / n_cells) * 0.5 * ((sx @ sx - n_cells * eye)
@@ -583,7 +564,7 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     if dim_spin * dim_cav > DENSE_DIM_BUDGET:
         raise TooLarge("Dicke composite dimension exceeds the dense budget")
     j = n_cells / 2.0
-    jx, _jy, jz = _angular_momentum(j)
+    jx, _jy, jz = qcore.spin_operators(j)
     a = oscillators.destroy(photon_cutoff)
     lam_eff = lam / np.sqrt(n_cells) if rescale else lam
     eye_c = np.eye(dim_cav)

@@ -43,14 +43,13 @@ import hashlib
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from . import __version__, battery, cycles, floquet, metrology, sta
+from . import __version__, battery, cycles, floquet, metrology, qcore, sta
 from .errors import QThermError
 
 EXIT_OK = 0
@@ -170,11 +169,9 @@ def _run_sta_ermakov(p):
 
 def _run_sta_cd(p):
     delta, v, t = p["delta"], p["velocity"], p["t"]
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
 
     def h0(tt):
-        return delta * sx + (-v * tt) * sz
+        return delta * qcore.SIGMA_X + (-v * tt) * qcore.SIGMA_Z
 
     h_cd = sta.counterdiabatic(h0, t, p["dt"])
     coeff = float(np.real(1j * h_cd[0, 1]))
@@ -249,7 +246,7 @@ def _run_n_copy(p):
 def _run_qsl(p):
     omega, tau = p["omega"], p["tau"]
     times = np.linspace(0.0, tau, p["samples"])
-    h = 0.5 * omega * np.diag([1.0, -1.0]).astype(complex)
+    h = 0.5 * omega * qcore.SIGMA_Z
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     traj = []
     for t in times:
@@ -581,7 +578,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(table: ResultTable, stream) -> None:
-    for key in ("version", "config_hash", "wall_time_s"):
+    for key in ("version", "config_hash"):
         stream.write(f"# {key}: {_fmt(table.metadata[key])}\n")
     names = list(table.columns)
     stream.write(",".join(names) + "\n")
@@ -615,7 +612,6 @@ def write_json(table: ResultTable, stream) -> None:
 def run(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch the config to its experiment; sweeps produce one row per
     sweep point, assembled in sweep order on a bounded worker pool."""
-    start = time.perf_counter()
     exp = EXPERIMENTS[cfg.experiment]
     base = _typed_parameters(cfg)
     if cfg.seed is not None:
@@ -643,7 +639,6 @@ def run(cfg: ExperimentConfig) -> ResultTable:
     metadata = {
         "version": __version__,
         "config_hash": config_hash(cfg),
-        "wall_time_s": time.perf_counter() - start,
     }
     return ResultTable(columns=columns, metadata=metadata)
 

@@ -24,11 +24,9 @@ from scipy.optimize import minimize_scalar
 from . import oscillators, qcore
 from .errors import CutoffTooSmall, InvalidParams
 from .floquet import classify_mode
+from .qcore import SIGMA_X, SIGMA_Z
 
 QUASI_STATIC = "QuasiStatic"
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 # --- report types ----------------------------------------------------------------
@@ -155,8 +153,23 @@ def box_carnot(l_a: float, l_b: float, mass: float) -> CycleReport:
 # --- harmonic-oscillator Otto cycle ----------------------------------------------------
 
 
-def _otto_report(omega_a, omega_b, t_h, t_c):
-    ch = _coth(omega_a / (2 * t_h))
+def _check_otto(omega_a, omega_b, t_h, t_c):
+    if not (omega_a > omega_b > 0):
+        raise InvalidParams("need omega_A > omega_B > 0")
+    if not (t_h > t_c > 0):
+        raise InvalidParams("need T_h > T_c > 0")
+
+
+def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras,
+                 engine=None):
+    """Stroke ledger of the ideal harmonic Otto cycle.
+
+    The hot-end mean energy is the thermal one at T_h scaled by
+    ``delta_h_r``; ``t_h_gen`` is the hot temperature the Carnot margin is
+    taken against. ``engine`` selects the mode; when None the cycle runs as
+    an engine when it outputs work.
+    """
+    ch = _coth(omega_a / (2 * t_h)) * delta_h_r
     cc = _coth(omega_b / (2 * t_c))
     w_ab = 0.5 * (omega_b - omega_a) * ch
     q_c = 0.5 * omega_b * (cc - ch)
@@ -170,18 +183,20 @@ def _otto_report(omega_a, omega_b, t_h, t_c):
     ]
     net_out = -(w_ab + w_ba)
     ratio = omega_b / omega_a
-    if ratio >= t_c / t_h:
+    if engine is None:
+        engine = net_out >= -1e-15
+    if engine:
         eta = 1.0 - ratio
         return CycleReport(
             strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
             efficiency=eta, cop=None, mode="Engine",
-            carnot_margin=(1 - t_c / t_h) - eta,
+            carnot_margin=(1 - t_c / t_h_gen) - eta, extras=extras,
         )
     cop = ratio / (1.0 - ratio)
     return CycleReport(
         strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
         efficiency=None, cop=cop, mode="Refrigerator",
-        carnot_margin=t_c / (t_h - t_c) - cop,
+        carnot_margin=t_c / (t_h_gen - t_c) - cop, extras=extras,
     )
 
 
@@ -189,13 +204,12 @@ def otto_qho(omega_a: float, omega_b: float, t_h: float, t_c: float) -> CycleRep
     """Ideal (adiabatic, fully thermalizing) harmonic Otto cycle.
 
     Engine when omega_b/omega_a >= T_c/T_h with eta = 1 - omega_b/omega_a;
-    refrigerator otherwise with COP = omega_b/(omega_a - omega_b).
+    refrigerator otherwise with COP = omega_b/(omega_a - omega_b). The ratio
+    decides even where both coth factors round to 1 and the net work to 0.
     """
-    if not (omega_a > omega_b > 0):
-        raise InvalidParams("need omega_A > omega_B > 0")
-    if not (t_h > t_c > 0):
-        raise InvalidParams("need T_h > T_c > 0")
-    return _otto_report(omega_a, omega_b, t_h, t_c)
+    _check_otto(omega_a, omega_b, t_h, t_c)
+    return _otto_report(omega_a, omega_b, t_h, t_c, 1.0, t_h, {},
+                        engine=omega_b / omega_a >= t_c / t_h)
 
 
 def otto_max_power(t_h: float, t_c: float) -> dict:
@@ -225,10 +239,7 @@ def otto_squeezed(omega_a: float, omega_b: float, t_h: float, t_c: float,
     1 - omega_b/omega_a but the relevant bound becomes the generalized
     limit eta_gen = 1 - T_c/(T_h (1 + 2 sinh^2 r)).
     """
-    if not (omega_a > omega_b > 0):
-        raise InvalidParams("need omega_A > omega_B > 0")
-    if not (t_h > t_c > 0):
-        raise InvalidParams("need T_h > T_c > 0")
+    _check_otto(omega_a, omega_b, t_h, t_c)
     if r < 0:
         raise InvalidParams("squeezing must be non-negative")
     n0 = 1.0 / np.expm1(omega_a / t_h)
@@ -237,34 +248,7 @@ def otto_squeezed(omega_a: float, omega_b: float, t_h: float, t_c: float,
     eta_bar_sq = 1.0 - np.sqrt(t_c / t_h_gen)
     eta_gen = 1.0 - t_c / t_h_gen
     extras = {"eta_bar_squeezed": eta_bar_sq, "eta_gen": eta_gen, "delta_h_r": dhr}
-
-    ch = _coth(omega_a / (2 * t_h)) * dhr
-    cc = _coth(omega_b / (2 * t_c))
-    w_ab = 0.5 * (omega_b - omega_a) * ch
-    q_c = 0.5 * omega_b * (cc - ch)
-    w_ba = 0.5 * (omega_a - omega_b) * cc
-    q_h = -(w_ab + q_c + w_ba)
-    strokes = [
-        StrokeRecord("IsentropicExpansion", w_ab, 0.0),
-        StrokeRecord("ColdIsochore", 0.0, q_c),
-        StrokeRecord("IsentropicCompression", w_ba, 0.0),
-        StrokeRecord("HotIsochore", 0.0, q_h),
-    ]
-    net_out = -(w_ab + w_ba)
-    ratio = omega_b / omega_a
-    if net_out >= -1e-15:
-        eta = 1.0 - ratio
-        return CycleReport(
-            strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
-            efficiency=eta, cop=None, mode="Engine",
-            carnot_margin=eta_gen - eta, extras=extras,
-        )
-    cop = ratio / (1.0 - ratio)
-    return CycleReport(
-        strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
-        efficiency=None, cop=cop, mode="Refrigerator",
-        carnot_margin=t_c / (t_h_gen - t_c) - cop, extras=extras,
-    )
+    return _otto_report(omega_a, omega_b, t_h, t_c, dhr, t_h_gen, extras)
 
 
 def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
@@ -278,10 +262,7 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
     and the diabatic work excess relative to the ideal cycle is reported
     in ``extras`` (quantum friction makes it non-negative).
     """
-    if not (omega_a > omega_b > 0):
-        raise InvalidParams("need omega_A > omega_B > 0")
-    if not (t_h > t_c > 0):
-        raise InvalidParams("need T_h > T_c > 0")
+    _check_otto(omega_a, omega_b, t_h, t_c)
     rho = oscillators.thermal_state(omega_a, t_h, omega_a, n_max)  # tail-checked
     h_a = oscillators.hamiltonian(omega_a, omega_a, n_max)
     h_b = oscillators.hamiltonian(omega_b, omega_a, n_max)
@@ -423,15 +404,6 @@ class OutcoupledParams:
         return d, self.g, self.b, v, period, omega, beta_c, beta_h, self.n_fock
 
 
-def _tls_propagator(h_of_t, t0, t1, n_steps=400):
-    """Time-ordered 2x2 propagator by midpoint exponential splitting."""
-    u = np.eye(2, dtype=complex)
-    dt = (t1 - t0) / n_steps
-    for k in range(n_steps):
-        u = expm(-1j * dt * h_of_t(t0 + (k + 0.5) * dt)) @ u
-    return u
-
-
 def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
                           per_cycle_measurement: bool) -> np.ndarray:
     """Average external-system work after each of n_cycles engine cycles.
@@ -454,9 +426,9 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
         return delta * SIGMA_X + (-v * (period - t)) * SIGMA_Z
 
     # engine segment propagators (identical in every cycle)
-    u_e1 = _tls_propagator(h_first_half, 0.0, b * period)
-    u_e2 = _tls_propagator(h_first_half, b * period, period / 2)
-    u_e3 = _tls_propagator(h_second_half, period / 2, period)
+    u_e1 = qcore.midpoint_propagator(h_first_half, 0.0, b * period, 400)
+    u_e2 = qcore.midpoint_propagator(h_first_half, b * period, period / 2, 400)
+    u_e3 = qcore.midpoint_propagator(h_second_half, period / 2, period, 400)
 
     n_op = np.diag(np.arange(dim)).astype(complex)
     a = oscillators.destroy(n_fock)
@@ -496,17 +468,6 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
 # --- outcoupled engine: quantum statistics --------------------------------------------
 
 
-def _angular_momentum(j: float):
-    """J_x, J_z matrices in the standard |j, m> basis (m descending)."""
-    m = np.arange(j, -j - 1, -1)
-    jz = np.diag(m).astype(complex)
-    # <j, m +- 1 | J_+- | j, m>
-    cp = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jp = np.diag(cp, 1).astype(complex)
-    jx = (jp + jp.conj().T) / 2
-    return jx, jz
-
-
 def outcoupled_indistinct_ratio(n_atoms: int, delta: float, omega0: float,
                                 v: float, period: float, t1: float,
                                 beta_h: float, beta_c: float) -> float:
@@ -526,25 +487,20 @@ def outcoupled_indistinct_ratio(n_atoms: int, delta: float, omega0: float,
         return delta * SIGMA_X + (omega0 + v * t) * SIGMA_Z
 
     # distinguishable: per-atom mean of the evolved sx
-    u1 = _tls_propagator(h_single, 0.0, t1)
+    u1 = qcore.midpoint_propagator(h_single, 0.0, t1, 400)
     rho1 = qcore.gibbs_state(h_single(0.0), 1.0 / beta_c)
     sx_t = u1.conj().T @ SIGMA_X @ u1
     m1 = float(np.trace(rho1 @ sx_t).real)
     dist = n_atoms + n_atoms * (n_atoms - 1) * m1**2  # (sx_t)^2 = identity
 
     # indistinguishable: symmetric sector, S_x = 2 J_x, S_z = 2 J_z
-    jx, jz = _angular_momentum(n_atoms / 2.0)
+    jx, _jy, jz = qcore.spin_operators(n_atoms / 2.0)
     sx, sz = 2 * jx, 2 * jz
 
     def h_sym(t):
         return delta * sx + (omega0 + v * t) * sz
 
-    dim = n_atoms + 1
-    u = np.eye(dim, dtype=complex)
-    n_steps = 400
-    dt = t1 / n_steps
-    for k in range(n_steps):
-        u = expm(-1j * dt * h_sym((k + 0.5) * dt)) @ u
+    u = qcore.midpoint_propagator(h_sym, 0.0, t1, 400)
     rho = qcore.gibbs_state(h_sym(0.0), 1.0 / beta_c)
     v_i = u.conj().T @ sx @ u
     indist = float(np.trace(rho @ v_i @ v_i).real)

@@ -17,10 +17,7 @@ import scipy.linalg as sla
 
 from . import lindblad, qcore
 from .errors import InvalidParams, NoCoupling, TruncationTooSmall, UnclassifiableState
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
+from .qcore import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X
 
 
 # --- modulation ---------------------------------------------------------------
@@ -44,6 +41,10 @@ class PeriodicModulation:
     amplitude: float = 0.0
     up_fraction: float = 0.5
 
+    def __post_init__(self):
+        if not self.drive_frequency > 0:
+            raise InvalidParams("drive_frequency must be positive")
+
     @property
     def period(self) -> float:
         return 2 * np.pi / self.drive_frequency
@@ -57,11 +58,11 @@ class PeriodicModulation:
         if self.waveform == "piecewise_asymmetric":
             u = self.up_fraction
             if not 0.0 < u < 1.0:
-                raise ValueError("up_fraction must lie in (0, 1)")
+                raise InvalidParams("up_fraction must lie in (0, 1)")
             phase = np.mod(t, self.period) / self.period
             down = -self.amplitude * u / (1.0 - u)
             return self.mean_gap + np.where(phase < u, self.amplitude, down)
-        raise ValueError(f"unknown waveform {self.waveform!r}")
+        raise InvalidParams(f"unknown waveform {self.waveform!r}")
 
     def phase_integral(self, t) -> np.ndarray:
         """Phi(t) = integral_0^t (omega_s - omega0) dt'."""
@@ -81,7 +82,7 @@ class PeriodicModulation:
             down_time = np.clip(frac - u * period, 0.0, None)
             # full periods integrate to zero by the mean constraint
             return self.amplitude * up_time + down * down_time
-        raise ValueError(f"unknown waveform {self.waveform!r}")
+        raise InvalidParams(f"unknown waveform {self.waveform!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40,
     coefficient decay).
     """
     if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+        raise InvalidParams("m_max must be non-negative")
     if mod.waveform == "constant":
         w = np.zeros(2 * m_max + 1)
         w[m_max] = 1.0
@@ -137,12 +138,7 @@ def floquet_hamiltonian(h_of_t, period: float, n_steps: int = 2000) -> np.ndarra
     matrix logarithm puts the quasi-energies in (-Omega/2, Omega/2] with
     Omega = 2 pi / T.
     """
-    d = np.asarray(h_of_t(0.0)).shape[0]
-    u = np.eye(d, dtype=complex)
-    dt = period / n_steps
-    for k in range(n_steps):
-        h = np.asarray(h_of_t((k + 0.5) * dt), dtype=complex)
-        u = sla.expm(-1j * h * dt) @ u
+    u = qcore.midpoint_propagator(h_of_t, 0.0, period, n_steps)
     # principal log via the (unitary) eigendecomposition
     vals, vecs = sla.schur(u, output="complex")
     phases = np.angle(np.diag(vals))  # in (-pi, pi]
@@ -199,22 +195,24 @@ def spectral_separation_preset(
         mean_gap=omega0, drive_frequency=omega, waveform=waveform,
         amplitude=amplitude, up_fraction=up_fraction,
     )
-    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     hot = lindblad.BathSpec(
         "hot", t_hot,
         lindblad.SpectralFunction("windowed_flat", rate, window=hot_window),
-        sigma_x,
+        SIGMA_X,
     )
     cold = lindblad.BathSpec(
         "cold", t_cold,
         lindblad.SpectralFunction("windowed_flat", rate, window=cold_window),
-        sigma_x,
+        SIGMA_X,
     )
     return CTMConfig(mod, hot, cold)
 
 
 def _channels(cfg: CTMConfig, m_max: int):
-    """Active sideband channels: (m, bath, omega_m, P_m * gamma(omega_m))."""
+    """Active sideband channels: (m, bath, omega_m, P_m * gamma(omega_m)).
+
+    Raises NoCoupling when no sideband falls inside any bath window.
+    """
     weights = sideband_weights(cfg.modulation, m_max)
     omega0 = cfg.modulation.mean_gap
     omega = cfg.modulation.drive_frequency
@@ -230,17 +228,20 @@ def _channels(cfg: CTMConfig, m_max: int):
             g = bath.spectral.positive_side(w_m)
             if p * g > 0:
                 out.append((m, bath, w_m, p * g))
+    if not out:
+        raise NoCoupling("no sideband falls inside any bath window")
     return out
+
+
+def _population_ratio(channels) -> float:
+    num = sum(u * np.exp(-w / b.temperature) for _m, b, w, u in channels)
+    den = sum(u for _m, _b, _w, u in channels)
+    return float(num / den)
 
 
 def ctm_steady_state(cfg: CTMConfig, m_max: int = 40) -> float:
     """Excited/ground steady population ratio r of the modulated TLS."""
-    channels = _channels(cfg, m_max)
-    if not channels:
-        raise NoCoupling("no sideband falls inside any bath window")
-    num = sum(u * np.exp(-w / b.temperature) for _m, b, w, u in channels)
-    den = sum(u for _m, _b, _w, u in channels)
-    return float(num / den)
+    return _population_ratio(_channels(cfg, m_max))
 
 
 def ctm_generator(cfg: CTMConfig, m_max: int = 40):
@@ -249,8 +250,6 @@ def ctm_generator(cfg: CTMConfig, m_max: int = 40):
     Returns (total superoperator, per-bath parts dict, channel list).
     """
     channels = _channels(cfg, m_max)
-    if not channels:
-        raise NoCoupling("no sideband falls inside any bath window")
     parts = {cfg.hot_bath.label: np.zeros((4, 4), dtype=complex),
              cfg.cold_bath.label: np.zeros((4, 4), dtype=complex)}
     for _m, bath, w_m, u in channels:
@@ -303,13 +302,14 @@ def ctm_currents(cfg: CTMConfig, m_max: int = 40, tol: float = 1e-9) -> CTMRepor
     J_j = sum_m ((omega0 + m Omega)/omega0) Tr(L_m^j rho_ss H_F) with
     H_F = (omega0/2) sigma_z; P = -(J_h + J_c).
     """
-    r = ctm_steady_state(cfg, m_max)
+    channels = _channels(cfg, m_max)
+    r = _population_ratio(channels)
     omega0 = cfg.modulation.mean_gap
     omega = cfg.modulation.drive_frequency
     p_e = r / (1.0 + r)
     p_g = 1.0 / (1.0 + r)
     currents = {cfg.hot_bath.label: 0.0, cfg.cold_bath.label: 0.0}
-    for _m, bath, w_m, u in _channels(cfg, m_max):
+    for _m, bath, w_m, u in channels:
         # net upward population flux of this channel at the steady state
         flux = u * (np.exp(-w_m / bath.temperature) * p_g - p_e)
         currents[bath.label] += w_m * flux

@@ -20,6 +20,7 @@ from . import qcore
 from .errors import (
     DegenerateSteadyState,
     DimMismatch,
+    InvalidParams,
     NumericalInstability,
 )
 
@@ -51,7 +52,7 @@ class SpectralFunction:
     def positive_side(self, omega: float) -> float:
         """gamma(omega) for omega >= 0 (before KMS completion)."""
         if self.base_rate < 0:
-            raise ValueError("base_rate must be non-negative")
+            raise InvalidParams("base_rate must be non-negative")
         if self.family == "flat":
             return self.base_rate
         if self.family == "ohmic_exp_cutoff":
@@ -62,7 +63,7 @@ class SpectralFunction:
         if self.family == "windowed_flat":
             lo, hi = self.window
             return self.base_rate if lo < omega < hi else 0.0
-        raise ValueError(f"unknown spectral family {self.family!r}")
+        raise InvalidParams(f"unknown spectral family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class BathSpec:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError("bath temperature must be positive")
+            raise InvalidParams("bath temperature must be positive")
         qcore.require_hermitian(self.coupling_operator, tol=1e-10)
 
     def rate(self, omega: float) -> float:
@@ -136,8 +137,6 @@ def dissipator_super(jump: np.ndarray, rate: float) -> np.ndarray:
     """Superoperator of rate * (S rho S† - ½{S†S, rho})."""
     sd = jump.conj().T
     sds = sd @ jump
-    d = jump.shape[0]
-    eye = np.eye(d)
     return rate * (
         qcore.sandwich_super(jump, sd)
         - 0.5 * (qcore.left_mult_super(sds) + qcore.right_mult_super(sds))
@@ -196,7 +195,7 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
 def evolve(gen: LindbladGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = expm(L t) applied to rho0 (column-stacked)."""
     if t < 0:
-        raise ValueError("evolution time must be non-negative")
+        raise InvalidParams("evolution time must be non-negative")
     v = qcore.matrix_exp(gen.total, scale=t) @ qcore.vectorize(rho0)
     rho = qcore.hermitianize(qcore.devectorize(v))
     min_eig = float(np.linalg.eigvalsh(rho).min())
@@ -263,7 +262,6 @@ def steady_state(gen: LindbladGenerator, kernel_tol: float = 1e-9) -> np.ndarray
     if abs(tr) < 1e-14:
         raise DegenerateSteadyState("kernel element is traceless", kernel_basis=[rho])
     rho = rho / tr
-    # steady states of KMS generators are positive; flip overall sign if needed
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise NumericalInstability("steady state not positive semidefinite")
     return rho

@@ -24,6 +24,8 @@ step-size error.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
@@ -50,12 +52,21 @@ def hamiltonian(omega: float, omega_ref: float, n_max: int) -> np.ndarray:
     return (p @ p) / 2 + (omega**2) * (x @ x) / 2
 
 
-def squeeze(xi: float, n_max: int) -> np.ndarray:
-    """S(xi) = exp(xi (a² - a†²)/2)."""
+@lru_cache(maxsize=8)
+def _squeeze_eig(n_max: int):
+    """Eigenpairs of i (a² - a†²)/2, which do not depend on xi."""
     a = destroy(n_max)
     g = (a @ a - a.conj().T @ a.conj().T) / 2
     # g is anti-Hermitian: diagonalize i*g (Hermitian) once
     vals, vecs = np.linalg.eigh(1j * g)
+    vals.flags.writeable = False  # shared by every caller
+    vecs.flags.writeable = False
+    return vals, vecs
+
+
+def squeeze(xi: float, n_max: int) -> np.ndarray:
+    """S(xi) = exp(xi (a² - a†²)/2)."""
+    vals, vecs = _squeeze_eig(n_max)
     return (vecs * np.exp(-1j * xi * vals)) @ vecs.conj().T
 
 

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimMismatch, InvalidSubsystem, NotHermitian
+from .errors import DimMismatch, InvalidParams, InvalidSubsystem, NotHermitian
 
 HERM_TOL = 1e-12
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
+
+# Pauli matrices in the basis (|e>, |g>), so sigma_z |e> = +|e>
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
+SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,7 @@ class CompositeSpace:
     def __post_init__(self):
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         if any(d < 1 for d in self.factor_dims):
-            raise ValueError("factor dimensions must be positive")
+            raise InvalidParams("factor dimensions must be positive")
 
     @property
     def dim(self) -> int:
@@ -52,21 +56,16 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = POSITIVITY_TOL) -> bool:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    scale = 1.0 + np.max(np.abs(rho))
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * scale:
-        return False
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL * 10:
-        return False
-    return float(np.linalg.eigvalsh(hermitianize(rho)).min()) >= -tol
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a), np.asarray(b))
+def spin_operators(j: float):
+    """Spin-j operators (jx, jy, jz) in the |j, m> basis, m ascending."""
+    m = np.arange(-j, j + 1)
+    jz = np.diag(m).astype(complex)
+    lower = np.sqrt(j * (j + 1) - m[1:] * (m[1:] - 1))
+    jm = np.diag(lower, k=1).astype(complex)  # <m-1| J- |m>
+    jp = jm.conj().T
+    jx = (jp + jm) / 2
+    jy = (jp - jm) / (2j)
+    return jx, jy, jz
 
 
 def kron_all(ops) -> np.ndarray:
@@ -113,6 +112,16 @@ def matrix_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch("matrix_exp requires a square matrix")
     return sla.expm(scale * a)
+
+
+def midpoint_propagator(h_of_t, t0: float, t1: float, n_steps: int) -> np.ndarray:
+    """Time-ordered propagator U(t1, t0) of the Hamiltonian ``h_of_t``,
+    as a product of n_steps exponentials of H at each step's midpoint."""
+    u = np.eye(np.asarray(h_of_t(t0)).shape[0], dtype=complex)
+    dt = (t1 - t0) / n_steps
+    for k in range(n_steps):
+        u = sla.expm(-1j * dt * h_of_t(t0 + (k + 0.5) * dt)) @ u
+    return u
 
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:

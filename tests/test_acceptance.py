@@ -469,11 +469,12 @@ def test_criterion_15_inter_cycle_coherence():
     def phase(dt):
         return np.diag(np.exp(-1j * omega * np.arange(d) * dt))
 
-    u1 = np.kron(cycles._tls_propagator(h1, 0, b * period), phase(b * period))
+    u1 = np.kron(qcore.midpoint_propagator(h1, 0, b * period, 400),
+                 phase(b * period))
     kick = sla.expm(-1j * g * np.kron(SX, a + a.conj().T))
-    u2 = np.kron(cycles._tls_propagator(h1, b * period, period / 2),
+    u2 = np.kron(qcore.midpoint_propagator(h1, b * period, period / 2, 400),
                  phase(period / 2 - b * period))
-    u3 = np.kron(cycles._tls_propagator(h2, period / 2, period),
+    u3 = np.kron(qcore.midpoint_propagator(h2, period / 2, period, 400),
                  phase(period / 2))
     space = qcore.CompositeSpace((2, d))
     gibbs_c = qcore.gibbs_state(delta * SX, 1 / beta_c)

@@ -164,9 +164,7 @@ def test_reruns_byte_identical(tmp_path):
         out = tmp_path / name
         assert cli.main(["run", "ctm", "--config", path, "--out", str(out),
                          "--seed", "7"]) == 0
-        lines = [l for l in out.read_text().splitlines()
-                 if not l.startswith("# wall_time_s")]
-        outs.append("\n".join(lines))
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -275,10 +273,21 @@ dt = 0.01
     assert "CutoffTooSmall" in capsys.readouterr().err
 
 
-def test_bad_physical_parameter_exits_3(capsys):
-    # passes the schema, then fails the CTM's T_h > T_c check
-    assert cli.main(["ctm", "--set", "omega0=10", "--set", "drive_frequency=1",
-                     "--set", "t_hot=1", "--set", "t_cold=1"]) == 3
+@pytest.mark.parametrize("bad", [
+    ["t_hot=1", "t_cold=1"],  # fails the CTM's T_h > T_c check
+    ["rate=-1"],
+    ["t_cold=0"],
+    ["drive_frequency=0"],
+], ids=["equal-temperatures", "negative-rate", "zero-cold-temperature",
+        "zero-drive-frequency"])
+def test_bad_physical_parameter_exits_3(bad, capsys):
+    # each passes the schema, then fails a physical check in the library
+    sets = {"omega0": "10", "drive_frequency": "1", "t_hot": "4", "t_cold": "1"}
+    sets.update(item.split("=") for item in bad)
+    args = ["ctm"]
+    for key, value in sets.items():
+        args += ["--set", f"{key}={value}"]
+    assert cli.main(args) == 3
     assert "InvalidParams" in capsys.readouterr().err
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -118,6 +120,16 @@ def test_otto_qho_null_compression_ratio():
     assert abs(rep.net_work_output) < 1e-10
 
 
+def test_otto_qho_saturated_coth_keeps_ratio_mode():
+    # omega/(2T) > 19 at both ends: coth rounds to 1 and the net work to
+    # -0.0, so only the ratio rule (0.5 < T_c/T_h = 0.9) gives the mode
+    rep = cycles.otto_qho(100.0, 50.0, 1.0, 0.9)
+    assert rep.mode == "Refrigerator"
+    assert rep.efficiency is None
+    assert rep.cop == pytest.approx(1.0)
+    assert rep.carnot_margin >= 0
+
+
 def test_otto_qho_refrigerator():
     rep = cycles.otto_qho(4.0, 0.5, 4.0, 1.0)  # ratio 0.125 < 0.25
     assert rep.mode == "Refrigerator"
@@ -170,10 +182,16 @@ def test_otto_max_power_below_carnot():
 
 def test_otto_squeezed_r0_reduces_to_thermal():
     rep0 = cycles.otto_squeezed(2.0, 1.0, 4.0, 1.0, 0.0)
-    ref = cycles.otto_qho(2.0, 1.0, 4.0, 1.0)
-    assert rep0.net_work_output == pytest.approx(ref.net_work_output, abs=1e-12)
-    assert rep0.q_hot == pytest.approx(ref.q_hot, abs=1e-12)
     assert rep0.extras["eta_bar_squeezed"] == pytest.approx(1 - 0.5, abs=1e-12)
+    # every ledger field must agree, at an engine and a refrigerator point
+    for point, mode in [((2.0, 1.0, 4.0, 1.0), "Engine"),
+                        ((4.0, 0.5, 4.0, 1.0), "Refrigerator")]:
+        rep0 = cycles.otto_squeezed(*point, 0.0)
+        ref = cycles.otto_qho(*point)
+        assert ref.mode == mode
+        for f in dataclasses.fields(cycles.CycleReport):
+            if f.name != "extras":
+                assert getattr(rep0, f.name) == getattr(ref, f.name), f.name
 
 
 def test_otto_squeezed_closed_form_r1():
@@ -467,11 +485,13 @@ def test_outcoupled_dephasing_equals_explicit_measurement_branches():
         def phase(dt):
             return np.diag(np.exp(-1j * omega * np.arange(d) * dt))
 
-        u1 = np.kron(cycles._tls_propagator(h1, 0, b * period), phase(b * period))
+        u1 = np.kron(qcore.midpoint_propagator(h1, 0, b * period, 400),
+                     phase(b * period))
         kick = expm(-1j * g * np.kron(sx, a + a.conj().T))
-        u2 = np.kron(cycles._tls_propagator(h1, b * period, period / 2),
+        u2 = np.kron(qcore.midpoint_propagator(h1, b * period, period / 2, 400),
                      phase(period / 2 - b * period))
-        u3 = np.kron(cycles._tls_propagator(h2, period / 2, period), phase(period / 2))
+        u3 = np.kron(qcore.midpoint_propagator(h2, period / 2, period, 400),
+                     phase(period / 2))
         space = qcore.CompositeSpace((2, d))
         rho = np.kron(qcore.gibbs_state(delta * sx, 1 / beta_c), rho_s)
         rho = u2 @ kick @ u1 @ rho @ u1.conj().T @ kick.conj().T @ u2.conj().T

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qtherm import qcore
 from qtherm.errors import InvalidSubsystem, NotHermitian
@@ -25,26 +26,6 @@ def random_density(d, rng=rng):
 def random_unitary(d, rng=rng):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-# --- kron -----------------------------------------------------------------
-
-
-def test_kron_identity():
-    assert np.allclose(qcore.kron(I2, I2), np.eye(4))
-
-
-def test_kron_sigma_z_identity():
-    assert np.allclose(qcore.kron(SZ, I2), np.diag([1, 1, -1, -1]))
-
-
-def test_kron_index_oracle():
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    out = qcore.kron(a, b)
-    for i in range(6):
-        for j in range(6):
-            assert out[i, j] == pytest.approx(a[i // 3, j // 3] * b[i % 3, j % 3])
 
 
 # --- partial trace ----------------------------------------------------------
@@ -115,6 +96,21 @@ def test_hermitian_eig_reconstruction():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         qcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 7.0])
+def test_spin_operators_algebra(j):
+    jx, jy, jz = qcore.spin_operators(j)
+    eye = np.eye(int(round(2 * j + 1)))
+    assert np.allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-12)
+    assert np.allclose(jx @ jx + jy @ jy + jz @ jz, j * (j + 1) * eye, atol=1e-12)
+    assert np.array_equal(np.diag(jz).real, np.arange(-j, j + 1))
+
+
+def test_midpoint_propagator_constant_hamiltonian():
+    h = random_hermitian(4)
+    u = qcore.midpoint_propagator(lambda t: h, 0.3, 1.7, 50)
+    assert np.allclose(u, sla.expm(-1j * h * 1.4), rtol=0, atol=1e-12)
 
 
 def test_matrix_exp_trivial():
