@@ -160,14 +160,12 @@ def _check_otto(omega_a, omega_b, t_h, t_c):
         raise InvalidParams("need T_h > T_c > 0")
 
 
-def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras,
-                 engine=None):
+def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras, engine):
     """Stroke ledger of the ideal harmonic Otto cycle.
 
     The hot-end mean energy is the thermal one at T_h scaled by
     ``delta_h_r``; ``t_h_gen`` is the hot temperature the Carnot margin is
-    taken against. ``engine`` selects the mode; when None the cycle runs as
-    an engine when it outputs work.
+    taken against, and ``engine`` selects the mode.
     """
     ch = _coth(omega_a / (2 * t_h)) * delta_h_r
     cc = _coth(omega_b / (2 * t_c))
@@ -183,8 +181,6 @@ def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras,
     ]
     net_out = -(w_ab + w_ba)
     ratio = omega_b / omega_a
-    if engine is None:
-        engine = net_out >= -1e-15
     if engine:
         eta = 1.0 - ratio
         return CycleReport(
@@ -237,18 +233,39 @@ def otto_squeezed(omega_a: float, omega_b: float, t_h: float, t_c: float,
     The hot-end mean energy is scaled by
     Delta_H_r = 1 + (2 + 1/<n0>) sinh^2 r; the cycle efficiency stays
     1 - omega_b/omega_a but the relevant bound becomes the generalized
-    limit eta_gen = 1 - T_c/(T_h (1 + 2 sinh^2 r)).
+    limit eta_gen = 1 - T_c/(T_h (1 + 2 sinh^2 r)). The cycle is an engine
+    when it outputs work, i.e. Delta_H_r coth(omega_a/2T_h) >=
+    coth(omega_b/2T_c), a sign taken without cancellation.
     """
     _check_otto(omega_a, omega_b, t_h, t_c)
     if r < 0:
         raise InvalidParams("squeezing must be non-negative")
-    n0 = 1.0 / np.expm1(omega_a / t_h)
-    dhr = 1.0 + (2.0 + 1.0 / n0) * np.sinh(r) ** 2
+    # Delta_H_r - 1 with 1/<n0> = expm1(omega_a/T_h); r = 0 is exactly the
+    # thermal cycle even where expm1 overflows
+    excess = (2.0 + np.expm1(omega_a / t_h)) * np.sinh(r) ** 2 if r > 0 else 0.0
+    dhr = 1.0 + excess
     t_h_gen = t_h * (1.0 + 2.0 * np.sinh(r) ** 2)
     eta_bar_sq = 1.0 - np.sqrt(t_c / t_h_gen)
     eta_gen = 1.0 - t_c / t_h_gen
     extras = {"eta_bar_squeezed": eta_bar_sq, "eta_gen": eta_gen, "delta_h_r": dhr}
-    return _otto_report(omega_a, omega_b, t_h, t_c, dhr, t_h_gen, extras)
+    engine = _hot_end_dominates(omega_a / (2 * t_h), omega_b / (2 * t_c), excess)
+    return _otto_report(omega_a, omega_b, t_h, t_c, dhr, t_h_gen, extras, engine)
+
+
+def _hot_end_dominates(a: float, b: float, excess: float) -> bool:
+    """Whether (1 + excess) coth(a) >= coth(b), i.e. the cycle outputs work.
+
+    For b >= a it holds since coth falls. Otherwise it compares
+    excess coth(a) with coth(b) - coth(a)
+    = 2 e^{-2b} (1 - e^{-2(a-b)}) / ((1 - e^{-2a})(1 - e^{-2b})),
+    whose factors carry no cancellation, so the sign survives where both
+    coth round to 1.
+    """
+    if b >= a:
+        return True
+    gap = 2.0 * np.exp(-2.0 * b) * -np.expm1(-2.0 * (a - b)) / (
+        np.expm1(-2.0 * a) * np.expm1(-2.0 * b))
+    return bool(excess * _coth(a) > gap)
 
 
 def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,

@@ -99,12 +99,14 @@ class SidebandWeights:
 
 
 def sideband_weights(mod: PeriodicModulation, m_max: int = 40,
-                     tail_tol: float = 1e-8, n_samples: int = 1 << 14) -> SidebandWeights:
+                     n_samples: int = 1 << 14) -> SidebandWeights:
     """Fourier weights P_m = |(1/T) int_0^T e^{-i Phi(t)} e^{-i m Omega t} dt|^2.
 
     Computed by FFT on a uniform grid (spectrally accurate for smooth
     waveforms; n_samples is large enough for the piecewise family's 1/m^2
-    coefficient decay).
+    coefficient decay). The weights sum to 1 over all m; raises
+    TruncationTooSmall when those kept, |m| <= m_max, sum below 0.999,
+    so up to 1e-3 of the weight may lie outside the window.
     """
     if m_max < 0:
         raise InvalidParams("m_max must be non-negative")
@@ -250,13 +252,15 @@ def ctm_generator(cfg: CTMConfig, m_max: int = 40):
     Returns (total superoperator, per-bath parts dict, channel list).
     """
     channels = _channels(cfg, m_max)
-    parts = {cfg.hot_bath.label: np.zeros((4, 4), dtype=complex),
-             cfg.cold_bath.label: np.zeros((4, 4), dtype=complex)}
-    for _m, bath, w_m, u in channels:
-        down = u
-        up = u * np.exp(-w_m / bath.temperature)
-        parts[bath.label] += lindblad.dissipator_super(SIGMA_MINUS, down)
-        parts[bath.label] += lindblad.dissipator_super(SIGMA_PLUS, up)
+    parts = {}
+    for bath in (cfg.hot_bath, cfg.cold_bath):
+        # every sideband of a bath shares the jumps sigma_-/sigma_+, so the
+        # bath is one dissipator at the summed down and up rates
+        down = sum(u for _m, b, _w, u in channels if b is bath)
+        up = sum(u * np.exp(-w_m / bath.temperature)
+                 for _m, b, w_m, u in channels if b is bath)
+        parts[bath.label] = parts.get(bath.label, 0) + lindblad.dissipator_super(
+            np.array([SIGMA_MINUS, SIGMA_PLUS]), [down, up])
     total = sum(parts.values())
     return total, parts, channels
 

@@ -5,16 +5,26 @@ The dissipators are built in the secular form: the coupling operator is
 decomposed into jump operators S(omega) between Hamiltonian eigenspaces,
 and each frequency gets an independent channel at the KMS-completed rate
 gamma(omega). The Lamb shift is omitted. Superoperators use the project's
-column-stacking convention.
+column-stacking convention and are dense d² x d² arrays; each bath's
+dissipator is built from its stacked jump operators in one matrix product.
+
+The steady state is one LU solve of the generator with its (redundant)
+rho_00 row replaced by the trace functional; the kernel is computed by SVD
+only to report a degenerate one. Evolution applies exp(L t) to the state
+vector with ``scipy.sparse.linalg.expm_multiply`` and never forms the
+propagator.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+import scipy.linalg as sla
+from scipy.integrate import quad
+from scipy.sparse.linalg import expm_multiply
 
 from . import qcore
 from .errors import (
@@ -133,14 +143,30 @@ def decompose_coupling(s: np.ndarray, h: np.ndarray, degeneracy_tol: float = Non
     return sorted(terms.values(), key=lambda t: t.frequency)
 
 
-def dissipator_super(jump: np.ndarray, rate: float) -> np.ndarray:
-    """Superoperator of rate * (S rho S† - ½{S†S, rho})."""
-    sd = jump.conj().T
-    sds = sd @ jump
-    return rate * (
-        qcore.sandwich_super(jump, sd)
-        - 0.5 * (qcore.left_mult_super(sds) + qcore.right_mult_super(sds))
-    )
+def dissipator_super(jumps: np.ndarray, rates) -> np.ndarray:
+    """Superoperator of sum_k r_k (S_k rho S_k† - ½{S_k†S_k, rho}).
+
+    ``jumps`` is one d x d jump operator with a scalar rate, or a stack
+    (n, d, d) with a length-n rate vector. The sandwich sum
+    sum_k r_k conj(S_k) ⊗ S_k is one (d², n) @ (n, d²) product followed by
+    an axis transpose; the anticommutator is built from
+    K = sum_k r_k S_k†S_k, added on the diagonal blocks of I ⊗ K and
+    K^T ⊗ I without forming either.
+    """
+    s = np.asarray(jumps, dtype=complex)
+    d = s.shape[-1]
+    s = s.reshape(-1, d, d)
+    r = np.broadcast_to(np.asarray(rates, dtype=float), s.shape[:1])
+    flat = s.reshape(-1, d * d)
+    # [(p, q), (i, j)] = sum_k r_k conj(S_k[p, q]) S_k[i, j]
+    pairs = (flat.conj().T * r) @ flat
+    out = pairs.reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()  # [p, i, q, j]
+    rows = s.reshape(-1, d)  # S_k[j, :] stacked over (k, j)
+    k = (rows.conj().T * np.repeat(r, d)) @ rows
+    diag = np.arange(d)
+    out[diag, :, diag, :] -= 0.5 * k  # I ⊗ K
+    out[:, diag, :, diag] -= 0.5 * k.T  # K^T ⊗ I
+    return out.reshape(d * d, d * d)
 
 
 def hamiltonian_super(h: np.ndarray) -> np.ndarray:
@@ -156,13 +182,13 @@ class LindbladGenerator:
     hamiltonian: np.ndarray
     hamiltonian_part: np.ndarray
     dissipator_parts: dict = field(default_factory=dict)
-    jump_terms: dict = field(default_factory=dict)  # bath label -> [(JumpTerm, rate)]
+    jump_terms: dict = field(default_factory=dict)  # bath label -> [JumpTerm]
 
     @property
     def total(self) -> np.ndarray:
         out = self.hamiltonian_part.copy()
         for part in self.dissipator_parts.values():
-            out = out + part
+            out += part
         return out
 
 
@@ -177,14 +203,11 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
                 f"bath {bath.label!r} coupling dimension {bath.coupling_operator.shape}"
                 f" does not match H {h.shape}"
             )
-        part = np.zeros((d * d, d * d), dtype=complex)
-        terms = []
-        for jt in decompose_coupling(bath.coupling_operator, h):
-            rate = bath.rate(jt.frequency)
-            terms.append(JumpTerm(jt.frequency, jt.operator, rate))
-            if rate > 0:
-                part += dissipator_super(jt.operator, rate)
-        gen.dissipator_parts[bath.label] = part
+        terms = [JumpTerm(jt.frequency, jt.operator, bath.rate(jt.frequency))
+                 for jt in decompose_coupling(bath.coupling_operator, h)]
+        jumps = np.array([t.operator for t in terms], dtype=complex).reshape(-1, d, d)
+        gen.dissipator_parts[bath.label] = dissipator_super(
+            jumps, [t.rate for t in terms])
         gen.jump_terms[bath.label] = terms
     return gen
 
@@ -193,10 +216,11 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
 
 
 def evolve(gen: LindbladGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
-    """rho(t) = expm(L t) applied to rho0 (column-stacked)."""
+    """rho(t) = exp(L t) rho0, applied to the column-stacked state by
+    ``expm_multiply`` (the d² x d² propagator is never formed)."""
     if t < 0:
         raise InvalidParams("evolution time must be non-negative")
-    v = qcore.matrix_exp(gen.total, scale=t) @ qcore.vectorize(rho0)
+    v = expm_multiply(t * gen.total, qcore.vectorize(rho0))
     rho = qcore.hermitianize(qcore.devectorize(v))
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < -1e-8:
@@ -204,67 +228,52 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
     return rho
 
 
-def evolve_quasi_static(h_of_t: Callable, baths, rho0: np.ndarray, times) -> list:
-    """Evolve under a slowly varying Hamiltonian, rebuilding the generator
-    per time slice (instantaneous-Hamiltonian GKSL). Validity of the
-    quasi-static assumption is the caller's responsibility.
-
-    Returns the list of states at ``times`` (including the initial time).
-    """
-    times = np.asarray(times, dtype=float)
-    rho = np.asarray(rho0, dtype=complex)
-    out = [rho]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        gen = build_generator(h_of_t(0.5 * (t0 + t1)), baths)
-        rho = evolve(gen, rho, t1 - t0)
-        out.append(rho)
-    return out
-
-
-def evolve_ode(h: np.ndarray, jump_rate_pairs, rho0: np.ndarray, t_span, t_eval=None,
-               rtol: float = 1e-10, atol: float = 1e-12):
-    """Adaptive RK fallback: integrate drho/dt directly in matrix form.
-
-    ``jump_rate_pairs`` is a list of (jump_operator, rate). Useful when the
-    superoperator exponential would be too large.
-    """
-    d = h.shape[0]
-    ops = [(np.sqrt(r) * j) for j, r in jump_rate_pairs if r > 0]
-    sds = [o.conj().T @ o for o in ops]
-
-    def rhs(_t, y):
-        rho = y.reshape(d, d)
-        drho = -1j * (h @ rho - rho @ h)
-        for o, n in zip(ops, sds):
-            drho += o @ rho @ o.conj().T - 0.5 * (n @ rho + rho @ n)
-        return drho.reshape(-1)
-
-    sol = solve_ivp(rhs, t_span, np.asarray(rho0, dtype=complex).reshape(-1),
-                    t_eval=t_eval, method="DOP853", rtol=rtol, atol=atol)
-    return [qcore.hermitianize(y.reshape(d, d)) for y in sol.y.T]
-
-
 def steady_state(gen: LindbladGenerator, kernel_tol: float = 1e-9) -> np.ndarray:
-    """Unique trace-one kernel element of the generator."""
+    """Unique trace-one kernel element of the generator.
+
+    The row of the rho_00 equation is redundant (the generator preserves
+    the trace), so it is replaced by the trace functional and L x = 0,
+    Tr x = 1 is solved by one LU factorisation. A pivot below
+    ``kernel_tol`` times the largest, or a residual |L x| above
+    ``kernel_tol`` |L| |x|, means the kernel is not one traceful state;
+    only then is the kernel computed by SVD, for the exception.
+    """
     total = gen.total
-    _u, s, vh = np.linalg.svd(total)
-    scale = s[0] if s[0] > 0 else 1.0
-    null_idx = np.where(s <= kernel_tol * scale)[0]
-    if len(null_idx) == 0:
-        null_idx = [len(s) - 1]
-    if len(null_idx) > 1:
-        basis = [qcore.devectorize(vh[i].conj()) for i in null_idx]
-        raise DegenerateSteadyState(
-            f"steady-state kernel has dimension {len(null_idx)}", kernel_basis=basis
-        )
-    rho = qcore.hermitianize(qcore.devectorize(vh[null_idx[0]].conj()))
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise DegenerateSteadyState("kernel element is traceless", kernel_basis=[rho])
-    rho = rho / tr
+    d = gen.dim
+    scale = float(np.abs(total).max()) or 1.0
+    aug = total.copy()
+    aug[0] = 0.0
+    aug[0, :: d + 1] = scale  # Tr rho: vec entries k (d + 1), at L's scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)  # exact zero pivot
+        lu, piv = sla.lu_factor(aug, overwrite_a=True, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= kernel_tol * pivots.max():
+        _raise_degenerate(total, kernel_tol)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = scale
+    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
+    residual = np.linalg.norm(total @ x)
+    if not residual <= kernel_tol * np.linalg.norm(total) * np.linalg.norm(x):  # or NaN
+        _raise_degenerate(total, kernel_tol)
+    rho = qcore.hermitianize(qcore.devectorize(x))
+    rho = rho / np.trace(rho).real
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise NumericalInstability("steady state not positive semidefinite")
     return rho
+
+
+def _raise_degenerate(total: np.ndarray, kernel_tol: float):
+    """Raise DegenerateSteadyState with the kernel of ``total`` (singular
+    values up to ``kernel_tol`` times the largest, at least the smallest)."""
+    _u, s, vh = np.linalg.svd(total)
+    null_idx = np.where(s <= kernel_tol * s[0])[0]
+    if len(null_idx) == 0:
+        null_idx = [len(s) - 1]
+    basis = [qcore.devectorize(vh[i].conj()) for i in null_idx]
+    raise DegenerateSteadyState(
+        f"no unique trace-one steady state: kernel of dimension {len(basis)}"
+        f" at kernel_tol={kernel_tol:g}", kernel_basis=basis)
 
 
 # --- thermodynamic bookkeeping -------------------------------------------------

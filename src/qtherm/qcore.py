@@ -209,8 +209,3 @@ def right_mult_super(b: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> rho B."""
     d = b.shape[0]
     return np.kron(b.T, np.eye(d))
-
-
-def sandwich_super(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> A rho B."""
-    return np.kron(b.T, a)

@@ -183,9 +183,13 @@ def test_otto_max_power_below_carnot():
 def test_otto_squeezed_r0_reduces_to_thermal():
     rep0 = cycles.otto_squeezed(2.0, 1.0, 4.0, 1.0, 0.0)
     assert rep0.extras["eta_bar_squeezed"] == pytest.approx(1 - 0.5, abs=1e-12)
-    # every ledger field must agree, at an engine and a refrigerator point
+    # every ledger field must agree, at an engine and a refrigerator point,
+    # where 1/<n0> overflows (omega_A/T_h > 709) and where both coth
+    # factors round to 1
     for point, mode in [((2.0, 1.0, 4.0, 1.0), "Engine"),
-                        ((4.0, 0.5, 4.0, 1.0), "Refrigerator")]:
+                        ((4.0, 0.5, 4.0, 1.0), "Refrigerator"),
+                        ((800.0, 400.0, 1.0, 0.5), "Engine"),
+                        ((100.0, 50.0, 1.0, 0.9), "Refrigerator")]:
         rep0 = cycles.otto_squeezed(*point, 0.0)
         ref = cycles.otto_qho(*point)
         assert ref.mode == mode

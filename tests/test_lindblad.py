@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.integrate import solve_ivp
 
 from qtherm import lindblad, qcore
 from qtherm.errors import DegenerateSteadyState, DimMismatch
@@ -33,6 +37,54 @@ def flat_bath(label, temperature, coupling, rate=1.0):
     return lindblad.BathSpec(
         label, temperature, lindblad.SpectralFunction("flat", rate), coupling
     )
+
+
+def two_mode_model(cutoff, t_h, t_c, rate):
+    """H = 2a†a + b†b + 0.15(a†b + ab†), flat baths on x_a (hot) and x_b
+    (cold), ``cutoff`` quanta per mode (d = (cutoff + 1)²)."""
+    a1 = np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
+    eye = np.eye(cutoff + 1)
+    a, b = np.kron(a1, eye), np.kron(eye, a1)
+    ad, bd = a.conj().T, b.conj().T
+    h = 2 * ad @ a + bd @ b + 0.15 * (ad @ b + a @ bd)
+    return h, [flat_bath("hot", t_h, a + ad, rate), flat_bath("cold", t_c, b + bd, rate)]
+
+
+def per_term_dissipator(jumps, rates):
+    """Oracle: one three-Kronecker superoperator per jump term, summed."""
+    d = jumps[0].shape[0]
+    eye = np.eye(d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for s, r in zip(jumps, rates):
+        n = s.conj().T @ s
+        out += r * (np.kron(s.conj(), s) - 0.5 * (np.kron(eye, n) + np.kron(n.T, eye)))
+    return out
+
+
+def svd_null_state(total):
+    """Oracle: right singular vector of the smallest singular value,
+    normalised to unit trace."""
+    _u, _s, vh = np.linalg.svd(total)
+    rho = qcore.hermitianize(qcore.devectorize(vh[-1].conj()))
+    return rho / np.trace(rho).real
+
+
+def evolve_ode(h, jump_rate_pairs, rho0, t_span, t_eval=None, rtol=1e-10, atol=1e-12):
+    """Oracle for ``evolve``: integrate drho/dt in matrix form with DOP853."""
+    d = h.shape[0]
+    ops = [(np.sqrt(r) * j) for j, r in jump_rate_pairs if r > 0]
+    sds = [o.conj().T @ o for o in ops]
+
+    def rhs(_t, y):
+        rho = y.reshape(d, d)
+        drho = -1j * (h @ rho - rho @ h)
+        for o, n in zip(ops, sds):
+            drho += o @ rho @ o.conj().T - 0.5 * (n @ rho + rho @ n)
+        return drho.reshape(-1)
+
+    sol = solve_ivp(rhs, t_span, np.asarray(rho0, dtype=complex).reshape(-1),
+                    t_eval=t_eval, method="DOP853", rtol=rtol, atol=atol)
+    return [qcore.hermitianize(y.reshape(d, d)) for y in sol.y.T]
 
 
 # --- decompose_coupling ---------------------------------------------------------
@@ -108,6 +160,26 @@ def test_build_generator_qubit_oracle():
 def test_zero_rate_reduces_to_commutator():
     gen = lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX, rate=0.0)])
     assert np.allclose(gen.total, gen.hamiltonian_part, atol=1e-14)
+
+
+def test_stacked_dissipator_matches_per_term_build():
+    for d, n in [(2, 1), (3, 4), (5, 7), (6, 3)]:
+        jumps = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        rates = rng.uniform(0.0, 2.0, size=n)
+        rates[0] = 0.0  # a closed channel contributes nothing
+        got = lindblad.dissipator_super(jumps, rates)
+        assert np.max(np.abs(got - per_term_dissipator(jumps, rates))) < 1e-13
+    single = lindblad.dissipator_super(jumps[1], rates[1])
+    assert np.max(np.abs(single - per_term_dissipator(jumps[1:2], rates[1:2]))) < 1e-13
+
+
+def test_build_generator_matches_per_term_build():
+    h, baths = two_mode_model(3, 2.0, 0.6, 0.1)
+    gen = lindblad.build_generator(h, baths)
+    for bath in baths:
+        terms = gen.jump_terms[bath.label]
+        oracle = per_term_dissipator([t.operator for t in terms], [t.rate for t in terms])
+        assert np.max(np.abs(gen.dissipator_parts[bath.label] - oracle)) < 1e-13
 
 
 def test_two_bath_additivity():
@@ -193,6 +265,42 @@ def test_pure_dephasing_degenerate_kernel():
     assert len(exc.value.kernel_basis) >= 2
 
 
+def test_steady_state_matches_svd_null_vector():
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        baths = [flat_bath(f"b{k}", float(rng.uniform(0.2, 3.0)), random_hermitian(d),
+                           rate=float(rng.uniform(0.1, 1.5)))
+                 for k in range(int(rng.integers(1, 3)))]
+        gen = lindblad.build_generator(random_hermitian(d), baths)
+        assert np.max(np.abs(lindblad.steady_state(gen) - svd_null_state(gen.total))) < 1e-12
+    for t_h, t_c in [(2.0, 0.6), (0.8, 0.8)]:
+        gen = lindblad.build_generator(*two_mode_model(3, t_h, t_c, 0.1))
+        assert np.max(np.abs(lindblad.steady_state(gen) - svd_null_state(gen.total))) < 1e-12
+
+
+def test_untouched_qubit_gives_two_state_kernel():
+    # the bath flips only the first qubit, so each population of the
+    # second is conserved: the kernel is rho_th ⊗ |0><0| and rho_th ⊗ |1><1|.
+    # In the product basis the LU meets an exact zero pivot; in a rotated
+    # basis rounding leaves a tiny nonzero one.
+    eye = np.eye(2)
+    h = 0.5 * np.kron(SZ, eye) + 0.8 * np.kron(eye, SZ)
+    s = np.kron(SX, eye)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for u in (np.eye(4), q):
+        gen = lindblad.build_generator(
+            qcore.hermitianize(u @ h @ u.conj().T),
+            [flat_bath("b", 1.0, qcore.hermitianize(u @ s @ u.conj().T))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            with pytest.raises(DegenerateSteadyState) as exc:
+                lindblad.steady_state(gen)
+        basis = exc.value.kernel_basis
+        assert len(basis) == 2
+        for k in basis:
+            assert np.max(np.abs(gen.total @ qcore.vectorize(k))) < 1e-12
+
+
 # --- heat current / entropy production ------------------------------------------------
 
 
@@ -274,15 +382,13 @@ def test_evolve_ode_matches_expm():
     gen = lindblad.build_generator(h, [bath])
     rho0 = random_density(2)
     pairs = [(t.operator, t.rate) for t in gen.jump_terms["b"]]
-    out = lindblad.evolve_ode(h, pairs, rho0, (0.0, 2.0), t_eval=[0.0, 2.0])
+    out = evolve_ode(h, pairs, rho0, (0.0, 2.0), t_eval=[0.0, 2.0])
     assert np.allclose(out[-1], lindblad.evolve(gen, rho0, 2.0), atol=1e-8)
-
-
-def test_evolve_quasi_static_static_limit():
-    h = 0.5 * SZ
-    bath = flat_bath("b", 1.0, SX)
-    gen = lindblad.build_generator(h, [bath])
-    rho0 = random_density(2)
-    times = np.linspace(0, 2.0, 9)
-    out = lindblad.evolve_quasi_static(lambda t: h, [bath], rho0, times)
-    assert np.allclose(out[-1], lindblad.evolve(gen, rho0, 2.0), atol=1e-9)
+    # two-mode model, d = 16, from a state far from the steady one
+    h, baths = two_mode_model(3, 2.0, 0.6, 0.15)
+    gen = lindblad.build_generator(h, baths)
+    rho0 = random_density(16)
+    pairs = [(t.operator, t.rate) for b in baths for t in gen.jump_terms[b.label]]
+    out = evolve_ode(h, pairs, rho0, (0.0, 5.0), t_eval=[1.0, 5.0])
+    for t, rho in zip([1.0, 5.0], out):
+        assert np.max(np.abs(rho - lindblad.evolve(gen, rho0, t))) < 1e-8

@@ -242,7 +242,7 @@ def test_thermometry_refinement_tightens_estimate():
 def lindblad_exchange_current(omega_h, omega_c, kappa_h, kappa_c, g,
                               t_h, t_c, n_max):
     """Steady exchange current 2 g Im<a_h† a_c> of the truncated two-mode
-    model, computed from the full GKSL superoperator (interaction picture:
+    model, from the library's GKSL steady state (interaction picture:
     only the exchange term remains in the Hamiltonian)."""
     dim = n_max + 1
     a = oscillators.destroy(n_max)
@@ -252,13 +252,12 @@ def lindblad_exchange_current(omega_h, omega_c, kappa_h, kappa_c, g,
     h = g * (a_h.conj().T @ a_c + a_c.conj().T @ a_h)
     nb_h = 1.0 / np.expm1(omega_h / t_h)
     nb_c = 1.0 / np.expm1(omega_c / t_c)
-    total = lindblad.hamiltonian_super(h)
-    for op, rate in [(a_h, kappa_h * (nb_h + 1)), (a_h.conj().T, kappa_h * nb_h),
-                     (a_c, kappa_c * (nb_c + 1)), (a_c.conj().T, kappa_c * nb_c)]:
-        total += lindblad.dissipator_super(op, rate)
-    _, _, vh = np.linalg.svd(total)
-    rho = qcore.hermitianize(qcore.devectorize(vh[-1].conj()))
-    rho /= np.trace(rho).real
+    jumps = np.array([a_h, a_h.conj().T, a_c, a_c.conj().T])
+    rates = [kappa_h * (nb_h + 1), kappa_h * nb_h, kappa_c * (nb_c + 1), kappa_c * nb_c]
+    gen = lindblad.LindbladGenerator(
+        dim=dim * dim, hamiltonian=h, hamiltonian_part=lindblad.hamiltonian_super(h),
+        dissipator_parts={"baths": lindblad.dissipator_super(jumps, rates)})
+    rho = lindblad.steady_state(gen)
     c = np.trace(rho @ a_h.conj().T @ a_c)
     return 2 * g * float(c.imag)
 

