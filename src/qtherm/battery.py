@@ -11,7 +11,7 @@ classical Fisher information of the energy distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +93,11 @@ class QSLReport:
 
 @dataclass(frozen=True)
 class ChargeTrace:
+    """Charging observables on the bare Hamiltonian H0. ``final_fraction``
+    (ergotropy over stored energy at the energy-optimal sample) is exactly 1
+    for a pure global battery state, 0 when nothing is stored; only
+    ``charge_dicke`` reports the fraction of a reduced state."""
+
     times: np.ndarray
     energies: np.ndarray
     powers: np.ndarray
@@ -106,17 +111,23 @@ class ChargeTrace:
 # --- passive states and ergotropy -----------------------------------------------------
 
 
-def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unique passive state of rho: populations sorted descending, paired
-    with the energy levels of h sorted ascending (ties broken by the
-    ascending energy index of the stable sort)."""
+def _passive(rho: np.ndarray, h: np.ndarray):
+    """Spectrum of rho (ascending), levels of h (ascending) and the passive
+    state, from one eigendecomposition of each."""
     rho = np.asarray(rho, dtype=complex)
     h = qcore.require_hermitian(np.asarray(h, dtype=complex))
     if rho.shape != h.shape:
         raise DimMismatch("state and Hamiltonian dimensions differ")
-    pops = np.linalg.eigvalsh(qcore.hermitianize(rho))[::-1]
-    _vals, vecs = qcore.hermitian_eig(h)
-    return (vecs * pops) @ vecs.conj().T
+    pops = np.linalg.eigvalsh(qcore.hermitianize(rho))
+    eps, vecs = qcore.hermitian_eig(h)
+    return pops, eps, (vecs * pops[::-1]) @ vecs.conj().T
+
+
+def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Unique passive state of rho: populations sorted descending, paired
+    with the energy levels of h sorted ascending (ties broken by the
+    ascending energy index of the stable sort)."""
+    return _passive(rho, h)[2]
 
 
 def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
@@ -129,18 +140,14 @@ def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     """Maximum unitary work Tr(rho h) - Tr(sigma_rho h), plus the
     thermodynamic bound W_max against the entropy-matched Gibbs state."""
-    rho = np.asarray(rho, dtype=complex)
-    h = qcore.require_hermitian(np.asarray(h, dtype=complex))
-    if rho.shape != h.shape:
-        raise DimMismatch("state and Hamiltonian dimensions differ")
-    d = h.shape[0]
-    s_target = qcore.von_neumann_entropy(rho)
+    pops, eps, sigma = _passive(rho, h)
+    d = len(eps)
+    nz = pops[pops > 0]
+    s_target = float(-np.sum(nz * np.log(nz)))
     if s_target < -1e-9 or s_target > np.log(d) + 1e-9:
         raise InvalidState(f"entropy {s_target} outside [0, ln {d}]")
-    sigma = passive_state(rho, h)
-    e_rho = float(np.trace(rho @ h).real)
-    e_pass = float(np.trace(sigma @ h).real)
-    eps = np.linalg.eigvalsh(h)
+    e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
+    e_pass = float(pops[::-1] @ eps)
     # S(zeta_beta) is monotone decreasing in beta: geometric bisection
     lo, hi = 1e-8, 1e8
     beta = np.sqrt(lo * hi)
@@ -277,10 +284,10 @@ def _aggregate(populations: np.ndarray, groups) -> np.ndarray:
     return np.stack([populations[:, g].sum(axis=1) for g in groups], axis=1)
 
 
-def _power_and_fisher(pops: np.ndarray, group_e: np.ndarray, energies: np.ndarray,
+def _power_and_fisher(pops: np.ndarray, dev: np.ndarray,
                       dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Power P = sum_g (e_g - <H0>) dp_g/dt and Fisher information
-    I_E = sum_g (dp_g/dt)^2 / p_g over the same supported terms
+    """Power P = sum_g dev_g dp_g/dt, with dev_g = e_g - <H0>, and Fisher
+    information I_E = sum_g (dp_g/dt)^2 / p_g over the same supported terms
     (p_g > P_FLOOR), so the Cauchy-Schwarz bound P^2 <= Var * I_E holds
     sample-wise by construction.
 
@@ -291,7 +298,7 @@ def _power_and_fisher(pops: np.ndarray, group_e: np.ndarray, energies: np.ndarra
     dp = np.gradient(pops, dt, axis=0)
     mask = pops > P_FLOOR
     dp_kept = np.where(mask, dp, 0.0)
-    powers = ((group_e[None, :] - energies[:, None]) * dp_kept).sum(axis=1)
+    powers = (dev * dp_kept).sum(axis=1)
     return powers, _fisher(pops, dp, mask)
 
 
@@ -405,7 +412,6 @@ def _time_grid(tau: float, dt: float) -> np.ndarray:
 def _pure_trace(times: np.ndarray, h_drive: np.ndarray, psi0: np.ndarray,
                 h0_diag: np.ndarray, h0_basis: np.ndarray = None,
                 reference_initial: bool = False,
-                final_fraction_of: Callable[[np.ndarray], float] = None,
                 ) -> Tuple[ChargeTrace, np.ndarray]:
     """Exact closed evolution of a pure state under a constant drive, with
     all ChargeTrace observables taken on the bare Hamiltonian given by its
@@ -413,26 +419,29 @@ def _pure_trace(times: np.ndarray, h_drive: np.ndarray, psi0: np.ndarray,
     ``h0_basis``. ``reference_initial`` stores deposited energy E(t) - E(0)
     instead of the absolute expectation.
 
+    A pure state's ergotropy is its energy above the ground level of H0
+    (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
+    or 0 when nothing is stored.
+
     Returns the trace and the sampled state vectors (n_times x dim).
     """
     vals, vecs = qcore.hermitian_eig(h_drive)
     c0 = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, vals))
     psis = (phases * c0[None, :]) @ vecs.T
-    if h0_basis is None:
-        psis_h0 = psis
-    else:
-        psis_h0 = psis @ h0_basis.conj()
-    pops_full = np.abs(psis_h0) ** 2
+    pops_full = np.abs(psis if h0_basis is None
+                       else psis @ h0_basis.conj()) ** 2
     group_e, groups = _group_energies(h0_diag)
     pops = _aggregate(pops_full, groups)
     energies = pops @ group_e
-    variances = pops @ group_e**2 - energies**2
-    dt = times[1] - times[0]
-    powers, fisher = _power_and_fisher(pops, group_e, energies, dt)
+    # central moment: E[H0^2] - E[H0]^2 cancels to below zero at an eigenstate
+    dev = group_e[None, :] - energies[:, None]
+    variances = (pops * dev**2).sum(axis=1)
+    powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
+    stored = energies.max() - h0_diag.min()
     if reference_initial:
         energies = energies - energies[0]
-    denom = np.sqrt(np.clip(variances * fisher, 0.0, None))
+    denom = np.sqrt(variances * fisher)
     tightness = np.where(denom > 1e-300,
                          np.clip(powers / np.where(denom > 0, denom, 1.0),
                                  -1.0, 1.0), 0.0)
@@ -446,25 +455,12 @@ def _pure_trace(times: np.ndarray, h_drive: np.ndarray, psi0: np.ndarray,
     overlap = abs(np.vdot(psis[0], psis[-1]))
     dist = float(np.arccos(min(max(overlap, 0.0), 1.0)))
     qsl = _qsl_from_scalars(dist, de_tau, e_tau, float(times[-1] - times[0]))
-    if final_fraction_of is not None:
-        fraction = final_fraction_of(psis)
-    else:
-        k_best = int(np.argmax(energies))
-        fraction = _fraction_of_pure(psis_h0[k_best], h0_diag)
     trace = ChargeTrace(
         times=times, energies=energies, powers=powers, variances=variances,
         energy_fisher=fisher, bound_tightness=tightness,
-        final_fraction=fraction, qsl=qsl,
+        final_fraction=1.0 if stored > 1e-12 else 0.0, qsl=qsl,
     )
     return trace, psis
-
-
-def _fraction_of_pure(psi: np.ndarray, h0_diag: np.ndarray) -> float:
-    rho = np.outer(psi, psi.conj())
-    try:
-        return extractable_fraction(rho, np.diag(h0_diag).astype(complex))
-    except UndefinedFraction:
-        return 0.0
 
 
 def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
@@ -480,7 +476,8 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     H_c = H_g + omega sum_i sigma_x from the ferromagnetic ground state.
     Energies are reported relative to the initial energy (deposited
     energy), so the isotropic alpha = 1 trace coincides with the
-    non-interacting g = 0 one.
+    non-interacting g = 0 one. The battery state is pure, so the final
+    fraction is exactly 1 (0 when no energy is stored).
     """
     if n_cells > 12:
         raise TooLarge("full 2^N representation limited to N <= 12")
@@ -525,7 +522,9 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                dt: float) -> ChargeTrace:
     """Collective-spin battery with bare H0 = B sum_i sigma_z^i charged by
     the Lipkin-Meshkov-Glick interaction (lambda/N) sum_{i<j}
-    (sigma_x sigma_x + gamma sigma_y sigma_y), in the symmetric sector."""
+    (sigma_x sigma_x + gamma sigma_y sigma_y), in the symmetric sector.
+    The battery state is pure, so the final fraction is exactly 1 (0 when
+    no energy is stored)."""
     if n_cells > 14:
         raise TooLarge("symmetric-sector LMG limited to N <= 14")
     j = n_cells / 2.0
@@ -577,26 +576,19 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     psi0[0 * dim_cav + n_photons] = 1.0  # |m=-j> x |n_photons>
     times = _time_grid(tau, dt)
 
-    h_battery = omega * np.diag(m).astype(complex)
-
-    def fraction_of(psis: np.ndarray) -> float:
-        # cavity tail check over the whole trajectory
-        blocks = psis.reshape(len(psis), dim_spin, dim_cav)
-        tail = np.max(np.sum(np.abs(blocks[:, :, -1]) ** 2, axis=1))
-        if tail > 1e-8:
-            raise CutoffTooSmall(
-                f"top photon level holds population {tail:.2e}")
-        energies = np.abs(psis) ** 2 @ h0_diag
-        block = blocks[int(np.argmax(energies))]
-        rho_battery = block @ block.conj().T
-        try:
-            return extractable_fraction(rho_battery, h_battery)
-        except UndefinedFraction:
-            return 0.0
-
-    trace, _ = _pure_trace(times, h, psi0, h0_diag,
-                           final_fraction_of=fraction_of)
-    return trace
+    trace, psis = _pure_trace(times, h, psi0, h0_diag)
+    # cavity tail check over the whole trajectory
+    blocks = psis.reshape(len(psis), dim_spin, dim_cav)
+    tail = np.max(np.sum(np.abs(blocks[:, :, -1]) ** 2, axis=1))
+    if tail > 1e-8:
+        raise CutoffTooSmall(f"top photon level holds population {tail:.2e}")
+    block = blocks[int(np.argmax(trace.energies))]
+    try:
+        fraction = extractable_fraction(block @ block.conj().T,
+                                        omega * np.diag(m))
+    except UndefinedFraction:
+        fraction = 0.0
+    return replace(trace, final_fraction=fraction)
 
 
 # --- usability of stored energy --------------------------------------------------------

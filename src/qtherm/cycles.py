@@ -280,6 +280,11 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
     in ``extras`` (quantum friction makes it non-negative).
     """
     _check_otto(omega_a, omega_b, t_h, t_c)
+    for name, value in (("ramp_duration", ramp_duration),
+                        ("thermalization_time", thermalization_time),
+                        ("kappa", kappa)):
+        if not value > 0:
+            raise InvalidParams(f"{name} must be positive")
     rho = oscillators.thermal_state(omega_a, t_h, omega_a, n_max)  # tail-checked
     h_a = oscillators.hamiltonian(omega_a, omega_a, n_max)
     h_b = oscillators.hamiltonian(omega_b, omega_a, n_max)

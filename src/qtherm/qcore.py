@@ -100,10 +100,10 @@ def partial_trace(rho: np.ndarray, space: CompositeSpace, keep) -> np.ndarray:
 
 
 def hermitian_eig(h: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-    h = require_hermitian(h, tol=1e-10)
-    vals, vecs = np.linalg.eigh(hermitianize(h))
-    return vals, vecs
+    """Eigenvalues (ascending) and orthonormal eigenvector columns. Input
+    with no imaginary part uses the real routine (real eigenvectors)."""
+    h = hermitianize(require_hermitian(h, tol=1e-10))
+    return np.linalg.eigh(h if h.imag.any() else h.real)
 
 
 def matrix_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -299,6 +299,18 @@ def test_power_bound_parallel_additivity():
                        single.powers[keep] / denom_s[keep], atol=1e-10)
 
 
+@pytest.mark.parametrize("charge", [
+    lambda: battery.charge_spins_xxz(6, 1.0, 0.5, 0.4, 2.0, "nearest_neighbor",
+                                     1.0, 4.0, 0.02),
+    lambda: battery.charge_lmg(8, 0.8, 0.5, 1.0, 4.0, 0.02),
+    lambda: battery.charge_dicke(1, 1, 0.2, False, 1.0, 1.0, 20, 10.0, 0.01),
+], ids=["xxz", "lmg", "dicke"])
+def test_variances_non_negative(charge):
+    # each trace starts in an H0 eigenstate, where E[H0^2] - E[H0]^2
+    # cancels to a rounding error of either sign
+    assert charge().variances.min() >= 0
+
+
 def test_power_bound_stationary_segment():
     trace = battery.charge_dicke(3, 3, 0.0, False, 1.0, 1.0, 10, 5.0, 0.01)
     assert np.max(np.abs(trace.powers)) < 1e-12
@@ -410,6 +422,24 @@ def test_advantage_dicke_disappears_with_rescaling():
 # --- XXZ spin battery -----------------------------------------------------------
 
 
+def _xxz_dense(n, b, g, alpha, nu, interaction_range, omega):
+    """Charging and bare Hamiltonians of the XXZ battery, built from
+    Kronecker products of Pauli matrices."""
+    h_g = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if interaction_range == "nearest_neighbor":
+                g_ij = g if j == i + 1 else 0.0
+            else:
+                g_ij = g * float(j - i) ** (-nu)
+            h_g -= g_ij * (site_op(SZ, i, n) @ site_op(SZ, j, n)
+                           + alpha * (site_op(SX, i, n) @ site_op(SX, j, n)
+                                      + site_op(SY, i, n) @ site_op(SY, j, n)))
+    h_drive = h_g + omega * sum(site_op(SX, i, n) for i in range(n))
+    h0 = h_g + b * sum(site_op(SZ, i, n) for i in range(n))
+    return h_drive, h0
+
+
 def test_xxz_isotropic_matches_noninteracting():
     kwargs = dict(b=1.0, alpha=1.0, nu=1.0, interaction_range="power_law",
                   omega=1.0, tau=6.0, dt=0.01)
@@ -423,26 +453,14 @@ def test_xxz_isotropic_entanglement_part_matches_noninteracting():
     # the interaction commutes with the charging Hamiltonian at alpha = 1,
     # so even the inter-cell covariance of the field term is unchanged
     n = 4
-    dim = 2**n
     spec = battery.BatterySpec(cell_hamiltonian=SZ, n_cells=n)
-    v = sum(site_op(SX, i, n) for i in range(n))
-    psi0 = np.zeros(dim, dtype=complex)
+    psi0 = np.zeros(2**n, dtype=complex)
     psi0[-1] = 1.0
-
-    def h_g(g):
-        h = np.zeros((dim, dim), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                g_ij = g / (j - i)
-                h -= g_ij * (site_op(SZ, i, n) @ site_op(SZ, j, n)
-                             + site_op(SX, i, n) @ site_op(SX, j, n)
-                             + site_op(SY, i, n) @ site_op(SY, j, n))
-        return h
-
     for t in (0.5, 1.7):
         parts = []
         for g in (0.3, 0.0):
-            psi = sla.expm(-1j * (h_g(g) + v) * t) @ psi0
+            h_drive, _ = _xxz_dense(n, 0.0, g, 1.0, 1.0, "power_law", 1.0)
+            psi = sla.expm(-1j * h_drive * t) @ psi0
             rho = np.outer(psi, psi.conj())
             parts.append(battery.variance_decomposition(rho, spec))
         assert parts[0]["entanglement_part"] == pytest.approx(
@@ -454,6 +472,25 @@ def test_xxz_no_drive_is_flat():
                                      0.0, 4.0, 0.01)
     assert np.max(np.abs(trace.energies)) < 1e-10
     assert np.max(np.abs(trace.powers)) < 1e-10
+    assert trace.final_fraction == 0.0  # nothing stored
+
+
+@pytest.mark.parametrize("interaction_range", ["nearest_neighbor",
+                                               "power_law"])
+def test_xxz_pure_state_fraction_is_one(interaction_range):
+    n = 4
+    params = (1.0, 0.4, 0.5, 1.5, interaction_range, 1.0)
+    trace = battery.charge_spins_xxz(n, *params, 3.0, 0.01)
+    h_drive, h0 = _xxz_dense(n, *params)
+    psi0 = np.zeros(2**n, dtype=complex)
+    psi0[-1] = 1.0
+    k_best = int(np.argmax(trace.energies))
+    psi = sla.expm(-1j * h_drive * trace.times[k_best]) @ psi0
+    deposited = float(np.real(psi.conj() @ h0 @ psi - psi0.conj() @ h0 @ psi0))
+    assert deposited == pytest.approx(trace.energies[k_best], abs=1e-9)
+    assert trace.final_fraction == 1.0
+    assert battery.extractable_fraction(np.outer(psi, psi.conj()), h0) == \
+        pytest.approx(trace.final_fraction, abs=1e-9)
 
 
 def test_xxz_superlinear_power_long_range():
@@ -519,10 +556,15 @@ def test_lmg_matches_full_space():
     psi0[-1] = 1.0
     vals, vecs = np.linalg.eigh(h0 + v)
     c0 = vecs.conj().T @ psi0
-    for k in (0, len(trace.times) // 2, len(trace.times) - 1):
+    k_best = int(np.argmax(trace.energies))
+    for k in (0, len(trace.times) // 2, len(trace.times) - 1, k_best):
         psi = vecs @ (np.exp(-1j * vals * trace.times[k]) * c0)
         e = float(np.real(psi.conj() @ h0 @ psi))
         assert trace.energies[k] == pytest.approx(e, abs=1e-9)
+    # the charged global state is pure: all its stored energy is extractable
+    assert trace.final_fraction == 1.0
+    assert battery.extractable_fraction(np.outer(psi, psi.conj()), h0) == \
+        pytest.approx(trace.final_fraction, abs=1e-9)
 
 
 def test_lmg_scaling_sweep():

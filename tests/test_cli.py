@@ -273,22 +273,38 @@ dt = 0.01
     assert "CutoffTooSmall" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [
-    ["t_hot=1", "t_cold=1"],  # fails the CTM's T_h > T_c check
-    ["rate=-1"],
-    ["t_cold=0"],
-    ["drive_frequency=0"],
+_VALID_SETS = {
+    "ctm": {"omega0": "10", "drive_frequency": "1", "t_hot": "4",
+            "t_cold": "1"},
+    "otto-numeric": {"omega_a": "2", "omega_b": "1", "t_h": "2", "t_c": "0.5",
+                     "ramp_duration": "1", "thermalization_time": "5"},
+}
+
+
+@pytest.mark.parametrize("experiment,bad", [
+    ("ctm", ["t_hot=1", "t_cold=1"]),  # fails the CTM's T_h > T_c check
+    ("ctm", ["rate=-1"]),
+    ("ctm", ["t_cold=0"]),
+    ("ctm", ["drive_frequency=0"]),
+    ("otto-numeric", ["ramp_duration=0"]),
+    ("otto-numeric", ["thermalization_time=0"]),
+    ("otto-numeric", ["kappa=-1"]),
 ], ids=["equal-temperatures", "negative-rate", "zero-cold-temperature",
-        "zero-drive-frequency"])
-def test_bad_physical_parameter_exits_3(bad, capsys):
+        "zero-drive-frequency", "zero-ramp-duration",
+        "zero-thermalization-time", "negative-kappa"])
+def test_bad_physical_parameter_exits_3(experiment, bad, capsys):
     # each passes the schema, then fails a physical check in the library
-    sets = {"omega0": "10", "drive_frequency": "1", "t_hot": "4", "t_cold": "1"}
+    sets = dict(_VALID_SETS[experiment])
     sets.update(item.split("=") for item in bad)
-    args = ["ctm"]
+    args = [experiment]
     for key, value in sets.items():
         args += ["--set", f"{key}={value}"]
     assert cli.main(args) == 3
-    assert "InvalidParams" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "InvalidParams" in err
+    if experiment == "otto-numeric":
+        # rejected up front, naming the parameter, before any ODE runs
+        assert bad[0].split("=")[0] in err
 
 
 def test_inverted_trap_exits_3(capsys):

@@ -88,9 +88,19 @@ def test_hermitian_eig_paulis():
 def test_hermitian_eig_reconstruction():
     h = random_hermitian(8)
     vals, vecs = qcore.hermitian_eig(h)
+    assert np.iscomplexobj(vecs)
     assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-10)
     assert np.allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+def test_hermitian_eig_real_valued_input():
+    # complex dtype, zero imaginary part: decomposed by the real routine
+    h = random_hermitian(8, np.random.default_rng(3)).real.astype(complex)
+    vals, vecs = qcore.hermitian_eig(h)
+    assert not np.iscomplexobj(vecs)
+    assert np.allclose(vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+    assert np.allclose((vecs * vals) @ vecs.conj().T, h, rtol=0, atol=1e-12)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
