@@ -130,6 +130,15 @@ def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _passive(rho, h)[2]
 
 
+def _entropy(pops: np.ndarray) -> float:
+    """Von Neumann entropy of a spectrum; InvalidState outside [0, ln d]."""
+    nz = pops[pops > 0]
+    s = float(-np.sum(nz * np.log(nz)))
+    if s < -1e-9 or s > np.log(len(pops)) + 1e-9:
+        raise InvalidState(f"entropy {s} outside [0, ln {len(pops)}]")
+    return s
+
+
 def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
     w = np.exp(-beta * (eps - eps.min()))
     p = w / w.sum()
@@ -141,11 +150,7 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     """Maximum unitary work Tr(rho h) - Tr(sigma_rho h), plus the
     thermodynamic bound W_max against the entropy-matched Gibbs state."""
     pops, eps, sigma = _passive(rho, h)
-    d = len(eps)
-    nz = pops[pops > 0]
-    s_target = float(-np.sum(nz * np.log(nz)))
-    if s_target < -1e-9 or s_target > np.log(d) + 1e-9:
-        raise InvalidState(f"entropy {s_target} outside [0, ln {d}]")
+    s_target = _entropy(pops)
     e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
     e_pass = float(pops[::-1] @ eps)
     # S(zeta_beta) is monotone decreasing in beta: geometric bisection
@@ -596,11 +601,16 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
 
 def extractable_fraction(rho_sub: np.ndarray, h_sub: np.ndarray) -> float:
     """f = ergotropy / mean energy of the (possibly reduced) state, with
-    the Hamiltonian shifted so its ground energy is zero."""
-    h = qcore.require_hermitian(np.asarray(h_sub, dtype=complex))
-    h_shift = h - np.linalg.eigvalsh(h).min() * np.eye(h.shape[0])
-    energy = float(np.trace(np.asarray(rho_sub, dtype=complex) @ h_shift).real)
+    the energy counted from the ground level of h_sub.
+
+    One spectrum of each of rho and h gives both: the stored energy is
+    Tr(rho h) - E_0 and the ergotropy Tr(rho h) - Tr(sigma_rho h).
+    """
+    pops, eps, _ = _passive(rho_sub, h_sub)
+    e_rho = float(np.vdot(h_sub, rho_sub).real)
+    energy = e_rho - eps[0]
     if energy <= 1e-12:
         raise UndefinedFraction(f"stored energy {energy} is not positive")
-    rep = ergotropy(rho_sub, h_shift)
-    return float(min(max(rep.ergotropy / energy, 0.0), 1.0))
+    _entropy(pops)  # rejects a non-state, as ``ergotropy`` does
+    work = e_rho - float(pops[::-1] @ eps)
+    return float(min(max(work / energy, 0.0), 1.0))

@@ -3,8 +3,9 @@
 Closed-form cycles (three-level maser, particle-in-box Carnot, harmonic
 Otto with thermal or squeezed-thermal hot bath, two-qubit two-stroke
 machine) plus numerically simulated variants: a finite-time Otto cycle on
-a truncated oscillator and the outcoupled engine that deposits work into
-an external oscillator through impulse couplings.
+a harmonic oscillator, integrated on the second-moment (covariance) route
+of ``oscillators``, and the outcoupled engine that deposits work into a
+truncated external oscillator through impulse couplings.
 
 Sign convention used throughout the package: W > 0 is work done ON the
 working fluid, Q > 0 is heat flowing INTO it, so a cycle satisfies
@@ -270,14 +271,16 @@ def _hot_end_dominates(a: float, b: float, excess: float) -> bool:
 
 def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
                  ramp_duration: float, thermalization_time: float,
-                 n_max: int, kappa: float = 1.0) -> CycleReport:
-    """Finite-time Otto cycle simulated on a truncated oscillator.
+                 kappa: float = 1.0) -> CycleReport:
+    """Finite-time Otto cycle of a harmonic oscillator.
 
-    Isentropes use a linear frequency ramp integrated as a unitary;
-    isochores use a damping channel at rate kappa toward the respective
-    bath temperature. One cycle is run starting from the hot Gibbs state,
-    and the diabatic work excess relative to the ideal cycle is reported
-    in ``extras`` (quantum friction makes it non-negative).
+    Isentropes are linear frequency ramps driven unitarily; isochores are
+    a damping channel at rate kappa toward the respective bath
+    temperature. One cycle is run starting from the hot Gibbs state on the
+    second-moment route of ``oscillators`` (exact for these Gaussian
+    states, with no Fock cutoff), and the diabatic work excess relative to
+    the ideal cycle is reported in ``extras`` (quantum friction makes it
+    non-negative).
     """
     _check_otto(omega_a, omega_b, t_h, t_c)
     for name, value in (("ramp_duration", ramp_duration),
@@ -285,44 +288,31 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
                         ("kappa", kappa)):
         if not value > 0:
             raise InvalidParams(f"{name} must be positive")
-    rho = oscillators.thermal_state(omega_a, t_h, omega_a, n_max)  # tail-checked
-    h_a = oscillators.hamiltonian(omega_a, omega_a, n_max)
-    h_b = oscillators.hamiltonian(omega_b, omega_a, n_max)
 
-    def energy(state, h):
-        return float(np.trace(state @ h).real)
+    def ramp(sigma, w_from, w_to):
+        return oscillators.ramp_covariance(
+            sigma, lambda t: (w_from + (w_to - w_from) * t / ramp_duration) ** 2,
+            ramp_duration)
 
-    e0 = energy(rho, h_a)
-    # expansion ramp omega_a -> omega_b (reference basis is the omega_a one)
-    ramp_down = oscillators.FrequencyRamp(
-        lambda t: omega_a + (omega_b - omega_a) * t / ramp_duration,
-        ramp_duration, n_max)
-    u_down = ramp_down.propagator()
-    rho = u_down @ rho @ u_down.conj().T
-    e1 = energy(rho, h_b)
+    energy = oscillators.covariance_energy
+    sigma = oscillators.thermal_covariance(omega_a, t_h)
+    e0 = energy(sigma, omega_a)
+    sigma = ramp(sigma, omega_a, omega_b)  # expansion
+    e1 = energy(sigma, omega_b)
     w_ab = e1 - e0
 
-    rho = oscillators.damp_thermalize(rho, omega_b, omega_a, t_c, kappa,
-                                      thermalization_time, n_max)
-    e2 = energy(rho, h_b)
+    sigma = oscillators.thermalize_covariance(sigma, omega_b, t_c, kappa,
+                                              thermalization_time)
+    e2 = energy(sigma, omega_b)
     q_c = e2 - e1
 
-    # compression ramp integrated in the omega_b reference basis, then
-    # mapped back with the squeeze that relates the two reference bases
-    ramp_up = oscillators.FrequencyRamp(
-        lambda t: omega_b + (omega_a - omega_b) * t / ramp_duration,
-        ramp_duration, n_max)
-    s = oscillators.squeeze(0.5 * np.log(omega_b / omega_a), n_max)
-    u_up = s @ ramp_up.propagator() @ s.conj().T
-    rho = u_up @ rho @ u_up.conj().T
-    e3 = energy(rho, h_a)
+    sigma = ramp(sigma, omega_b, omega_a)  # compression
+    e3 = energy(sigma, omega_a)
     w_ba = e3 - e2
 
-    rho = oscillators.damp_thermalize(rho, omega_a, omega_a, t_h, kappa,
-                                      thermalization_time, n_max)
-    if float(rho[-1, -1].real) > 1e-8:
-        raise CutoffTooSmall("state leaked to the top Fock level during the cycle")
-    e4 = energy(rho, h_a)
+    sigma = oscillators.thermalize_covariance(sigma, omega_a, t_h, kappa,
+                                              thermalization_time)
+    e4 = energy(sigma, omega_a)
     q_h = e4 - e3
 
     ideal = otto_qho(omega_a, omega_b, t_h, t_c)

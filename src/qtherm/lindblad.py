@@ -114,33 +114,43 @@ def decompose_coupling(s: np.ndarray, h: np.ndarray, degeneracy_tol: float = Non
 
     Returns JumpTerms with sum_omega S(omega) = S and [H, S(omega)] = -omega S(omega).
     Gaps closer than ``degeneracy_tol`` (default 1e-9 x spectral radius) merge.
+
+    S is rotated once into the eigenbasis of H. The block of that rotation
+    between eigenvalue clusters a and b is the part of S that lowers the
+    energy by E_b - E_a; blocks whose largest entry is below 1e-14 (1 +
+    max |S|) are dropped. Blocks whose Bohr frequencies round to the same
+    multiple of the tolerance form one S(omega), which keeps the frequency
+    of its first block in row-major order; terms come in ascending
+    frequency.
     """
     s = np.asarray(s, dtype=complex)
     vals, vecs = qcore.hermitian_eig(h)
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
-    # group eigenvalues into (near-)degenerate clusters
-    groups = []
-    for idx, e in enumerate(vals):
-        if groups and e - vals[groups[-1][0]] <= degeneracy_tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    energies = [np.mean(vals[g]) for g in groups]
-    projs = [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
-    terms = {}
-    for a, (ea, pa) in enumerate(zip(energies, projs)):
-        for b, (eb, pb) in enumerate(zip(energies, projs)):
-            omega = eb - ea  # S(omega) lowers the energy by omega
-            op = pa @ s @ pb
-            if np.max(np.abs(op)) < 1e-14 * (1 + np.max(np.abs(s))):
-                continue
-            key = round(omega / max(degeneracy_tol, 1e-300))
-            if key in terms:
-                terms[key] = JumpTerm(terms[key].frequency, terms[key].operator + op)
-            else:
-                terms[key] = JumpTerm(omega, op)
-    return sorted(terms.values(), key=lambda t: t.frequency)
+    # clusters of (near-)degenerate eigenvalues, contiguous in ascending order
+    starts = [0]
+    for idx in range(1, len(vals)):
+        if vals[idx] - vals[starts[-1]] > degeneracy_tol:
+            starts.append(idx)
+    sizes = np.diff(starts + [len(vals)])
+    energies = np.add.reduceat(vals, starts) / sizes
+    s_eig = vecs.conj().T @ s @ vecs
+    mags = np.abs(s_eig)
+    block_max = np.maximum.reduceat(np.maximum.reduceat(mags, starts, axis=0),
+                                    starts, axis=1)
+    present = block_max >= 1e-14 * (1 + np.max(np.abs(s)))
+    omegas = energies[None, :] - energies[:, None]  # [a, b] = E_b - E_a
+    keys = np.rint(omegas / max(degeneracy_tol, 1e-300))
+    flat = np.flatnonzero(present)  # row-major
+    _, first, term_of = np.unique(keys.flat[flat], return_index=True,
+                                  return_inverse=True)
+    block_term = np.full(present.shape, -1)
+    block_term.flat[flat] = term_of
+    cluster = np.repeat(np.arange(len(starts)), sizes)
+    entry_term = block_term[np.ix_(cluster, cluster)]
+    masked = np.where(entry_term == np.arange(len(first))[:, None, None], s_eig, 0)
+    ops = vecs @ masked @ vecs.conj().T
+    return [JumpTerm(omegas.flat[flat[k]], op) for k, op in zip(first, ops)]
 
 
 def dissipator_super(jumps: np.ndarray, rates) -> np.ndarray:
@@ -176,27 +186,32 @@ def hamiltonian_super(h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LindbladGenerator:
-    """d² x d² GKSL superoperator with per-bath dissipator parts."""
+    """d² x d² GKSL superoperator with per-bath dissipator parts.
+
+    ``total`` (the Hamiltonian part plus every dissipator part) is summed
+    once, when the generator is made, and is read-only; the parts must not
+    change afterwards.
+    """
 
     dim: int
     hamiltonian: np.ndarray
     hamiltonian_part: np.ndarray
     dissipator_parts: dict = field(default_factory=dict)
     jump_terms: dict = field(default_factory=dict)  # bath label -> [JumpTerm]
+    total: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def total(self) -> np.ndarray:
-        out = self.hamiltonian_part.copy()
+    def __post_init__(self):
+        self.total = self.hamiltonian_part.copy()
         for part in self.dissipator_parts.values():
-            out += part
-        return out
+            self.total += part
+        self.total.flags.writeable = False
 
 
 def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
     """Assemble the secular GKSL generator for a Hamiltonian and baths."""
     h = qcore.require_hermitian(h, tol=1e-10)
     d = h.shape[0]
-    gen = LindbladGenerator(dim=d, hamiltonian=h, hamiltonian_part=hamiltonian_super(h))
+    parts, jump_terms = {}, {}
     for bath in baths:
         if bath.coupling_operator.shape != h.shape:
             raise DimMismatch(
@@ -206,10 +221,11 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
         terms = [JumpTerm(jt.frequency, jt.operator, bath.rate(jt.frequency))
                  for jt in decompose_coupling(bath.coupling_operator, h)]
         jumps = np.array([t.operator for t in terms], dtype=complex).reshape(-1, d, d)
-        gen.dissipator_parts[bath.label] = dissipator_super(
-            jumps, [t.rate for t in terms])
-        gen.jump_terms[bath.label] = terms
-    return gen
+        parts[bath.label] = dissipator_super(jumps, [t.rate for t in terms])
+        jump_terms[bath.label] = terms
+    return LindbladGenerator(dim=d, hamiltonian=h,
+                             hamiltonian_part=hamiltonian_super(h),
+                             dissipator_parts=parts, jump_terms=jump_terms)
 
 
 # --- evolution and steady state ----------------------------------------------

@@ -1,25 +1,29 @@
-"""Truncated harmonic-oscillator helpers.
+"""Harmonic-oscillator dynamics for H(omega) = p²/2 + omega² x²/2 (unit mass).
 
-All operators are matrices in the Fock basis of a fixed reference frequency
-omega_ref, with x = (a + a†)/sqrt(2 omega_ref), p = i sqrt(omega_ref/2)(a† - a)
-and unit mass, so H(omega) = p²/2 + omega² x²/2.
+Second-moment route, used by ``cycles.otto_numeric`` and
+``sta.verify_ermakov_invariant``. A Gibbs state is a zero-mean Gaussian,
+and frequency ramps and the thermal damping channel keep it one, so the
+covariance Sigma = [[<x²>, C], [C, <p²>]], C = <{x, p}>/2, carries every
+quadratic observable. A ramp maps Sigma -> M Sigma Mᵀ, with M the 2x2
+fundamental matrix of x'' + omega(t)² x = 0 (DOP853). At fixed frequency
+the damping channel (jumps a at rate kappa(nbar+1), a† at rate kappa nbar)
+relaxes <a†a> to nbar as e^{-kappa t} and turns <a²> as
+e^{-(kappa + 2i omega) t}, in closed form. No Fock cutoff enters.
 
-Frequency ramps are integrated in the instantaneous squeeze frame: with
-xi(t) = ½ ln(omega(t)/omega_ref) and S(xi) = exp(xi (a² - a†²)/2) one has
-S† H(omega) S = omega (a†a + ½), so after removing the diagonal phases
-analytically the frame Hamiltonian is O(d omega/dt / omega) — tiny for
-near-adiabatic ramps — which makes long ramps cheap and accurate. That
-frame Hamiltonian only holds a² and a†², which shift a Fock row by two, so
-the right-hand side applies them as shifted row scalings.
-
-Thermalization at fixed frequency is solved exactly rather than
-integrated. In the frame where H(omega) is diagonal, the damping
-dissipator with jump operators a and a† maps rho[m, n] only to
-rho[m±1, n±1], so it never mixes the diagonals k = m - n of rho. Each
-diagonal obeys its own real tridiagonal linear system, propagated with one
-matrix exponential. This holds for the truncated ladder operators as they
-are, so it is the same model an ODE solver would integrate, without the
-step-size error.
+Fock basis. ``destroy`` builds ladder operators for ``cycles`` and
+``battery``. ``xp_ops``, ``hamiltonian``, ``squeeze``, ``thermal_state``,
+``FrequencyRamp`` and ``damp_thermalize`` are not called by the package;
+they are the independent oracle the tests check the second-moment route
+against. Their operators are matrices in the Fock basis of a reference
+frequency omega_ref, with x = (a + a†)/sqrt(2 omega_ref) and
+p = i sqrt(omega_ref/2)(a† - a). ``FrequencyRamp`` integrates in the
+instantaneous squeeze frame S(xi) = exp(xi (a² - a†²)/2),
+xi = ½ ln(omega(t)/omega_ref), where S† H(omega) S = omega (a†a + ½) and
+the remaining frame Hamiltonian holds only a² and a†² (applied as row
+shifts). ``damp_thermalize`` is exact: in the frame where H(omega) is
+diagonal the dissipator maps rho[m, n] only to rho[m±1, n±1], so each
+diagonal m - n of rho evolves under its own tridiagonal generator,
+propagated with one matrix exponential.
 """
 
 from __future__ import annotations
@@ -31,7 +35,73 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import expm
 
-from .errors import CutoffTooSmall, InvalidParams
+from .errors import CutoffTooSmall, InvalidParams, NumericalInstability
+
+
+# --- second-moment (Gaussian) route -----------------------------------------------
+
+
+def thermal_covariance(omega: float, temperature: float) -> np.ndarray:
+    """Covariance [[<x²>, C], [C, <p²>]] of the Gibbs state of H(omega),
+    where <p²> = omega² <x²> = omega (nbar + ½) and C = 0."""
+    energy = 0.5 * omega / np.tanh(omega / (2 * temperature))
+    return np.diag([energy / omega**2, energy])
+
+
+def covariance_energy(sigma: np.ndarray, omega: float) -> float:
+    """<H(omega)> = <p²>/2 + omega² <x²>/2."""
+    return float(0.5 * sigma[1, 1] + 0.5 * omega**2 * sigma[0, 0])
+
+
+def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
+                    t_eval=None) -> np.ndarray:
+    """Covariance under H(t) = p²/2 + omega(t)² x²/2 for 0 <= t <= tau.
+
+    ``omega_squared`` maps an array of times to omega(t)² element-wise; it
+    must be positive on a 4001-point grid of [0, tau], else InvalidParams.
+    The fundamental matrix M(t) of x'' + omega(t)² x = 0, M(0) = I, is
+    integrated with DOP853 and Sigma(t) = M(t) Sigma M(t)ᵀ. Returns the
+    2x2 covariance at tau, or a stack (len(t_eval), 2, 2) at ``t_eval``.
+    """
+    w2 = np.asarray(omega_squared(np.linspace(0.0, tau, 4001)), dtype=float)
+    if not np.all(w2 > 0):  # also rejects NaN
+        raise InvalidParams("frequency ramp must stay positive")
+
+    def rhs(t, m):
+        # d/dt [[x_x, x_p], [p_x, p_p]] = [[0, 1], [-omega², 0]] M
+        w2_t = omega_squared(t)
+        return [m[2], m[3], -w2_t * m[0], -w2_t * m[1]]
+
+    sol = solve_ivp(rhs, (0.0, tau), [1.0, 0.0, 0.0, 1.0], t_eval=t_eval,
+                    method="DOP853", rtol=1e-11, atol=1e-13)
+    if not sol.success:
+        raise NumericalInstability(f"frequency ramp: {sol.message}")
+    m = sol.y.T.reshape(-1, 2, 2)
+    out = m @ sigma @ m.transpose(0, 2, 1)
+    return out if t_eval is not None else out[-1]
+
+
+def thermalize_covariance(sigma: np.ndarray, omega: float, temperature: float,
+                          kappa: float, tau: float) -> np.ndarray:
+    """Covariance after the damping channel of the omega-mode acts for tau.
+
+    In terms of n = <a†a> and A = <a²> of the omega-mode,
+    omega² <x²> = omega (n + ½ + Re A), <p²> = omega (n + ½ - Re A) and
+    C = Im A. The channel maps n -> nbar + (n - nbar) e^{-kappa tau} and,
+    with the free rotation, A -> A e^{-(kappa + 2i omega) tau}.
+    """
+    x, c, p = sigma[0, 0], sigma[0, 1], sigma[1, 1]
+    nbar = 1.0 / np.expm1(omega / temperature)
+    n = (omega**2 * x + p) / (2 * omega) - 0.5
+    a2 = (omega**2 * x - p) / (2 * omega) + 1j * c
+    decay = np.exp(-kappa * tau)
+    n = nbar + (n - nbar) * decay
+    a2 = a2 * decay * np.exp(-2j * omega * tau)
+    return np.array([[(n + 0.5 + a2.real) / omega, a2.imag],
+                     [a2.imag, omega * (n + 0.5 - a2.real)]])
+
+
+# --- Fock basis --------------------------------------------------------------------
 
 
 def destroy(n_max: int) -> np.ndarray:

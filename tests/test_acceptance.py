@@ -124,7 +124,7 @@ def test_criterion_01_otto_closed_form():
     t0 = time.monotonic()
     ideal = cycles.otto_qho(2.0, 1.0, 2.0, 0.5)
     rep = cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=800.0,
-                              thermalization_time=20.0, n_max=60)
+                              thermalization_time=20.0)
     elapsed = time.monotonic() - t0
     rel = abs(rep.net_work_output - ideal.net_work_output) / ideal.net_work_output
     _check(failures, rel < 1e-4, f"work mismatch {rel:.2e}")
@@ -378,7 +378,7 @@ def test_criterion_13_shortcuts_to_adiabaticity():
                  abs(s.omega(0.0) - 4.0), abs(s.omega(10.0) - 1.0)]
     _check(failures, max(residuals) < 1e-10,
            f"boundary residual {max(residuals):.2e}")
-    drift = sta.verify_ermakov_invariant(s, n_max=80, temperature=2.0)
+    drift = sta.verify_ermakov_invariant(s, temperature=2.0)
     _check(failures, drift < 1e-6, f"invariant drift {drift:.2e}")
 
     delta = 0.5

@@ -669,6 +669,17 @@ def test_fraction_half_bell_pair_is_zero():
         0.0, abs=1e-12)
 
 
+def test_fraction_is_ergotropy_over_energy_above_ground():
+    gen = np.random.default_rng(8)
+    a = gen.normal(size=(5, 5)) + 1j * gen.normal(size=(5, 5))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    h = np.diag([-1.3, -0.2, 0.4, 0.9, 2.5]).astype(complex)
+    energy = np.trace(rho @ h).real - h[0, 0].real  # above the ground level
+    want = battery.ergotropy(rho, h).ergotropy / energy
+    assert battery.extractable_fraction(rho, h) == pytest.approx(want, abs=1e-12)
+
+
 def test_fraction_undefined_for_ground_state():
     with pytest.raises(UndefinedFraction):
         battery.extractable_fraction(np.diag([1.0, 0.0]).astype(complex),

@@ -336,6 +336,16 @@ def test_friction_dominated_otto_is_accelerator(capsys):
     assert rows[0]["efficiency"] == "nan"
 
 
+def test_otto_numeric_ignores_n_max(capsys):
+    # the key is still accepted (and hashed), but the second-moment route
+    # has no Fock cutoff to set
+    args = ["otto-numeric", "--set", "omega_a=2", "--set", "omega_b=1",
+            "--set", "t_h=2", "--set", "t_c=0.5", "--set", "ramp_duration=1",
+            "--set", "thermalization_time=20"]
+    rows = [_run_rows(args + ["--set", f"n_max={n}"], capsys) for n in (16, 40)]
+    assert rows[0] == rows[1]
+
+
 def test_ergotropy_experiment(capsys):
     rows = _run_rows(["run", "ergotropy",
                       "--set", "energies=0,1",

@@ -223,7 +223,7 @@ def test_otto_squeezed_large_r_limits():
 def test_otto_numeric_adiabatic_matches_ideal():
     ideal = cycles.otto_qho(2.0, 1.0, 2.0, 0.5)
     rep = cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=200.0,
-                              thermalization_time=20.0, n_max=60)
+                              thermalization_time=20.0)
     assert rep.mode == "Engine"
     rel = abs(rep.net_work_output - ideal.net_work_output) / ideal.net_work_output
     assert rel < 1e-4
@@ -234,7 +234,7 @@ def test_otto_numeric_adiabatic_matches_ideal():
 def test_otto_numeric_fast_ramp_friction():
     ideal = cycles.otto_qho(2.0, 1.0, 2.0, 0.5)
     rep = cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=1.0,
-                              thermalization_time=20.0, n_max=40)
+                              thermalization_time=20.0)
     assert rep.net_work_output < ideal.net_work_output
     assert rep.extras["diabatic_work_excess"] > 1e-3
 
@@ -243,7 +243,7 @@ def test_otto_numeric_friction_decreases_with_ramp_time():
     excesses = []
     for tau_r in [2.0, 8.0, 32.0]:
         rep = cycles.otto_numeric(2.0, 1.0, 1.5, 0.5, ramp_duration=tau_r,
-                                  thermalization_time=20.0, n_max=40)
+                                  thermalization_time=20.0)
         excesses.append(rep.extras["diabatic_work_excess"])
     assert excesses[0] > excesses[1] > excesses[2]
     assert all(e >= -1e-9 for e in excesses)
@@ -253,13 +253,123 @@ def test_otto_numeric_friction_dominated_is_accelerator():
     # friction turns the cycle into an accelerator: work is consumed while
     # heat still flows from the hot bath to the cold one
     rep = cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=0.5,
-                              thermalization_time=20.0, n_max=40)
+                              thermalization_time=20.0)
     assert rep.mode == "Accelerator"
     assert rep.q_hot > 0 > rep.q_cold
     assert rep.net_work_output < 0
     assert rep.efficiency is None
     assert rep.carnot_margin == 0.0
     assert_first_law(rep, rel=1e-7)
+
+
+def _otto_fock(omega_a, omega_b, t_h, t_c, ramp_duration, thermalization_time,
+               kappa, n_max=40):
+    """Stroke energies of the same cycle on the truncated Fock basis: the
+    ramps as unitaries of ``FrequencyRamp``, the isochores by
+    ``damp_thermalize`` (the route ``otto_numeric`` took before the
+    second-moment one)."""
+    rho = oscillators.thermal_state(omega_a, t_h, omega_a, n_max)
+    h_a = oscillators.hamiltonian(omega_a, omega_a, n_max)
+    h_b = oscillators.hamiltonian(omega_b, omega_a, n_max)
+    energies = [np.trace(rho @ h_a).real]
+    u = oscillators.FrequencyRamp(
+        lambda t: omega_a + (omega_b - omega_a) * t / ramp_duration,
+        ramp_duration, n_max).propagator()
+    rho = u @ rho @ u.conj().T
+    energies.append(np.trace(rho @ h_b).real)
+    rho = oscillators.damp_thermalize(rho, omega_b, omega_a, t_c, kappa,
+                                      thermalization_time, n_max)
+    energies.append(np.trace(rho @ h_b).real)
+    # the compression ramp runs in the omega_b reference basis
+    s = oscillators.squeeze(0.5 * np.log(omega_b / omega_a), n_max)
+    u = s @ oscillators.FrequencyRamp(
+        lambda t: omega_b + (omega_a - omega_b) * t / ramp_duration,
+        ramp_duration, n_max).propagator() @ s.conj().T
+    rho = u @ rho @ u.conj().T
+    energies.append(np.trace(rho @ h_a).real)
+    rho = oscillators.damp_thermalize(rho, omega_a, omega_a, t_h, kappa,
+                                      thermalization_time, n_max)
+    assert rho[-1, -1].real < 1e-8  # the cutoff holds the cycle
+    energies.append(np.trace(rho @ h_a).real)
+    e0, e1, e2, e3, e4 = energies
+    return {"net_work_output": -((e1 - e0) + (e3 - e2)), "q_hot": e4 - e3,
+            "q_cold": e2 - e1}
+
+
+def _assert_matches_fock(params):
+    rep = cycles.otto_numeric(*params)
+    want = _otto_fock(*params)
+    for key, value in want.items():
+        assert getattr(rep, key) == pytest.approx(value, abs=1e-7), key
+
+
+@pytest.mark.parametrize("ramp", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_otto_numeric_matches_fock_oracle(ramp):
+    _assert_matches_fock((2.0, 1.0, 2.0, 0.5, ramp, 20.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_otto_numeric_matches_fock_oracle_random_points(seed):
+    gen = np.random.default_rng([17, seed])
+    omega_b = gen.uniform(0.8, 1.5)
+    omega_a = omega_b * gen.uniform(1.3, 2.0)
+    t_c = gen.uniform(0.3, 0.6)
+    t_h = t_c * gen.uniform(1.5, 2.5)  # omega_a / t_h > 0.69 fits n_max = 40
+    kappa = gen.uniform(0.5, 2.0)
+    # the isochores must close the cycle, or its first law cannot balance
+    _assert_matches_fock((omega_a, omega_b, t_h, t_c, gen.uniform(0.3, 3.0),
+                          25.0 / kappa, kappa))
+
+
+def _fock_covariance(rho, omega_ref, n_max):
+    x, p = oscillators.xp_ops(omega_ref, n_max)
+    c = 0.5 * np.trace(rho @ (x @ p + p @ x)).real
+    return np.array([[np.trace(rho @ x @ x).real, c],
+                     [c, np.trace(rho @ p @ p).real]])
+
+
+@pytest.mark.parametrize("omega, tau", [(2.0, 0.4), (1.0, 0.4), (1.0, 3.0)])
+def test_thermalize_covariance_matches_fock_damping(omega, tau):
+    # a squeezed state with <{x, p}> != 0, relaxed part of the way
+    n_max, omega_ref, temperature, kappa = 40, 2.0, 0.6, 0.8
+    rho = oscillators.thermal_state(omega_ref, 0.7, omega_ref, n_max)
+    u = oscillators.FrequencyRamp(lambda t: 2.0 - t, 0.5, n_max).propagator()
+    rho = u @ rho @ u.conj().T
+    got = oscillators.thermalize_covariance(
+        _fock_covariance(rho, omega_ref, n_max), omega, temperature, kappa, tau)
+    rho = oscillators.damp_thermalize(rho, omega, omega_ref, temperature,
+                                      kappa, tau, n_max)
+    assert np.max(np.abs(got - _fock_covariance(rho, omega_ref, n_max))) < 1e-10
+
+
+def test_otto_numeric_sudden_quench_closed_form():
+    # as the ramp time goes to 0 the state cannot follow, so a stroke's
+    # work is (omega_to² - omega_from²) <x²> / 2 of the state it starts in
+    omega_a, omega_b, t_h, t_c = 2.0, 1.0, 2.0, 0.5
+    rep = cycles.otto_numeric(omega_a, omega_b, t_h, t_c, ramp_duration=1e-4,
+                              thermalization_time=40.0)
+    x_hot = 0.5 / (omega_a * np.tanh(omega_a / (2 * t_h)))
+    x_cold = 0.5 / (omega_b * np.tanh(omega_b / (2 * t_c)))
+    assert rep.strokes[0].work == pytest.approx(
+        0.5 * (omega_b**2 - omega_a**2) * x_hot, rel=1e-7)
+    assert rep.strokes[2].work == pytest.approx(
+        0.5 * (omega_a**2 - omega_b**2) * x_cold, rel=1e-7)
+
+
+def test_ramp_covariance_at_fixed_frequency_is_a_rotation():
+    sigma = np.array([[0.7, 0.2], [0.2, 1.1]])
+    omega, times = 1.3, np.linspace(0.0, 3.0, 7)
+    got = oscillators.ramp_covariance(sigma, lambda t: np.full_like(t, omega**2),
+                                      3.0, t_eval=times)
+    for t, sig in zip(times, got):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        m = np.array([[c, s / omega], [-omega * s, c]])
+        assert np.max(np.abs(sig - m @ sigma @ m.T)) < 1e-10
+
+
+def test_ramp_covariance_rejects_inverted_trap():
+    with pytest.raises(InvalidParams):
+        oscillators.ramp_covariance(np.eye(2), lambda t: 1.0 - t, 2.0)
 
 
 # --- oscillator damping and ramps ---------------------------------------------------------

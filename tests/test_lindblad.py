@@ -126,7 +126,63 @@ def test_decompose_reconstruction_and_commutator():
         assert np.allclose(partner[0].operator, t.operator.conj().T, atol=1e-12)
 
 
+def projector_loop_terms(s, h, degeneracy_tol=None):
+    """Oracle: P_a S P_b for every pair of eigenvalue clusters, in a Python
+    loop, merged by rounded Bohr frequency (the per-pair construction
+    ``decompose_coupling`` used before its single rotation)."""
+    vals, vecs = np.linalg.eigh(h)
+    if degeneracy_tol is None:
+        degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
+    groups = []
+    for idx, e in enumerate(vals):
+        if groups and e - vals[groups[-1][0]] <= degeneracy_tol:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    energies = [np.mean(vals[g]) for g in groups]
+    projs = [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
+    terms = {}
+    for ea, pa in zip(energies, projs):
+        for eb, pb in zip(energies, projs):
+            op = pa @ s @ pb
+            if np.max(np.abs(op)) < 1e-14 * (1 + np.max(np.abs(s))):
+                continue
+            key = round((eb - ea) / degeneracy_tol)
+            freq, acc = terms.get(key, (eb - ea, 0))
+            terms[key] = (freq, acc + op)
+    return sorted(terms.values(), key=lambda t: t[0])
+
+
+@pytest.mark.parametrize("model", ["two-mode d=16", "two-mode d=25",
+                                   "degenerate d=16", "random d=6"])
+def test_decompose_matches_projector_loop(model):
+    if model.startswith("random"):
+        h, s = random_hermitian(6), random_hermitian(6)
+    else:
+        h, baths = two_mode_model(3 if "16" in model else 4, 2.0, 0.6, 0.1)
+        if model.startswith("degenerate"):  # a† a + b† b: shells of equal energy
+            h = np.diag(np.add.outer(np.arange(4.0), np.arange(4.0)).ravel())
+        s = baths[1].coupling_operator
+    # blocks of roundoff size (~1e-16) pass or fail the 1e-14 zero test
+    # depending on the eigensolver's rounding; compare the terms that matter
+    got = [t for t in lindblad.decompose_coupling(s, h)
+           if np.max(np.abs(t.operator)) > 1e-12]
+    want = [t for t in projector_loop_terms(s, h) if np.max(np.abs(t[1])) > 1e-12]
+    assert len(got) == len(want)
+    for term, (freq, op) in zip(got, want):
+        assert term.frequency == pytest.approx(freq, abs=1e-13)
+        assert np.max(np.abs(term.operator - op)) < 1e-13
+
+
 # --- build_generator --------------------------------------------------------------
+
+
+def test_generator_total_is_built_once():
+    gen = lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX, rate=1.0)])
+    assert gen.total is gen.total
+    assert not gen.total.flags.writeable
+    assert np.array_equal(
+        gen.total, gen.hamiltonian_part + gen.dissipator_parts["b"])
 
 
 def hand_built_qubit_superop(omega0, temperature, rate):
