@@ -189,8 +189,10 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
     d = h0.shape[0]
     if n < 1:
         raise InvalidParams("need at least one copy")
-    if d ** n > DENSE_DIM_BUDGET:
-        raise TooLarge(f"composite dimension {d ** n} exceeds {DENSE_DIM_BUDGET}")
+    # compared in logs so a huge n never forms d**n; the slack keeps
+    # d**n == budget inside (the next integer is 2e-4 away in log)
+    if n * np.log(d) > np.log(DENSE_DIM_BUDGET) + 1e-9:
+        raise TooLarge(f"composite dimension {d}**{n} exceeds {DENSE_DIM_BUDGET}")
     evals, evecs = qcore.hermitian_eig(h0)
     pops = np.real(np.einsum("ik,ij,jk->k", evecs.conj(),
                              np.asarray(sigma, dtype=complex), evecs))
@@ -247,6 +249,8 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
         raise InvalidParams("need at least two trajectory samples")
     times = np.array([t for t, _ in trajectory], dtype=float)
     tau = float(times[-1] - times[0])
+    if not tau > 0:
+        raise InvalidParams(f"trajectory duration {tau} must be positive")
     dist = qcore.bures_angle(trajectory[0][1], trajectory[-1][1])
     spreads, means = [], []
     for t, rho in trajectory:

@@ -23,15 +23,16 @@ Config format is INI-style (key = value) with sections::
     path = out.csv
     format = csv       ; or json
 
-    [run]              ; optional
-    seed = 42
+    [run]              ; optional; --threads overrides it
     threads = 4
 
 Units: hbar = k_B = 1; energies and temperatures share one energy unit,
 times are in its inverse.
 
-Exit codes: 0 success, 2 config error, 3 numeric/model error,
-4 internal invariant breach.
+Exit codes: 0 success, 2 config error, 3 numeric/model error, 4 internal
+invariant breach. ``validate`` and ``run`` share one parse, ``parse_config``:
+each value and sweep point (rounded within 1e-9 for an integer key) must
+convert, be finite and meet min/max/choices, or it is exit 2.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import configparser
 import dataclasses
 import hashlib
 import json
-import os
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,20 +62,47 @@ EXIT_INTERNAL = 4
 # --- experiment registry -----------------------------------------------------
 
 
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 @dataclass(frozen=True)
 class Param:
     """One typed experiment parameter; ``default`` None means required."""
 
     kind: type  # float, int, bool, str, or list (comma-separated floats)
     default: object = None
-    required: bool = True
     minimum: Optional[float] = None
     maximum: Optional[float] = None
     choices: Optional[tuple] = None
 
-
-def opt(kind, default, **kw):
-    return Param(kind, default=default, required=False, **kw)
+    def check(self, raw):
+        """Convert ``raw`` (text, or a number for a sweep point), reject
+        non-finite numbers, then apply min/max/choices; a ValueError says
+        what is wrong."""
+        if self.kind is bool:
+            value = _BOOLEANS.get(str(raw).strip().lower())
+            if value is None:
+                raise ValueError(f"{raw!r} is not a boolean")
+        elif self.kind is str:
+            value = str(raw)
+        else:
+            numbers = ([float(x) for x in str(raw).split(",") if x.strip()]
+                       if self.kind is list else [float(raw)])
+            if not numbers:
+                raise ValueError(f"{raw!r} holds no number")
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{raw!r} is not finite")
+            if self.kind is int and numbers[0] != int(numbers[0]):
+                raise ValueError(f"{raw!r} is not an integer")
+            if self.minimum is not None and min(numbers) < self.minimum:
+                raise ValueError(f"{raw} below minimum {self.minimum}")
+            if self.maximum is not None and max(numbers) > self.maximum:
+                raise ValueError(f"{raw} above maximum {self.maximum}")
+            value = numbers if self.kind is list else self.kind(numbers[0])
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{value!r} not one of {self.choices}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -296,8 +324,8 @@ _TEMPS = {"t_h": Param(float), "t_c": Param(float)}
 _DIAG = {"energies": Param(list), "populations": Param(list)}
 _DICKE = {
     "n_cells": Param(int, minimum=1), "n_photons": Param(int, minimum=0),
-    "lam": Param(float), "rescale": opt(bool, False),
-    "omega": opt(float, 1.0), "omega_c": opt(float, 1.0),
+    "lam": Param(float), "rescale": Param(bool, False),
+    "omega": Param(float, 1.0), "omega_c": Param(float, 1.0),
     "photon_cutoff": Param(int, minimum=1),
     "tau": Param(float, minimum=0.0), "dt": Param(float, minimum=0.0),
 }
@@ -320,9 +348,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {"omega_a": Param(float), "omega_b": Param(float), **_TEMPS,
          "ramp_duration": Param(float, minimum=0.0),
          "thermalization_time": Param(float, minimum=0.0),
-         # n_max is accepted and hashed for old configs but never read:
-         # the cycle runs on the second-moment route, with no Fock cutoff
-         "n_max": opt(int, 40, minimum=2), "kappa": opt(float, 1.0)},
+         # n_max is accepted and hashed but never read: the cycle runs on
+         # the second-moment route, with no Fock cutoff; the benchmark
+         # still passes it
+         "n_max": Param(int, 40, minimum=2), "kappa": Param(float, 1.0)},
         _run_otto_numeric),
     "two-stroke": Experiment(
         {"omega_k": Param(float), "omega_un": Param(float), **_TEMPS,
@@ -331,27 +360,25 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ctm": Experiment(
         {"omega0": Param(float), "drive_frequency": Param(float),
          "t_hot": Param(float), "t_cold": Param(float),
-         "rate": opt(float, 1.0), "amplitude": opt(float, 0.0),
-         "waveform": opt(str, "sinusoidal",
-                         choices=("constant", "sinusoidal",
-                                  "piecewise_asymmetric")),
-         "m_max": opt(int, 40, minimum=1)},
+         "rate": Param(float, 1.0), "amplitude": Param(float, 0.0),
+         "waveform": Param(str, "sinusoidal",
+                           choices=("constant", "sinusoidal",
+                                    "piecewise_asymmetric")),
+         "m_max": Param(int, 40, minimum=1)},
         _run_ctm),
     "sta-ermakov": Experiment(
         {"omega_i": Param(float), "omega_f": Param(float),
-         "tau": Param(float, minimum=0.0),
-         "n_max": opt(int, 30, minimum=2),  # accepted, never read (as above)
-         "temperature": opt(float, 1.0)},
+         "tau": Param(float, minimum=0.0), "temperature": Param(float, 1.0)},
         _run_sta_ermakov),
     "sta-cd": Experiment(
         {"delta": Param(float), "velocity": Param(float),
-         "t": Param(float), "dt": opt(float, 1e-6)},
+         "t": Param(float), "dt": Param(float, 1e-6)},
         _run_sta_cd),
     "outcoupled": Experiment(
         {"n_cycles": Param(int, minimum=1),
-         "per_cycle_measurement": opt(bool, False),
-         "delta": opt(float, 1.0), "g": opt(float, 0.02),
-         "b": opt(float, 0.1), "n_fock": opt(int, 30, minimum=2)},
+         "per_cycle_measurement": Param(bool, False),
+         "delta": Param(float, 1.0), "g": Param(float, 0.02),
+         "b": Param(float, 0.1), "n_fock": Param(int, 30, minimum=2)},
         _run_outcoupled, multi_row=True),
     "qfi": Experiment(
         {"omega": Param(float), "temperature": Param(float, minimum=0.0)},
@@ -361,7 +388,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "kappa_h": Param(float), "kappa_c": Param(float),
          "g": Param(float), "t_c_true": Param(float, minimum=0.0),
          "t_h_min": Param(float), "t_h_max": Param(float),
-         "t_h_steps": Param(int, minimum=2), "n_max": opt(int, 400)},
+         "t_h_steps": Param(int, minimum=2), "n_max": Param(int, 400)},
         _run_thermometry),
     "magnetometry": Experiment(
         {"omega_un_true": Param(float), **_TEMPS,
@@ -374,13 +401,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {**_DIAG, "n_copies": Param(int, minimum=1)}, _run_n_copy),
     "qsl": Experiment(
         {"omega": Param(float), "tau": Param(float, minimum=0.0),
-         "samples": opt(int, 201, minimum=2)},
+         "samples": Param(int, 201, minimum=2)},
         _run_qsl),
     "charge-xxz": Experiment(
         {"n_cells": Param(int, minimum=1), "b": Param(float),
          "g": Param(float), "alpha": Param(float), "nu": Param(float),
-         "interaction_range": opt(str, "power_law",
-                                  choices=("nearest_neighbor", "power_law")),
+         "interaction_range": Param(str, "power_law",
+                                    choices=("nearest_neighbor", "power_law")),
          "omega": Param(float), "tau": Param(float, minimum=0.0),
          "dt": Param(float, minimum=0.0)},
         _run_charge_xxz),
@@ -391,8 +418,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _run_charge_lmg),
     "charge-dicke": Experiment(dict(_DICKE), _run_charge_dicke),
     "advantage": Experiment(
-        {**_DICKE, "target_fraction": opt(float, 0.2, minimum=0.0,
-                                          maximum=1.0)},
+        {**_DICKE, "target_fraction": Param(float, 0.2, minimum=0.0,
+                                            maximum=1.0)},
         _run_advantage),
 }
 
@@ -407,28 +434,7 @@ class ExperimentConfig:
     sweep: Optional[dict] = None
     output_path: Optional[str] = None
     output_format: str = "csv"
-    seed: Optional[int] = None
     threads: Optional[int] = None
-
-
-def _convert(raw: str, kind: type):
-    if kind is float:
-        return float(raw)
-    if kind is int:
-        v = float(raw)
-        if v != int(v):
-            raise ValueError(f"{raw!r} is not an integer")
-        return int(v)
-    if kind is bool:
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{raw!r} is not a boolean")
-    if kind is list:
-        return [float(x) for x in str(raw).split(",") if x.strip()]
-    return str(raw)
 
 
 def load_config(path: str, experiment: Optional[str] = None,
@@ -447,101 +453,102 @@ def load_config(path: str, experiment: Optional[str] = None,
     if parser.has_section("output"):
         cfg.output_path = parser.get("output", "path", fallback=None)
         cfg.output_format = parser.get("output", "format", fallback="csv")
-    if parser.has_section("run"):
-        seed = parser.get("run", "seed", fallback=None)
-        threads = parser.get("run", "threads", fallback=None)
-        cfg.seed = int(seed) if seed is not None else None
-        cfg.threads = int(threads) if threads is not None else None
+    threads = parser.get("run", "threads", fallback=None)
+    cfg.threads = int(threads) if threads is not None else None
     return cfg
+
+
+# a sweep's points are all held at once, so their number is bounded
+_SWEEP_FIELDS = {"from": Param(float), "to": Param(float),
+                 "steps": Param(int, minimum=1, maximum=10_000)}
+
+
+def parse_config(cfg: ExperimentConfig) -> Tuple[List[dict], List[str]]:
+    """The typed parameters of every run (one per sweep point, in sweep
+    order) and the diagnostics; the runs are empty unless the diagnostics
+    are."""
+    if cfg.experiment not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
+        return [], [f"unknown experiment {cfg.experiment!r} (known: {known})"]
+    exp = EXPERIMENTS[cfg.experiment]
+    diags = [f"unknown parameter key {key!r} for {cfg.experiment}"
+             for key in cfg.parameters if key not in exp.params]
+    base = {}
+    for key, spec in exp.params.items():
+        if key not in cfg.parameters:
+            if spec.default is None:
+                diags.append(f"missing required parameter {key!r}")
+            base[key] = spec.default
+            continue
+        try:
+            base[key] = spec.check(cfg.parameters[key])
+        except ValueError as exc:
+            diags.append(f"parameter {key!r}: {exc}")
+    points = [base]
+    if cfg.sweep is not None:
+        points, sweep_diags = _sweep_points(cfg, base)
+        diags += sweep_diags
+    if cfg.output_format not in ("csv", "json"):
+        diags.append(f"output format {cfg.output_format!r} must be csv "
+                     "or json")
+    return ([] if diags else points), diags
+
+
+def _sweep_points(cfg: ExperimentConfig,
+                  base: dict) -> Tuple[List[dict], List[str]]:
+    """One parameter dict per sweep point, each point checked like a
+    ``--set`` of the swept key, and the sweep's diagnostics."""
+    exp, sweep = EXPERIMENTS[cfg.experiment], cfg.sweep
+    diags = []
+    key = sweep.get("key")
+    if key is None:
+        diags.append("sweep section needs a 'key'")
+    elif key not in exp.params:
+        diags.append(f"sweep key {key!r} is not a parameter of "
+                     f"{cfg.experiment}")
+    elif exp.params[key].kind not in (float, int):
+        diags.append(f"sweep key {key!r} is not numeric")
+    fields = {}
+    for fld, spec in _SWEEP_FIELDS.items():
+        if fld not in sweep:
+            diags.append(f"sweep section missing {fld!r}")
+            continue
+        try:
+            fields[fld] = spec.check(sweep[fld])
+        except ValueError as exc:
+            diags.append(f"sweep field {fld!r}: {exc}")
+    scale = sweep.get("scale", "linear")
+    if scale not in ("linear", "log"):
+        diags.append(f"sweep scale {scale!r} must be linear or log")
+    elif scale == "log" and min(fields.get("from", 1.0),
+                                fields.get("to", 1.0)) <= 0:
+        diags.append("log sweep endpoints must be positive")
+    if exp.multi_row:
+        diags.append(f"experiment {cfg.experiment} produces multiple "
+                     "rows and cannot be swept")
+    if diags:
+        return [], diags
+    lo, hi, steps = fields["from"], fields["to"], fields["steps"]
+    # an overflowing span gives non-finite points, which the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.logspace(np.log10(lo), np.log10(hi), steps)
+                  if scale == "log" else np.linspace(lo, hi, steps))
+    spec = exp.params[key]
+    points = []
+    for value in map(float, values):
+        if spec.kind is int and math.isfinite(value) \
+                and abs(value - round(value)) <= 1e-9:
+            value = round(value)
+        try:
+            points.append(dict(base, **{key: spec.check(value)}))
+        except ValueError as exc:
+            return [], [f"sweep point of {key!r}: {exc}"]
+    return points, []
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:
     """Full static validation; an empty list means the config is runnable."""
-    diags: List[str] = []
-    if cfg.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        diags.append(
-            f"unknown experiment {cfg.experiment!r} (known: {known})")
-        return diags
-    exp = EXPERIMENTS[cfg.experiment]
-    schema = exp.params
-    for key in cfg.parameters:
-        if key not in schema:
-            diags.append(f"unknown parameter key {key!r} for "
-                         f"{cfg.experiment}")
-    for key, spec in schema.items():
-        if key not in cfg.parameters:
-            if spec.required:
-                diags.append(f"missing required parameter {key!r}")
-            continue
-        try:
-            val = _convert(cfg.parameters[key], spec.kind)
-        except ValueError as exc:
-            diags.append(f"parameter {key!r}: {exc}")
-            continue
-        if spec.minimum is not None and np.isscalar(val) \
-                and not isinstance(val, str) and val < spec.minimum:
-            diags.append(f"parameter {key!r} = {val} below minimum "
-                         f"{spec.minimum}")
-        if spec.maximum is not None and np.isscalar(val) \
-                and not isinstance(val, str) and val > spec.maximum:
-            diags.append(f"parameter {key!r} = {val} above maximum "
-                         f"{spec.maximum}")
-        if spec.choices is not None and val not in spec.choices:
-            diags.append(f"parameter {key!r} = {val!r} not one of "
-                         f"{spec.choices}")
-    if cfg.sweep is not None:
-        key = cfg.sweep.get("key")
-        if key is None:
-            diags.append("sweep section needs a 'key'")
-        elif key not in schema:
-            diags.append(f"sweep key {key!r} is not a parameter of "
-                         f"{cfg.experiment}")
-        elif schema[key].kind not in (float, int):
-            diags.append(f"sweep key {key!r} is not numeric")
-        for fld in ("from", "to", "steps"):
-            if fld not in cfg.sweep:
-                diags.append(f"sweep section missing {fld!r}")
-            else:
-                try:
-                    float(cfg.sweep[fld])
-                except ValueError:
-                    diags.append(f"sweep field {fld!r} is not numeric")
-        scale = cfg.sweep.get("scale", "linear")
-        if scale not in ("linear", "log"):
-            diags.append(f"sweep scale {scale!r} must be linear or log")
-        elif scale == "log":
-            try:
-                if float(cfg.sweep["from"]) <= 0 or float(cfg.sweep["to"]) <= 0:
-                    diags.append("log sweep endpoints must be positive")
-            except (KeyError, ValueError):
-                pass
-        if exp.multi_row:
-            diags.append(f"experiment {cfg.experiment} produces multiple "
-                         "rows and cannot be swept")
-    if cfg.output_format not in ("csv", "json"):
-        diags.append(f"output format {cfg.output_format!r} must be csv "
-                     "or json")
-    return diags
-
-
-def _typed_parameters(cfg: ExperimentConfig) -> dict:
-    schema = EXPERIMENTS[cfg.experiment].params
-    out = {}
-    for key, spec in schema.items():
-        if key in cfg.parameters:
-            out[key] = _convert(cfg.parameters[key], spec.kind)
-        else:
-            out[key] = spec.default
-    return out
-
-
-def _sweep_values(sweep: dict) -> np.ndarray:
-    lo, hi = float(sweep["from"]), float(sweep["to"])
-    steps = int(float(sweep["steps"]))
-    if sweep.get("scale", "linear") == "log":
-        return np.logspace(np.log10(lo), np.log10(hi), steps)
-    return np.linspace(lo, hi, steps)
+    return parse_config(cfg)[1]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -549,8 +556,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         {"experiment": cfg.experiment,
          "parameters": dict(sorted(cfg.parameters.items())),
          "sweep": (dict(sorted(cfg.sweep.items()))
-                   if cfg.sweep is not None else None),
-         "seed": cfg.seed},
+                   if cfg.sweep is not None else None)},
         sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -615,24 +621,18 @@ def run(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch the config to its experiment; sweeps produce one row per
     sweep point, assembled in sweep order on a bounded worker pool."""
     exp = EXPERIMENTS[cfg.experiment]
-    base = _typed_parameters(cfg)
-    if cfg.seed is not None:
-        np.random.seed(cfg.seed % 2**32)
+    points, diags = parse_config(cfg)
+    if diags:
+        raise ValueError("; ".join(diags))
     if cfg.sweep is None:
-        row = exp.runner(base)
+        row = exp.runner(points[0])
         if exp.multi_row:
             columns = {k: list(v) for k, v in row.items()}
         else:
             columns = {k: [v] for k, v in row.items()}
     else:
         key = cfg.sweep["key"]
-        values = _sweep_values(cfg.sweep)
-        kind = exp.params[key].kind
-        points = [dict(base, **{key: kind(v)}) for v in values]
-        env_threads = os.environ.get("QTHERM_THREADS")
-        threads = (int(env_threads) if env_threads
-                   else (cfg.threads or min(4, len(points))))
-        threads = max(1, threads)
+        threads = max(1, cfg.threads or min(4, len(points)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(exp.runner, points))
         columns = {key: [p[key] for p in points]}
@@ -665,7 +665,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out")
     run_p.add_argument("--format", choices=("csv", "json"))
     run_p.add_argument("--threads", type=int)
-    run_p.add_argument("--seed", type=int)
     val_p = sub.add_parser("validate", help="statically validate a config")
     val_p.add_argument("path")
     sub.add_parser("list", help="print the experiment catalog")
@@ -675,9 +674,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_catalog(stream) -> None:
     for name in sorted(EXPERIMENTS):
         exp = EXPERIMENTS[name]
-        required = [k for k, s in exp.params.items() if s.required]
+        required = [k for k, s in exp.params.items() if s.default is None]
         optional = [f"{k}={_fmt(s.default)}" for k, s in exp.params.items()
-                    if not s.required]
+                    if s.default is not None]
         parts = [name + ":", " ".join(required)]
         if optional:
             parts.append("[" + " ".join(optional) + "]")
@@ -731,8 +730,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg.output_path = args.out
     if args.format:
         cfg.output_format = args.format
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.threads is not None:
         cfg.threads = args.threads
     diags = validate_config(cfg)

@@ -162,6 +162,19 @@ def test_n_copy_too_large():
     sigma = np.eye(3, dtype=complex) / 3
     with pytest.raises(TooLarge):
         battery.n_copy_passive_energy(sigma, h, 8)
+    # the check never forms d**n, whose digits alone would not fit a message
+    with pytest.raises(TooLarge, match=r"3\*\*1000000000 "):
+        battery.n_copy_passive_energy(sigma, h, 10**9)
+
+
+def test_n_copy_dimension_at_budget_is_allowed():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    sigma = np.diag([0.7, 0.3]).astype(complex)
+    n = int(np.log2(battery.DENSE_DIM_BUDGET))
+    assert battery.n_copy_passive_energy(sigma, h, n) == pytest.approx(
+        0.3, abs=1e-12)
+    with pytest.raises(TooLarge):
+        battery.n_copy_passive_energy(sigma, h, n + 1)
 
 
 # --- quantum speed limits ---------------------------------------------------
@@ -211,6 +224,13 @@ def test_qsl_random_driven_qubits():
             traj.append((t, np.outer(psi, psi.conj())))
         rep = battery.qsl_report(traj, lambda t: h)
         assert rep.actual_tau >= rep.tau_unified - 1e-9
+
+
+def test_qsl_zero_duration_raises():
+    rho = np.diag([0.8, 0.2]).astype(complex)
+    h = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(InvalidParams, match="duration"):
+        battery.qsl_report([(1.0, rho), (1.0, rho)], lambda t: h)
 
 
 def test_qsl_inconsistent_trajectory_raises():

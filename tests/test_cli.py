@@ -1,8 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtherm import cli
 from qtherm.errors import TrapInversionWarning
@@ -148,13 +151,15 @@ def test_ctm_sweep_mode_flip(tmp_path, capsys):
     assert modes[0] == "Engine" and modes[-1] == "Refrigerator"
 
 
-def test_sweep_respects_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QTHERM_THREADS", "2")
-    path = write_config(tmp_path, CTM_SWEEP)
-    assert cli.main(["run", "ctm", "--config", path]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines()
-             if not l.startswith("#")]
-    assert len(lines) == 17
+def test_sweep_respects_thread_env(tmp_path, capsys):
+    flag = write_config(tmp_path, CTM_SWEEP, "flag.ini")
+    section = write_config(tmp_path, CTM_SWEEP + "\n[run]\nthreads = 2\n",
+                           "section.ini")
+    for args in (["--config", flag, "--threads", "2"], ["--config", section]):
+        assert cli.main(["run", "ctm"] + args) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        assert len(lines) == 17
 
 
 def test_reruns_byte_identical(tmp_path):
@@ -162,8 +167,8 @@ def test_reruns_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        assert cli.main(["run", "ctm", "--config", path, "--out", str(out),
-                         "--seed", "7"]) == 0
+        assert cli.main(["run", "ctm", "--config", path,
+                         "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -253,6 +258,184 @@ def test_malformed_set():
     assert cli.main(["run", "otto", "--set", "omega_a"]) == 2
 
 
+# --- one parse for validate and run ------------------------------------------------
+
+
+@pytest.mark.parametrize("experiment", sorted(SPEC_EXPERIMENTS))
+def test_non_finite_values_exit_2_naming_the_key(experiment, capsys):
+    for key, spec in cli.EXPERIMENTS[experiment].params.items():
+        if spec.kind not in (float, int, list):
+            continue
+        for value in ("nan", "inf", "-inf"):
+            assert cli.main([experiment, "--set", f"{key}={value}"]) == 2
+            assert (f"parameter {key!r}: {value!r} is not finite"
+                    in capsys.readouterr().err)
+
+
+_LMG = {"n_cells": "2", "lam": "1", "gamma": "-1", "b": "1", "tau": "1",
+        "dt": "0.1"}
+_THERMOMETRY = {"omega_h": "2", "omega_c": "1", "kappa_h": "1",
+                "kappa_c": "1", "g": "0.3", "t_c_true": "1", "t_h_min": "1",
+                "t_h_max": "3", "t_h_steps": "5"}
+_CTM = {"omega0": "10", "drive_frequency": "1", "t_hot": "4", "t_cold": "1"}
+
+
+def _sweep(key, lo, hi, steps):
+    return {"key": key, "from": lo, "to": hi, "steps": steps}
+
+
+@pytest.mark.parametrize("experiment,params,sweep", [
+    ("ctm", _CTM, _sweep("drive_frequency", "0.5", "8", "0")),
+    ("ctm", _CTM, _sweep("drive_frequency", "0.5", "8", "-3")),
+    ("ctm", _CTM, _sweep("drive_frequency", "0.5", "8", "inf")),
+    ("ctm", _CTM, _sweep("drive_frequency", "0.5", "8", "1.5")),
+    ("charge-lmg", _LMG, _sweep("n_cells", "0", "2", "3")),
+    ("charge-lmg", _LMG, _sweep("n_cells", "1", "2", "3")),
+    ("thermometry", _THERMOMETRY, _sweep("t_h_steps", "-2", "1", "4")),
+    ("charge-lmg", _LMG, _sweep("n_cells", "-1e308", "1e308", "3")),
+    ("charge-lmg", dict(_LMG, n_cells="inf"), None),
+    ("charge-lmg", dict(_LMG, lam="nan"), None),
+    ("otto", {"omega_a": "2", "omega_b": "1", "t_h": "inf", "t_c": "1"}, None),
+    ("ergotropy", {"energies": "", "populations": "1"}, None),
+    ("ergotropy", {"energies": "0,1", "populations": ","}, None),
+], ids=["zero-steps", "negative-steps", "infinite-steps", "fractional-steps",
+        "lmg-cells-from-zero", "lmg-half-cell", "thermometry-steps-below-2",
+        "overflowing-span", "infinite-cells", "nan-coupling",
+        "infinite-temperature", "empty-energies", "empty-populations"])
+def test_validate_and_run_reject_alike(experiment, params, sweep, tmp_path,
+                                       capsys):
+    text = f"[experiment]\nname = {experiment}\n\n[parameters]\n"
+    text += "".join(f"{k} = {v}\n" for k, v in params.items())
+    if sweep is not None:
+        text += "\n[sweep]\n" + "".join(f"{k} = {v}\n"
+                                       for k, v in sweep.items())
+    path = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == 2
+    assert cli.main(["run", experiment, "--config", path]) == 2
+    out = capsys.readouterr()
+    assert out.out and out.out == out.err  # the same diagnostics
+
+
+def test_log_sweep_of_an_integer_key_lands_on_integers(tmp_path, capsys):
+    # logspace gives 7.999999999999999 for the third point
+    path = write_config(tmp_path, """
+[experiment]
+name = n-copy
+
+[parameters]
+energies = 0
+populations = 1
+n_copies = 1
+
+[sweep]
+key = n_copies
+from = 2
+to = 16
+steps = 4
+scale = log
+""")
+    rows = _run_rows(["run", "n-copy", "--config", path], capsys)
+    assert [r["n_copies"] for r in rows] == ["2", "4", "8", "16"]
+
+
+def _near_bounds(spec):
+    """Numbers at, just below and just above the bounds of ``spec``."""
+    near = ["-1", "0", "1", "2", "2.5"]
+    for bound in (spec.minimum, spec.maximum):
+        if bound is not None:
+            near += [repr(x) for x in (bound, np.nextafter(bound, -np.inf),
+                                       np.nextafter(bound, np.inf))]
+    return near
+
+
+def _edge_strings(spec):
+    return (["", " ", "nan", "inf", "-inf", "1e400", "-0", "1.5", "1e9",
+             "1e308", "true", "off", "0,1", ",", "1,nan"]
+            + _near_bounds(spec) + list(spec.choices or ()))
+
+
+def _typed(spec):
+    """Values the schema accepts, edge values included."""
+    if spec.kind is float:
+        return st.floats(spec.minimum, spec.maximum, allow_nan=False,
+                         allow_infinity=False).map(repr)
+    if spec.kind is int:
+        low = -3 if spec.minimum is None else int(spec.minimum)
+        return st.integers(low, low + 60).map(str)
+    if spec.kind is list:
+        return st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=3).map(
+            lambda xs: ",".join(map(repr, xs)))
+    return st.sampled_from(spec.choices or sorted(cli._BOOLEANS))
+
+
+@st.composite
+def _configs(draw):
+    """Configs whose values are a mix of schema-typed values, edge strings
+    and arbitrary text; ``noise`` sets the mix, from all typed to all raw,
+    and is often 0 so that runnable configs are common."""
+    noise = draw(st.sampled_from([0, 0, 0, 1, 2, 5, 10]))
+
+    def value(spec):
+        if draw(st.integers(0, 9)) < noise:
+            return draw(st.one_of(st.sampled_from(_edge_strings(spec)),
+                                  st.text(max_size=8)))
+        return draw(_typed(spec))
+
+    name = draw(st.sampled_from(sorted(cli.EXPERIMENTS) + ["warp-drive"]))
+    schema = cli.EXPERIMENTS.get(name, cli.EXPERIMENTS["otto"]).params
+    params = {k: value(spec) for k, spec in schema.items()
+              if draw(st.integers(0, 19)) >= noise}
+    sweep = None
+    if draw(st.booleans()):
+        numeric = [k for k, spec in schema.items() if spec.kind in (float, int)]
+        keys = (numeric if noise == 0 and numeric
+                else sorted(schema) + ["bogus"])
+        sweep = {"key": draw(st.sampled_from(keys))}
+        swept = schema.get(sweep["key"], cli.Param(float))
+        for fld, spec in cli._SWEEP_FIELDS.items():
+            if draw(st.integers(0, 19)) < noise:
+                continue
+            if fld == "steps" or draw(st.booleans()):
+                sweep[fld] = value(spec)
+            else:  # endpoints at the swept parameter's bounds, or far out
+                sweep[fld] = draw(st.sampled_from(_near_bounds(swept)
+                                                  + ["-1e308", "1e308"]))
+        sweep["scale"] = draw(st.sampled_from(
+            ["linear", "log"] + (["cubic"] if noise else [])))
+    return cli.ExperimentConfig(name, params, sweep)
+
+
+def _assert_in_schema(value, spec):
+    if spec.kind in (float, int, list):
+        numbers = value if spec.kind is list else [value]
+        assert numbers and all(type(x) is (float if spec.kind is list
+                                          else spec.kind) for x in numbers)
+        assert all(map(math.isfinite, numbers))
+        assert spec.minimum is None or min(numbers) >= spec.minimum
+        assert spec.maximum is None or max(numbers) <= spec.maximum
+    if spec.choices is not None:
+        assert value in spec.choices
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_validate_never_raises_and_passes_only_runnable_points(cfg):
+    points, diags = cli.parse_config(cfg)
+    assert cli.validate_config(cfg) == diags
+    assert all(isinstance(line, str) for line in diags)
+    if diags:
+        assert points == []
+        return
+    steps = 1 if cfg.sweep is None else int(float(cfg.sweep["steps"]))
+    assert len(points) == steps
+    schema = cli.EXPERIMENTS[cfg.experiment].params
+    for point in points:
+        assert set(point) == set(schema)
+        for key, spec in schema.items():
+            _assert_in_schema(point[key], spec)
+
+
 # --- numeric error propagation -----------------------------------------------------
 
 
@@ -278,6 +461,7 @@ _VALID_SETS = {
             "t_cold": "1"},
     "otto-numeric": {"omega_a": "2", "omega_b": "1", "t_h": "2", "t_c": "0.5",
                      "ramp_duration": "1", "thermalization_time": "5"},
+    "qsl": {"omega": "1", "tau": "1"},
 }
 
 
@@ -289,9 +473,10 @@ _VALID_SETS = {
     ("otto-numeric", ["ramp_duration=0"]),
     ("otto-numeric", ["thermalization_time=0"]),
     ("otto-numeric", ["kappa=-1"]),
+    ("qsl", ["tau=0"]),  # the schema allows 0; the speed limit needs tau > 0
 ], ids=["equal-temperatures", "negative-rate", "zero-cold-temperature",
         "zero-drive-frequency", "zero-ramp-duration",
-        "zero-thermalization-time", "negative-kappa"])
+        "zero-thermalization-time", "negative-kappa", "zero-qsl-duration"])
 def test_bad_physical_parameter_exits_3(experiment, bad, capsys):
     # each passes the schema, then fails a physical check in the library
     sets = dict(_VALID_SETS[experiment])
@@ -305,6 +490,13 @@ def test_bad_physical_parameter_exits_3(experiment, bad, capsys):
     if experiment == "otto-numeric":
         # rejected up front, naming the parameter, before any ODE runs
         assert bad[0].split("=")[0] in err
+
+
+def test_n_copy_beyond_budget_exits_3(capsys):
+    assert cli.main(["n-copy", "--set", "energies=0,1",
+                     "--set", "populations=0.3,0.7",
+                     "--set", "n_copies=1000000000"]) == 3
+    assert "TooLarge" in capsys.readouterr().err
 
 
 def test_inverted_trap_exits_3(capsys):
