@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.optimize import brentq
 
 from . import oscillators, qcore
 from .errors import (
@@ -148,23 +150,25 @@ def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     """Maximum unitary work Tr(rho h) - Tr(sigma_rho h), plus the
-    thermodynamic bound W_max against the entropy-matched Gibbs state."""
+    thermodynamic bound W_max against the entropy-matched Gibbs state,
+    whose inverse temperature is searched on [1e-8, 1e8] and clamped to
+    the end of that bracket when the target entropy lies beyond it."""
     pops, eps, sigma = _passive(rho, h)
     s_target = _entropy(pops)
     e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
     e_pass = float(pops[::-1] @ eps)
-    # S(zeta_beta) is monotone decreasing in beta: geometric bisection
-    lo, hi = 1e-8, 1e8
-    beta = np.sqrt(lo * hi)
-    for _ in range(200):
-        beta = np.sqrt(lo * hi)
-        s_mid, _ = _gibbs_entropy_energy(eps, beta)
-        if abs(s_mid - s_target) < 1e-10:
-            break
-        if s_mid > s_target:
-            lo = beta
-        else:
-            hi = beta
+    # S(zeta_beta) is monotone decreasing in beta: a root in log beta on
+    # [1e-8, 1e8], or the end of the bracket the target lies beyond
+    def excess(log_beta: float) -> float:
+        return _gibbs_entropy_energy(eps, np.exp(log_beta))[0] - s_target
+
+    lo, hi = np.log(1e-8), np.log(1e8)
+    if excess(lo) <= 0:
+        beta = 1e-8
+    elif excess(hi) >= 0:
+        beta = 1e8
+    else:
+        beta = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14)))
     _, e_thermal = _gibbs_entropy_energy(eps, beta)
     w_max = e_rho - e_thermal
     return ErgotropyReport(
@@ -268,29 +272,24 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
 
 
 def _group_energies(evals: np.ndarray, tol: float = None):
-    """Indices of degenerate energy levels grouped together; returns
-    (group energies, list of index arrays)."""
+    """Degenerate energy levels grouped together: levels chain into one
+    group while consecutive sorted gaps are <= tol. Returns the group
+    energies (each group's mean) and the grouping (level order, group
+    starts) that ``_aggregate`` takes."""
     evals = np.asarray(evals, dtype=float)
     if tol is None:
         tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
-    order = np.argsort(evals)
-    groups, energies = [], []
-    current = [order[0]]
-    for idx in order[1:]:
-        if evals[idx] - evals[current[-1]] <= tol:
-            current.append(idx)
-        else:
-            groups.append(np.array(current))
-            energies.append(float(np.mean(evals[current])))
-            current = [idx]
-    groups.append(np.array(current))
-    energies.append(float(np.mean(evals[current])))
-    return np.array(energies), groups
+    order = np.argsort(evals, kind="stable")
+    levels = evals[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(levels) > tol])
+    sizes = np.diff(np.r_[starts, len(levels)])
+    return np.add.reduceat(levels, starts) / sizes, (order, starts)
 
 
 def _aggregate(populations: np.ndarray, groups) -> np.ndarray:
     """Sum population columns over degenerate-energy groups."""
-    return np.stack([populations[:, g].sum(axis=1) for g in groups], axis=1)
+    order, starts = groups
+    return np.add.reduceat(populations[:, order], starts, axis=1)
 
 
 def _power_and_fisher(pops: np.ndarray, dev: np.ndarray,
@@ -418,36 +417,100 @@ def _time_grid(tau: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
-def _pure_trace(times: np.ndarray, h_drive: np.ndarray, psi0: np.ndarray,
-                h0_diag: np.ndarray, h0_basis: np.ndarray = None,
-                reference_initial: bool = False,
+@dataclass(frozen=True)
+class _Sector:
+    """Orthonormal basis of a symmetry sector of the full space: basis
+    vector k is |rows[k]>, or (|rows[k]> + sign |partner[k]>)/sqrt(2) when
+    a partner index set is given. Vectors run along the first axis."""
+
+    rows: np.ndarray
+    partner: Optional[np.ndarray] = None
+    sign: float = 1.0
+
+    def block(self, h: np.ndarray) -> np.ndarray:
+        """Matrix of h in this basis. Exact when h leaves the sector
+        invariant and, with a partner, commutes with the exchange of rows
+        and partner (so h[P, P] = h[R, R] and h[P, R] = h[R, P])."""
+        blk = h[np.ix_(self.rows, self.rows)]
+        if self.partner is not None:
+            blk += self.sign * h[np.ix_(self.rows, self.partner)]
+        return blk
+
+    def coords(self, psi: np.ndarray) -> np.ndarray:
+        """Components in this basis of full-space vectors."""
+        c = psi[self.rows]
+        if self.partner is not None:
+            c = (c + self.sign * psi[self.partner]) / np.sqrt(2)
+        return c
+
+    def embed(self, coords: np.ndarray, out: np.ndarray) -> None:
+        """Add the full-space vectors with components ``coords`` to ``out``."""
+        if self.partner is None:
+            out[self.rows] += coords
+        else:
+            out[self.rows] += coords / np.sqrt(2)
+            out[self.partner] += self.sign * coords / np.sqrt(2)
+
+
+def _sector_eig(h: np.ndarray, sectors) -> list:
+    """Eigenpairs of h one invariant sector at a time: a (sector, levels,
+    eigenvectors in the sector basis) triple per sector."""
+    return [(sector, *qcore.hermitian_eig(sector.block(h)))
+            for sector in sectors]
+
+
+def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """a @ vecs for complex column vectors; a real ``a`` takes the real and
+    imaginary parts in one real product (a quarter of the complex flops)."""
+    if np.iscomplexobj(a):
+        return a @ vecs
+    return (a @ np.ascontiguousarray(vecs, dtype=complex).view(float)
+            ).view(complex)
+
+
+def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
+                reference_initial: bool = False, drive_ground: float = None,
                 ) -> Tuple[ChargeTrace, np.ndarray]:
     """Exact closed evolution of a pure state under a constant drive, with
-    all ChargeTrace observables taken on the bare Hamiltonian given by its
-    eigenvalues ``h0_diag`` and (optionally non-trivial) eigenbasis
-    ``h0_basis``. ``reference_initial`` stores deposited energy E(t) - E(0)
-    instead of the absolute expectation.
+    all ChargeTrace observables taken on the bare Hamiltonian H0.
+
+    ``drive`` and ``h0`` are eigenpairs sector by sector, as ``_sector_eig``
+    returns them; an ``h0`` entry with vectors None is diagonal in its
+    sector's basis. The drive sectors must span a subspace holding psi0,
+    and the h0 sectors the whole space. The drive's ground level (the
+    speed-limit reference) is its lowest level over its sectors unless
+    ``drive_ground`` gives it. ``reference_initial`` stores deposited
+    energy E(t) - E(0) instead of the absolute expectation.
 
     A pure state's ergotropy is its energy above the ground level of H0
     (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
     or 0 when nothing is stored.
 
-    Returns the trace and the sampled state vectors (n_times x dim).
+    Returns the trace and the sampled full-space states as columns
+    (dim x n_times).
     """
-    vals, vecs = qcore.hermitian_eig(h_drive)
-    c0 = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, vals))
-    psis = (phases * c0[None, :]) @ vecs.T
-    pops_full = np.abs(psis if h0_basis is None
-                       else psis @ h0_basis.conj()) ** 2
-    group_e, groups = _group_energies(h0_diag)
+    psis = np.zeros((len(psi0), len(times)), dtype=complex)
+    levels, weights = [], []
+    for sector, vals, vecs in drive:
+        c0 = vecs.conj().T @ sector.coords(psi0)
+        phases = np.exp(-1j * np.outer(vals, times))
+        sector.embed(_matmul(vecs, phases * c0[:, None]), psis)
+        levels.append(vals)
+        weights.append(np.abs(c0) ** 2)
+    vals, probs = np.concatenate(levels), np.concatenate(weights)
+    h0_levels = np.concatenate([lv for _, lv, _ in h0])
+    pops_full = np.concatenate(
+        [np.abs(sector.coords(psis) if vecs is None
+                else _matmul(vecs.conj().T, sector.coords(psis))) ** 2
+         for sector, _, vecs in h0]).T
+    group_e, groups = _group_energies(h0_levels)
     pops = _aggregate(pops_full, groups)
     energies = pops @ group_e
     # central moment: E[H0^2] - E[H0]^2 cancels to below zero at an eigenstate
     dev = group_e[None, :] - energies[:, None]
     variances = (pops * dev**2).sum(axis=1)
     powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
-    stored = energies.max() - h0_diag.min()
+    stored = energies.max() - h0_levels.min()
     if reference_initial:
         energies = energies - energies[0]
     denom = np.sqrt(variances * fisher)
@@ -456,14 +519,19 @@ def _pure_trace(times: np.ndarray, h_drive: np.ndarray, psi0: np.ndarray,
                                  -1.0, 1.0), 0.0)
     # speed-limit bounds: the drive is constant, so the energy moments are
     # conserved and the time averages are single expectation values
-    probs = np.abs(c0) ** 2
     e_mean = float(probs @ vals)
     e2_mean = float(probs @ vals**2)
     de_tau = np.sqrt(max(e2_mean - e_mean**2, 0.0))
-    e_tau = e_mean - float(vals.min())
-    overlap = abs(np.vdot(psis[0], psis[-1]))
-    dist = float(np.arccos(min(max(overlap, 0.0), 1.0)))
-    qsl = _qsl_from_scalars(dist, de_tau, e_tau, float(times[-1] - times[0]))
+    e_tau = e_mean - float(vals.min() if drive_ground is None
+                           else drive_ground)
+    # Bures angle arccos|<psi(0)|psi(tau)>| = 2 arcsin(|psi(tau) - e^{i phi}
+    # psi(0)| / 2), phi the phase of the overlap: exact to rounding where
+    # the overlap is near 1 and arccos is not
+    tau = float(times[-1] - times[0])
+    phi = np.angle(probs @ np.exp(-1j * vals * tau))
+    chord = np.sqrt(probs @ np.sin((vals * tau + phi) / 2) ** 2)
+    dist = float(2 * np.arcsin(min(chord, 1.0)))
+    qsl = _qsl_from_scalars(dist, de_tau, e_tau, tau)
     trace = ChargeTrace(
         times=times, energies=energies, powers=powers, variances=variances,
         energy_fisher=fisher, bound_tightness=tightness,
@@ -487,9 +555,14 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     energy), so the isotropic alpha = 1 trace coincides with the
     non-interacting g = 0 one. The battery state is pure, so the final
     fraction is exactly 1 (0 when no energy is stored).
+
+    H0 is diagonalised one magnetisation sector at a time, and H_c in the
+    two sectors of the global flip prod_i sigma_x^i.
     """
     if n_cells > 12:
         raise TooLarge("full 2^N representation limited to N <= 12")
+    if n_cells < 1:
+        raise InvalidParams("n_cells must be a positive integer")
     if interaction_range not in ("nearest_neighbor", "power_law"):
         raise InvalidParams(
             "interaction_range must be 'nearest_neighbor' or 'power_law'")
@@ -498,8 +571,7 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     # bit i of the index is 0 for spin-up (sigma_z = +1), leftmost = site 0
     spins = np.array([1 - 2 * ((idx >> (n_cells - 1 - i)) & 1)
                       for i in range(n_cells)])
-    h_g = np.zeros((dim, dim), dtype=complex)
-    diag = np.zeros(dim)
+    h_g = np.zeros((dim, dim))
     for i in range(n_cells):
         for j in range(i + 1, n_cells):
             if interaction_range == "nearest_neighbor":
@@ -508,22 +580,28 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
                 g_ij = g * float(j - i) ** (-nu)
             if g_ij == 0.0:
                 continue
-            diag -= g_ij * spins[i] * spins[j]
+            h_g[idx, idx] -= g_ij * spins[i] * spins[j]
             # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
             mask = (1 << (n_cells - 1 - i)) | (1 << (n_cells - 1 - j))
             anti = spins[i] != spins[j]
             h_g[idx[anti] ^ mask, idx[anti]] += -2.0 * g_ij * alpha
-    h_g += np.diag(diag)
     h_drive = h_g.copy()
     for i in range(n_cells):
         h_drive[idx ^ (1 << (n_cells - 1 - i)), idx] += omega
-    h0 = h_g + np.diag(b * spins.sum(axis=0).astype(float))
-    h0_vals, h0_vecs = qcore.hermitian_eig(h0)
+    magnetisation = spins.sum(axis=0)
+    h0 = h_g  # H0 = H_g + H_B, built in place
+    h0[idx, idx] += b * magnetisation
+    # the flip maps index s to dim - 1 - s; the upper half of the indices
+    # are the partners of the lower half
+    lower = np.arange(dim // 2)
+    drive = _sector_eig(h_drive, [_Sector(lower, dim - 1 - lower, sign)
+                                  for sign in (1.0, -1.0)])
+    h0_eig = _sector_eig(h0, [_Sector(np.flatnonzero(magnetisation == m))
+                              for m in np.unique(magnetisation)])
     psi0 = np.zeros(dim, dtype=complex)
     psi0[dim - 1] = 1.0  # all spins down
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, h_drive, psi0, h0_vals, h0_basis=h0_vecs,
-                           reference_initial=True)
+    trace, _ = _pure_trace(times, drive, psi0, h0_eig, reference_initial=True)
     return trace
 
 
@@ -544,10 +622,12 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                                  + gamma * (sy @ sy - n_cells * eye))
     h0_diag = b * np.real(np.diag(sz))
     h_drive = np.diag(h0_diag).astype(complex) + v
+    whole = _Sector(np.arange(n_cells + 1))
     psi0 = np.zeros(n_cells + 1, dtype=complex)
     psi0[0] = 1.0  # m = -j, the ferromagnetic ground state for b > 0
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, h_drive, psi0, h0_diag)
+    trace, _ = _pure_trace(times, _sector_eig(h_drive, [whole]), psi0,
+                           [(whole, h0_diag, None)])
     return trace
 
 
@@ -562,6 +642,10 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     ``rescale`` applies lambda -> lambda/sqrt(N). The final fraction is
     the extractable fraction of the reduced battery state at the
     energy-optimal sample.
+
+    H commutes with the parity (-1)^(m + j + n), so only the parity sector
+    of the initial state is diagonalised and evolved; the other sector
+    gives only its lowest level, for the speed-limit reference.
     """
     if not np.isclose(omega, omega_c):
         raise InvalidParams("resonance omega = omega_c required")
@@ -572,26 +656,35 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     if dim_spin * dim_cav > DENSE_DIM_BUDGET:
         raise TooLarge("Dicke composite dimension exceeds the dense budget")
     j = n_cells / 2.0
-    jx, _jy, jz = qcore.spin_operators(j)
-    a = oscillators.destroy(photon_cutoff)
+    jx, _jy, jz = (op.real for op in qcore.spin_operators(j))
+    a = oscillators.destroy(photon_cutoff).real
     lam_eff = lam / np.sqrt(n_cells) if rescale else lam
     eye_c = np.eye(dim_cav)
     h = (omega * np.kron(jz, eye_c)
-         + omega_c * np.kron(np.eye(dim_spin), a.conj().T @ a)
-         + 2 * omega_c * lam_eff * np.kron(jx, a + a.conj().T))
+         + omega_c * np.kron(np.eye(dim_spin), a.T @ a)
+         + 2 * omega_c * lam_eff * np.kron(jx, a + a.T))
     m = np.arange(-j, j + 1)
     h0_diag = omega * np.kron(m, np.ones(dim_cav))
     psi0 = np.zeros(dim_spin * dim_cav, dtype=complex)
     psi0[0 * dim_cav + n_photons] = 1.0  # |m=-j> x |n_photons>
+    # index k * dim_cav + n holds m = -j + k, so the parity is (-1)^(k + n)
+    parity = np.add.outer(np.arange(dim_spin), np.arange(dim_cav)).ravel() % 2
+    start, other = (_Sector(np.flatnonzero(parity == p))
+                    for p in (n_photons % 2, 1 - n_photons % 2))
+    drive = _sector_eig(h, [start])
+    ground = min(drive[0][1][0], sla.eigvalsh(other.block(h),
+                                              subset_by_index=[0, 0])[0])
     times = _time_grid(tau, dt)
 
-    trace, psis = _pure_trace(times, h, psi0, h0_diag)
+    trace, psis = _pure_trace(times, drive, psi0,
+                              [(_Sector(np.arange(len(psi0))), h0_diag, None)],
+                              drive_ground=ground)
     # cavity tail check over the whole trajectory
-    blocks = psis.reshape(len(psis), dim_spin, dim_cav)
-    tail = np.max(np.sum(np.abs(blocks[:, :, -1]) ** 2, axis=1))
+    blocks = psis.reshape(dim_spin, dim_cav, len(times))
+    tail = np.max(np.sum(np.abs(blocks[:, -1, :]) ** 2, axis=0))
     if tail > 1e-8:
         raise CutoffTooSmall(f"top photon level holds population {tail:.2e}")
-    block = blocks[int(np.argmax(trace.energies))]
+    block = blocks[:, :, int(np.argmax(trace.energies))]
     try:
         fraction = extractable_fraction(block @ block.conj().T,
                                         omega * np.diag(m))

@@ -473,10 +473,12 @@ def parse_config(cfg: ExperimentConfig) -> Tuple[List[dict], List[str]]:
     exp = EXPERIMENTS[cfg.experiment]
     diags = [f"unknown parameter key {key!r} for {cfg.experiment}"
              for key in cfg.parameters if key not in exp.params]
+    # every run takes the swept key's value from the sweep
+    swept = cfg.sweep.get("key") if cfg.sweep is not None else None
     base = {}
     for key, spec in exp.params.items():
         if key not in cfg.parameters:
-            if spec.default is None:
+            if spec.default is None and key != swept:
                 diags.append(f"missing required parameter {key!r}")
             base[key] = spec.default
             continue

@@ -41,8 +41,9 @@ class CompositeSpace:
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity; returns the input unchanged."""
-    a = np.asarray(a, dtype=complex)
+    """Validate Hermiticity; returns the input unchanged (as a float array
+    when it has no complex dtype, a complex one otherwise)."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian("not a square matrix")
     scale = 1.0 + np.max(np.abs(a)) if a.size else 1.0
@@ -101,9 +102,12 @@ def partial_trace(rho: np.ndarray, space: CompositeSpace, keep) -> np.ndarray:
 
 def hermitian_eig(h: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvector columns. Input
-    with no imaginary part uses the real routine (real eigenvectors)."""
+    with no imaginary part uses the real routine (real eigenvectors); a
+    real dtype stays real throughout."""
     h = hermitianize(require_hermitian(h, tol=1e-10))
-    return np.linalg.eigh(h if h.imag.any() else h.real)
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = h.real
+    return np.linalg.eigh(h)
 
 
 def matrix_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -35,9 +35,12 @@ def random_hermitian(d):
     return (a + a.conj().T) / 2
 
 
-def site_op(pauli, i, n):
+def site_op(pauli, i, n, other=None, j=None):
+    """``pauli`` on site i (times ``other`` on site j) of n qubits."""
     ops = [np.eye(2, dtype=complex)] * n
     ops[i] = pauli
+    if other is not None:
+        ops[j] = other
     return qcore.kron_all(ops)
 
 
@@ -120,6 +123,59 @@ def test_ergotropy_invalid_state_raises():
     with pytest.raises(InvalidState):
         battery.ergotropy(1.5 * np.eye(2, dtype=complex),
                           np.diag([0.0, 1.0]).astype(complex))
+
+
+def _bisection_beta(rho, h):
+    """The entropy-matched inverse temperature by 200 geometric bisection
+    steps on [1e-8, 1e8], stopping within 1e-10 of the target entropy."""
+    s_target = qcore.von_neumann_entropy(rho)
+    eps = np.linalg.eigvalsh(h)
+
+    def entropy(beta):
+        w = np.exp(-beta * (eps - eps.min()))
+        p = w / w.sum()
+        nz = p[p > 0]
+        return float(-np.sum(nz * np.log(nz))), float(p @ eps)
+
+    lo, hi = 1e-8, 1e8
+    for _ in range(200):
+        beta = np.sqrt(lo * hi)
+        s_mid, _ = entropy(beta)
+        if abs(s_mid - s_target) < 1e-10:
+            break
+        if s_mid > s_target:
+            lo = beta
+        else:
+            hi = beta
+    return beta, float(np.vdot(h, rho).real) - entropy(beta)[1]
+
+
+def test_ergotropy_effective_beta_matches_bisection():
+    local = np.random.default_rng(5)
+    for d in (2, 3, 5, 7):
+        for _ in range(10):
+            a, b = local.normal(size=(2, d, d)) + 1j * local.normal(
+                size=(2, d, d))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            h = (b + b.conj().T) / 2
+            rep = battery.ergotropy(rho, h)
+            beta, w_max = _bisection_beta(rho, h)
+            assert rep.effective_beta == pytest.approx(beta, rel=1e-6)
+            assert rep.thermal_bound == pytest.approx(w_max, abs=1e-8)
+
+
+@pytest.mark.parametrize("levels", [[1.0, 1.0, 1.0], [0.0, 1e-9, 2e-9]])
+def test_ergotropy_beta_beyond_the_bracket(levels):
+    # no beta in [1e-8, 1e8] cools the Gibbs state down to the target
+    # entropy: both routes return the upper end
+    rho = np.diag([0.9, 0.08, 0.02]).astype(complex)
+    h = np.diag(levels).astype(complex)
+    rep = battery.ergotropy(rho, h)
+    beta, w_max = _bisection_beta(rho, h)
+    assert rep.effective_beta == 1e8
+    assert beta == pytest.approx(1e8, rel=1e-12)
+    assert rep.thermal_bound == pytest.approx(w_max, abs=1e-12)
 
 
 # --- N-copy passivity ------------------------------------------------------
@@ -298,6 +354,46 @@ def test_energy_fisher_degenerate_levels_aggregate():
     assert np.max(np.abs(fisher[1:-1] - 4 * g**2)) < 1e-6
 
 
+def _group_energies_loop(evals, tol=None):
+    """Level-by-level grouping: a level joins the current group when its gap
+    to the group's last sorted level is at most tol."""
+    evals = np.asarray(evals, dtype=float)
+    if tol is None:
+        tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
+    order = np.argsort(evals)
+    groups, energies = [], []
+    current = [order[0]]
+    for idx in order[1:]:
+        if evals[idx] - evals[current[-1]] <= tol:
+            current.append(idx)
+        else:
+            groups.append(np.array(current))
+            energies.append(float(np.mean(evals[current])))
+            current = [idx]
+    groups.append(np.array(current))
+    energies.append(float(np.mean(evals[current])))
+    return np.array(energies), groups
+
+
+@pytest.mark.parametrize("evals", [
+    [0.0],
+    [2.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+    # a chain of gaps each within tol spans far more than tol
+    [0.0, 3e-9, 6e-9, 9e-9, 12e-9, 5.0, 5.0 + 2e-9],
+    [-3.0, 3.0, -3.0 - 5e-10, 3.0 + 1e-8, 0.0],
+    np.repeat(np.arange(-4.0, 5.0, 2.0), [1, 4, 6, 4, 1]),
+])
+def test_group_energies_matches_level_loop(evals):
+    evals = np.asarray(evals, dtype=float)
+    pops = np.random.default_rng(2).random((3, len(evals)))
+    energies, groups = battery._group_energies(evals)
+    ref_energies, ref_groups = _group_energies_loop(evals)
+    assert np.allclose(energies, ref_energies, rtol=1e-15, atol=0)
+    ref = np.stack([pops[:, g].sum(axis=1) for g in ref_groups], axis=1)
+    assert np.allclose(battery._aggregate(pops, groups), ref, rtol=1e-14,
+                       atol=0)
+
+
 # --- power bound -------------------------------------------------------------
 
 
@@ -452,9 +548,9 @@ def _xxz_dense(n, b, g, alpha, nu, interaction_range, omega):
                 g_ij = g if j == i + 1 else 0.0
             else:
                 g_ij = g * float(j - i) ** (-nu)
-            h_g -= g_ij * (site_op(SZ, i, n) @ site_op(SZ, j, n)
-                           + alpha * (site_op(SX, i, n) @ site_op(SX, j, n)
-                                      + site_op(SY, i, n) @ site_op(SY, j, n)))
+            h_g -= g_ij * (site_op(SZ, i, n, SZ, j)
+                           + alpha * (site_op(SX, i, n, SX, j)
+                                      + site_op(SY, i, n, SY, j)))
     h_drive = h_g + omega * sum(site_op(SX, i, n) for i in range(n))
     h0 = h_g + b * sum(site_op(SZ, i, n) for i in range(n))
     return h_drive, h0
@@ -542,6 +638,12 @@ def test_xxz_nearest_neighbor_bound_and_enum():
 def test_xxz_too_large():
     with pytest.raises(TooLarge):
         battery.charge_spins_xxz(13, 1.0, 0.1, 0.5, 1.0, "power_law", 1.0,
+                                 5.0, 0.01)
+
+
+def test_xxz_needs_a_cell():
+    with pytest.raises(InvalidParams):
+        battery.charge_spins_xxz(0, 1.0, 0.1, 0.5, 1.0, "power_law", 1.0,
                                  5.0, 0.01)
 
 
@@ -658,6 +760,160 @@ def test_dicke_rescaled_strong_coupling_scaling():
                                                                   abs=0.3)
     assert battery.scaling_exponent(sizes, imax) == pytest.approx(1.0,
                                                                   abs=0.3)
+
+
+# --- symmetry sectors against the full space -------------------------------------
+
+
+def _dense_trace(times, h_drive, psi0, h0):
+    """Charging observables from one full-space eigendecomposition of the
+    drive and one of H0, with levels grouped by ``_group_energies_loop``.
+    Returns the fields to compare and the sampled states (n_times x dim)."""
+    vals, vecs = np.linalg.eigh(h_drive)
+    c0 = vecs.conj().T @ psi0
+    psis = (np.exp(-1j * np.outer(times, vals)) * c0) @ vecs.T
+    e0, w0 = np.linalg.eigh(h0)
+    group_e, groups = _group_energies_loop(e0)
+    full = np.abs(psis @ w0.conj()) ** 2
+    pops = np.stack([full[:, g].sum(axis=1) for g in groups], axis=1)
+    energies = pops @ group_e
+    dev = group_e[None, :] - energies[:, None]
+    dp = np.gradient(pops, times[1] - times[0], axis=0)
+    mask = pops > battery.P_FLOOR
+    probs = np.abs(c0) ** 2
+    e_mean = probs @ vals
+    spread = np.sqrt(max(probs @ vals**2 - e_mean**2, 0.0))
+    dist = np.arccos(min(abs(np.vdot(psis[0], psis[-1])), 1.0))
+    tau = times[-1] - times[0]
+    tau_mt = dist / spread
+    ml = 2 * dist**2 / (np.pi * (e_mean - vals.min()))
+    fields = dict(
+        energies=energies, powers=(dev * np.where(mask, dp, 0.0)).sum(axis=1),
+        variances=(pops * dev**2).sum(axis=1),
+        energy_fisher=np.where(mask, dp**2 / np.where(mask, pops, 1.0),
+                               0.0).sum(axis=1),
+        qsl=battery.QSLReport(dist, spread, e_mean - vals.min(), tau_mt,
+                              max(tau_mt, ml), tau))
+    return fields, psis
+
+
+def _assert_trace_matches(trace, ref):
+    for name in ("energies", "powers", "variances"):
+        assert np.max(np.abs(getattr(trace, name) - ref[name])) < 1e-10, name
+    fisher = ref["energy_fisher"]
+    assert np.max(np.abs(trace.energy_fisher - fisher)) \
+        <= 1e-8 * np.max(np.abs(fisher))
+    for name, value in dataclasses.asdict(ref["qsl"]).items():
+        assert getattr(trace.qsl, name) == pytest.approx(value, rel=1e-9,
+                                                         abs=1e-10), name
+
+
+@pytest.mark.parametrize("interaction_range", ["nearest_neighbor",
+                                               "power_law"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xxz_sectors_match_full_space(n, interaction_range):
+    b, nu, omega = 0.7, 1.3, 0.9
+    times = np.linspace(0.0, 3.0, 151)
+    psi0 = np.zeros(2**n, dtype=complex)
+    psi0[-1] = 1.0
+    # g = 0 leaves H0 = B sum sigma_z, degenerate across the sectors
+    for g, alpha in ((0.4, 0.3), (0.4, 1.0), (0.0, 0.3)):
+        trace = battery.charge_spins_xxz(n, b, g, alpha, nu, interaction_range,
+                                         omega, 3.0, 0.02)
+        h_drive, h0 = _xxz_dense(n, b, g, alpha, nu, interaction_range, omega)
+        ref, _ = _dense_trace(times, h_drive, psi0, h0)
+        ref["energies"] = ref["energies"] - ref["energies"][0]
+        _assert_trace_matches(trace, ref)
+
+
+def _dicke_dense(n, lam, cutoff):
+    """Dicke Hamiltonian and battery levels on the full spin x cavity
+    space, omega = omega_c = 1."""
+    jx, _jy, jz = qcore.spin_operators(n / 2.0)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+    eye_c = np.eye(cutoff + 1)
+    h = (np.kron(jz, eye_c) + np.kron(np.eye(n + 1), a.T @ a)
+         + 2 * lam * np.kron(jx, a + a.T))
+    return h, np.kron(jz, eye_c)
+
+
+@pytest.mark.parametrize("rescale", [False, True])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_dicke_parity_sector_matches_full_space(n, rescale):
+    lam, cutoff = 0.3, 40
+    times = np.linspace(0.0, 3.0, 151)
+    for n_photons in (n, n + 1):
+        trace = battery.charge_dicke(n, n_photons, lam, rescale, 1.0, 1.0,
+                                     cutoff, 3.0, 0.02)
+        h, h0 = _dicke_dense(n, lam / np.sqrt(n) if rescale else lam, cutoff)
+        psi0 = np.zeros(len(h), dtype=complex)
+        psi0[n_photons] = 1.0
+        ref, psis = _dense_trace(times, h, psi0, h0)
+        _assert_trace_matches(trace, ref)
+        block = psis[int(np.argmax(ref["energies"]))].reshape(n + 1,
+                                                              cutoff + 1)
+        fraction = battery.extractable_fraction(
+            block @ block.conj().T, np.diag(np.arange(-n / 2, n / 2 + 1)))
+        assert trace.final_fraction == pytest.approx(fraction, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, n_photons, lam, cutoff", [
+    (2, 2, 0.5, 6), (4, 4, 0.5, 6), (3, 3, 0.4, 8), (3, 4, 0.2, 14)])
+def test_dicke_parity_sector_cutoff_check_matches_full_space(n, n_photons,
+                                                             lam, cutoff):
+    times = np.linspace(0.0, 10.0, 1001)
+    h, h0 = _dicke_dense(n, lam, cutoff)
+    psi0 = np.zeros(len(h), dtype=complex)
+    psi0[n_photons] = 1.0
+    _, psis = _dense_trace(times, h, psi0, h0)
+    top = np.abs(psis.reshape(len(times), n + 1, cutoff + 1)[:, :, -1]) ** 2
+    tail = np.max(top.sum(axis=1))
+    assert tail > 1e-6 or tail < 1e-10  # far from the 1e-8 threshold
+    if tail > 1e-8:
+        with pytest.raises(CutoffTooSmall):
+            battery.charge_dicke(n, n_photons, lam, False, 1.0, 1.0, cutoff,
+                                 10.0, 0.01)
+    else:
+        battery.charge_dicke(n, n_photons, lam, False, 1.0, 1.0, cutoff,
+                             10.0, 0.01)
+
+
+def _reassembled(h, sectors):
+    """Full-space eigenvectors and levels from per-sector eigenpairs."""
+    columns, levels = [], []
+    for sector, vals, vecs in battery._sector_eig(h, sectors):
+        full = np.zeros((len(h), len(vals)), dtype=complex)
+        sector.embed(vecs, full)
+        columns.append(full)
+        levels.append(vals)
+    return np.hstack(columns), np.concatenate(levels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sector_blocks_reassemble_the_full_hamiltonian(n):
+    dim = 2**n
+    lower = np.arange(dim // 2)
+    flip = [battery._Sector(lower, dim - 1 - lower, sign)
+            for sign in (1.0, -1.0)]
+    magnetisation = np.array([sum(1 - 2 * ((s >> k) & 1) for k in range(n))
+                              for s in range(dim)])
+    spin_sectors = [battery._Sector(np.flatnonzero(magnetisation == m))
+                    for m in np.unique(magnetisation)]
+    h_drive, h0 = _xxz_dense(n, 0.8, 0.5, 0.3, 1.2, "power_law", 0.9)
+    cutoff = 5
+    parity = np.add.outer(np.arange(n + 1), np.arange(cutoff + 1)).ravel() % 2
+    h_dicke, _ = _dicke_dense(n, 0.4, cutoff)
+    for h, sectors in (
+            (h_drive, flip), (h0, spin_sectors),
+            (h_dicke, [battery._Sector(np.flatnonzero(parity == p))
+                       for p in (0, 1)])):
+        vecs, vals = _reassembled(h, sectors)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(len(h)), atol=1e-12)
+        assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
+    # the flip blocks are H[R, R] + H[R, R-bar] and H[R, R] - H[R, R-bar]
+    bar = dim - 1 - lower
+    assert np.allclose(flip[0].block(h_drive) - flip[1].block(h_drive),
+                       2 * h_drive[np.ix_(lower, bar)], atol=1e-14)
 
 
 # --- extractable fraction ---------------------------------------------------------

@@ -338,6 +338,36 @@ scale = log
     assert [r["n_copies"] for r in rows] == ["2", "4", "8", "16"]
 
 
+_N_COPY_SWEEP = """
+[experiment]
+name = n-copy
+
+[parameters]
+energies = 0,1
+populations = 0.3,0.7
+{line}
+[sweep]
+key = n_copies
+from = 1
+to = 3
+steps = 3
+"""
+
+
+def test_swept_required_key_needs_no_parameters_line(tmp_path, capsys):
+    path = write_config(tmp_path, _N_COPY_SWEEP.format(line=""))
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    rows = _run_rows(["run", "n-copy", "--config", path], capsys)
+    assert [r["n_copies"] for r in rows] == ["1", "2", "3"]
+
+
+def test_swept_key_given_in_parameters_is_still_checked(tmp_path, capsys):
+    path = write_config(tmp_path, _N_COPY_SWEEP.format(line="n_copies = 0"))
+    assert cli.main(["validate", path]) == 2
+    assert "n_copies" in capsys.readouterr().out
+
+
 def _near_bounds(spec):
     """Numbers at, just below and just above the bounds of ``spec``."""
     near = ["-1", "0", "1", "2", "2.5"]
