@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, battery, cycles, floquet, metrology, qcore, sta
-from .errors import QThermError
+from .errors import InvalidConfig, QThermError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -621,11 +621,12 @@ def write_json(table: ResultTable, stream) -> None:
 
 def run(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch the config to its experiment; sweeps produce one row per
-    sweep point, assembled in sweep order on a bounded worker pool."""
-    exp = EXPERIMENTS[cfg.experiment]
+    sweep point, assembled in sweep order on a bounded worker pool. A
+    config that fails validation raises InvalidConfig."""
     points, diags = parse_config(cfg)
     if diags:
-        raise ValueError("; ".join(diags))
+        raise InvalidConfig(diags)
+    exp = EXPERIMENTS[cfg.experiment]
     if cfg.sweep is None:
         row = exp.runner(points[0])
         if exp.multi_row:
@@ -734,13 +735,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg.output_format = args.format
     if args.threads is not None:
         cfg.threads = args.threads
-    diags = validate_config(cfg)
-    if diags:
-        for line in diags:
-            print(line, file=sys.stderr)
-        return EXIT_CONFIG
     try:
         table = run(cfg)
+    except InvalidConfig as exc:
+        for line in exc.diagnostics:
+            print(line, file=sys.stderr)
+        return EXIT_CONFIG
     except QThermError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

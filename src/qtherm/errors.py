@@ -28,6 +28,17 @@ class InvalidParams(QThermError, ValueError):
     """
 
 
+class InvalidConfig(QThermError, ValueError):
+    """An experiment config fails validation.
+
+    Carries ``diagnostics``: one line per problem found.
+    """
+
+    def __init__(self, diagnostics):
+        super().__init__("; ".join(diagnostics))
+        self.diagnostics = list(diagnostics)
+
+
 class NumericalInstability(QThermError):
     """A numerically evolved state violates positivity beyond tolerance."""
 

@@ -120,11 +120,17 @@ def matrix_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
 
 def midpoint_propagator(h_of_t, t0: float, t1: float, n_steps: int) -> np.ndarray:
     """Time-ordered propagator U(t1, t0) of the Hamiltonian ``h_of_t``,
-    as a product of n_steps exponentials of H at each step's midpoint."""
-    u = np.eye(np.asarray(h_of_t(t0)).shape[0], dtype=complex)
+    as a product of n_steps exponentials of H at each step's midpoint,
+    all taken from one batched eigendecomposition."""
     dt = (t1 - t0) / n_steps
-    for k in range(n_steps):
-        u = sla.expm(-1j * dt * h_of_t(t0 + (k + 0.5) * dt)) @ u
+    hs = np.array([h_of_t(t0 + (k + 0.5) * dt) for k in range(n_steps)], dtype=complex)
+    if np.max(np.abs(hs - hs.conj().swapaxes(1, 2))) > 1e-10 * (1.0 + np.max(np.abs(hs))):
+        raise NotHermitian("midpoint Hamiltonian is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(hs)
+    steps = (vecs * np.exp(-1j * dt * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    u = np.eye(hs.shape[-1], dtype=complex)
+    for step in steps:
+        u = step @ u
     return u
 
 
@@ -170,7 +176,23 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def bures_angle(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Bures angular distance arccos(F), F clamped into [0, 1]."""
+    """Bures angular distance arccos(F), F clamped into [0, 1].
+
+    For two pure states it is the chord form 2 arcsin(|psi1 - e^{i phi}
+    psi2| / 2), with phi the phase of <psi2|psi1>: arccos loses half the
+    digits where F rounds to 1, and the chord keeps them.
+    """
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho1.shape != rho2.shape:
+        raise DimMismatch("Bures angle arguments must share dimension")
+    p1, v1 = _principal_eigvec(rho1)
+    p2, v2 = _principal_eigvec(rho2)
+    if p1 > 1.0 - 1e-12 and p2 > 1.0 - 1e-12:
+        overlap = np.vdot(v2, v1)
+        phase = overlap / abs(overlap) if overlap != 0 else 1.0
+        chord = np.linalg.norm(v1 - phase * v2)
+        return float(2 * np.arcsin(min(chord / 2, 1.0)))
     return float(np.arccos(fidelity(rho1, rho2)))
 
 

@@ -282,6 +282,22 @@ def test_qsl_random_driven_qubits():
         assert rep.actual_tau >= rep.tau_unified - 1e-9
 
 
+def test_qsl_stationary_pure_states_do_not_raise():
+    # an eigenstate evolved exactly stays put up to rounding; arccos of a
+    # fidelity of 1 - 1e-16 read as an angle of about 1.5e-8 here
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        h = random_hermitian(d)
+        vals, vecs = np.linalg.eigh(h)
+        k = int(rng.integers(d))
+        traj = []
+        for t in np.linspace(0.0, rng.uniform(0.5, 3.0), 5):
+            psi = np.exp(-1j * vals[k] * t) * vecs[:, k]
+            traj.append((t, np.outer(psi, psi.conj())))
+        rep = battery.qsl_report(traj, lambda t: h)
+        assert rep.bures_distance < 1e-9
+
+
 def test_qsl_zero_duration_raises():
     rho = np.diag([0.8, 0.2]).astype(complex)
     h = np.diag([0.0, 1.0]).astype(complex)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtherm import cli
-from qtherm.errors import TrapInversionWarning
+from qtherm.errors import InvalidConfig, TrapInversionWarning
 
 SPEC_EXPERIMENTS = {
     "maser", "box-carnot", "otto", "otto-squeezed", "otto-numeric",
@@ -180,6 +180,18 @@ def test_validate_good_config(tmp_path, capsys):
     path = write_config(tmp_path, OTTO_CONFIG)
     assert cli.main(["validate", path]) == 0
     assert capsys.readouterr().out.strip() == ""
+
+
+def test_run_parses_its_config_once(tmp_path, monkeypatch):
+    calls = []
+    parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config", lambda cfg: calls.append(cfg) or parse(cfg))
+    path = write_config(tmp_path, OTTO_CONFIG)
+    assert cli.main(["run", "otto", "--config", path, "--out",
+                     str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
+    with pytest.raises(InvalidConfig, match="missing required parameter"):
+        cli.run(cli.ExperimentConfig("otto", {"omega_a": "2"}))
 
 
 def test_missing_key_names_it(tmp_path, capsys):

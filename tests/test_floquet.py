@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+import dense_gksl
 from qtherm import floquet, lindblad, qcore
 from qtherm.errors import NoCoupling, UnclassifiableState
 
@@ -117,11 +118,7 @@ def test_ctm_matches_generator_nullspace():
     cfg = floquet.spectral_separation_preset(10.0, 4.0, 4.0, 1.0)
     r = floquet.ctm_steady_state(cfg)
     total, _parts, _ch = floquet.ctm_generator(cfg)
-    gen = lindblad.LindbladGenerator(
-        dim=2, hamiltonian=5.0 * SZ, hamiltonian_part=np.zeros((4, 4), dtype=complex),
-        dissipator_parts={"all": total},
-    )
-    rho = lindblad.steady_state(gen)
+    rho = dense_gksl.steady_state(total)
     assert rho[0, 0].real / rho[1, 1].real == pytest.approx(r, abs=1e-10)
 
 

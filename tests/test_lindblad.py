@@ -1,12 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
+import dense_gksl
 from qtherm import lindblad, qcore
-from qtherm.errors import DegenerateSteadyState, DimMismatch
+from qtherm.errors import DegenerateSteadyState, DimMismatch, InvalidParams
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -48,43 +49,6 @@ def two_mode_model(cutoff, t_h, t_c, rate):
     ad, bd = a.conj().T, b.conj().T
     h = 2 * ad @ a + bd @ b + 0.15 * (ad @ b + a @ bd)
     return h, [flat_bath("hot", t_h, a + ad, rate), flat_bath("cold", t_c, b + bd, rate)]
-
-
-def per_term_dissipator(jumps, rates):
-    """Oracle: one three-Kronecker superoperator per jump term, summed."""
-    d = jumps[0].shape[0]
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for s, r in zip(jumps, rates):
-        n = s.conj().T @ s
-        out += r * (np.kron(s.conj(), s) - 0.5 * (np.kron(eye, n) + np.kron(n.T, eye)))
-    return out
-
-
-def svd_null_state(total):
-    """Oracle: right singular vector of the smallest singular value,
-    normalised to unit trace."""
-    _u, _s, vh = np.linalg.svd(total)
-    rho = qcore.hermitianize(qcore.devectorize(vh[-1].conj()))
-    return rho / np.trace(rho).real
-
-
-def evolve_ode(h, jump_rate_pairs, rho0, t_span, t_eval=None, rtol=1e-10, atol=1e-12):
-    """Oracle for ``evolve``: integrate drho/dt in matrix form with DOP853."""
-    d = h.shape[0]
-    ops = [(np.sqrt(r) * j) for j, r in jump_rate_pairs if r > 0]
-    sds = [o.conj().T @ o for o in ops]
-
-    def rhs(_t, y):
-        rho = y.reshape(d, d)
-        drho = -1j * (h @ rho - rho @ h)
-        for o, n in zip(ops, sds):
-            drho += o @ rho @ o.conj().T - 0.5 * (n @ rho + rho @ n)
-        return drho.reshape(-1)
-
-    sol = solve_ivp(rhs, t_span, np.asarray(rho0, dtype=complex).reshape(-1),
-                    t_eval=t_eval, method="DOP853", rtol=rtol, atol=atol)
-    return [qcore.hermitianize(y.reshape(d, d)) for y in sol.y.T]
 
 
 # --- decompose_coupling ---------------------------------------------------------
@@ -178,11 +142,20 @@ def test_decompose_matches_projector_loop(model):
 
 
 def test_generator_total_is_built_once():
-    gen = lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX, rate=1.0)])
+    h, baths = two_mode_model(2, 2.0, 0.6, 0.1)
+    gen = lindblad.build_generator(h, baths)
+    rho = lindblad.steady_state(gen)
+    lindblad.evolve(gen, rho, 1.0)
+    lindblad.entropy_production(gen, rho, baths)
+    # no library path reads the dense views
+    assert "total" not in vars(gen) and "jump_terms" not in vars(gen)
     assert gen.total is gen.total
     assert not gen.total.flags.writeable
-    assert np.array_equal(
-        gen.total, gen.hamiltonian_part + gen.dissipator_parts["b"])
+    want = lindblad.hamiltonian_super(h)
+    for terms in gen.jump_terms.values():
+        want = want + lindblad.dissipator_super(
+            np.array([t.operator for t in terms]), [t.rate for t in terms])
+    assert np.array_equal(gen.total, want)
 
 
 def hand_built_qubit_superop(omega0, temperature, rate):
@@ -215,7 +188,9 @@ def test_build_generator_qubit_oracle():
 
 def test_zero_rate_reduces_to_commutator():
     gen = lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX, rate=0.0)])
-    assert np.allclose(gen.total, gen.hamiltonian_part, atol=1e-14)
+    commutator = lindblad.hamiltonian_super(0.5 * SZ)
+    assert np.allclose(gen.total, commutator, atol=1e-14)
+    assert np.allclose(dense_gksl.from_blocks(gen.blocks), commutator, atol=1e-14)
 
 
 def test_stacked_dissipator_matches_per_term_build():
@@ -224,9 +199,9 @@ def test_stacked_dissipator_matches_per_term_build():
         rates = rng.uniform(0.0, 2.0, size=n)
         rates[0] = 0.0  # a closed channel contributes nothing
         got = lindblad.dissipator_super(jumps, rates)
-        assert np.max(np.abs(got - per_term_dissipator(jumps, rates))) < 1e-13
+        assert np.max(np.abs(got - dense_gksl.dissipator(jumps, rates))) < 1e-13
     single = lindblad.dissipator_super(jumps[1], rates[1])
-    assert np.max(np.abs(single - per_term_dissipator(jumps[1:2], rates[1:2]))) < 1e-13
+    assert np.max(np.abs(single - dense_gksl.dissipator(jumps[1:2], rates[1:2]))) < 1e-13
 
 
 def test_build_generator_matches_per_term_build():
@@ -234,8 +209,9 @@ def test_build_generator_matches_per_term_build():
     gen = lindblad.build_generator(h, baths)
     for bath in baths:
         terms = gen.jump_terms[bath.label]
-        oracle = per_term_dissipator([t.operator for t in terms], [t.rate for t in terms])
-        assert np.max(np.abs(gen.dissipator_parts[bath.label] - oracle)) < 1e-13
+        oracle = dense_gksl.dissipator([t.operator for t in terms], [t.rate for t in terms])
+        part = dense_gksl.from_blocks(gen.dissipator_parts[bath.label])
+        assert np.max(np.abs(part - oracle)) < 1e-13
 
 
 def test_two_bath_additivity():
@@ -247,7 +223,7 @@ def test_two_bath_additivity():
     only2 = lindblad.build_generator(h, [b2])
     assert np.allclose(
         both.total,
-        only1.total + only2.total - both.hamiltonian_part,
+        only1.total + only2.total - lindblad.hamiltonian_super(h),
         atol=1e-12,
     )
     # trace preservation: the row representing Tr is zero
@@ -319,6 +295,7 @@ def test_pure_dephasing_degenerate_kernel():
     with pytest.raises(DegenerateSteadyState) as exc:
         lindblad.steady_state(gen)
     assert len(exc.value.kernel_basis) >= 2
+    assert len(exc.value.kernel_basis) == len(dense_gksl.svd_kernel(gen.total))
 
 
 def test_steady_state_matches_svd_null_vector():
@@ -328,10 +305,12 @@ def test_steady_state_matches_svd_null_vector():
                            rate=float(rng.uniform(0.1, 1.5)))
                  for k in range(int(rng.integers(1, 3)))]
         gen = lindblad.build_generator(random_hermitian(d), baths)
-        assert np.max(np.abs(lindblad.steady_state(gen) - svd_null_state(gen.total))) < 1e-12
+        want = dense_gksl.svd_null_state(gen.total)
+        assert np.max(np.abs(lindblad.steady_state(gen) - want)) < 1e-12
     for t_h, t_c in [(2.0, 0.6), (0.8, 0.8)]:
         gen = lindblad.build_generator(*two_mode_model(3, t_h, t_c, 0.1))
-        assert np.max(np.abs(lindblad.steady_state(gen) - svd_null_state(gen.total))) < 1e-12
+        want = dense_gksl.svd_null_state(gen.total)
+        assert np.max(np.abs(lindblad.steady_state(gen) - want)) < 1e-12
 
 
 def test_untouched_qubit_gives_two_state_kernel():
@@ -352,9 +331,144 @@ def test_untouched_qubit_gives_two_state_kernel():
             with pytest.raises(DegenerateSteadyState) as exc:
                 lindblad.steady_state(gen)
         basis = exc.value.kernel_basis
-        assert len(basis) == 2
+        assert len(basis) == 2 == len(dense_gksl.svd_kernel(gen.total))
         for k in basis:
             assert np.max(np.abs(gen.total @ qcore.vectorize(k))) < 1e-12
+
+
+# --- Bohr sectors against the dense oracle ------------------------------------------------
+
+FAMILIES = {"flat": {}, "ohmic_exp_cutoff": {"cutoff": 1.5},
+            "windowed_flat": {"window": (0.0, 2.0)}}
+
+
+def random_baths(d, n_baths, family):
+    return [lindblad.BathSpec(
+        f"b{k}", float(rng.uniform(0.3, 3.0)),
+        lindblad.SpectralFunction(family, float(rng.uniform(0.1, 1.5)), **FAMILIES[family]),
+        random_hermitian(d)) for k in range(n_baths)]
+
+
+def assert_matches_dense(gen, tol=1e-12):
+    """Blocks, evolution, steady state and heat currents of ``gen`` against
+    the dense superoperator of its jump terms."""
+    total = gen.total
+    assert np.max(np.abs(dense_gksl.from_blocks(gen.blocks) - total)) < tol
+    assert np.max(np.abs(dense_gksl.generator_super(gen) - total)) < tol
+    parts = {}
+    for bath in gen.baths:
+        parts[bath.label] = dense_gksl.generator_super(gen, [bath.label])
+        got = dense_gksl.from_blocks(gen.dissipator_parts[bath.label])
+        assert np.max(np.abs(got - parts[bath.label])) < tol
+    rho0 = random_density(gen.dim)
+    for t in (0.3, 2.0):
+        want = qcore.hermitianize(dense_gksl.evolve(total, rho0, t))
+        assert np.max(np.abs(lindblad.evolve(gen, rho0, t) - want)) < tol
+    flux = 0.0
+    for bath in gen.baths:
+        j = lindblad.heat_current(gen.dissipator_parts[bath.label], rho0, gen.hamiltonian)
+        drho = qcore.devectorize(parts[bath.label] @ qcore.vectorize(rho0))
+        assert abs(j - np.trace(drho @ gen.hamiltonian).real) < tol
+        flux += j / bath.temperature
+    vals, vecs = np.linalg.eigh(rho0)
+    drho = qcore.devectorize(total @ qcore.vectorize(rho0))
+    sigma = -np.trace(drho @ (vecs * np.log(vals)) @ vecs.conj().T).real - flux
+    assert abs(lindblad.entropy_production(gen, rho0, gen.baths) - sigma) < tol
+    try:
+        want = dense_gksl.steady_state(total)
+    except DegenerateSteadyState as exc:
+        with pytest.raises(DegenerateSteadyState) as got:
+            lindblad.steady_state(gen)
+        assert len(got.value.kernel_basis) == len(exc.kernel_basis)
+        return
+    rho = lindblad.steady_state(gen)
+    assert np.max(np.abs(rho - want)) < tol
+    for label, part in parts.items():
+        j = lindblad.heat_current(gen.dissipator_parts[label], rho, gen.hamiltonian)
+        drho = qcore.devectorize(part @ qcore.vectorize(rho))
+        assert abs(j - np.trace(drho @ gen.hamiltonian).real) < tol
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n_baths", [1, 2])
+def test_sector_blocks_match_dense_oracle(family, n_baths):
+    for d in range(2, 7):
+        for _ in range(3):
+            gen = lindblad.build_generator(random_hermitian(d),
+                                           random_baths(d, n_baths, family))
+            assert_matches_dense(gen)
+
+
+@pytest.mark.parametrize("model", ["degenerate", "rotated degenerate", "lambda", "ladder",
+                                   "near ladder", "untouched qubit"])
+def test_sector_edge_cases_match_dense_oracle(model):
+    a = np.diag(np.sqrt(np.arange(1.0, 8.0)), 1)
+    if "degenerate" in model:  # a† a + b† b: shells of equal energy
+        h, baths = two_mode_model(2, 2.0, 0.6, 0.3)
+        h = np.diag(np.add.outer(np.arange(3.0), np.arange(3.0)).ravel())
+        if model.startswith("rotated"):  # couples within and across shells
+            baths[1] = flat_bath("cold", 0.6, random_hermitian(9), 0.3)
+    elif model == "lambda":
+        # degenerate upper pair coupled to the ground level only through
+        # (|1> + |2>)/sqrt2: only K couples the coherences |0><1| and |0><2|
+        v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+        s = np.outer([1.0, 0.0, 0.0], v)
+        h, baths = np.diag([0.0, 1.0, 1.0]), [flat_bath("b", 0.7, s + s.T, 0.5)]
+    elif model == "ladder":  # equally spaced levels: large Bohr sectors
+        h = np.diag(np.arange(8.0))
+        baths = [flat_bath("hot", 2.0, a + a.T, 0.2), flat_bath("cold", 0.5, a @ a.T, 0.4)]
+    elif model == "near ladder":
+        # gaps 1 + 0.4 k tol: neighbouring Bohr frequencies round together
+        # in chains, so one sector spans terms that stay apart
+        n = np.arange(8.0)
+        h = np.diag(n + 0.4 * 7e-9 * n * (n - 1) / 2)
+        baths = [flat_bath("b", 1.0, a + a.T + 0.5 * (a @ a + a.T @ a.T), 0.5)]
+    else:  # the bath flips the first qubit only
+        eye = np.eye(2)
+        h = 0.5 * np.kron(SZ, eye) + 0.8 * np.kron(eye, SZ)
+        baths = [flat_bath("b", 1.0, np.kron(SX, eye))]
+    assert_matches_dense(lindblad.build_generator(h, baths))
+
+
+@pytest.mark.parametrize("offset,gap,n_terms", [(0.0, 0.6, 5), (0.4999999984375, 0.6, 7),
+                                                (0.0, 1.5, 7)],
+                         ids=["merged", "split-below-tol", "split-above-tol"])
+def test_bohr_gap_at_rounding_edge_matches_dense_oracle(offset, gap, n_terms):
+    """Levels offset + (0, 1, 2), the top one raised by ``gap`` times the
+    degeneracy tolerance: Bohr frequencies 1 and 1 + gap tol either round
+    to one jump term, which couples their coherences, or stay two."""
+    e = offset + np.array([0.0, 1.0, 2.0])
+    e[2] += gap * 1e-9 * e[2]
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    h, s = qcore.hermitianize(q @ np.diag(e) @ q.conj().T), random_hermitian(3)
+    assert len(lindblad.decompose_coupling(s, h)) == n_terms
+    assert_matches_dense(lindblad.build_generator(h, [flat_bath("b", 0.8, s, 0.5)]))
+
+
+def test_d256_steady_state_without_superoperator():
+    """Two-mode model at cutoff 15: its d² x d² superoperator would take
+    about 69 GB."""
+    tracemalloc.start()
+    try:
+        for t_h, t_c in [(0.8, 0.8), (2.0, 0.6)]:
+            h, baths = two_mode_model(15, t_h, t_c, 0.1)
+            gen = lindblad.build_generator(h, baths)
+            rho = lindblad.steady_state(gen)
+            j_h, j_c = (lindblad.heat_current(gen.dissipator_parts[b.label], rho, h)
+                        for b in baths)
+            if t_h == t_c:
+                assert np.max(np.abs(rho - qcore.gibbs_state(h, t_h))) < 1e-12
+            else:
+                assert j_h > 1e-3 and abs(j_h + j_c) < 1e-14
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
+def test_duplicate_bath_labels_rejected():
+    with pytest.raises(InvalidParams):
+        lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX), flat_bath("b", 2.0, SX)])
 
 
 # --- heat current / entropy production ------------------------------------------------
@@ -377,7 +491,8 @@ def test_heat_current_sign_hot_system():
     j = lindblad.heat_current(gen.dissipator_parts["b"], hot_rho, h)
     assert j < 0
     # population-rate oracle: J = omega0 * d p_e/dt
-    drho = qcore.devectorize(gen.dissipator_parts["b"] @ qcore.vectorize(hot_rho))
+    part = dense_gksl.from_blocks(gen.dissipator_parts["b"])
+    drho = qcore.devectorize(part @ qcore.vectorize(hot_rho))
     assert j == pytest.approx(1.0 * drho[0, 0].real, abs=1e-12)
 
 
@@ -438,13 +553,13 @@ def test_evolve_ode_matches_expm():
     gen = lindblad.build_generator(h, [bath])
     rho0 = random_density(2)
     pairs = [(t.operator, t.rate) for t in gen.jump_terms["b"]]
-    out = evolve_ode(h, pairs, rho0, (0.0, 2.0), t_eval=[0.0, 2.0])
+    out = dense_gksl.evolve_ode(h, pairs, rho0, (0.0, 2.0), t_eval=[0.0, 2.0])
     assert np.allclose(out[-1], lindblad.evolve(gen, rho0, 2.0), atol=1e-8)
     # two-mode model, d = 16, from a state far from the steady one
     h, baths = two_mode_model(3, 2.0, 0.6, 0.15)
     gen = lindblad.build_generator(h, baths)
     rho0 = random_density(16)
     pairs = [(t.operator, t.rate) for b in baths for t in gen.jump_terms[b.label]]
-    out = evolve_ode(h, pairs, rho0, (0.0, 5.0), t_eval=[1.0, 5.0])
+    out = dense_gksl.evolve_ode(h, pairs, rho0, (0.0, 5.0), t_eval=[1.0, 5.0])
     for t, rho in zip([1.0, 5.0], out):
         assert np.max(np.abs(rho - lindblad.evolve(gen, rho0, t))) < 1e-8

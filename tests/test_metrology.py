@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import dense_gksl
 from qtherm import lindblad, metrology, oscillators, qcore
 from qtherm.errors import (
     CutoffTooSmall,
@@ -254,10 +255,8 @@ def lindblad_exchange_current(omega_h, omega_c, kappa_h, kappa_c, g,
     nb_c = 1.0 / np.expm1(omega_c / t_c)
     jumps = np.array([a_h, a_h.conj().T, a_c, a_c.conj().T])
     rates = [kappa_h * (nb_h + 1), kappa_h * nb_h, kappa_c * (nb_c + 1), kappa_c * nb_c]
-    gen = lindblad.LindbladGenerator(
-        dim=dim * dim, hamiltonian=h, hamiltonian_part=lindblad.hamiltonian_super(h),
-        dissipator_parts={"baths": lindblad.dissipator_super(jumps, rates)})
-    rho = lindblad.steady_state(gen)
+    rho = dense_gksl.steady_state(lindblad.hamiltonian_super(h)
+                                  + lindblad.dissipator_super(jumps, rates))
     c = np.trace(rho @ a_h.conj().T @ a_c)
     return 2 * g * float(c.imag)
 

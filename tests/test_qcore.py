@@ -123,6 +123,28 @@ def test_midpoint_propagator_constant_hamiltonian():
     assert np.allclose(u, sla.expm(-1j * h * 1.4), rtol=0, atol=1e-12)
 
 
+def expm_loop_propagator(h_of_t, t0, t1, n_steps):
+    """Oracle: one ``expm`` per midpoint step, multiplied in time order."""
+    u = np.eye(np.asarray(h_of_t(t0)).shape[0], dtype=complex)
+    dt = (t1 - t0) / n_steps
+    for k in range(n_steps):
+        u = sla.expm(-1j * dt * h_of_t(t0 + (k + 0.5) * dt)) @ u
+    return u
+
+
+def test_midpoint_propagator_matches_expm_loop():
+    for d, n_steps in [(2, 400), (3, 37), (5, 12)]:
+        h0, h1 = random_hermitian(d), random_hermitian(d)
+        h_of_t = lambda t: h0 + np.sin(1.3 * t) * h1
+        got = qcore.midpoint_propagator(h_of_t, 0.2, 2.9, n_steps)
+        assert np.max(np.abs(got - expm_loop_propagator(h_of_t, 0.2, 2.9, n_steps))) < 1e-13
+
+
+def test_midpoint_propagator_rejects_non_hermitian():
+    with pytest.raises(NotHermitian):
+        qcore.midpoint_propagator(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0, 4)
+
+
 def test_matrix_exp_trivial():
     assert np.allclose(qcore.matrix_exp(np.zeros((3, 3))), np.eye(3))
     assert np.allclose(qcore.matrix_exp(SX, 1j * np.pi / 2), 1j * SX, atol=1e-12)
