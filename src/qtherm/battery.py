@@ -271,14 +271,13 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
 # --- energy-space Fisher information and power bound ------------------------------------
 
 
-def _group_energies(evals: np.ndarray, tol: float = None):
+def _group_energies(evals: np.ndarray):
     """Degenerate energy levels grouped together: levels chain into one
-    group while consecutive sorted gaps are <= tol. Returns the group
-    energies (each group's mean) and the grouping (level order, group
-    starts) that ``_aggregate`` takes."""
+    group while consecutive sorted gaps are <= 1e-9 max(|E|, 1). Returns
+    the group energies (each group's mean) and the grouping (level order,
+    group starts) that ``_aggregate`` takes."""
     evals = np.asarray(evals, dtype=float)
-    if tol is None:
-        tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
+    tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
     order = np.argsort(evals, kind="stable")
     levels = evals[order]
     starts = np.flatnonzero(np.r_[True, np.diff(levels) > tol])
@@ -469,8 +468,7 @@ def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
-                reference_initial: bool = False, drive_ground: float = None,
-                ) -> Tuple[ChargeTrace, np.ndarray]:
+                drive_ground: float = None) -> Tuple[ChargeTrace, np.ndarray]:
     """Exact closed evolution of a pure state under a constant drive, with
     all ChargeTrace observables taken on the bare Hamiltonian H0.
 
@@ -479,8 +477,7 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     sector's basis. The drive sectors must span a subspace holding psi0,
     and the h0 sectors the whole space. The drive's ground level (the
     speed-limit reference) is its lowest level over its sectors unless
-    ``drive_ground`` gives it. ``reference_initial`` stores deposited
-    energy E(t) - E(0) instead of the absolute expectation.
+    ``drive_ground`` gives it.
 
     A pure state's ergotropy is its energy above the ground level of H0
     (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
@@ -511,8 +508,6 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     variances = (pops * dev**2).sum(axis=1)
     powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
     stored = energies.max() - h0_levels.min()
-    if reference_initial:
-        energies = energies - energies[0]
     denom = np.sqrt(variances * fisher)
     tightness = np.where(denom > 1e-300,
                          np.clip(powers / np.where(denom > 0, denom, 1.0),
@@ -601,8 +596,8 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     psi0 = np.zeros(dim, dtype=complex)
     psi0[dim - 1] = 1.0  # all spins down
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, drive, psi0, h0_eig, reference_initial=True)
-    return trace
+    trace, _ = _pure_trace(times, drive, psi0, h0_eig)
+    return replace(trace, energies=trace.energies - trace.energies[0])
 
 
 def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, battery, cycles, floquet, metrology, qcore, sta
-from .errors import InvalidConfig, QThermError
+from .errors import InvalidConfig, InvalidParams, NumericalInstability, QThermError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,7 +202,10 @@ def _run_sta_cd(p):
 
     h_cd = sta.counterdiabatic(h0, t, p["dt"])
     coeff = float(np.real(1j * h_cd[0, 1]))
-    closed = 0.5 * delta * v / (delta**2 + (v * t) ** 2)
+    try:
+        closed = 0.5 * delta * v / (delta**2 + (v * t) ** 2)
+    except OverflowError as exc:  # a float square beyond 1.8e308
+        raise NumericalInstability(f"closed form overflows: {exc}") from exc
     return {"cd_coefficient": coeff, "closed_form": closed,
             "residual": abs(coeff - closed)}
 
@@ -220,11 +223,14 @@ def _run_qfi(p):
     omega = p["omega"]
 
     def thermal_qubit(temp):
-        pe = 1.0 / (1.0 + np.exp(omega / temp))
+        with np.errstate(over="ignore"):  # e^x = inf is the pe = 0 limit
+            pe = 1.0 / (1.0 + np.exp(omega / temp))
         return np.diag([1.0 - pe, pe]).astype(complex)
 
-    rep = metrology.qfi(metrology.ParamFamily(thermal_qubit),
-                        p["temperature"])
+    family, temp = metrology.ParamFamily(thermal_qubit), p["temperature"]
+    if not temp > family.step(temp):  # the central difference samples T - step
+        raise InvalidParams("temperature must exceed the finite-difference step")
+    rep = metrology.qfi(family, temp)
     return {"qfi": rep.qfi, "cramer_rao_floor": rep.cramer_rao_floor}
 
 
@@ -232,7 +238,7 @@ def _run_thermometry(p):
     grid = np.linspace(p["t_h_min"], p["t_h_max"], p["t_h_steps"])
     res = metrology.thermometry_simulate(
         p["omega_h"], p["omega_c"], p["kappa_h"], p["kappa_c"], p["g"],
-        p["t_c_true"], grid, n_max=p["n_max"])
+        p["t_c_true"], grid)
     return {"null_location": res.null_location,
             "t_c_estimate": res.estimated_parameter,
             "error_estimate": res.error_estimate}
@@ -388,7 +394,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "kappa_h": Param(float), "kappa_c": Param(float),
          "g": Param(float), "t_c_true": Param(float, minimum=0.0),
          "t_h_min": Param(float), "t_h_max": Param(float),
-         "t_h_steps": Param(int, minimum=2), "n_max": Param(int, 400)},
+         "t_h_steps": Param(int, minimum=2)},
         _run_thermometry),
     "magnetometry": Experiment(
         {"omega_un_true": Param(float), **_TEMPS,

@@ -392,28 +392,39 @@ class OutcoupledParams:
     Omega(t) = -v t on the first half cycle and -v(T - t) on the second;
     the impulse coupling g sx (a + a+) fires at t = (m + b) T. Baths act
     as instantaneous Gibbs resets of the engine (cold at the cycle
-    boundaries, hot at mid-cycle).
+    boundaries, hot at mid-cycle). v, the period T, the oscillator
+    frequency omega and both inverse temperatures follow from delta.
     """
 
     delta: float = 1.0
     g: float = 0.02
     b: float = 0.1
-    v: float = None
-    period: float = None
-    omega: float = None
-    beta_c: float = None
-    beta_h: float = None
     n_fock: int = 30
 
-    def resolved(self):
-        d = self.delta
-        v = 0.5 * d**2 if self.v is None else self.v
-        period = 20.0 / d if self.period is None else self.period
-        omega = 2 * np.pi * 0.05 / period if self.omega is None else self.omega
-        e_max = 2 * np.sqrt(d**2 + (v * period / 2) ** 2)
-        beta_c = 1.0 / d if self.beta_c is None else self.beta_c
-        beta_h = 1.0 / (4 * e_max) if self.beta_h is None else self.beta_h
-        return d, self.g, self.b, v, period, omega, beta_c, beta_h, self.n_fock
+    def __post_init__(self):
+        if not 1e-150 < self.delta < 1e150:  # so delta² is a normal float
+            raise InvalidParams("delta must lie in (1e-150, 1e150)")
+
+    @property
+    def v(self) -> float:
+        return 0.5 * self.delta**2
+
+    @property
+    def period(self) -> float:
+        return 20.0 / self.delta
+
+    @property
+    def omega(self) -> float:
+        return 2 * np.pi * 0.05 / self.period
+
+    @property
+    def beta_c(self) -> float:
+        return 1.0 / self.delta
+
+    @property
+    def beta_h(self) -> float:
+        e_max = 2 * np.sqrt(self.delta**2 + (self.v * self.period / 2) ** 2)
+        return 1.0 / (4 * e_max)
 
 
 def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
@@ -426,7 +437,8 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
     energy basis at each cycle boundary, which reproduces the average
     over per-cycle projective energy measurements.
     """
-    delta, g, b, v, period, omega, beta_c, beta_h, n_fock = params.resolved()
+    delta, g, b, n_fock = params.delta, params.g, params.b, params.n_fock
+    v, period, omega = params.v, params.period, params.omega
     if not (0 < b < 0.5):
         raise InvalidParams("impulse fraction b must lie in (0, 1/2)")
     dim = n_fock + 1
@@ -453,8 +465,8 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
     u2 = np.kron(u_e2, osc_phase(period / 2 - b * period))
     u3 = np.kron(u_e3, osc_phase(period / 2))
 
-    gibbs_c = qcore.gibbs_state(delta * SIGMA_X, 1.0 / beta_c)
-    gibbs_h = qcore.gibbs_state(h_first_half(period / 2), 1.0 / beta_h)
+    gibbs_c = qcore.gibbs_state(delta * SIGMA_X, 1.0 / params.beta_c)
+    gibbs_h = qcore.gibbs_state(h_first_half(period / 2), 1.0 / params.beta_h)
 
     space = qcore.CompositeSpace((2, dim))
     rho_s = np.zeros((dim, dim), dtype=complex)

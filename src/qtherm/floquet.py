@@ -98,15 +98,13 @@ class SidebandWeights:
         return float(np.sum(self.weights))
 
 
-def sideband_weights(mod: PeriodicModulation, m_max: int = 40,
-                     n_samples: int = 1 << 14) -> SidebandWeights:
+def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeights:
     """Fourier weights P_m = |(1/T) int_0^T e^{-i Phi(t)} e^{-i m Omega t} dt|^2.
 
-    Computed by FFT on a uniform grid (spectrally accurate for smooth
-    waveforms; n_samples is large enough for the piecewise family's 1/m^2
-    coefficient decay). The weights sum to 1 over all m; raises
-    TruncationTooSmall when those kept, |m| <= m_max, sum below 0.999,
-    so up to 1e-3 of the weight may lie outside the window.
+    Computed by FFT on a uniform grid of 2^14 points per period
+    (spectrally accurate for smooth waveforms). The weights sum to 1 over
+    all m; raises TruncationTooSmall when those kept, |m| <= m_max, sum
+    below 0.999, so up to 1e-3 of the weight may lie outside the window.
     """
     if m_max < 0:
         raise InvalidParams("m_max must be non-negative")
@@ -114,6 +112,7 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40,
         w = np.zeros(2 * m_max + 1)
         w[m_max] = 1.0
         return SidebandWeights(m_max, w)
+    n_samples = 1 << 14
     period = mod.period
     t = np.arange(n_samples) * (period / n_samples)
     f = np.exp(-1j * mod.phase_integral(t))
@@ -175,27 +174,23 @@ def spectral_separation_preset(
     rate: float = 1.0,
     amplitude: Optional[float] = None,
     waveform: str = "sinusoidal",
-    up_fraction: float = 0.5,
-    hot_window: Optional[tuple] = None,
-    cold_window: Optional[tuple] = None,
 ) -> CTMConfig:
     """Default CTM configuration: hot bath covers only the first upper
-    sideband, cold bath only the first lower sideband.
+    sideband, (omega0, omega0 + 1.5 Omega), cold bath only the first lower
+    sideband, (max(0, omega0 - 1.5 Omega), omega0).
 
     The single-sideband windows make the engine efficiency exactly
     2 Omega / (omega0 + Omega) and pin the mode flip at the critical
-    frequency; wider windows can be passed explicitly.
+    frequency. The amplitude defaults to Omega/2.
     """
     omega = drive_frequency
     if amplitude is None:
         amplitude = 0.5 * omega
-    if hot_window is None:
-        hot_window = (omega0, omega0 + 1.5 * omega)
-    if cold_window is None:
-        cold_window = (max(0.0, omega0 - 1.5 * omega), omega0)
+    hot_window = (omega0, omega0 + 1.5 * omega)
+    cold_window = (max(0.0, omega0 - 1.5 * omega), omega0)
     mod = PeriodicModulation(
         mean_gap=omega0, drive_frequency=omega, waveform=waveform,
-        amplitude=amplitude, up_fraction=up_fraction,
+        amplitude=amplitude,
     )
     hot = lindblad.BathSpec(
         "hot", t_hot,
@@ -300,7 +295,7 @@ def classify_mode(j_h: float, j_c: float, p: float, tol: float = 1e-9) -> str:
     )
 
 
-def ctm_currents(cfg: CTMConfig, m_max: int = 40, tol: float = 1e-9) -> CTMReport:
+def ctm_currents(cfg: CTMConfig, m_max: int = 40) -> CTMReport:
     """Steady-state heat currents, power, and operating mode.
 
     J_j = sum_m ((omega0 + m Omega)/omega0) Tr(L_m^j rho_ss H_F) with
@@ -322,7 +317,7 @@ def ctm_currents(cfg: CTMConfig, m_max: int = 40, tol: float = 1e-9) -> CTMRepor
     power = -(j_h + j_c)
     t_h, t_c = cfg.hot_bath.temperature, cfg.cold_bath.temperature
     omega_cr = omega0 * (t_h - t_c) / (t_h + t_c)
-    mode = classify_mode(j_h, j_c, power, tol=tol)
+    mode = classify_mode(j_h, j_c, power)
     eff = None
     if mode == "Engine" and j_h > 0:
         eff = -power / j_h

@@ -56,7 +56,8 @@ class SpectralFunction:
         decoupled from both baths).
 
     The KMS completion gamma(-omega) = exp(-omega/T) gamma(omega) is applied
-    by the bath wrapper, never stored here.
+    by the bath wrapper, never stored here. Parameters are checked once,
+    at construction (InvalidParams).
     """
 
     family: str = "flat"
@@ -64,12 +65,20 @@ class SpectralFunction:
     cutoff: float = 1.0
     window: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.family not in ("flat", "ohmic_exp_cutoff", "windowed_flat"):
+            raise InvalidParams(f"unknown spectral family {self.family!r}")
+        if not (np.isfinite(self.base_rate) and self.base_rate >= 0):
+            raise InvalidParams("base_rate must be finite and non-negative")
+        if self.family == "ohmic_exp_cutoff" and not self.cutoff > 0:
+            raise InvalidParams("ohmic_exp_cutoff needs a positive cutoff")
+        if self.family == "windowed_flat" and not (
+                len(self.window or ()) == 2 and self.window[0] < self.window[1]):
+            raise InvalidParams(
+                f"windowed_flat needs a window lo < hi, got {self.window!r}")
+
     def positive_side(self, omega: float) -> float:
         """gamma(omega) for omega >= 0 (before KMS completion)."""
-        if self.base_rate < 0:
-            raise InvalidParams("base_rate must be non-negative")
-        if self.family == "flat":
-            return self.base_rate
         if self.family == "ohmic_exp_cutoff":
             if omega <= 0:
                 return 0.0
@@ -78,7 +87,7 @@ class SpectralFunction:
         if self.family == "windowed_flat":
             lo, hi = self.window
             return self.base_rate if lo < omega < hi else 0.0
-        raise InvalidParams(f"unknown spectral family {self.family!r}")
+        return self.base_rate
 
 
 @dataclass(frozen=True)
@@ -114,21 +123,19 @@ class JumpTerm:
 # --- jump terms and dense superoperators -----------------------------------------
 
 
-def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray,
-                degeneracy_tol: float = None):
+def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
     """Jump term of each entry of S in the eigenbasis of H (-1 where the
     entry's cluster block is dropped) and the frequency of each term.
 
-    Gaps closer than ``degeneracy_tol`` (default 1e-9 x spectral radius)
-    merge. The block of ``s_eig`` between eigenvalue clusters a and b is
-    the part of S that lowers the energy by E_b - E_a; blocks whose largest
-    entry is below 1e-14 (1 + max |S|) are dropped. Blocks whose Bohr
+    Gaps closer than the tolerance 1e-9 max(spectral radius, 1) merge.
+    The block of ``s_eig`` between eigenvalue clusters a and b is the part
+    of S that lowers the energy by E_b - E_a; blocks whose largest entry
+    is below 1e-14 (1 + max |S|) are dropped. Blocks whose Bohr
     frequencies round to the same multiple of the tolerance form one term,
     which keeps the frequency of its first block in row-major order; terms
     come in ascending frequency.
     """
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
+    degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
     # clusters of (near-)degenerate eigenvalues, contiguous in ascending order
     starts = [0]
     for idx in range(1, len(vals)):
@@ -141,7 +148,7 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray,
                                     starts, axis=1)
     present = block_max >= 1e-14 * (1 + np.max(np.abs(s)))
     omegas = energies[None, :] - energies[:, None]  # [a, b] = E_b - E_a
-    keys = np.rint(omegas / max(degeneracy_tol, 1e-300))
+    keys = np.rint(omegas / degeneracy_tol)
     flat = np.flatnonzero(present)  # row-major
     _, first, term_of = np.unique(keys.flat[flat], return_index=True,
                                   return_inverse=True)
@@ -151,7 +158,7 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray,
     return block_term[np.ix_(cluster, cluster)], omegas.flat[flat[first]]
 
 
-def decompose_coupling(s: np.ndarray, h: np.ndarray, degeneracy_tol: float = None):
+def decompose_coupling(s: np.ndarray, h: np.ndarray):
     """Split a coupling operator into eigenspace jump terms.
 
     Returns JumpTerms with sum_omega S(omega) = S and [H, S(omega)] = -omega S(omega).
@@ -161,7 +168,7 @@ def decompose_coupling(s: np.ndarray, h: np.ndarray, degeneracy_tol: float = Non
     s = np.asarray(s, dtype=complex)
     vals, vecs = qcore.hermitian_eig(h)
     s_eig = vecs.conj().T @ s @ vecs
-    entry_term, freqs = _bohr_terms(s, s_eig, vals, degeneracy_tol)
+    entry_term, freqs = _bohr_terms(s, s_eig, vals)
     masked = np.where(entry_term == np.arange(len(freqs))[:, None, None], s_eig, 0)
     ops = vecs @ masked @ vecs.conj().T
     return [JumpTerm(f, op) for f, op in zip(freqs, ops)]
@@ -417,20 +424,20 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
     return rho
 
 
-def steady_state(gen: LindbladGenerator, kernel_tol: float = 1e-9) -> np.ndarray:
+def steady_state(gen: LindbladGenerator) -> np.ndarray:
     """Unique trace-one kernel element of the generator.
 
     The kernel lies in the zero-frequency sector: every other block must
-    have its smallest singular value above ``kernel_tol`` times the largest
+    have its smallest singular value above kernel_tol = 1e-9 times the largest
     of the generator. In the zero-frequency block the row of the ground
     population is redundant (the generator preserves the trace), so it is
     replaced by the trace functional and L x = 0, Tr x = 1 is solved by one
-    LU factorisation. A pivot below ``kernel_tol`` times the largest, or a
-    residual |L x| above ``kernel_tol`` |L| |x|, means the kernel is not one
+    LU factorisation. A pivot below kernel_tol times the largest, or a
+    residual |L x| above kernel_tol |L| |x|, means the kernel is not one
     traceful state; only then is the kernel computed by SVD, for the
     exception.
     """
-    blocks, d = gen.blocks, gen.dim
+    blocks, d, kernel_tol = gen.blocks, gen.dim, 1e-9
     svals = [np.linalg.svd(b, compute_uv=False) for b in blocks.stacks]
     s_max = max(float(s.max()) for s in svals)
     if any(s[:, -1].min() <= kernel_tol * s_max for s in svals[1:]):

@@ -146,13 +146,13 @@ def thermal_populations(omega: float, temperature: float, n_max: int) -> np.ndar
     return w / w.sum()
 
 
-def thermal_state(omega: float, temperature: float, omega_ref: float, n_max: int,
-                  tail_tol: float = 1e-10) -> np.ndarray:
+def thermal_state(omega: float, temperature: float, omega_ref: float,
+                  n_max: int) -> np.ndarray:
     """Gibbs state of H(omega) expressed in the reference Fock basis."""
     pops = thermal_populations(omega, temperature, n_max)
-    if pops[-1] > tail_tol:
+    if pops[-1] > 1e-10:
         raise CutoffTooSmall(
-            f"top Fock level holds population {pops[-1]:.2e} > {tail_tol:.0e}"
+            f"top Fock level holds population {pops[-1]:.2e} > 1e-10"
         )
     rho = np.diag(pops).astype(complex)
     if abs(omega - omega_ref) < 1e-14 * omega_ref:
@@ -168,11 +168,10 @@ class FrequencyRamp:
     U(t, 0) in the reference Fock basis.
     """
 
-    def __init__(self, omega_of_t, tau: float, n_max: int, t_eval=None,
-                 grid_points: int = 4001, rtol: float = 1e-11, atol: float = 1e-13):
+    def __init__(self, omega_of_t, tau: float, n_max: int, t_eval=None):
         self.tau = float(tau)
         self.n_max = int(n_max)
-        ts = np.linspace(0.0, tau, grid_points)
+        ts = np.linspace(0.0, tau, 4001)
         omegas = np.array([float(omega_of_t(t)) for t in ts])
         if not np.all(omegas > 0):  # also rejects the NaN of omega² < 0
             raise InvalidParams("frequency ramp must stay positive")
@@ -209,7 +208,7 @@ class FrequencyRamp:
         t_eval = None if t_eval is None else np.asarray(t_eval, dtype=float)
         sol = solve_ivp(
             rhs, (0.0, tau), np.eye(dim, dtype=complex).reshape(-1),
-            t_eval=t_eval, method="DOP853", rtol=rtol, atol=atol,
+            t_eval=t_eval, method="DOP853", rtol=1e-11, atol=1e-13,
             max_step=np.pi / (4 * w_max),
         )
         self._times = sol.t

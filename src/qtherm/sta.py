@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,16 +40,19 @@ class ErmakovSchedule:
     def omega0(self) -> float:
         return self.omega_i
 
+    @cached_property
+    def _derivative_coeffs(self):  # of b' and b'', once per schedule
+        poly = np.polynomial.polynomial
+        return poly.polyder(self.b_coeffs), poly.polyder(self.b_coeffs, 2)
+
     def b(self, t):
         return np.polynomial.polynomial.polyval(t, self.b_coeffs)
 
     def b_dot(self, t):
-        c = np.polynomial.polynomial.polyder(self.b_coeffs)
-        return np.polynomial.polynomial.polyval(t, c)
+        return np.polynomial.polynomial.polyval(t, self._derivative_coeffs[0])
 
     def b_ddot(self, t):
-        c = np.polynomial.polynomial.polyder(self.b_coeffs, 2)
-        return np.polynomial.polynomial.polyval(t, c)
+        return np.polynomial.polynomial.polyval(t, self._derivative_coeffs[1])
 
     def omega_squared(self, t):
         b = self.b(t)
@@ -85,10 +89,10 @@ def ermakov_schedule(omega_i: float, omega_f: float, tau: float) -> ErmakovSched
     return sched
 
 
-def verify_ermakov_invariant(schedule: ErmakovSchedule, temperature: float = 1.0,
-                             n_samples: int = 101) -> float:
+def verify_ermakov_invariant(schedule: ErmakovSchedule,
+                             temperature: float = 1.0) -> float:
     """Max relative drift of <I(t)> for a thermal state driven by the
-    schedule's omega(t), over ``n_samples`` equally spaced times.
+    schedule's omega(t), over 101 equally spaced times.
 
     The Lewis-Riesenfeld invariant
     I(t) = ½[omega_0² x²/b² + (b p - b' x)²] (unit mass) is quadratic, so
@@ -97,7 +101,7 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule, temperature: float = 1.0
     ``oscillators.ramp_covariance`` propagates from the Gibbs state at
     omega_i. A schedule that inverts the trap raises InvalidParams.
     """
-    t_eval = np.linspace(0.0, schedule.tau, n_samples)
+    t_eval = np.linspace(0.0, schedule.tau, 101)
     sigma0 = oscillators.thermal_covariance(schedule.omega_i, temperature)
     sigmas = oscillators.ramp_covariance(sigma0, schedule.omega_squared,
                                          schedule.tau, t_eval=t_eval)
@@ -111,32 +115,33 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule, temperature: float = 1.0
 # --- counterdiabatic driving ---------------------------------------------------------
 
 
-def _aligned_eig(h: np.ndarray, reference: np.ndarray = None):
+def _aligned_eig(h: np.ndarray, reference: np.ndarray):
     """Eigendecomposition with each eigenvector phase-aligned to the
     corresponding column of ``reference`` (maximal real overlap)."""
     vals, vecs = qcore.hermitian_eig(h)
-    if reference is not None:
-        overlaps = np.einsum("ij,ij->j", reference.conj(), vecs)
-        mags = np.abs(overlaps)
-        phases = np.where(mags > 1e-14, overlaps / np.where(mags > 1e-14, mags, 1.0), 1.0)
-        vecs = vecs * np.conj(phases)[None, :]
-    return vals, vecs
+    overlaps = np.einsum("ij,ij->j", reference.conj(), vecs)
+    mags = np.abs(overlaps)
+    phases = np.where(mags > 1e-14, overlaps / np.where(mags > 1e-14, mags, 1.0), 1.0)
+    return vals, vecs * np.conj(phases)[None, :]
 
 
-def counterdiabatic(h0_of_t, t: float, dt: float,
-                    gap_tol: float = 1e-8) -> np.ndarray:
+def counterdiabatic(h0_of_t, t: float, dt: float) -> np.ndarray:
     """Counterdiabatic term H_CD(t) = i sum_n (|d_t n><n| - <n|d_t n>|n><n|)
-    from centered finite-difference eigenvector derivatives.
+    from centered finite-difference eigenvector derivatives with step
+    ``dt`` > 0.
 
     Eigenvectors at t +- dt are phase-aligned to those at t before
     differencing, and the residual instantaneous-eigenbasis diagonal
-    (a pure gauge) is removed exactly.
+    (a pure gauge) is removed exactly. A spectral gap below 1e-8 times
+    max(|E|, 1) raises DegenerateSpectrum.
     """
+    if not dt > 0:
+        raise InvalidParams("finite-difference step dt must be positive")
     h_mid = np.asarray(h0_of_t(t), dtype=complex)
     vals, vecs = qcore.hermitian_eig(h_mid)
     gaps = np.diff(vals)
     scale = max(np.max(np.abs(vals)), 1.0)
-    if np.min(gaps) < gap_tol * scale:
+    if np.min(gaps) < 1e-8 * scale:
         raise DegenerateSpectrum(
             f"spectral gap {np.min(gaps):.2e} below tolerance at t={t}"
         )

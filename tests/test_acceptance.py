@@ -450,7 +450,8 @@ def test_criterion_14_metrology():
 def test_criterion_15_inter_cycle_coherence():
     failures = []
     p = cycles.OutcoupledParams()
-    delta, g, b, v, period, omega, beta_c, beta_h, n_fock = p.resolved()
+    delta, g, b, n_fock = p.delta, p.g, p.b, p.n_fock
+    v, period, omega, beta_c, beta_h = p.v, p.period, p.omega, p.beta_c, p.beta_h
     d = n_fock + 1
     n_cycles = 10
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -532,6 +534,78 @@ def test_bad_physical_parameter_exits_3(experiment, bad, capsys):
     if experiment == "otto-numeric":
         # rejected up front, naming the parameter, before any ODE runs
         assert bad[0].split("=")[0] in err
+
+
+_THERMOMETRY_SETS = ["omega_h=2", "omega_c=1", "kappa_h=1", "kappa_c=1",
+                     "g=0.1", "t_h_min=1", "t_h_steps=3"]
+
+
+@pytest.mark.parametrize("experiment,sets", [
+    ("qfi", ["omega=1", "temperature=0"]),
+    ("thermometry", _THERMOMETRY_SETS + ["t_c_true=0", "t_h_max=2"]),
+    ("thermometry", _THERMOMETRY_SETS + ["kappa_h=0", "kappa_c=0",
+                                         "t_c_true=1", "t_h_max=3"]),
+    ("outcoupled", ["n_cycles=1", "delta=0"]),
+    ("outcoupled", ["n_cycles=1", "delta=1e160"]),
+    ("sta-cd", ["delta=1", "velocity=1", "t=0", "dt=0"]),
+], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
+        "thermometry-undamped-modes", "outcoupled-zero-delta",
+        "outcoupled-huge-delta", "sta-cd-zero-step"])
+def test_degenerate_parameter_exits_3_not_4(experiment, sets, capsys):
+    # each once ended in a Python arithmetic error (exit 4) or printed NaN
+    args = [experiment]
+    for item in sets:
+        args += ["--set", item]
+    assert cli.main(args) == 3
+    out = capsys.readouterr()
+    assert "InvalidParams" in out.err
+    assert "nan" not in out.out
+
+
+def test_thermometry_rejects_n_max(capsys):
+    args = ["thermometry"] + [x for item in _THERMOMETRY_SETS + [
+        "t_c_true=1", "t_h_max=3", "n_max=400"] for x in ("--set", item)]
+    assert cli.main(args) == 2
+    assert "unknown parameter key 'n_max'" in capsys.readouterr().err
+
+
+# sizes kept small so that no example allocates much
+_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50}
+# an unbounded side is drawn out to 1e100; near 1e154 the squares that the
+# models take of their inputs leave the float range
+_SCALE = 1e100
+
+
+def _bounded(key, spec):
+    """Values of ``spec`` inside its min/max, the bounds themselves often."""
+    if spec.kind is bool:
+        return st.sampled_from(["true", "false"])
+    if spec.kind is int:
+        return st.integers(int(spec.minimum), _SIZE_CAPS[key]).map(str)
+    lo = -_SCALE if spec.minimum is None else spec.minimum
+    hi = _SCALE if spec.maximum is None else spec.maximum
+    edges = [x for x in (lo, hi, 0.0, 1.0, -1.0) if lo <= x <= hi]
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi)).map(repr)
+
+
+@st.composite
+def _bounded_runs(draw):
+    name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd"]))
+    args = [name]
+    for key, spec in cli.EXPERIMENTS[name].params.items():
+        args += ["--set", f"{key}={draw(_bounded(key, spec))}"]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_runs())
+def test_bounded_parameters_never_exit_4(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 3), (code, err.getvalue())
+    if args[0] == "sta-cd":
+        assert "nan" not in out.getvalue()
 
 
 def test_n_copy_beyond_budget_exits_3(capsys):

@@ -580,7 +580,8 @@ def test_outcoupled_dephasing_equals_explicit_measurement_branches():
     equal the dephasing-channel implementation."""
     p = cycles.OutcoupledParams(n_fock=12)
     d = p.n_fock + 1
-    delta, g, b, v, period, omega, beta_c, beta_h, n_fock = p.resolved()
+    delta, g, b, n_fock = p.delta, p.g, p.b, p.n_fock
+    v, period, omega, beta_c, beta_h = p.v, p.period, p.omega, p.beta_c, p.beta_h
     w_channel = cycles.outcoupled_multicycle(p, 2, True)
 
     # oracle: run cycle 1 on the pure ground state, measure (branch), then

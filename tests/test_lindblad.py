@@ -471,6 +471,25 @@ def test_duplicate_bath_labels_rejected():
         lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX), flat_bath("b", 2.0, SX)])
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    (("lorentzian", 1.0), {}),
+    (("flat", -0.1), {}),
+    (("flat", float("inf")), {}),
+    (("flat", float("nan")), {}),
+    (("ohmic_exp_cutoff", 1.0), {"cutoff": 0.0}),
+    (("ohmic_exp_cutoff", 1.0), {"cutoff": -2.0}),
+    (("windowed_flat", 1.0), {}),
+    (("windowed_flat", 1.0), {"window": (2.0, 2.0)}),
+    (("windowed_flat", 1.0), {"window": (3.0, 1.0)}),
+    (("windowed_flat", 1.0), {"window": (1.0,)}),
+], ids=["unknown-family", "negative-rate", "infinite-rate", "nan-rate",
+        "zero-cutoff", "negative-cutoff", "no-window", "empty-window",
+        "reversed-window", "one-edge-window"])
+def test_spectral_function_rejected_at_construction(args, kwargs):
+    with pytest.raises(InvalidParams):
+        lindblad.SpectralFunction(*args, **kwargs)
+
+
 # --- heat current / entropy production ------------------------------------------------
 
 

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 import dense_gksl
 from qtherm import lindblad, metrology, oscillators, qcore
 from qtherm.errors import (
-    CutoffTooSmall,
     InvalidPOVM,
     NullNotBracketed,
     SingularState,
@@ -204,8 +203,7 @@ def test_thermometry_current_null_and_sign():
 
 def test_thermometry_simulate_recovers_cold_temperature():
     res = metrology.thermometry_simulate(
-        8.5, 1.0, 0.06, 0.06, 0.1, 15.0, np.linspace(50.0, 250.0, 201),
-        n_max=600)
+        8.5, 1.0, 0.06, 0.06, 0.1, 15.0, np.linspace(50.0, 250.0, 201))
     assert res.null_location == pytest.approx(127.5, abs=1e-9)
     assert res.estimated_parameter == pytest.approx(15.0, abs=1e-9)
     assert res.error_estimate == pytest.approx(0.5 * 1.0 / 8.5, rel=1e-9)
@@ -213,18 +211,22 @@ def test_thermometry_simulate_recovers_cold_temperature():
     assert np.sum(np.sign(works)[:-1] != np.sign(works)[1:]) == 1
 
 
+def test_null_protocols_report_positive_width_on_descending_grids():
+    for grid in (np.linspace(50.0, 250.0, 201), np.linspace(250.0, 50.0, 201)):
+        res = metrology.thermometry_simulate(8.5, 1.0, 0.06, 0.06, 0.1, 15.0,
+                                             grid)
+        assert res.estimated_parameter == pytest.approx(15.0, abs=1e-9)
+        assert res.error_estimate == pytest.approx(0.5 / 8.5, rel=1e-9)
+    for grid in (np.linspace(3.05, 8.05, 51), np.linspace(8.05, 3.05, 51)):
+        res = metrology.magnetometry_null(2.5, 5.0, 2.5, 0.3, grid)
+        assert res.estimated_parameter == pytest.approx(2.5, abs=1e-9)
+        assert res.error_estimate == pytest.approx(0.025, rel=1e-9)
+
+
 def test_thermometry_simulate_unbracketed_raises():
     with pytest.raises(NullNotBracketed):
         metrology.thermometry_simulate(
-            8.5, 1.0, 0.06, 0.06, 0.1, 15.0, np.linspace(20.0, 60.0, 41),
-            n_max=600)
-
-
-def test_thermometry_simulate_cutoff_guard():
-    with pytest.raises(CutoffTooSmall):
-        metrology.thermometry_simulate(
-            8.5, 1.0, 0.06, 0.06, 0.1, 15.0, np.linspace(50.0, 250.0, 201),
-            n_max=40)
+            8.5, 1.0, 0.06, 0.06, 0.1, 15.0, np.linspace(20.0, 60.0, 41))
 
 
 def test_thermometry_refinement_tightens_estimate():
@@ -232,8 +234,7 @@ def test_thermometry_refinement_tightens_estimate():
     errs = []
     for n_pts, step in [(31, 2.0), (61, 1.0), (121, 0.5)]:
         res = metrology.thermometry_simulate(
-            8.5, 1.0, 0.06, 0.06, 0.1, t_c, np.linspace(100.0, 160.0, n_pts),
-            n_max=600)
+            8.5, 1.0, 0.06, 0.06, 0.1, t_c, np.linspace(100.0, 160.0, n_pts))
         err = abs(res.estimated_parameter - t_c)
         assert err <= 0.5 * step / 8.5 + 1e-12
         errs.append(err)
