@@ -197,8 +197,9 @@ def _run_sta_ermakov(p):
 def _run_sta_cd(p):
     delta, v, t = p["delta"], p["velocity"], p["t"]
 
-    def h0(tt):
-        return delta * qcore.SIGMA_X + (-v * tt) * qcore.SIGMA_Z
+    def h0(tt):  # delta sx - v tt sz, with no inf * 0 where v tt overflows
+        eps = -v * tt
+        return np.array([[eps, delta], [delta, -eps]], dtype=complex)
 
     h_cd = sta.counterdiabatic(h0, t, p["dt"])
     coeff = float(np.real(1j * h_cd[0, 1]))

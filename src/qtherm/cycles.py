@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from . import oscillators, qcore
 from .errors import CutoffTooSmall, InvalidParams
@@ -98,32 +96,27 @@ def box_carnot(l_a: float, l_b: float, mass: float) -> CycleReport:
     The working fluid is restricted to the two lowest box levels
     E_n(L) = n^2 pi^2 / (2 m L^2). Adiabats hold the populations fixed;
     the "isotherms" hold the mean energy fixed while the ground-state
-    weight |a1(L)|^2 adjusts. Work per stroke is the quadrature of the
-    instantaneous force F(L) = sum_n |a_n|^2 n^2 pi^2 / (m L^3) along L.
+    weight |a1(L)|^2 = 4/3 - L^2/(3 l_ref^2) adjusts. Work per stroke is
+    the integral of the force F(L) = sum_n |a_n|^2 n^2 pi^2 / (m L^3)
+    along L, in closed form in the ground-level energies E_A, E_B at L_A,
+    L_B. Energies or works that leave the float range raise InvalidParams.
     """
     if not (l_a > l_b > 0):
         raise InvalidParams("need L_A > L_B > 0")
     if mass <= 0:
         raise InvalidParams("mass must be positive")
-    m = mass
-    pi2 = np.pi**2
-
-    def f_adiabat_ground(length):
-        return pi2 / (m * length**3)
-
-    def f_adiabat_excited(length):
-        return 4 * pi2 / (m * length**3)
-
-    def f_isotherm(length, l_ref):
-        # |a1(L)|^2 = 4/3 - L^2/(3 l_ref^2) keeps <E> = pi^2/(2 m l_ref^2)
-        a1 = 4.0 / 3.0 - length**2 / (3 * l_ref**2)
-        return (a1 * pi2 + (1 - a1) * 4 * pi2) / (m * length**3)
-
-    # work done BY the system on the wall along each stroke: int F dL
-    w_ab, _ = quad(f_adiabat_ground, l_a, l_b)
-    w_bc, _ = quad(f_isotherm, l_b, 2 * l_b, args=(l_b,))
-    w_cd, _ = quad(f_adiabat_excited, 2 * l_b, 2 * l_a)
-    w_da, _ = quad(f_isotherm, 2 * l_a, l_a, args=(l_a,))
+    two_ln2 = 2 * float(np.log(2.0))
+    with np.errstate(all="ignore"):
+        e_a, e_b = (np.pi**2 / (2 * mass * np.array([l_a, l_b]) ** 2)).tolist()
+    # e_a <= e_b, so this keeps every work finite (and rejects NaN)
+    if not (e_a > 0 and two_ln2 * e_b < np.inf):
+        raise InvalidParams(f"box energies E_A = {e_a:.3g}, E_B = {e_b:.3g} "
+                            "leave the float range")
+    # work done BY the system on the wall along each stroke
+    w_ab = e_a - e_b
+    w_bc = two_ln2 * e_b
+    w_cd = -w_ab
+    w_da = -two_ln2 * e_a
 
     q_hot = w_bc   # isothermal expansion: <E> constant, heat in = work out
     q_cold = w_da  # isothermal compression: heat expelled (negative)
@@ -134,11 +127,9 @@ def box_carnot(l_a: float, l_b: float, mass: float) -> CycleReport:
         StrokeRecord("IsothermalCompression", -w_da, q_cold),
     ]
     net_out = w_ab + w_bc + w_cd + w_da
-    eta = net_out / q_hot if q_hot > 0 else 0.0
+    eta = net_out / q_hot
     # <E_A> and <E_B> play the role of the cold/hot temperatures here, so
     # the cycle saturates its own Carnot bound by construction.
-    e_a = pi2 / (2 * m * l_a**2)
-    e_b = pi2 / (2 * m * l_b**2)
     return CycleReport(
         strokes=strokes,
         net_work_output=net_out,
@@ -212,18 +203,13 @@ def otto_qho(omega_a: float, omega_b: float, t_h: float, t_c: float) -> CycleRep
 def otto_max_power(t_h: float, t_c: float) -> dict:
     """High-temperature work maximization over the compression ratio.
 
-    Maximizes W = (x - 1)(T_c/x - T_h) over x = omega_B/omega_A, giving the
-    Curzon-Ahlborn point x* = sqrt(T_c/T_h), eta_bar = 1 - sqrt(T_c/T_h).
+    W = (x - 1)(T_c/x - T_h) over x = omega_B/omega_A has its maximum
+    where dW/dx = T_c/x^2 - T_h vanishes, at the Curzon-Ahlborn point
+    x* = sqrt(T_c/T_h), eta_bar = 1 - sqrt(T_c/T_h).
     """
     if not (t_h > t_c > 0):
         raise InvalidParams("need T_h > T_c > 0")
-    lo, hi = t_c / t_h, 1.0
-    res = minimize_scalar(
-        lambda x: -(x - 1.0) * (t_c / x - t_h),
-        bounds=(lo + 1e-12, hi - 1e-12), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    x_star = float(res.x)
+    x_star = float(np.sqrt(t_c / t_h))
     return {"ratio_star": x_star, "eta_bar": 1.0 - x_star}
 
 

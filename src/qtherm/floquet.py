@@ -33,6 +33,7 @@ class PeriodicModulation:
       * ``piecewise_asymmetric``: omega_s = omega0 + amplitude on the first
         ``up_fraction`` of each period and omega0 - amplitude * u/(1-u) on
         the rest, keeping the cycle mean at omega0.
+    An unknown waveform or an up_fraction outside (0, 1) raises InvalidParams.
     """
 
     mean_gap: float
@@ -44,6 +45,11 @@ class PeriodicModulation:
     def __post_init__(self):
         if not self.drive_frequency > 0:
             raise InvalidParams("drive_frequency must be positive")
+        if self.waveform not in ("constant", "sinusoidal",
+                                 "piecewise_asymmetric"):
+            raise InvalidParams(f"unknown waveform {self.waveform!r}")
+        if not 0.0 < self.up_fraction < 1.0:
+            raise InvalidParams("up_fraction must lie in (0, 1)")
 
     @property
     def period(self) -> float:
@@ -55,14 +61,10 @@ class PeriodicModulation:
             return self.mean_gap + 0.0 * t
         if self.waveform == "sinusoidal":
             return self.mean_gap + self.amplitude * np.sin(self.drive_frequency * t)
-        if self.waveform == "piecewise_asymmetric":
-            u = self.up_fraction
-            if not 0.0 < u < 1.0:
-                raise InvalidParams("up_fraction must lie in (0, 1)")
-            phase = np.mod(t, self.period) / self.period
-            down = -self.amplitude * u / (1.0 - u)
-            return self.mean_gap + np.where(phase < u, self.amplitude, down)
-        raise InvalidParams(f"unknown waveform {self.waveform!r}")
+        u = self.up_fraction  # piecewise_asymmetric
+        phase = np.mod(t, self.period) / self.period
+        down = -self.amplitude * u / (1.0 - u)
+        return self.mean_gap + np.where(phase < u, self.amplitude, down)
 
     def phase_integral(self, t) -> np.ndarray:
         """Phi(t) = integral_0^t (omega_s - omega0) dt'."""
@@ -72,17 +74,15 @@ class PeriodicModulation:
             return 0.0 * t
         if self.waveform == "sinusoidal":
             return (self.amplitude / w) * (1.0 - np.cos(w * t))
-        if self.waveform == "piecewise_asymmetric":
-            u = self.up_fraction
-            period = self.period
-            down = -self.amplitude * u / (1.0 - u)
-            n_full = np.floor(t / period)
-            frac = t - n_full * period
-            up_time = np.minimum(frac, u * period)
-            down_time = np.clip(frac - u * period, 0.0, None)
-            # full periods integrate to zero by the mean constraint
-            return self.amplitude * up_time + down * down_time
-        raise InvalidParams(f"unknown waveform {self.waveform!r}")
+        u = self.up_fraction  # piecewise_asymmetric
+        period = self.period
+        down = -self.amplitude * u / (1.0 - u)
+        n_full = np.floor(t / period)
+        frac = t - n_full * period
+        up_time = np.minimum(frac, u * period)
+        down_time = np.clip(frac - u * period, 0.0, None)
+        # full periods integrate to zero by the mean constraint
+        return self.amplitude * up_time + down * down_time
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,25 @@ def _bose(omega: float, temperature: float) -> float:
     return 1.0 / np.expm1(omega / temperature)
 
 
+def _occupation_gap(omega_h: float, omega_c: float, t_h, t_c: float):
+    """nbar_c - nbar_h, elementwise over an array of T_h; expm1
+    overflowing to inf gives the nbar = 0 limit."""
+    with np.errstate(all="ignore"):
+        return _bose(omega_c, t_c) - _bose(omega_h, t_h)
+
+
+def _exchange_conductance(kappa_h: float, kappa_c: float, g: float) -> float:
+    """K in I = K (nbar_c - nbar_h): the exchange rate G = 4 g^2/(kappa_h +
+    kappa_c) in series with both damping rates, 1/K = 1/G + 1/kappa_h +
+    1/kappa_c. K is 0 at g = 0 and tends to the series damping rate at
+    g >> kappa, so it cannot overflow."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_g = (0.5 * kappa_h + 0.5 * kappa_c) / np.float64(2 * g * g)
+        return float(1.0 / (inv_g + 1.0 / kappa_h + 1.0 / kappa_c))
+
+
 def thermometry_current(omega_h: float, omega_c: float, kappa_h: float,
-                        kappa_c: float, g: float, t_h: float, t_c: float) -> float:
+                        kappa_c: float, g: float, t_h, t_c: float):
     """Steady-state exchange current of two resonantly coupled modes.
 
     Second-moment equations of the g(a_h+ a_c + h.c.) model with local
@@ -168,18 +185,15 @@ def thermometry_current(omega_h: float, omega_c: float, kappa_h: float,
         dn_h/dt = 2 g Im c + kappa_h (nbar_h - n_h)
         dn_c/dt = -2 g Im c + kappa_c (nbar_c - n_c)
         dc/dt   = i g (n_c - n_h) - (kappa_h + kappa_c)/2 c.
-    The returned current 2 g Im c is positive when quanta flow from the
-    cold mode to the hot mode; it vanishes iff nbar_h = nbar_c, i.e. at
-    Omega_h/T_h = Omega_c/T_c.
+    Their steady state gives the current 2 g Im c = K (nbar_c - nbar_h) in
+    closed form (see ``_exchange_conductance``), evaluated elementwise over
+    an array of T_h. It is positive when quanta flow from the cold mode to
+    the hot mode, and its sign is exactly that of nbar_c - nbar_h, which
+    vanishes at Omega_h/T_h = Omega_c/T_c.
     """
-    nbar_h = _bose(omega_h, t_h)
-    nbar_c = _bose(omega_c, t_c)
-    kbar = 0.5 * (kappa_h + kappa_c)
-    big_g = 2 * g**2 / kbar
-    a = np.array([[kappa_h + big_g, -big_g], [-big_g, kappa_c + big_g]])
-    b = np.array([kappa_h * nbar_h, kappa_c * nbar_c])
-    n_h, n_c = np.linalg.solve(a, b)
-    return big_g * (n_c - n_h)
+    gap = _occupation_gap(omega_h, omega_c, t_h, t_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exchange_conductance(kappa_h, kappa_c, g) * gap
 
 
 def thermometry_simulate(omega_h: float, omega_c: float, kappa_h: float,
@@ -189,33 +203,30 @@ def thermometry_simulate(omega_h: float, omega_c: float, kappa_h: float,
     off T_c = T_h* Omega_c/Omega_h (Otto-null thermometry).
 
     The bracketing midpoint is used as the null locator (first order in
-    the grid spacing). Both frequencies, both damping rates and every
-    temperature must be positive. A current that overflows the float range
-    raises NumericalInstability.
+    the grid spacing); a grid point exactly on the null is returned with
+    zero error. Both frequencies, both damping rates and every temperature
+    must be positive. A current that is not finite raises
+    NumericalInstability.
     """
     t_h_grid = np.asarray(t_h_grid, dtype=float)
     if not (np.all(t_h_grid > 0)
             and min(omega_h, omega_c, kappa_h, kappa_c, t_c_true) > 0):
         raise InvalidParams("frequencies, damping rates and temperatures "
                             "must be positive")
-    try:
-        # expm1 overflowing to inf gives the nbar = 0 limit; any other
-        # overflow leaves a current that is not finite
-        with np.errstate(all="ignore"):
-            trace = [(float(t_h), thermometry_current(
-                omega_h, omega_c, kappa_h, kappa_c, g, float(t_h), t_c_true))
-                for t_h in t_h_grid]
-    except (OverflowError, np.linalg.LinAlgError) as exc:
-        raise NumericalInstability(f"exchange current overflows: {exc}") from exc
-    currents = np.array([i for _, i in trace])
+    currents = thermometry_current(omega_h, omega_c, kappa_h, kappa_c, g,
+                                   t_h_grid, t_c_true)
     if not np.all(np.isfinite(currents)):
         raise NumericalInstability("exchange current overflows the float range")
-    t_star, step = _locate_null(t_h_grid, currents)
+    # K > 0 whenever g != 0, so the current changes sign exactly where
+    # nbar_c - nbar_h does, also where K (nbar_c - nbar_h) underflows to 0
+    signs = (_occupation_gap(omega_h, omega_c, t_h_grid, t_c_true) if g
+             else currents)
+    t_star, step = _locate_null(t_h_grid, signs)
     return NullProtocolResult(
         null_location=float(t_star),
         estimated_parameter=float(t_star * omega_c / omega_h),
         error_estimate=float(0.5 * step * omega_c / omega_h),
-        sweep_trace=trace,
+        sweep_trace=list(zip(t_h_grid.tolist(), currents.tolist())),
     )
 
 
@@ -226,21 +237,17 @@ def thermometry_error(omega_h: float, omega_c: float, t_c: float,
     plus the closed-form constants comparing it to the Cramér-Rao floor.
 
     Delta T_c^2 = (dI/dT_c)^-2 DeltaI^2 + (Omega_c/Omega_h)^2 DeltaT_h^2,
-    with the current slope from the moment model at T_h = T_c
-    Omega_h/Omega_c. C_2/C_1 >= 1 measures how far the protocol sits above
-    the Cramér-Rao floor; for equal damping rates it is minimized at
-    g/kappa = 8^(-1/4) where it equals 1 + sqrt(2).
+    with the exact slope dI/dT_c = K (Omega_c/T_c^2) nbar_c (nbar_c + 1) of
+    the moment-model current at T_h = T_c Omega_h/Omega_c. C_2/C_1 >= 1
+    measures how far the protocol sits above the Cramér-Rao floor; for
+    equal damping rates it is minimized at g/kappa = 8^(-1/4) where it
+    equals 1 + sqrt(2).
     """
     if min(omega_h, omega_c, t_c, kappa_h, kappa_c, g) <= 0:
         raise InvalidParams("all thermometry parameters must be positive")
-    t_h_star = t_c * omega_h / omega_c
-    dt = 1e-6 * t_c
-
-    def current(tc):
-        return thermometry_current(omega_h, omega_c, kappa_h, kappa_c, g,
-                                   t_h_star, tc)
-
-    di_dtc = (current(t_c + dt) - current(t_c - dt)) / (2 * dt)
+    nbar_c = _bose(omega_c, t_c)
+    di_dtc = (_exchange_conductance(kappa_h, kappa_c, g) * omega_c / t_c**2
+              * nbar_c * (nbar_c + 1))
     delta_t_c = np.sqrt((delta_i / di_dtc) ** 2
                         + (omega_c / omega_h) ** 2 * delta_t_h**2)
     c1 = (2 * (kappa_h + kappa_c) * (kappa_h * kappa_c + 4 * g**2)) / (

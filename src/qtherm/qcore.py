@@ -53,8 +53,9 @@ def require_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A†)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (A + A†)/2, halved before the sum so that it cannot
+    overflow."""
+    return a / 2 + a.conj().T / 2
 
 
 def spin_operators(j: float):

@@ -21,7 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from . import oscillators, qcore
-from .errors import DegenerateSpectrum, InvalidParams, TrapInversionWarning
+from .errors import (
+    DegenerateSpectrum,
+    InvalidParams,
+    NumericalInstability,
+    TrapInversionWarning,
+)
 
 
 # --- Ermakov schedules ----------------------------------------------------------
@@ -115,42 +120,37 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule,
 # --- counterdiabatic driving ---------------------------------------------------------
 
 
-def _aligned_eig(h: np.ndarray, reference: np.ndarray):
-    """Eigendecomposition with each eigenvector phase-aligned to the
-    corresponding column of ``reference`` (maximal real overlap)."""
-    vals, vecs = qcore.hermitian_eig(h)
-    overlaps = np.einsum("ij,ij->j", reference.conj(), vecs)
-    mags = np.abs(overlaps)
-    phases = np.where(mags > 1e-14, overlaps / np.where(mags > 1e-14, mags, 1.0), 1.0)
-    return vals, vecs * np.conj(phases)[None, :]
-
-
 def counterdiabatic(h0_of_t, t: float, dt: float) -> np.ndarray:
-    """Counterdiabatic term H_CD(t) = i sum_n (|d_t n><n| - <n|d_t n>|n><n|)
-    from centered finite-difference eigenvector derivatives with step
-    ``dt`` > 0.
+    """Counterdiabatic term
+    H_CD(t) = i sum_{m != n} |m><m| dH0/dt |n><n| / (E_n - E_m)
+    in the instantaneous eigenbasis of H0(t) (Berry's form, zero on the
+    diagonal), with dH0/dt the centred difference of H0 at step ``dt`` > 0.
 
-    Eigenvectors at t +- dt are phase-aligned to those at t before
-    differencing, and the residual instantaneous-eigenbasis diagonal
-    (a pure gauge) is removed exactly. A spectral gap below 1e-8 times
-    max(|E|, 1) raises DegenerateSpectrum.
+    A spectral gap below 1e-8 times max(|E|, 1) raises DegenerateSpectrum;
+    a non-finite H0(t), H0(t +- dt), dH0/dt or H_CD raises
+    NumericalInstability.
     """
     if not dt > 0:
         raise InvalidParams("finite-difference step dt must be positive")
-    h_mid = np.asarray(h0_of_t(t), dtype=complex)
+    h_mid, h_plus, h_minus = (np.asarray(h0_of_t(s), dtype=complex)
+                              for s in (t, t + dt, t - dt))
+    with np.errstate(all="ignore"):
+        h_dot = (h_plus - h_minus) / (2 * dt)
+    if not (np.all(np.isfinite(h_mid)) and np.all(np.isfinite(h_dot))):
+        raise NumericalInstability(
+            f"H0 or its time derivative is not finite at t={t}")
     vals, vecs = qcore.hermitian_eig(h_mid)
-    gaps = np.diff(vals)
-    scale = max(np.max(np.abs(vals)), 1.0)
-    if np.min(gaps) < 1e-8 * scale:
-        raise DegenerateSpectrum(
-            f"spectral gap {np.min(gaps):.2e} below tolerance at t={t}"
-        )
-    _, v_plus = _aligned_eig(np.asarray(h0_of_t(t + dt), dtype=complex), vecs)
-    _, v_minus = _aligned_eig(np.asarray(h0_of_t(t - dt), dtype=complex), vecs)
-    dvecs = (v_plus - v_minus) / (2 * dt)
-    h_cd = 1j * (dvecs @ vecs.conj().T)
-    h_cd = qcore.hermitianize(h_cd)
-    # gauge fix: remove the instantaneous-eigenbasis diagonal
-    diag = np.einsum("in,ij,jn->n", vecs.conj(), h_cd, vecs)
-    h_cd = h_cd - (vecs * diag[None, :].real) @ vecs.conj().T
-    return h_cd
+    with np.errstate(all="ignore"):
+        gaps = np.diff(vals)
+        scale = max(np.max(np.abs(vals)), 1.0)
+        if np.min(gaps) < 1e-8 * scale:
+            raise DegenerateSpectrum(
+                f"spectral gap {np.min(gaps):.2e} below tolerance at t={t}"
+            )
+        denom = vals[None, :] - vals[:, None]  # E_n - E_m at [m, n]
+        np.fill_diagonal(denom, np.inf)
+        h_cd_eig = 1j * (vecs.conj().T @ h_dot @ vecs) / denom
+        h_cd = vecs @ h_cd_eig @ vecs.conj().T
+    if not np.all(np.isfinite(h_cd)):
+        raise NumericalInstability(f"counterdiabatic term is not finite at t={t}")
+    return qcore.hermitianize(h_cd)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -540,25 +541,36 @@ _THERMOMETRY_SETS = ["omega_h=2", "omega_c=1", "kappa_h=1", "kappa_c=1",
                      "g=0.1", "t_h_min=1", "t_h_steps=3"]
 
 
-@pytest.mark.parametrize("experiment,sets", [
-    ("qfi", ["omega=1", "temperature=0"]),
-    ("thermometry", _THERMOMETRY_SETS + ["t_c_true=0", "t_h_max=2"]),
+_FLOAT_MAX = repr(sys.float_info.max)
+
+
+@pytest.mark.parametrize("experiment,sets,error", [
+    ("qfi", ["omega=1", "temperature=0"], "InvalidParams"),
+    ("thermometry", _THERMOMETRY_SETS + ["t_c_true=0", "t_h_max=2"],
+     "InvalidParams"),
     ("thermometry", _THERMOMETRY_SETS + ["kappa_h=0", "kappa_c=0",
-                                         "t_c_true=1", "t_h_max=3"]),
-    ("outcoupled", ["n_cycles=1", "delta=0"]),
-    ("outcoupled", ["n_cycles=1", "delta=1e160"]),
-    ("sta-cd", ["delta=1", "velocity=1", "t=0", "dt=0"]),
+                                         "t_c_true=1", "t_h_max=3"],
+     "InvalidParams"),
+    ("outcoupled", ["n_cycles=1", "delta=0"], "InvalidParams"),
+    ("outcoupled", ["n_cycles=1", "delta=1e160"], "InvalidParams"),
+    ("sta-cd", ["delta=1", "velocity=1", "t=0", "dt=0"], "InvalidParams"),
+    ("sta-cd", ["delta=1", "velocity=0", f"t={_FLOAT_MAX}", f"dt={_FLOAT_MAX}"],
+     "NumericalInstability"),
+    ("box-carnot", ["l_a=1e-100", "l_b=1e-200", "mass=1e-300"],
+     "InvalidParams"),
+    ("box-carnot", ["l_a=1e200", "l_b=1", "mass=1"], "InvalidParams"),
 ], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
-        "outcoupled-huge-delta", "sta-cd-zero-step"])
-def test_degenerate_parameter_exits_3_not_4(experiment, sets, capsys):
+        "outcoupled-huge-delta", "sta-cd-zero-step", "sta-cd-infinite-step",
+        "box-carnot-energy-overflow", "box-carnot-energy-underflow"])
+def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
     for item in sets:
         args += ["--set", item]
     assert cli.main(args) == 3
     out = capsys.readouterr()
-    assert "InvalidParams" in out.err
+    assert error in out.err
     assert "nan" not in out.out
 
 
@@ -571,29 +583,33 @@ def test_thermometry_rejects_n_max(capsys):
 
 # sizes kept small so that no example allocates much
 _SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50}
-# an unbounded side is drawn out to 1e100; near 1e154 the squares that the
-# models take of their inputs leave the float range
+# an unbounded side is drawn out to 1e100, where near 1e154 the squares
+# that a model takes of its inputs leave the float range, or over the whole
+# float range for the experiments that guard every such overflow
 _SCALE = 1e100
+_FULL_RANGE = ("sta-cd", "box-carnot")
 
 
-def _bounded(key, spec):
+def _bounded(key, spec, scale):
     """Values of ``spec`` inside its min/max, the bounds themselves often."""
     if spec.kind is bool:
         return st.sampled_from(["true", "false"])
     if spec.kind is int:
         return st.integers(int(spec.minimum), _SIZE_CAPS[key]).map(str)
-    lo = -_SCALE if spec.minimum is None else spec.minimum
-    hi = _SCALE if spec.maximum is None else spec.maximum
+    lo = -scale if spec.minimum is None else spec.minimum
+    hi = scale if spec.maximum is None else spec.maximum
     edges = [x for x in (lo, hi, 0.0, 1.0, -1.0) if lo <= x <= hi]
     return st.one_of(st.sampled_from(edges), st.floats(lo, hi)).map(repr)
 
 
 @st.composite
 def _bounded_runs(draw):
-    name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd"]))
+    name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd",
+                                 "box-carnot"]))
+    scale = sys.float_info.max if name in _FULL_RANGE else _SCALE
     args = [name]
     for key, spec in cli.EXPERIMENTS[name].params.items():
-        args += ["--set", f"{key}={draw(_bounded(key, spec))}"]
+        args += ["--set", f"{key}={draw(_bounded(key, spec, scale))}"]
     return args
 
 

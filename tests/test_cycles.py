@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 
 from qtherm import cycles, oscillators, qcore
 from qtherm.errors import InvalidParams
@@ -63,18 +64,31 @@ def test_box_carnot_closed_form():
     assert rep.carnot_margin >= -1e-9
 
 
+def box_stroke_works(l_a, l_b, m):
+    """Work done ON the system along each stroke, by quadrature of the
+    force F(L) = sum_n |a_n|^2 n^2 pi^2 / (m L^3) along L: an independent
+    check of the closed-form stroke works."""
+    pi2 = np.pi**2
+
+    def f_adiabat(length, n):
+        return n**2 * pi2 / (m * length**3)
+
+    def f_isotherm(length, l_ref):
+        # |a1(L)|^2 = 4/3 - L^2/(3 l_ref^2) keeps <E> = pi^2/(2 m l_ref^2)
+        a1 = 4.0 / 3.0 - length**2 / (3 * l_ref**2)
+        return (a1 * pi2 + (1 - a1) * 4 * pi2) / (m * length**3)
+
+    by_system = [quad(f_adiabat, l_a, l_b, args=(1,))[0],
+                 quad(f_isotherm, l_b, 2 * l_b, args=(l_b,))[0],
+                 quad(f_adiabat, 2 * l_b, 2 * l_a, args=(2,))[0],
+                 quad(f_isotherm, 2 * l_a, l_a, args=(l_a,))[0]]
+    return [-w for w in by_system]
+
+
 def test_box_carnot_stroke_antiderivative_oracle():
     l_a, l_b, m = 3.0, 1.2, 0.7
     rep = cycles.box_carnot(l_a, l_b, m)
-    pi2 = np.pi**2
-    # adiabats: int n^2 pi^2/(m L^3) dL has antiderivative -n^2 pi^2/(2 m L^2)
-    w_ab = pi2 / (2 * m) * (1 / l_a**2 - 1 / l_b**2)
-    w_cd = 4 * pi2 / (2 * m) * (1 / (2 * l_b) ** 2 - 1 / (2 * l_a) ** 2)
-    # isotherms: F = pi^2/(m L l_ref^2), antiderivative pi^2 ln L/(m l_ref^2)
-    w_bc = pi2 / (m * l_b**2) * np.log(2.0)
-    w_da = -pi2 / (m * l_a**2) * np.log(2.0)
-    works = [-w_ab, -w_bc, -w_cd, -w_da]  # ledger stores work done ON the system
-    for stroke, w in zip(rep.strokes, works):
+    for stroke, w in zip(rep.strokes, box_stroke_works(l_a, l_b, m)):
         assert stroke.work == pytest.approx(w, abs=1e-9)
 
 
@@ -156,6 +170,15 @@ def test_otto_carnot_bound_random_sweep():
 # --- efficiency at maximum power ---------------------------------------------------
 
 
+def max_work_ratio_by_search(t_h, t_c):
+    """Bounded search of W(x) = (x - 1)(T_c/x - T_h) over x in (T_c/T_h, 1):
+    an independent check of the closed-form x*."""
+    res = minimize_scalar(lambda x: -(x - 1.0) * (t_c / x - t_h),
+                          bounds=(t_c / t_h + 1e-12, 1.0 - 1e-12),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(res.x)
+
+
 def test_otto_max_power_curzon_ahlborn():
     out = cycles.otto_max_power(4.0, 1.0)
     assert out["ratio_star"] == pytest.approx(0.5, abs=1e-6)
@@ -174,7 +197,8 @@ def test_otto_max_power_below_carnot():
         out = cycles.otto_max_power(t_h, t_c)
         # 1 - sqrt(x) < 1 - x for x in (0, 1)
         assert out["eta_bar"] < 1 - t_c / t_h
-        assert out["eta_bar"] == pytest.approx(1 - np.sqrt(t_c / t_h), abs=1e-6)
+        assert out["eta_bar"] == pytest.approx(
+            1 - max_work_ratio_by_search(t_h, t_c), abs=1e-6)
 
 
 # --- squeezed-bath Otto --------------------------------------------------------------

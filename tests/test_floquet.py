@@ -4,7 +4,7 @@ from scipy.special import jv
 
 import dense_gksl
 from qtherm import floquet, lindblad, qcore
-from qtherm.errors import NoCoupling, UnclassifiableState
+from qtherm.errors import InvalidParams, NoCoupling, UnclassifiableState
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -82,6 +82,18 @@ def test_sideband_asymmetric_parseval_and_mean():
     w = floquet.sideband_weights(mod, 40)
     assert w.total >= 1 - 1e-8
     assert np.all(w.weights >= 0)
+
+
+def test_modulation_rejects_up_fraction_at_construction():
+    # this once reached sideband_weights and ended in a ZeroDivisionError
+    with pytest.raises(InvalidParams, match="up_fraction"):
+        floquet.PeriodicModulation(10.0, 1.0, "piecewise_asymmetric", 0.5,
+                                   up_fraction=1.0)
+
+
+def test_modulation_rejects_unknown_waveform_at_construction():
+    with pytest.raises(InvalidParams, match="square"):
+        floquet.PeriodicModulation(10.0, 1.0, "square")
 
 
 # --- CTM ----------------------------------------------------------------------------

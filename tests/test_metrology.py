@@ -241,6 +241,74 @@ def test_thermometry_refinement_tightens_estimate():
     assert errs[2] < errs[1] < errs[0]
 
 
+def test_thermometry_grid_point_on_the_null_is_exact():
+    # Omega_h/T_h = Omega_c/T_c at T_h = 1.6 exactly: the current there is 0
+    res = metrology.thermometry_simulate(2.0, 1.0, 1.0, 0.7, 0.3, 0.8,
+                                         np.linspace(0.8, 2.4, 201))
+    assert res.null_location == 1.6
+    assert res.estimated_parameter == 0.8
+    assert res.error_estimate == 0.0
+
+
+def test_thermometry_zero_coupling_is_not_bracketed():
+    # g = 0 carries no current at all, which is no null to locate
+    with pytest.raises(NullNotBracketed):
+        metrology.thermometry_simulate(2.0, 1.0, 1.0, 0.7, 0.0, 0.8,
+                                       np.linspace(0.8, 2.4, 21))
+
+
+@pytest.mark.parametrize("g", [1e-155, 1e-161])
+def test_thermometry_tiny_coupling_still_brackets_the_null(g):
+    # the current underflows to 0 here, but not the occupation gap whose
+    # sign it carries; the null is at T_h = 0.83 * 2 = 1.66
+    res = metrology.thermometry_simulate(2.0, 1.0, 1.0, 0.7, g, 0.83,
+                                         np.linspace(0.8, 2.4, 201))
+    assert abs(res.estimated_parameter - 0.83) <= res.error_estimate
+    assert res.error_estimate == pytest.approx(0.002, rel=1e-9)
+
+
+def moment_solve_current(omega_h, omega_c, kappa_h, kappa_c, g, t_h, t_c):
+    """2 g Im c from solving the 2x2 steady-state moment system for
+    (n_h, n_c): an independent check of the closed-form current."""
+    nbar_h = 1.0 / np.expm1(omega_h / t_h)
+    nbar_c = 1.0 / np.expm1(omega_c / t_c)
+    big_g = 4 * g**2 / (kappa_h + kappa_c)
+    a = np.array([[kappa_h + big_g, -big_g], [-big_g, kappa_c + big_g]])
+    b = np.array([kappa_h * nbar_h, kappa_c * nbar_c])
+    n_h, n_c = np.linalg.solve(a, b)
+    return big_g * (n_c - n_h)
+
+
+def test_thermometry_current_matches_moment_solve():
+    local = np.random.default_rng(7)
+    for _ in range(500):
+        omega_h, omega_c, kappa_h, kappa_c, g = local.uniform(0.1, 3.0, size=5)
+        t_c, t_h = local.uniform(0.2, 3.0), local.uniform(0.1, 10.0)
+        exact = metrology.thermometry_current(omega_h, omega_c, kappa_h,
+                                              kappa_c, g, t_h, t_c)
+        oracle = moment_solve_current(omega_h, omega_c, kappa_h, kappa_c, g,
+                                      t_h, t_c)
+        assert exact == pytest.approx(oracle, rel=1e-12)
+
+
+def test_thermometry_error_slope_matches_central_difference():
+    local = np.random.default_rng(8)
+    for _ in range(50):
+        omega_h, kappa_h, kappa_c, g = local.uniform(0.1, 3.0, size=4)
+        omega_c, t_c, delta_i = 1.0, local.uniform(0.2, 3.0), 1e-4
+        t_h_star = t_c * omega_h / omega_c
+        step = 1e-6 * t_c
+        slope = (metrology.thermometry_current(omega_h, omega_c, kappa_h,
+                                               kappa_c, g, t_h_star, t_c + step)
+                 - metrology.thermometry_current(omega_h, omega_c, kappa_h,
+                                                 kappa_c, g, t_h_star,
+                                                 t_c - step)) / (2 * step)
+        out = metrology.thermometry_error(omega_h, omega_c, t_c, kappa_h,
+                                          kappa_c, g, delta_i=delta_i,
+                                          delta_t_h=0.0)
+        assert out["delta_t_c"] == pytest.approx(delta_i / abs(slope), rel=1e-6)
+
+
 def lindblad_exchange_current(omega_h, omega_c, kappa_h, kappa_c, g,
                               t_h, t_c, n_max):
     """Steady exchange current 2 g Im<a_h† a_c> of the truncated two-mode

@@ -5,7 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from qtherm import oscillators, sta
-from qtherm.errors import DegenerateSpectrum, TrapInversionWarning
+from qtherm.errors import (
+    DegenerateSpectrum,
+    NumericalInstability,
+    TrapInversionWarning,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -223,3 +227,56 @@ def test_cd_transport_random_paths(dim):
 
     for level in range(dim):
         assert _transport_infidelity(h0, 1.5, level, dim) < 1e-6
+
+
+def _aligned_eig(h, reference):
+    """Eigendecomposition with each eigenvector phase-aligned to the
+    corresponding column of ``reference`` (maximal real overlap)."""
+    vals, vecs = np.linalg.eigh(h)
+    overlaps = np.einsum("ij,ij->j", reference.conj(), vecs)
+    mags = np.abs(overlaps)
+    phases = np.where(mags > 1e-14, overlaps / np.where(mags > 1e-14, mags, 1.0), 1.0)
+    return vals, vecs * np.conj(phases)[None, :]
+
+
+def counterdiabatic_by_eigenvector_difference(h0, t, dt):
+    """H_CD = i sum_n (|d_t n><n| - <n|d_t n>|n><n|) from centred
+    differences of phase-aligned eigenvectors, with the eigenbasis diagonal
+    (a pure gauge) removed: an independent check of Berry's closed form."""
+    _, vecs = np.linalg.eigh(h0(t))
+    _, v_plus = _aligned_eig(h0(t + dt), vecs)
+    _, v_minus = _aligned_eig(h0(t - dt), vecs)
+    h_cd = 1j * ((v_plus - v_minus) / (2 * dt)) @ vecs.conj().T
+    h_cd = (h_cd + h_cd.conj().T) / 2
+    diag = np.einsum("in,ij,jn->n", vecs.conj(), h_cd, vecs)
+    return h_cd - (vecs * diag[None, :].real) @ vecs.conj().T
+
+
+def test_cd_matches_eigenvector_difference_oracle():
+    local = np.random.default_rng(5)
+    for _ in range(20):
+        a = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
+        b = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
+        ha, hb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
+        t = local.uniform(-2.0, 2.0)
+
+        def h0(tt):
+            return (np.diag([0.0, 1.0, 2.5, 4.0]) + 0.3 * np.cos(tt) * ha
+                    + 0.3 * np.sin(2 * tt) * hb)
+
+        expected = counterdiabatic_by_eigenvector_difference(h0, t, 1e-5)
+        assert np.max(np.abs(sta.counterdiabatic(h0, t, 1e-5) - expected)) < 1e-8
+
+
+@pytest.mark.parametrize("velocity,t,dt", [
+    (0.0, 1.7976931348623157e308, 1.7976931348623157e308),  # 0 * inf
+    (1e308, 1e308, 1e-6),  # H0(t) itself overflows
+    (1.0, 0.0, 1e-320),  # dH0/dt overflows
+])
+def test_cd_non_finite_drive_raises(velocity, t, dt):
+    def h0(tt):
+        eps = -velocity * tt  # no inf * 0 in building H0 itself
+        return np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
+
+    with pytest.raises(NumericalInstability):
+        sta.counterdiabatic(h0, t, dt)
