@@ -31,6 +31,8 @@ from .errors import (
 )
 
 DENSE_DIM_BUDGET = 4096
+# a charging trace keeps a state of up to DENSE_DIM_BUDGET amplitudes per step
+MAX_TIME_STEPS = 10_000
 P_FLOOR = 1e-12  # populations below this are dropped from Fisher sums
 
 
@@ -412,7 +414,11 @@ def scaling_exponent(sizes, values) -> float:
 def _time_grid(tau: float, dt: float) -> np.ndarray:
     if tau <= 0 or dt <= 0 or tau < 2 * dt:
         raise InvalidParams("need tau > 0, dt > 0 and at least 3 samples")
-    n_steps = int(round(tau / dt))
+    with np.errstate(over="ignore"):
+        ratio = np.float64(tau) / np.float64(dt)
+    if not ratio <= MAX_TIME_STEPS:  # also an overflow to inf
+        raise TooLarge(f"tau/dt = {ratio:.3g} exceeds {MAX_TIME_STEPS} time steps")
+    n_steps = int(round(float(ratio)))
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 

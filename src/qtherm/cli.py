@@ -236,7 +236,7 @@ def _run_qfi(p):
 
 
 def _run_thermometry(p):
-    grid = np.linspace(p["t_h_min"], p["t_h_max"], p["t_h_steps"])
+    grid = _grid(p["t_h_min"], p["t_h_max"], p["t_h_steps"])
     res = metrology.thermometry_simulate(
         p["omega_h"], p["omega_c"], p["kappa_h"], p["kappa_c"], p["g"],
         p["t_c_true"], grid)
@@ -246,8 +246,7 @@ def _run_thermometry(p):
 
 
 def _run_magnetometry(p):
-    grid = np.linspace(p["omega_k_min"], p["omega_k_max"],
-                       p["omega_k_steps"])
+    grid = _grid(p["omega_k_min"], p["omega_k_max"], p["omega_k_steps"])
     res = metrology.magnetometry_null(p["omega_un_true"], p["t_h"], p["t_c"],
                                       p["theta"], grid)
     return {"null_location": res.null_location,
@@ -327,6 +326,10 @@ def _run_advantage(p):
     return {"gamma": gamma}
 
 
+# the most points, cycles or samples a key may ask for, so that a config that
+# validates cannot exhaust memory; keys that set a Hilbert-space dimension
+# meet the library's TooLarge checks instead, and n_fock its own maximum
+_MAX_POINTS = 10_000
 _TEMPS = {"t_h": Param(float), "t_c": Param(float)}
 _DIAG = {"energies": Param(list), "populations": Param(list)}
 _DICKE = {
@@ -371,7 +374,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "waveform": Param(str, "sinusoidal",
                            choices=("constant", "sinusoidal",
                                     "piecewise_asymmetric")),
-         "m_max": Param(int, 40, minimum=1)},
+         # beyond 2^13 - 1 the 2^14-point FFT of sideband_weights aliases
+         "m_max": Param(int, 40, minimum=1, maximum=(1 << 13) - 1)},
         _run_ctm),
     "sta-ermakov": Experiment(
         {"omega_i": Param(float), "omega_f": Param(float),
@@ -382,10 +386,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "t": Param(float), "dt": Param(float, 1e-6)},
         _run_sta_cd),
     "outcoupled": Experiment(
-        {"n_cycles": Param(int, minimum=1),
+        {"n_cycles": Param(int, minimum=1, maximum=_MAX_POINTS),
          "per_cycle_measurement": Param(bool, False),
          "delta": Param(float, 1.0), "g": Param(float, 0.02),
-         "b": Param(float, 0.1), "n_fock": Param(int, 30, minimum=2)},
+         "b": Param(float, 0.1),
+         "n_fock": Param(int, 30, minimum=2, maximum=500)},
         _run_outcoupled, multi_row=True),
     "qfi": Experiment(
         {"omega": Param(float), "temperature": Param(float, minimum=0.0)},
@@ -395,20 +400,20 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "kappa_h": Param(float), "kappa_c": Param(float),
          "g": Param(float), "t_c_true": Param(float, minimum=0.0),
          "t_h_min": Param(float), "t_h_max": Param(float),
-         "t_h_steps": Param(int, minimum=2)},
+         "t_h_steps": Param(int, minimum=2, maximum=_MAX_POINTS)},
         _run_thermometry),
     "magnetometry": Experiment(
         {"omega_un_true": Param(float), **_TEMPS,
          "theta": Param(float, minimum=0.0, maximum=float(np.pi)),
          "omega_k_min": Param(float), "omega_k_max": Param(float),
-         "omega_k_steps": Param(int, minimum=2)},
+         "omega_k_steps": Param(int, minimum=2, maximum=_MAX_POINTS)},
         _run_magnetometry),
     "ergotropy": Experiment(dict(_DIAG), _run_ergotropy),
     "n-copy": Experiment(
         {**_DIAG, "n_copies": Param(int, minimum=1)}, _run_n_copy),
     "qsl": Experiment(
         {"omega": Param(float), "tau": Param(float, minimum=0.0),
-         "samples": Param(int, 201, minimum=2)},
+         "samples": Param(int, 201, minimum=2, maximum=_MAX_POINTS)},
         _run_qsl),
     "charge-xxz": Experiment(
         {"n_cells": Param(int, minimum=1), "b": Param(float),
@@ -467,7 +472,7 @@ def load_config(path: str, experiment: Optional[str] = None,
 
 # a sweep's points are all held at once, so their number is bounded
 _SWEEP_FIELDS = {"from": Param(float), "to": Param(float),
-                 "steps": Param(int, minimum=1, maximum=10_000)}
+                 "steps": Param(int, minimum=1, maximum=_MAX_POINTS)}
 
 
 def parse_config(cfg: ExperimentConfig) -> Tuple[List[dict], List[str]]:
@@ -537,11 +542,11 @@ def _sweep_points(cfg: ExperimentConfig,
                      "rows and cannot be swept")
     if diags:
         return [], diags
-    lo, hi, steps = fields["from"], fields["to"], fields["steps"]
-    # an overflowing span gives non-finite points, which the check rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (np.logspace(np.log10(lo), np.log10(hi), steps)
-                  if scale == "log" else np.linspace(lo, hi, steps))
+    try:
+        values = _grid(fields["from"], fields["to"], fields["steps"],
+                       log=scale == "log")
+    except InvalidParams as exc:
+        return [], [f"sweep of {key!r}: {exc}"]
     spec = exp.params[key]
     points = []
     for value in map(float, values):
@@ -553,6 +558,19 @@ def _sweep_points(cfg: ExperimentConfig,
         except ValueError as exc:
             return [], [f"sweep point of {key!r}: {exc}"]
     return points, []
+
+
+def _grid(lo: float, hi: float, steps: int, log: bool = False) -> np.ndarray:
+    """``steps`` points from lo to hi, evenly spaced (in log10 with
+    ``log``); raises InvalidParams when the span overflows the float range
+    and leaves a point that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.logspace(np.log10(lo), np.log10(hi), steps) if log
+                  else np.linspace(lo, hi, steps))
+    if not np.all(np.isfinite(values)):
+        raise InvalidParams(f"the grid from {lo!r} to {hi!r} in {steps} "
+                            "steps leaves the float range")
+    return values
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:

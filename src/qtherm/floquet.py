@@ -1,5 +1,5 @@
-"""Periodically modulated two-level machinery: Floquet Hamiltonian,
-sideband weights, and the continuous thermal machine (CTM).
+"""Periodically modulated two-level machinery: sideband weights and the
+continuous thermal machine (CTM).
 
 The CTM is a two-level system with a periodically modulated gap omega_s(t)
 (cycle mean omega0) coupled to spectrally separated hot and cold baths.
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import lindblad, qcore
+from . import lindblad
 from .errors import InvalidParams, NoCoupling, TruncationTooSmall, UnclassifiableState
-from .qcore import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X
+from .qcore import SIGMA_X
 
 
 # --- modulation ---------------------------------------------------------------
@@ -129,27 +128,6 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeight
     return SidebandWeights(m_max, w)
 
 
-# --- Floquet Hamiltonian --------------------------------------------------------
-
-
-def floquet_hamiltonian(h_of_t, period: float, n_steps: int = 2000) -> np.ndarray:
-    """Effective static Hamiltonian H_F = (i/T) log U(T, 0).
-
-    The propagator is built from midpoint-exponential steps; the principal
-    matrix logarithm puts the quasi-energies in (-Omega/2, Omega/2] with
-    Omega = 2 pi / T.
-    """
-    u = qcore.midpoint_propagator(h_of_t, 0.0, period, n_steps)
-    # principal log via the (unitary) eigendecomposition
-    vals, vecs = sla.schur(u, output="complex")
-    phases = np.angle(np.diag(vals))  # in (-pi, pi]
-    quasi = -phases / period  # in [-Omega/2, Omega/2)
-    omega = 2 * np.pi / period
-    quasi = np.where(np.isclose(quasi, -omega / 2), omega / 2, quasi)
-    hf = (vecs * quasi) @ vecs.conj().T
-    return qcore.hermitianize(hf)
-
-
 # --- continuous thermal machine --------------------------------------------------
 
 
@@ -234,30 +212,6 @@ def _population_ratio(channels) -> float:
     num = sum(u * np.exp(-w / b.temperature) for _m, b, w, u in channels)
     den = sum(u for _m, _b, _w, u in channels)
     return float(num / den)
-
-
-def ctm_steady_state(cfg: CTMConfig, m_max: int = 40) -> float:
-    """Excited/ground steady population ratio r of the modulated TLS."""
-    return _population_ratio(_channels(cfg, m_max))
-
-
-def ctm_generator(cfg: CTMConfig, m_max: int = 40):
-    """Assemble the explicit sideband GKSL generator (4x4 superoperator).
-
-    Returns (total superoperator, per-bath parts dict, channel list).
-    """
-    channels = _channels(cfg, m_max)
-    parts = {}
-    for bath in (cfg.hot_bath, cfg.cold_bath):
-        # every sideband of a bath shares the jumps sigma_-/sigma_+, so the
-        # bath is one dissipator at the summed down and up rates
-        down = sum(u for _m, b, _w, u in channels if b is bath)
-        up = sum(u * np.exp(-w_m / bath.temperature)
-                 for _m, b, w_m, u in channels if b is bath)
-        parts[bath.label] = parts.get(bath.label, 0) + lindblad.dissipator_super(
-            np.array([SIGMA_MINUS, SIGMA_PLUS]), [down, up])
-    total = sum(parts.values())
-    return total, parts, channels
 
 
 @dataclass(frozen=True)

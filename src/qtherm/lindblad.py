@@ -15,9 +15,14 @@ holds every population; for a non-degenerate spectrum it has d pairs.
 The steady state is one LU solve of the zero-frequency block with its
 (redundant) ground-population row replaced by the trace functional; every
 other block must be nonsingular. Evolution exponentiates each block. No
-d² x d² array is formed on these paths: the dense superoperator (column
-stacking) exists only as the generator's lazy ``total`` view, an
-independent check of the blocks.
+d² x d² array is formed on these paths.
+
+The dense superoperator (column stacking) is the generator's lazy
+``total``, built from ``decompose_coupling`` and ``dissipator_super``. No
+function of the package reads it. It stays, with those two functions,
+because the benchmark reads it: ``bench/checks.py`` checks the steady
+state against ``total`` and ``bench/tracing.py`` wraps the two functions
+by name.
 """
 
 from __future__ import annotations
@@ -111,15 +116,6 @@ class BathSpec:
         return np.exp(omega / self.temperature) * self.spectral.positive_side(-omega)
 
 
-@dataclass(frozen=True)
-class JumpTerm:
-    """Jump operator S(omega) between eigenspaces separated by omega."""
-
-    frequency: float
-    operator: np.ndarray
-    rate: float = 0.0
-
-
 # --- jump terms and dense superoperators -----------------------------------------
 
 
@@ -161,17 +157,17 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
 def decompose_coupling(s: np.ndarray, h: np.ndarray):
     """Split a coupling operator into eigenspace jump terms.
 
-    Returns JumpTerms with sum_omega S(omega) = S and [H, S(omega)] = -omega S(omega).
-    S is rotated once into the eigenbasis of H and split there by
-    ``_bohr_terms``; terms come in ascending frequency.
+    Returns (freqs, ops): ascending frequencies omega and the (n, d, d)
+    stack of jump operators S(omega), with sum_omega S(omega) = S and
+    [H, S(omega)] = -omega S(omega). S is rotated once into the eigenbasis
+    of H and split there by ``_bohr_terms``.
     """
     s = np.asarray(s, dtype=complex)
     vals, vecs = qcore.hermitian_eig(h)
     s_eig = vecs.conj().T @ s @ vecs
     entry_term, freqs = _bohr_terms(s, s_eig, vals)
     masked = np.where(entry_term == np.arange(len(freqs))[:, None, None], s_eig, 0)
-    ops = vecs @ masked @ vecs.conj().T
-    return [JumpTerm(f, op) for f, op in zip(freqs, ops)]
+    return freqs, vecs @ masked @ vecs.conj().T
 
 
 def dissipator_super(jumps: np.ndarray, rates) -> np.ndarray:
@@ -198,11 +194,6 @@ def dissipator_super(jumps: np.ndarray, rates) -> np.ndarray:
     out[diag, :, diag, :] -= 0.5 * k  # I ⊗ K
     out[:, diag, :, diag] -= 0.5 * k.T  # K^T ⊗ I
     return out.reshape(d * d, d * d)
-
-
-def hamiltonian_super(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[H, rho]."""
-    return -1j * (qcore.left_mult_super(h) - qcore.right_mult_super(h))
 
 
 # --- Bohr-sector generator ---------------------------------------------------------
@@ -345,10 +336,9 @@ class LindbladGenerator:
 
     ``blocks`` is the whole generator, -i[H, .] plus every dissipator, and
     ``dissipator_parts`` maps each bath label to its own dissipator, both as
-    SectorBlocks. ``jump_terms`` (bath label -> [JumpTerm]) and ``total``
-    (the dense d² x d² superoperator, read-only) are built on first access
-    from ``decompose_coupling`` and ``dissipator_super``. No function of
-    this module reads them: they are an independent check of the blocks.
+    SectorBlocks. ``total``, the dense d² x d² superoperator (read-only), is
+    built on first access from ``decompose_coupling`` and
+    ``dissipator_super``; see the module docstring for why it stays.
     """
 
     dim: int
@@ -358,19 +348,12 @@ class LindbladGenerator:
     dissipator_parts: dict
 
     @cached_property
-    def jump_terms(self) -> dict:
-        return {bath.label: [JumpTerm(jt.frequency, jt.operator, bath.rate(jt.frequency))
-                             for jt in decompose_coupling(bath.coupling_operator,
-                                                          self.hamiltonian)]
-                for bath in self.baths}
-
-    @cached_property
     def total(self) -> np.ndarray:
-        d = self.dim
-        total = hamiltonian_super(self.hamiltonian)
-        for terms in self.jump_terms.values():
-            jumps = np.array([t.operator for t in terms], dtype=complex)
-            total += dissipator_super(jumps.reshape(-1, d, d), [t.rate for t in terms])
+        h, eye = self.hamiltonian, np.eye(self.dim)
+        total = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for bath in self.baths:
+            freqs, ops = decompose_coupling(bath.coupling_operator, h)
+            total += dissipator_super(ops, [bath.rate(f) for f in freqs])
         total.flags.writeable = False
         return total
 

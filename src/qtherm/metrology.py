@@ -149,7 +149,8 @@ def _locate_null(grid: np.ndarray, values: np.ndarray) -> Tuple[float, float]:
     if len(crossings) == 0:
         raise NullNotBracketed("observable does not change sign on the grid")
     k = int(crossings[0])
-    return float(0.5 * (grid[k] + grid[k + 1])), float(abs(grid[k + 1] - grid[k]))
+    # halved before the sum, so that the midpoint of two huge points is finite
+    return float(0.5 * grid[k] + 0.5 * grid[k + 1]), float(abs(grid[k + 1] - grid[k]))
 
 
 # --- Otto-null thermometry -------------------------------------------------------------

@@ -11,19 +11,20 @@ relaxes <a†a> to nbar as e^{-kappa t} and turns <a²> as
 e^{-(kappa + 2i omega) t}, in closed form. No Fock cutoff enters.
 
 Fock basis. ``destroy`` builds ladder operators for ``cycles`` and
-``battery``. ``xp_ops``, ``hamiltonian``, ``squeeze``, ``thermal_state``,
-``FrequencyRamp`` and ``damp_thermalize`` are not called by the package;
-they are the independent oracle the tests check the second-moment route
-against. Their operators are matrices in the Fock basis of a reference
-frequency omega_ref, with x = (a + a†)/sqrt(2 omega_ref) and
-p = i sqrt(omega_ref/2)(a† - a). ``FrequencyRamp`` integrates in the
-instantaneous squeeze frame S(xi) = exp(xi (a² - a†²)/2),
-xi = ½ ln(omega(t)/omega_ref), where S† H(omega) S = omega (a†a + ½) and
-the remaining frame Hamiltonian holds only a² and a†² (applied as row
-shifts). ``damp_thermalize`` is exact: in the frame where H(omega) is
-diagonal the dissipator maps rho[m, n] only to rho[m±1, n±1], so each
-diagonal m - n of rho evolves under its own tridiagonal generator,
-propagated with one matrix exponential.
+``battery``. No function of the package calls ``squeeze``,
+``FrequencyRamp`` or ``damp_thermalize``. They stay because the
+benchmark's tracer (``bench/tracing.py``) wraps them by name (and this
+module's ``solve_ivp``), and the tests use them as the independent Fock
+oracle of the second-moment route. Their operators are matrices in the
+Fock basis of a reference frequency omega_ref, with
+x = (a + a†)/sqrt(2 omega_ref) and p = i sqrt(omega_ref/2)(a† - a).
+``FrequencyRamp`` integrates in the instantaneous squeeze frame
+S(xi) = exp(xi (a² - a†²)/2), xi = ½ ln(omega(t)/omega_ref), where
+S† H(omega) S = omega (a†a + ½) and the remaining frame Hamiltonian holds
+only a² and a†² (applied as row shifts). ``damp_thermalize`` is exact: in
+the frame where H(omega) is diagonal the dissipator maps rho[m, n] only to
+rho[m±1, n±1], so each diagonal m - n of rho evolves under its own
+tridiagonal generator, propagated with one matrix exponential.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import expm
 
-from .errors import CutoffTooSmall, InvalidParams, NumericalInstability
+from .errors import InvalidParams, NumericalInstability
 
 
 # --- second-moment (Gaussian) route -----------------------------------------------
@@ -109,19 +110,6 @@ def destroy(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
 
 
-def xp_ops(omega_ref: float, n_max: int):
-    a = destroy(n_max)
-    x = (a + a.conj().T) / np.sqrt(2 * omega_ref)
-    p = 1j * np.sqrt(omega_ref / 2) * (a.conj().T - a)
-    return x, p
-
-
-def hamiltonian(omega: float, omega_ref: float, n_max: int) -> np.ndarray:
-    """H(omega) = p²/2 + omega² x²/2 in the reference Fock basis."""
-    x, p = xp_ops(omega_ref, n_max)
-    return (p @ p) / 2 + (omega**2) * (x @ x) / 2
-
-
 @lru_cache(maxsize=8)
 def _squeeze_eig(n_max: int):
     """Eigenpairs of i (a² - a†²)/2, which do not depend on xi."""
@@ -138,27 +126,6 @@ def squeeze(xi: float, n_max: int) -> np.ndarray:
     """S(xi) = exp(xi (a² - a†²)/2)."""
     vals, vecs = _squeeze_eig(n_max)
     return (vecs * np.exp(-1j * xi * vals)) @ vecs.conj().T
-
-
-def thermal_populations(omega: float, temperature: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    w = np.exp(-omega * n / temperature)
-    return w / w.sum()
-
-
-def thermal_state(omega: float, temperature: float, omega_ref: float,
-                  n_max: int) -> np.ndarray:
-    """Gibbs state of H(omega) expressed in the reference Fock basis."""
-    pops = thermal_populations(omega, temperature, n_max)
-    if pops[-1] > 1e-10:
-        raise CutoffTooSmall(
-            f"top Fock level holds population {pops[-1]:.2e} > 1e-10"
-        )
-    rho = np.diag(pops).astype(complex)
-    if abs(omega - omega_ref) < 1e-14 * omega_ref:
-        return rho
-    s = squeeze(0.5 * np.log(omega / omega_ref), n_max)
-    return s @ rho @ s.conj().T
 
 
 class FrequencyRamp:

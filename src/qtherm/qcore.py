@@ -4,6 +4,9 @@ Conventions used project-wide:
   * hbar = k_B = 1.
   * Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
   * Matrix functions of density matrices floor eigenvalues at 0.
+
+No function of the package calls ``matrix_exp``. It stays because the
+benchmark's tracer (``bench/tracing.py``) wraps it by name.
 """
 
 from __future__ import annotations
@@ -212,27 +215,3 @@ def gibbs_state(h: np.ndarray, temperature: float) -> np.ndarray:
     w /= w.sum()
     return (vecs * w) @ vecs.conj().T
 
-
-# --- vectorization helpers (column-stacking convention) ---------------------
-
-
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v, dtype=complex).reshape(d, d, order="F")
-
-
-def left_mult_super(a: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> A rho."""
-    d = a.shape[0]
-    return np.kron(np.eye(d), a)
-
-
-def right_mult_super(b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> rho B."""
-    d = b.shape[0]
-    return np.kron(b.T, np.eye(d))

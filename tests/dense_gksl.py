@@ -9,13 +9,42 @@ integration of the master equation in matrix form.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
-from qtherm import qcore
+from qtherm import lindblad, qcore
 from qtherm.errors import DegenerateSteadyState
+
+
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def devectorize(v: np.ndarray) -> np.ndarray:
+    d = int(round(np.sqrt(v.size)))
+    return np.asarray(v, dtype=complex).reshape(d, d, order="F")
+
+
+@dataclass(frozen=True)
+class JumpTerm:
+    """Jump operator S(omega) between eigenspaces separated by omega."""
+
+    frequency: float
+    operator: np.ndarray
+    rate: float = 0.0
+
+
+def jump_terms(gen) -> dict:
+    """Bath label -> [JumpTerm] of a generator, each at its bath's rate."""
+    out = {}
+    for bath in gen.baths:
+        freqs, ops = lindblad.decompose_coupling(bath.coupling_operator, gen.hamiltonian)
+        out[bath.label] = [JumpTerm(f, op, bath.rate(f)) for f, op in zip(freqs, ops)]
+    return out
 
 
 def dissipator(jumps, rates) -> np.ndarray:
@@ -29,17 +58,19 @@ def dissipator(jumps, rates) -> np.ndarray:
     return out
 
 
-def superoperator(h, jumps, rates) -> np.ndarray:
-    """-i[H, .] plus the dissipator of the jump terms."""
+def superoperator(h, jumps=(), rates=()) -> np.ndarray:
+    """-i[H, .] plus the dissipator of the jump terms (the commutator
+    alone when there are none)."""
     d = h.shape[0]
     eye = np.eye(d)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + dissipator(jumps, rates)
+    commutator = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return commutator + dissipator(jumps, rates) if len(jumps) else commutator
 
 
 def generator_super(gen, labels=None) -> np.ndarray:
     """Dense superoperator of a generator's jump terms; with ``labels``,
     the dissipator of those baths alone."""
-    terms = [t for label, ts in gen.jump_terms.items()
+    terms = [t for label, ts in jump_terms(gen).items()
              if labels is None or label in labels for t in ts]
     ops, rates = [t.operator for t in terms], [t.rate for t in terms]
     if labels is not None:
@@ -65,14 +96,14 @@ def svd_kernel(total, kernel_tol=1e-9):
     null_idx = np.where(s <= kernel_tol * s[0])[0]
     if len(null_idx) == 0:
         null_idx = [len(s) - 1]
-    return [qcore.devectorize(vh[i].conj()) for i in null_idx]
+    return [devectorize(vh[i].conj()) for i in null_idx]
 
 
 def svd_null_state(total):
     """Right singular vector of the smallest singular value, normalised to
     unit trace."""
     _u, _s, vh = np.linalg.svd(total)
-    rho = qcore.hermitianize(qcore.devectorize(vh[-1].conj()))
+    rho = qcore.hermitianize(devectorize(vh[-1].conj()))
     return rho / np.trace(rho).real
 
 
@@ -109,13 +140,13 @@ def steady_state(total, kernel_tol=1e-9):
     residual = np.linalg.norm(total @ x)
     if not residual <= kernel_tol * np.linalg.norm(total) * np.linalg.norm(x):  # or NaN
         _raise_degenerate(total, kernel_tol)
-    rho = qcore.hermitianize(qcore.devectorize(x))
+    rho = qcore.hermitianize(devectorize(x))
     return rho / np.trace(rho).real
 
 
 def evolve(total, rho0, t):
     """exp(L t) applied to the column-stacked state."""
-    return qcore.devectorize(sla.expm(t * total) @ qcore.vectorize(rho0))
+    return devectorize(sla.expm(t * total) @ vectorize(rho0))
 
 
 def evolve_ode(h, jump_rate_pairs, rho0, t_span, t_eval=None, rtol=1e-10, atol=1e-12):

@@ -16,6 +16,7 @@ import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 from scipy.special import jv
 
+import dense_gksl
 from qtherm import battery, cycles, floquet, lindblad, metrology, oscillators, qcore, sta
 from qtherm.metrology import ParamFamily
 
@@ -514,9 +515,9 @@ def test_criterion_16_stroke_continuous_equivalence_trend():
     failures = []
     omega = 1.0
     h_lab = 0.5 * omega * SZ
-    hrow = qcore.vectorize(h_lab).conj()
+    hrow = dense_gksl.vectorize(h_lab).conj()
     nbar = lambda t: 1.0 / (np.exp(omega / t) - 1.0)
-    unit0 = lindblad.hamiltonian_super(0.8 * SX)  # resonant drive, rotating frame
+    unit0 = dense_gksl.superoperator(0.8 * SX)  # resonant drive, rotating frame
     bath0 = np.zeros((4, 4), dtype=complex)
     for temp in (2.0, 0.5):
         n = nbar(temp)
@@ -524,7 +525,7 @@ def test_criterion_16_stroke_continuous_equivalence_trend():
                          + lindblad.dissipator_super(SM.conj().T, n))
     tau = 1.0
     rho0 = np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]], dtype=complex)
-    y0 = np.concatenate([qcore.vectorize(rho0), [0.0]])
+    y0 = np.concatenate([dense_gksl.vectorize(rho0), [0.0]])
 
     def augmented(unit, bath):
         # appends a work accumulator dW/dt = Tr(H_lab * unitary part of drho/dt)

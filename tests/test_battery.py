@@ -727,6 +727,14 @@ def test_lmg_too_large():
         battery.charge_lmg(15, 1.0, -1.0, 1.0, 2.0, 0.01)
 
 
+def test_time_grid_beyond_its_step_budget_is_too_large():
+    # raised before the grid is allocated, also where tau/dt overflows
+    for tau, dt in ((10.001, 1e-3), (8.66e290, 1e-300)):
+        with pytest.raises(TooLarge):
+            battery._time_grid(tau, dt)
+    assert len(battery._time_grid(10.0, 1e-3)) == battery.MAX_TIME_STEPS + 1
+
+
 # --- Dicke battery ---------------------------------------------------------------
 
 

@@ -553,6 +553,18 @@ _FLOAT_MAX = repr(sys.float_info.max)
      "InvalidParams"),
     ("outcoupled", ["n_cycles=1", "delta=0"], "InvalidParams"),
     ("outcoupled", ["n_cycles=1", "delta=1e160"], "InvalidParams"),
+    ("outcoupled", ["n_cycles=2", "delta=0.5", "g=1e20", "n_fock=20"],
+     "InvalidParams"),
+    ("outcoupled", ["n_cycles=1", f"g={_FLOAT_MAX}", "n_fock=3"],
+     "InvalidParams"),
+    ("thermometry", ["omega_h=1", "omega_c=1", "kappa_h=1", "kappa_c=1", "g=1",
+                     "t_c_true=1", "t_h_min=-1.7e308", "t_h_max=1.7e308",
+                     "t_h_steps=5"], "InvalidParams"),
+    ("magnetometry", ["omega_un_true=1", "t_h=2", "t_c=1", "theta=0.3",
+                      f"omega_k_min=-{_FLOAT_MAX}", "omega_k_max=1e-300",
+                      "omega_k_steps=4"], "InvalidParams"),
+    ("advantage", ["n_cells=2", "n_photons=2", "lam=0.5", "photon_cutoff=10",
+                   "tau=8.66e290", "dt=1e-300"], "TooLarge"),
     ("sta-cd", ["delta=1", "velocity=1", "t=0", "dt=0"], "InvalidParams"),
     ("sta-cd", ["delta=1", "velocity=0", f"t={_FLOAT_MAX}", f"dt={_FLOAT_MAX}"],
      "NumericalInstability"),
@@ -561,8 +573,11 @@ _FLOAT_MAX = repr(sys.float_info.max)
     ("box-carnot", ["l_a=1e200", "l_b=1", "mass=1"], "InvalidParams"),
 ], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
-        "outcoupled-huge-delta", "sta-cd-zero-step", "sta-cd-infinite-step",
-        "box-carnot-energy-overflow", "box-carnot-energy-underflow"])
+        "outcoupled-huge-delta", "outcoupled-huge-g", "outcoupled-largest-g",
+        "thermometry-overflowing-grid", "magnetometry-overflowing-grid",
+        "advantage-overflowing-steps", "sta-cd-zero-step",
+        "sta-cd-infinite-step", "box-carnot-energy-overflow",
+        "box-carnot-energy-underflow"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -587,7 +602,7 @@ _SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50}
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
 _SCALE = 1e100
-_FULL_RANGE = ("sta-cd", "box-carnot")
+_FULL_RANGE = ("sta-cd", "box-carnot", "outcoupled", "thermometry")
 
 
 def _bounded(key, spec, scale):
@@ -620,8 +635,22 @@ def test_bounded_parameters_never_exit_4(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     assert code in (0, 3), (code, err.getvalue())
-    if args[0] == "sta-cd":
+    if args[0] in ("sta-cd", "outcoupled"):
         assert "nan" not in out.getvalue()
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("qsl", "samples"), ("outcoupled", "n_fock"), ("outcoupled", "n_cycles"),
+    ("ctm", "m_max"), ("thermometry", "t_h_steps"),
+    ("magnetometry", "omega_k_steps")])
+def test_keys_that_size_arrays_are_bounded(experiment, key):
+    # checked through validate alone, which allocates nothing
+    spec = cli.EXPERIMENTS[experiment].params[key]
+    for value, rejected in ((spec.maximum, False), (spec.maximum + 1, True),
+                            (1e9, True)):
+        diags = cli.validate_config(cli.ExperimentConfig(
+            experiment, {key: repr(value)}))
+        assert any(d.startswith(f"parameter {key!r}") for d in diags) is rejected
 
 
 def test_n_copy_beyond_budget_exits_3(capsys):

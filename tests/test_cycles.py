@@ -7,8 +7,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
+import fock_oracle
 from qtherm import cycles, oscillators, qcore
-from qtherm.errors import InvalidParams
+from qtherm.errors import InvalidParams, NumericalInstability
 
 rng = np.random.default_rng(11)
 
@@ -292,9 +293,9 @@ def _otto_fock(omega_a, omega_b, t_h, t_c, ramp_duration, thermalization_time,
     ramps as unitaries of ``FrequencyRamp``, the isochores by
     ``damp_thermalize`` (the route ``otto_numeric`` took before the
     second-moment one)."""
-    rho = oscillators.thermal_state(omega_a, t_h, omega_a, n_max)
-    h_a = oscillators.hamiltonian(omega_a, omega_a, n_max)
-    h_b = oscillators.hamiltonian(omega_b, omega_a, n_max)
+    rho = fock_oracle.thermal_state(omega_a, t_h, omega_a, n_max)
+    h_a = fock_oracle.hamiltonian(omega_a, omega_a, n_max)
+    h_b = fock_oracle.hamiltonian(omega_b, omega_a, n_max)
     energies = [np.trace(rho @ h_a).real]
     u = oscillators.FrequencyRamp(
         lambda t: omega_a + (omega_b - omega_a) * t / ramp_duration,
@@ -346,7 +347,7 @@ def test_otto_numeric_matches_fock_oracle_random_points(seed):
 
 
 def _fock_covariance(rho, omega_ref, n_max):
-    x, p = oscillators.xp_ops(omega_ref, n_max)
+    x, p = fock_oracle.xp_ops(omega_ref, n_max)
     c = 0.5 * np.trace(rho @ (x @ p + p @ x)).real
     return np.array([[np.trace(rho @ x @ x).real, c],
                      [c, np.trace(rho @ p @ p).real]])
@@ -356,7 +357,7 @@ def _fock_covariance(rho, omega_ref, n_max):
 def test_thermalize_covariance_matches_fock_damping(omega, tau):
     # a squeezed state with <{x, p}> != 0, relaxed part of the way
     n_max, omega_ref, temperature, kappa = 40, 2.0, 0.6, 0.8
-    rho = oscillators.thermal_state(omega_ref, 0.7, omega_ref, n_max)
+    rho = fock_oracle.thermal_state(omega_ref, 0.7, omega_ref, n_max)
     u = oscillators.FrequencyRamp(lambda t: 2.0 - t, 0.5, n_max).propagator()
     rho = u @ rho @ u.conj().T
     got = oscillators.thermalize_covariance(
@@ -501,10 +502,10 @@ def test_frequency_ramp_rejects_bad_inputs():
 
 def test_damp_thermalize_reaches_gibbs():
     n_max = 40
-    rho0 = oscillators.thermal_state(1.0, 1.5, 2.0, n_max)  # wrong-frequency thermal
+    rho0 = fock_oracle.thermal_state(1.0, 1.5, 2.0, n_max)  # wrong-frequency thermal
     out = oscillators.damp_thermalize(rho0, 2.0, 2.0, 0.8, kappa=1.0,
                                       tau=40.0, n_max=n_max)
-    target = oscillators.thermal_state(2.0, 0.8, 2.0, n_max)
+    target = fock_oracle.thermal_state(2.0, 0.8, 2.0, n_max)
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out - target)))
     assert dist < 1e-8
 
@@ -590,6 +591,14 @@ def test_outcoupled_single_cycle_settings_agree():
     w1 = cycles.outcoupled_multicycle(p, 1, False)
     w2 = cycles.outcoupled_multicycle(p, 1, True)
     assert w1[0] == pytest.approx(w2[0], abs=1e-15)
+
+
+def test_outcoupled_non_finite_state_is_numerical_instability(monkeypatch):
+    # a kick that is not finite once gave a NaN work that passed the
+    # cutoff check (nan > 1e-10 is False)
+    monkeypatch.setattr(cycles, "expm", lambda a: np.full_like(a, np.nan))
+    with pytest.raises(NumericalInstability):
+        cycles.outcoupled_multicycle(cycles.OutcoupledParams(n_fock=6), 1, False)
 
 
 def test_outcoupled_coherence_exceeds_measured():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import jv
 
 import dense_gksl
 from qtherm import floquet, lindblad, qcore
 from qtherm.errors import InvalidParams, NoCoupling, UnclassifiableState
+from qtherm.qcore import SIGMA_MINUS, SIGMA_PLUS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -13,24 +15,42 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 # --- Floquet Hamiltonian -------------------------------------------------------
 
 
+def floquet_hamiltonian(h_of_t, period: float, n_steps: int = 2000) -> np.ndarray:
+    """Effective static Hamiltonian H_F = (i/T) log U(T, 0).
+
+    The propagator is built from midpoint-exponential steps; the principal
+    matrix logarithm puts the quasi-energies in (-Omega/2, Omega/2] with
+    Omega = 2 pi / T.
+    """
+    u = qcore.midpoint_propagator(h_of_t, 0.0, period, n_steps)
+    # principal log via the (unitary) eigendecomposition
+    vals, vecs = sla.schur(u, output="complex")
+    phases = np.angle(np.diag(vals))  # in (-pi, pi]
+    quasi = -phases / period  # in [-Omega/2, Omega/2)
+    omega = 2 * np.pi / period
+    quasi = np.where(np.isclose(quasi, -omega / 2), omega / 2, quasi)
+    hf = (vecs * quasi) @ vecs.conj().T
+    return qcore.hermitianize(hf)
+
+
 def test_floquet_time_independent():
     h = 0.3 * SZ + 0.2 * SX
     period = 1.0  # Omega = 2 pi, quasi-energies well inside the first zone
-    hf = floquet.floquet_hamiltonian(lambda t: h, period)
+    hf = floquet_hamiltonian(lambda t: h, period)
     assert np.allclose(hf, h, atol=1e-8)
 
 
 def test_floquet_commuting_drive():
     omega0 = 1.0
     period = 2.0  # Omega = pi > omega0
-    hf = floquet.floquet_hamiltonian(lambda t: 0.5 * omega0 * SZ, period)
+    hf = floquet_hamiltonian(lambda t: 0.5 * omega0 * SZ, period)
     assert np.allclose(hf, 0.5 * omega0 * SZ, atol=1e-8)
 
 
 def test_floquet_stroboscopic_match():
     h_of_t = lambda t: 0.4 * SZ + 0.3 * np.sin(2 * np.pi * t / 1.7) * SX
     period = 1.7
-    hf = floquet.floquet_hamiltonian(h_of_t, period, n_steps=4000)
+    hf = floquet_hamiltonian(h_of_t, period, n_steps=4000)
     u = np.eye(2, dtype=complex)
     dt = period / 4000
     for k in range(4000):
@@ -46,7 +66,7 @@ def test_floquet_bch_second_order():
     def h_of_t(t):
         return h1 if (t % period) < period / 2 else h2
 
-    hf = floquet.floquet_hamiltonian(h_of_t, period, n_steps=2)
+    hf = floquet_hamiltonian(h_of_t, period, n_steps=2)
     # U = e^{-i h2 T/2} e^{-i h1 T/2}; BCH to second order
     comm = h2 @ h1 - h1 @ h2
     bch = (h1 + h2) / 2 - 1j * (period / 8) * comm
@@ -99,6 +119,20 @@ def test_modulation_rejects_unknown_waveform_at_construction():
 # --- CTM ----------------------------------------------------------------------------
 
 
+def ctm_generator(cfg, m_max=40):
+    """The explicit sideband GKSL generator (4x4 superoperator). Every
+    sideband of a bath shares the jumps sigma_-/sigma_+, so each bath is
+    one dissipator at its summed down and up rates."""
+    channels = floquet._channels(cfg, m_max)
+    total = 0
+    for bath in (cfg.hot_bath, cfg.cold_bath):
+        down = sum(u for _m, b, _w, u in channels if b is bath)
+        up = sum(u * np.exp(-w_m / bath.temperature)
+                 for _m, b, w_m, u in channels if b is bath)
+        total = total + dense_gksl.dissipator([SIGMA_MINUS, SIGMA_PLUS], [down, up])
+    return total
+
+
 def test_ctm_single_bath_constant_is_gibbs():
     cfg = floquet.spectral_separation_preset(10.0, 2.0, 4.0, 1.0)
     # constant modulation, one flat bath covering the gap
@@ -110,14 +144,14 @@ def test_ctm_single_bath_constant_is_gibbs():
         "cold", 1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(30.0, 40.0)), SX
     )
     cfg = floquet.CTMConfig(mod, bath, cold)
-    r = floquet.ctm_steady_state(cfg)
+    r = floquet.ctm_currents(cfg).r
     assert r == pytest.approx(np.exp(-10.0 / 4.0), abs=1e-12)
 
 
 def test_ctm_equal_temperature_formula_reeval():
     t = 2.0
     cfg = floquet.spectral_separation_preset(10.0, 3.0, t + 1e-9, t, amplitude=1.5)
-    r = floquet.ctm_steady_state(cfg)
+    r = floquet.ctm_currents(cfg).r
     w = floquet.sideband_weights(cfg.modulation, 40)
     num = den = 0.0
     for m, wm in [(1, 13.0), (-1, 7.0)]:
@@ -128,9 +162,8 @@ def test_ctm_equal_temperature_formula_reeval():
 
 def test_ctm_matches_generator_nullspace():
     cfg = floquet.spectral_separation_preset(10.0, 4.0, 4.0, 1.0)
-    r = floquet.ctm_steady_state(cfg)
-    total, _parts, _ch = floquet.ctm_generator(cfg)
-    rho = dense_gksl.steady_state(total)
+    r = floquet.ctm_currents(cfg).r
+    rho = dense_gksl.steady_state(ctm_generator(cfg))
     assert rho[0, 0].real / rho[1, 1].real == pytest.approx(r, abs=1e-10)
 
 
@@ -143,7 +176,7 @@ def test_ctm_no_coupling():
         "cold", 1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(102.0, 103.0)), SX
     )
     with pytest.raises(NoCoupling):
-        floquet.ctm_steady_state(floquet.CTMConfig(mod, hot, cold))
+        floquet.ctm_currents(floquet.CTMConfig(mod, hot, cold))
 
 
 def test_ctm_engine_efficiency_closed_form():

@@ -324,7 +324,7 @@ def lindblad_exchange_current(omega_h, omega_c, kappa_h, kappa_c, g,
     nb_c = 1.0 / np.expm1(omega_c / t_c)
     jumps = np.array([a_h, a_h.conj().T, a_c, a_c.conj().T])
     rates = [kappa_h * (nb_h + 1), kappa_h * nb_h, kappa_c * (nb_c + 1), kappa_c * nb_c]
-    rho = dense_gksl.steady_state(lindblad.hamiltonian_super(h)
+    rho = dense_gksl.steady_state(dense_gksl.superoperator(h)
                                   + lindblad.dissipator_super(jumps, rates))
     c = np.trace(rho @ a_h.conj().T @ a_c)
     return 2 * g * float(c.imag)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import dense_gksl
 from qtherm import qcore
 from qtherm.errors import InvalidSubsystem, NotHermitian
 
@@ -235,8 +236,8 @@ def test_entropy_unitary_invariance():
 
 def test_vectorization_roundtrip_and_sandwich():
     rho = random_density(3)
-    assert np.allclose(qcore.devectorize(qcore.vectorize(rho)), rho)
+    assert np.allclose(dense_gksl.devectorize(dense_gksl.vectorize(rho)), rho)
     a, b = random_hermitian(3), random_hermitian(3)
     # column stacking: vec(A rho B) = (B^T ⊗ A) vec(rho)
-    lhs = qcore.devectorize(np.kron(b.T, a) @ qcore.vectorize(rho))
+    lhs = dense_gksl.devectorize(np.kron(b.T, a) @ dense_gksl.vectorize(rho))
     assert np.allclose(lhs, a @ rho @ b, atol=1e-12)

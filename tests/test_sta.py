@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import fock_oracle
 from qtherm import oscillators, sta
 from qtherm.errors import (
     DegenerateSpectrum,
@@ -58,7 +59,7 @@ def test_ermakov_fast_schedule_inverts_trap():
 def invariant_operator(schedule, t, n_max):
     """I(t) = (1/2)[omega_0^2 x^2 / b^2 + (b p - b' x)^2] in the
     omega_i-reference Fock basis (unit mass)."""
-    x, p = oscillators.xp_ops(schedule.omega_i, n_max)
+    x, p = fock_oracle.xp_ops(schedule.omega_i, n_max)
     b = float(schedule.b(t))
     bd = float(schedule.b_dot(t))
     lin = b * p - bd * x
@@ -69,7 +70,7 @@ def fock_invariant_drift(schedule, temperature, n_max, n_samples=101):
     """Max relative drift of Tr(rho(t) I(t)), rho propagated by the Fock
     ``FrequencyRamp`` (the route ``verify_ermakov_invariant`` took before
     the second-moment one)."""
-    rho0 = oscillators.thermal_state(schedule.omega_i, temperature,
+    rho0 = fock_oracle.thermal_state(schedule.omega_i, temperature,
                                      schedule.omega_i, n_max)
     ramp = oscillators.FrequencyRamp(
         lambda t: float(np.sqrt(schedule.omega_squared(t))), schedule.tau,
@@ -121,12 +122,12 @@ def test_ermakov_invariant_drift_and_population_restoration():
     assert drift < 1e-6
 
     # endpoint populations in the instantaneous eigenbasis are restored
-    rho0 = oscillators.thermal_state(4.0, 2.0, 4.0, n_max)
+    rho0 = fock_oracle.thermal_state(4.0, 2.0, 4.0, n_max)
     ramp = oscillators.FrequencyRamp(
         lambda t: float(np.sqrt(s.omega_squared(t))), 10.0, n_max)
     u = ramp.propagator()
     rho_f = u @ rho0 @ u.conj().T
-    h_f = oscillators.hamiltonian(1.0, 4.0, n_max)
+    h_f = fock_oracle.hamiltonian(1.0, 4.0, n_max)
     vals, vecs = np.linalg.eigh(h_f)
     pops_f = np.real(np.einsum("in,ij,jn->n", vecs.conj(), rho_f, vecs))
     pops_0 = np.diag(rho0).real  # H(0) is diagonal in the reference basis
