@@ -274,17 +274,14 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
 
 
 def _group_energies(evals: np.ndarray):
-    """Degenerate energy levels grouped together: levels chain into one
-    group while consecutive sorted gaps are <= 1e-9 max(|E|, 1). Returns
-    the group energies (each group's mean) and the grouping (level order,
-    group starts) that ``_aggregate`` takes."""
+    """Degenerate energy levels grouped together by
+    ``qcore.level_clusters``. Returns the group energies (each group's
+    mean) and the grouping (level order, group starts) that ``_aggregate``
+    takes."""
     evals = np.asarray(evals, dtype=float)
-    tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
     order = np.argsort(evals, kind="stable")
-    levels = evals[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(levels) > tol])
-    sizes = np.diff(np.r_[starts, len(levels)])
-    return np.add.reduceat(levels, starts) / sizes, (order, starts)
+    starts, energies, _tol = qcore.level_clusters(evals[order])
+    return energies, (order, starts)
 
 
 def _aggregate(populations: np.ndarray, groups) -> np.ndarray:

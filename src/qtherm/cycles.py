@@ -25,6 +25,7 @@ from .errors import CutoffTooSmall, InvalidParams, NumericalInstability
 from .floquet import classify_mode
 from .qcore import SIGMA_X, SIGMA_Z
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # e^x is finite up to here
 QUASI_STATIC = "QuasiStatic"
 
 
@@ -340,8 +341,11 @@ def two_stroke(omega_k: float, omega_un: float, t_h: float, t_c: float,
         raise InvalidParams("need T_h > T_c > 0")
     if not (0 <= theta <= np.pi):
         raise InvalidParams("theta must lie in [0, pi]")
-    n_k = 1.0 / (1.0 + np.exp(2 * omega_k / t_h))
-    n_un = 1.0 / (1.0 + np.exp(2 * omega_un / t_c))
+    # beyond log(max float) e^x overflows, and its inf is the n = 0 limit;
+    # a test, not np.errstate, since magnetometry calls this per grid point
+    x_k, x_un = 2 * omega_k / t_h, 2 * omega_un / t_c
+    n_k = 1.0 / (1.0 + np.exp(x_k)) if x_k <= _LOG_FLOAT_MAX else 0.0
+    n_un = 1.0 / (1.0 + np.exp(x_un)) if x_un <= _LOG_FLOAT_MAX else 0.0
     s2 = np.sin(theta) ** 2
     q_c = 2 * omega_un * (n_un - n_k) * s2
     q_h = 2 * omega_k * (n_k - n_un) * s2

@@ -7,10 +7,12 @@ and each frequency gets an independent channel at the KMS-completed rate
 gamma(omega). The Lamb shift is omitted. Such a generator maps a coherence
 |a><b| of the eigenbasis of H only into coherences of the same Bohr
 frequency E_a - E_b (Davies 1974), so it is stored in that eigenbasis as
-blocks over Bohr sectors: the connected components of the coupling
-between level pairs (a, b). Sectors of equal size are stacked, so each
-operation is a few batched array operations. The zero-frequency sector
-holds every population; for a non-degenerate spectrum it has d pairs.
+blocks over Bohr sectors: the connected components of the level pairs
+(a, b) that the nonzero entries of the dissipators join. One list of
+those entries both finds the sectors and fills the blocks. Sectors of
+equal size are stacked, so each operation is a few batched array
+operations. The zero-frequency sector holds every population; for a
+non-degenerate spectrum it has d pairs.
 
 The steady state is one LU solve of the zero-frequency block with its
 (redundant) ground-population row replaced by the trace functional; every
@@ -123,7 +125,7 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
     """Jump term of each entry of S in the eigenbasis of H (-1 where the
     entry's cluster block is dropped) and the frequency of each term.
 
-    Gaps closer than the tolerance 1e-9 max(spectral radius, 1) merge.
+    Eigenvalues cluster by ``qcore.level_clusters``, with its tolerance.
     The block of ``s_eig`` between eigenvalue clusters a and b is the part
     of S that lowers the energy by E_b - E_a; blocks whose largest entry
     is below 1e-14 (1 + max |S|) are dropped. Blocks whose Bohr
@@ -131,14 +133,7 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
     which keeps the frequency of its first block in row-major order; terms
     come in ascending frequency.
     """
-    degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
-    # clusters of (near-)degenerate eigenvalues, contiguous in ascending order
-    starts = [0]
-    for idx in range(1, len(vals)):
-        if vals[idx] - vals[starts[-1]] > degeneracy_tol:
-            starts.append(idx)
-    sizes = np.diff(starts + [len(vals)])
-    energies = np.add.reduceat(vals, starts) / sizes
+    starts, energies, degeneracy_tol = qcore.level_clusters(vals)
     mags = np.abs(s_eig)
     block_max = np.maximum.reduceat(np.maximum.reduceat(mags, starts, axis=0),
                                     starts, axis=1)
@@ -150,7 +145,7 @@ def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
                                   return_inverse=True)
     block_term = np.full(present.shape, -1)
     block_term.flat[flat] = term_of
-    cluster = np.repeat(np.arange(len(starts)), sizes)
+    cluster = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(vals)))
     return block_term[np.ix_(cluster, cluster)], omegas.flat[flat[first]]
 
 
@@ -244,52 +239,47 @@ def _equal_pairs(key: np.ndarray):
     return order[i], order[np.repeat(np.repeat(start, count), n_each) + within]
 
 
-class _Couplings:
-    """The baths' couplings in the eigenbasis of H, stacked over baths:
-    the entries of S, the jump term and rate of each, and
-    K = sum_omega r S(omega)†S(omega)."""
+def _dissipator_entries(baths, vals: np.ndarray, vecs: np.ndarray):
+    """Every nonzero entry of every bath's dissipator in the eigenbasis of
+    H, as flat arrays (bath, into, frm, value): the entry maps level pair
+    ``frm`` into pair ``into``, a pair (a, b) being the flat index a d + b.
 
-    def __init__(self, baths, vals: np.ndarray, vecs: np.ndarray):
-        d = len(vals)
-        s = np.array([bath.coupling_operator for bath in baths],
-                     dtype=complex).reshape(-1, d, d)
-        self.s = vecs.conj().T @ s @ vecs
-        terms, rates = [], []
-        for bath, s_bath, s_eig in zip(baths, s, self.s):
-            term, freqs = _bohr_terms(s_bath, s_eig, vals)
-            terms.append(term)
-            rates.append(np.array([bath.rate(f) for f in freqs] + [0.0])[term])
-        self.term = np.array(terms, dtype=int).reshape(-1, d, d)
-        self.rated = np.array(rates).reshape(-1, d, d) * self.s  # r(a, c) s_ac
-        # only entries of one row and one jump term meet in K
-        self.entries = n, a, c = np.nonzero(self.rated)
-        self.n_keys = int(self.term.max(initial=0)) + 1
-        i, j = _equal_pairs((n * d + a) * self.n_keys + self.term[n, a, c])
-        w = self.rated[n[i], a[i], c[i]].conj() * self.s[n[j], a[j], c[j]]
-        at = (n[i] * d + c[i]) * d + c[j]
-        size = len(s) * d * d
-        self.k = (np.bincount(at, w.real, size) + 1j * np.bincount(at, w.imag, size)
-                  ).reshape(-1, d, d)
-
-    def sandwich_edges(self):
-        """Level pairs (a, b) and (c, d) with entries (a, c) and (b, d) of
-        one jump term: the sandwich maps pair (c, d) into pair (a, b)."""
-        n, a, c = self.entries
-        i, j = _equal_pairs(n * self.n_keys + self.term[n, a, c])
-        return (a[i], a[j]), (c[i], c[j])
-
-    def blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Each bath's dissipator blocks of the sectors with pairs (a, b),
-        each (n, m): an array (baths, n, m, m)."""
-        d = self.s.shape[-1]
-        term, rated, s, k = (x.reshape(len(x), -1)
-                             for x in (self.term, self.rated, self.s, self.k))
-        ac = a[:, :, None] * d + a[:, None, :]  # entry (a_i, a_j)
-        bd = b[:, :, None] * d + b[:, None, :]  # entry (b_i, b_j)
-        sandwich = np.where(term[:, ac] == term[:, bd], rated[:, ac] * s[:, bd].conj(), 0)
-        same_a = a[:, :, None] == a[:, None, :]
-        same_b = b[:, :, None] == b[:, None, :]
-        return sandwich - 0.5 * (k[:, ac] * same_b + k[:, bd.swapaxes(1, 2)] * same_a)
+    With s = S in the eigenbasis, r the rate of each entry's jump term and
+    K = sum_omega r S(omega)†S(omega) (which commutes with H):
+      * entries (a, c) and (b, e) of one jump term map (c, e) into (a, b)
+        with r s_ac conj(s_be) (the sandwich);
+      * K[a, c] maps (c, b) into (a, b), and (b, a) into (b, c), with
+        -K[a, c]/2 for every level b (the anticommutator).
+    """
+    d = len(vals)
+    s = np.array([bath.coupling_operator for bath in baths],
+                 dtype=complex).reshape(-1, d, d)
+    s_eig = vecs.conj().T @ s @ vecs
+    terms, rates = [], []
+    for bath, s_bath, s_bath_eig in zip(baths, s, s_eig):
+        term, freqs = _bohr_terms(s_bath, s_bath_eig, vals)
+        terms.append(term)
+        rates.append(np.array([bath.rate(f) for f in freqs] + [0.0])[term])
+    term = np.array(terms, dtype=int).reshape(-1, d, d)
+    rated = np.array(rates).reshape(-1, d, d) * s_eig  # r(a, c) s_ac
+    n, a, c = np.nonzero(rated)
+    t, v = term[n, a, c], rated[n, a, c]
+    n_keys = int(term.max(initial=0)) + 1
+    i, j = _equal_pairs(n * n_keys + t)
+    sandwich = (n[i], a[i] * d + a[j], c[i] * d + c[j],
+                v[i] * s_eig[n[j], a[j], c[j]].conj())
+    # only entries of one row and one jump term meet in K
+    i, j = _equal_pairs((n * d + a) * n_keys + t)
+    w = v[i].conj() * s_eig[n[j], a[j], c[j]]
+    k = np.zeros((len(s), d, d), dtype=complex)
+    np.add.at(k, (n[i], c[i], c[j]), w)
+    kn, ka, kc = np.nonzero(k)
+    b = np.arange(d)
+    into = np.concatenate([ka[:, None] * d + b, b * d + kc[:, None]], axis=1)
+    frm = np.concatenate([kc[:, None] * d + b, b * d + ka[:, None]], axis=1)
+    anti = (np.repeat(kn, 2 * d), into.ravel(), frm.ravel(),
+            np.repeat(-0.5 * k[kn, ka, kc], 2 * d))
+    return tuple(np.concatenate(x) for x in zip(sandwich, anti))
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -308,18 +298,11 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _bohr_sectors(d: int, couplings: _Couplings) -> tuple:
-    """Connected components of the coupling between level pairs, as the
-    ``pairs`` of SectorBlocks.
-
-    The anticommutator moves a pair (a, b) along K's nonzero pattern in
-    either level, so pairs are first merged into products of K's level
-    components; sandwich terms then join those products.
-    """
-    lev = _components(d, *np.nonzero(np.any(couplings.k != 0, axis=0)))
-    (a, b), (c, d_) = couplings.sandwich_edges()
-    label = _components(d * d, lev[a] * d + lev[b], lev[c] * d + lev[d_])
-    label = label[(lev[:, None] * d + lev[None, :]).reshape(-1)]
+def _bohr_sectors(d: int, into: np.ndarray, frm: np.ndarray) -> tuple:
+    """Connected components of the level pairs joined by dissipator
+    entries (``into``, ``frm``), as the ``pairs`` of SectorBlocks."""
+    moves = into != frm  # an entry mapping a pair into itself joins nothing
+    label = _components(d * d, into[moves], frm[moves])
     label[np.isin(label, label[np.arange(d) * (d + 1)])] = -1  # zero sector
     order = np.argsort(label, kind="stable")
     _, start, count = np.unique(label[order], return_index=True, return_counts=True)
@@ -372,15 +355,27 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
                 f" does not match H {h.shape}"
             )
     vals, vecs = qcore.hermitian_eig(h)
-    couplings = _Couplings(baths, vals, vecs)
-    pairs = _bohr_sectors(d, couplings)
+    owner, into, frm, value = _dissipator_entries(baths, vals, vecs)
+    pairs = _bohr_sectors(d, into, frm)
+    # the classes' (baths, n, m, m) stacks laid end to end: entry
+    # [bath, k, i, j], for the pairs p_i and p_j of sector k, sits at
+    # row[p_i] + slot[p_j] + bath stride[p_i]
+    row, slot, stride = (np.empty(d * d, dtype=int) for _ in range(3))
+    offsets = np.cumsum([0] + [len(baths) * p.size * p.shape[-1] for p in pairs])
+    for p, offset in zip(pairs, offsets):
+        n, m = p.shape
+        row[p] = offset + np.arange(n * m).reshape(n, m) * m
+        slot[p] = np.arange(m)
+        stride[p] = n * m * m
+    flat = np.zeros(offsets[-1], dtype=complex)
+    np.add.at(flat, row[into] + slot[frm] + owner * stride[into], value)
     parts, total = [], []
-    for p in pairs:
+    for p, part in zip(pairs, np.split(flat, offsets[1:-1])):
+        n, m = p.shape
+        part = part.reshape(len(baths), n, m, m)
         a, b = np.divmod(p, d)
-        part = couplings.blocks(a, b)
         blocks = part.sum(axis=0)
-        diag = np.arange(p.shape[-1])
-        blocks[:, diag, diag] += -1j * (vals[a] - vals[b])
+        blocks[:, np.arange(m), np.arange(m)] += -1j * (vals[a] - vals[b])
         parts.append(part)
         total.append(blocks)
     return LindbladGenerator(

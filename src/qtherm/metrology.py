@@ -70,17 +70,11 @@ def _sld_in_eigenbasis(family: ParamFamily, theta0: float):
     rho = qcore.hermitianize(np.asarray(family.generator(theta0), dtype=complex))
     vals, vecs = np.linalg.eigh(rho)
     drho = vecs.conj().T @ family.drho(theta0) @ vecs
-    d = len(vals)
-    l_eig = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            denom = vals[i] + vals[j]
-            if denom > SLD_FLOOR:
-                l_eig[i, j] = 2 * drho[i, j] / denom
-            elif abs(drho[i, j]) > 1e-8:
-                raise SingularState(
-                    "parameter derivative couples into the kernel of rho"
-                )
+    denom = vals[:, None] + vals
+    support = denom > SLD_FLOOR
+    if np.any(np.abs(drho[~support]) > 1e-8):
+        raise SingularState("parameter derivative couples into the kernel of rho")
+    l_eig = np.divide(2 * drho, denom, out=np.zeros_like(drho), where=support)
     return vals, vecs, drho, l_eig
 
 
@@ -93,15 +87,11 @@ def sld(family: ParamFamily, theta0: float) -> np.ndarray:
 
 def qfi(family: ParamFamily, theta0: float) -> FisherReport:
     """Quantum Fisher information: population term sum (dp_i)^2/p_i plus the
-    coherence term, equivalently sum_ij 2|d_theta rho_ij|^2/(p_i + p_j) in
-    the eigenbasis of rho. Cross-checked against Tr(rho L^2)."""
+    coherence term, equivalently sum_ij 2|d_theta rho_ij|^2/(p_i + p_j) =
+    Re sum_ij conj(d_theta rho_ij) L_ij over p_i + p_j > SLD_FLOOR in the
+    eigenbasis of rho. Cross-checked against Tr(rho L^2)."""
     vals, vecs, drho, l_eig = _sld_in_eigenbasis(family, theta0)
-    h = 0.0
-    for i in range(len(vals)):
-        for j in range(len(vals)):
-            denom = vals[i] + vals[j]
-            if denom > SLD_FLOOR:
-                h += 2 * abs(drho[i, j]) ** 2 / denom
+    h = float(np.sum(drho.conj() * l_eig).real)  # L is 0 off the support
     l_op = qcore.hermitianize(vecs @ l_eig @ vecs.conj().T)
     rho = vecs @ np.diag(np.clip(vals, 0, None)).astype(complex) @ vecs.conj().T
     h_check = float(np.trace(rho @ l_op @ l_op).real)
@@ -225,8 +215,8 @@ def thermometry_simulate(omega_h: float, omega_c: float, kappa_h: float,
     t_star, step = _locate_null(t_h_grid, signs)
     return NullProtocolResult(
         null_location=float(t_star),
-        estimated_parameter=float(t_star * omega_c / omega_h),
-        error_estimate=float(0.5 * step * omega_c / omega_h),
+        estimated_parameter=float(t_star * (omega_c / omega_h)),
+        error_estimate=float(0.5 * step * (omega_c / omega_h)),
         sweep_trace=list(zip(t_h_grid.tolist(), currents.tolist())),
     )
 
@@ -314,7 +304,7 @@ def magnetometry_null(omega_un_true: float, t_h: float, t_c: float,
     omega_star, step = _locate_null(omega_k_grid, works)
     return NullProtocolResult(
         null_location=float(omega_star),
-        estimated_parameter=float(omega_star * t_c / t_h),
-        error_estimate=float(0.5 * step * t_c / t_h),
+        estimated_parameter=float(omega_star * (t_c / t_h)),
+        error_estimate=float(0.5 * step * (t_c / t_h)),
         sweep_trace=trace,
     )

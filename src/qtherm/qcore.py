@@ -114,6 +114,17 @@ def hermitian_eig(h: np.ndarray):
     return np.linalg.eigh(h)
 
 
+def level_clusters(levels: np.ndarray):
+    """Clusters of (near-)degenerate levels among ascending ``levels``: a
+    level joins the cluster of the one below it when their gap is at most
+    tol = 1e-9 max(max |E|, 1), so clusters chain. Returns each cluster's
+    first index and mean energy, and tol."""
+    tol = 1e-9 * max(np.max(np.abs(levels)), 1.0)
+    starts = np.flatnonzero(np.diff(levels, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=len(levels))
+    return starts, np.add.reduceat(levels, starts) / sizes, tol
+
+
 def matrix_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * a) via scaling-and-squaring."""
     a = np.asarray(a, dtype=complex)

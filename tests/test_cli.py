@@ -589,6 +589,29 @@ def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     assert "nan" not in out.out
 
 
+@pytest.mark.parametrize("args,want", [
+    (["two-stroke", "--set", "omega_k=800", "--set", "omega_un=400",
+      "--set", "t_h=4", "--set", "t_c=1", "--set", "theta=1"], {"mode": "Off"}),
+    (["magnetometry", "--set", "omega_un_true=400", "--set", "t_h=4",
+      "--set", "t_c=1", "--set", "theta=1", "--set", "omega_k_min=800",
+      "--set", "omega_k_max=2400", "--set", "omega_k_steps=5"],
+     {"omega_un_estimate": "400"}),
+    (["thermometry"] + [x for item in [
+        f"omega_h={_FLOAT_MAX}", f"omega_c={_FLOAT_MAX}", "kappa_h=1",
+        "kappa_c=1", "g=1", "t_c_true=8.98846567431158e+307",
+        f"t_h_min={_FLOAT_MAX}", "t_h_max=1.0", "t_h_steps=3"]
+        for x in ("--set", item)],
+     {"t_c_estimate": "1.3482698511467367e+308",
+      "error_estimate": "4.4942328371557893e+307"}),
+], ids=["two-stroke", "magnetometry", "thermometry"])
+def test_overflowing_intermediate_gives_the_finite_result(args, want, capsys):
+    # e^(2 omega/T) = inf in the two-stroke occupations is their n = 0
+    # limit; the thermometry estimate is t_star (omega_c/omega_h), whose
+    # product t_star omega_c alone overflows
+    row = _run_rows(args, capsys)[0]
+    assert {key: row[key] for key in want} == want
+
+
 def test_thermometry_rejects_n_max(capsys):
     args = ["thermometry"] + [x for item in _THERMOMETRY_SETS + [
         "t_c_true=1", "t_h_max=3", "n_max=400"] for x in ("--set", item)]
@@ -597,7 +620,7 @@ def test_thermometry_rejects_n_max(capsys):
 
 
 # sizes kept small so that no example allocates much
-_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50}
+_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50}
 # an unbounded side is drawn out to 1e100, where near 1e154 the squares
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
@@ -620,7 +643,7 @@ def _bounded(key, spec, scale):
 @st.composite
 def _bounded_runs(draw):
     name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd",
-                                 "box-carnot"]))
+                                 "box-carnot", "two-stroke", "magnetometry"]))
     scale = sys.float_info.max if name in _FULL_RANGE else _SCALE
     args = [name]
     for key, spec in cli.EXPERIMENTS[name].params.items():

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import dense_gksl
-from qtherm import lindblad, qcore
+from qtherm import battery, lindblad, qcore
 from qtherm.errors import DegenerateSteadyState, DimMismatch, InvalidParams
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -99,7 +99,7 @@ def projector_loop_terms(s, h, degeneracy_tol=None):
         degeneracy_tol = 1e-9 * max(np.max(np.abs(vals)), 1.0)
     groups = []
     for idx, e in enumerate(vals):
-        if groups and e - vals[groups[-1][0]] <= degeneracy_tol:
+        if groups and e - vals[groups[-1][-1]] <= degeneracy_tol:
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -443,6 +443,23 @@ def test_bohr_gap_at_rounding_edge_matches_dense_oracle(offset, gap, n_terms):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     h, s = qcore.hermitianize(q @ np.diag(e) @ q.conj().T), random_hermitian(3)
     assert len(lindblad.decompose_coupling(s, h)[0]) == n_terms
+    assert_matches_dense(lindblad.build_generator(h, [flat_bath("b", 0.8, s, 0.5)]))
+
+
+def test_level_chain_clusters_alike_in_lindblad_and_battery():
+    """Levels 0, 0.6 tol and 1.2 tol chain into one cluster (each gap is
+    below the tolerance, the whole span is not) next to a level at 1: the
+    jump terms and the battery's energy groups cluster them alike."""
+    tol = 1e-9
+    e = np.array([0.0, 0.6 * tol, 1.2 * tol, 1.0])
+    group_e, _ = battery._group_energies(e)
+    assert len(group_e) == 2
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h, s = qcore.hermitianize(q @ np.diag(e) @ q.conj().T), random_hermitian(4)
+    freqs, _ops = lindblad.decompose_coupling(s, h)
+    want = np.unique(np.subtract.outer(group_e, group_e))
+    assert len(freqs) == len(want)
+    assert np.max(np.abs(freqs - want)) < 1e-14
     assert_matches_dense(lindblad.build_generator(h, [flat_bath("b", 0.8, s, 0.5)]))
 
 
