@@ -122,9 +122,19 @@ def _passive(rho: np.ndarray, h: np.ndarray):
     h = qcore.require_hermitian(np.asarray(h, dtype=complex))
     if rho.shape != h.shape:
         raise DimMismatch("state and Hamiltonian dimensions differ")
-    pops = np.linalg.eigvalsh(qcore.hermitianize(rho))
+    pops = _spectrum(rho)
     eps, vecs = qcore.hermitian_eig(h)
     return pops, eps, (vecs * pops[::-1]) @ vecs.conj().T
+
+
+def _spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of rho (ascending); InvalidState if one is below -1e-9.
+    The trace is not checked: a state given to three digits may sum to
+    0.999."""
+    pops = np.linalg.eigvalsh(qcore.hermitianize(np.asarray(rho, dtype=complex)))
+    if pops[0] < -1e-9:
+        raise InvalidState(f"state has a negative eigenvalue {pops[0]:.3g}")
+    return pops
 
 
 def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -199,6 +209,7 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
     # d**n == budget inside (the next integer is 2e-4 away in log)
     if n * np.log(d) > np.log(DENSE_DIM_BUDGET) + 1e-9:
         raise TooLarge(f"composite dimension {d}**{n} exceeds {DENSE_DIM_BUDGET}")
+    _entropy(_spectrum(sigma))  # rejects a non-state, as ``ergotropy`` does
     evals, evecs = qcore.hermitian_eig(h0)
     pops = np.real(np.einsum("ik,ij,jk->k", evecs.conj(),
                              np.asarray(sigma, dtype=complex), evecs))

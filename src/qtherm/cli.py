@@ -33,6 +33,13 @@ Exit codes: 0 success, 2 config error, 3 numeric/model error, 4 internal
 invariant breach. ``validate`` and ``run`` share one parse, ``parse_config``:
 each value and sweep point (rounded within 1e-9 for an integer key) must
 convert, be finite and meet min/max/choices, or it is exit 2.
+
+Where an experiment is one library call, its keys are that function's
+parameters and its runner passes them through (``otto-numeric`` drops the
+unread ``n_max``); a row built from a report dataclass is the report's
+scalar fields in declared order (``_fields``). Runners look the library
+function up on its module at call time, so tracing that swaps module
+attributes sees every call.
 """
 
 from __future__ import annotations
@@ -112,16 +119,19 @@ class Experiment:
     multi_row: bool = False
 
 
-def _cycle_row(rep: cycles.CycleReport) -> dict:
-    return {
-        "net_work_output": rep.net_work_output,
-        "q_hot": rep.q_hot,
-        "q_cold": rep.q_cold,
-        "efficiency": np.nan if rep.efficiency is None else rep.efficiency,
-        "cop": np.nan if rep.cop is None else rep.cop,
-        "mode": rep.mode,
-        "carnot_margin": rep.carnot_margin,
-    }
+def _fields(report) -> dict:
+    """A report dataclass's scalar fields in declared order, as one row:
+    None becomes NaN and a bool 0 or 1; lists, dicts and arrays are left
+    out."""
+    row = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, (list, dict, np.ndarray)):
+            continue
+        if isinstance(value, (bool, np.bool_)):
+            value = int(value)
+        row[f.name] = np.nan if value is None else value
+    return row
 
 
 def _trace_row(trace: battery.ChargeTrace) -> dict:
@@ -137,35 +147,9 @@ def _trace_row(trace: battery.ChargeTrace) -> dict:
     }
 
 
-def _run_maser(p):
-    rep = cycles.maser_analyze(p["omega_h"], p["omega_c"], p["t_h"], p["t_c"])
-    return {"eta": rep.eta, "cop": rep.cop, "inversion": int(rep.inversion),
-            "mode": rep.mode}
-
-
-def _run_box_carnot(p):
-    return _cycle_row(cycles.box_carnot(p["l_a"], p["l_b"], p["mass"]))
-
-
-def _run_otto(p):
-    return _cycle_row(cycles.otto_qho(p["omega_a"], p["omega_b"], p["t_h"],
-                                      p["t_c"]))
-
-
-def _run_otto_squeezed(p):
-    return _cycle_row(cycles.otto_squeezed(p["omega_a"], p["omega_b"],
-                                           p["t_h"], p["t_c"], p["r"]))
-
-
 def _run_otto_numeric(p):
-    return _cycle_row(cycles.otto_numeric(
-        p["omega_a"], p["omega_b"], p["t_h"], p["t_c"], p["ramp_duration"],
-        p["thermalization_time"], p["kappa"]))
-
-
-def _run_two_stroke(p):
-    return _cycle_row(cycles.two_stroke(p["omega_k"], p["omega_un"], p["t_h"],
-                                        p["t_c"], p["theta"]))
+    p = {k: v for k, v in p.items() if k != "n_max"}
+    return _fields(cycles.otto_numeric(**p))
 
 
 def _run_ctm(p):
@@ -173,14 +157,7 @@ def _run_ctm(p):
     cfg = floquet.spectral_separation_preset(
         p["omega0"], p["drive_frequency"], p["t_hot"], p["t_cold"],
         rate=p["rate"], amplitude=amplitude, waveform=p["waveform"])
-    rep = floquet.ctm_currents(cfg, m_max=p["m_max"])
-    return {
-        "r": rep.r, "j_hot": rep.j_hot, "j_cold": rep.j_cold,
-        "power": rep.power, "mode": rep.mode,
-        "efficiency_or_cop": (np.nan if rep.efficiency_or_cop is None
-                              else rep.efficiency_or_cop),
-        "omega_cr": rep.omega_cr,
-    }
+    return _fields(floquet.ctm_currents(cfg, m_max=p["m_max"]))
 
 
 def _run_sta_ermakov(p):
@@ -231,8 +208,7 @@ def _run_qfi(p):
     family, temp = metrology.ParamFamily(thermal_qubit), p["temperature"]
     if not temp > family.step(temp):  # the central difference samples T - step
         raise InvalidParams("temperature must exceed the finite-difference step")
-    rep = metrology.qfi(family, temp)
-    return {"qfi": rep.qfi, "cramer_rao_floor": rep.cramer_rao_floor}
+    return _fields(metrology.qfi(family, temp))
 
 
 def _run_thermometry(p):
@@ -262,14 +238,6 @@ def _diag_state(p):
     return np.diag(pops).astype(complex), np.diag(energies).astype(complex)
 
 
-def _run_ergotropy(p):
-    rho, h = _diag_state(p)
-    rep = battery.ergotropy(rho, h)
-    return {"ergotropy": rep.ergotropy, "passive_energy": rep.passive_energy,
-            "thermal_bound": rep.thermal_bound, "bound_gap": rep.bound_gap,
-            "effective_beta": rep.effective_beta}
-
-
 def _run_n_copy(p):
     rho, h = _diag_state(p)
     e = battery.n_copy_passive_energy(rho, h, p["n_copies"])
@@ -290,31 +258,8 @@ def _run_qsl(p):
             "tau_unified": rep.tau_unified, "actual_tau": rep.actual_tau}
 
 
-def _run_charge_xxz(p):
-    trace = battery.charge_spins_xxz(
-        p["n_cells"], p["b"], p["g"], p["alpha"], p["nu"],
-        p["interaction_range"], p["omega"], p["tau"], p["dt"])
-    return _trace_row(trace)
-
-
-def _run_charge_lmg(p):
-    trace = battery.charge_lmg(p["n_cells"], p["lam"], p["gamma"], p["b"],
-                               p["tau"], p["dt"])
-    return _trace_row(trace)
-
-
-def _dicke_trace(p):
-    return battery.charge_dicke(
-        p["n_cells"], p["n_photons"], p["lam"], p["rescale"], p["omega"],
-        p["omega_c"], p["photon_cutoff"], p["tau"], p["dt"])
-
-
-def _run_charge_dicke(p):
-    return _trace_row(_dicke_trace(p))
-
-
 def _run_advantage(p):
-    collective = _dicke_trace(p)
+    collective = battery.charge_dicke(**{k: p[k] for k in _DICKE})
     single = battery.charge_dicke(1, 1, p["lam"], False, p["omega"],
                                   p["omega_c"], 20, p["tau"], p["dt"])
     parallel = dataclasses.replace(single,
@@ -343,17 +288,17 @@ _DICKE = {
 EXPERIMENTS: Dict[str, Experiment] = {
     "maser": Experiment(
         {"omega_h": Param(float), "omega_c": Param(float), **_TEMPS},
-        _run_maser),
+        lambda p: _fields(cycles.maser_analyze(**p))),
     "box-carnot": Experiment(
         {"l_a": Param(float), "l_b": Param(float), "mass": Param(float)},
-        _run_box_carnot),
+        lambda p: _fields(cycles.box_carnot(**p))),
     "otto": Experiment(
         {"omega_a": Param(float), "omega_b": Param(float), **_TEMPS},
-        _run_otto),
+        lambda p: _fields(cycles.otto_qho(**p))),
     "otto-squeezed": Experiment(
         {"omega_a": Param(float), "omega_b": Param(float), **_TEMPS,
          "r": Param(float, minimum=0.0)},
-        _run_otto_squeezed),
+        lambda p: _fields(cycles.otto_squeezed(**p))),
     "otto-numeric": Experiment(
         {"omega_a": Param(float), "omega_b": Param(float), **_TEMPS,
          "ramp_duration": Param(float, minimum=0.0),
@@ -366,7 +311,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "two-stroke": Experiment(
         {"omega_k": Param(float), "omega_un": Param(float), **_TEMPS,
          "theta": Param(float, minimum=0.0, maximum=float(np.pi))},
-        _run_two_stroke),
+        lambda p: _fields(cycles.two_stroke(**p))),
     "ctm": Experiment(
         {"omega0": Param(float), "drive_frequency": Param(float),
          "t_hot": Param(float), "t_cold": Param(float),
@@ -408,7 +353,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "omega_k_min": Param(float), "omega_k_max": Param(float),
          "omega_k_steps": Param(int, minimum=2, maximum=_MAX_POINTS)},
         _run_magnetometry),
-    "ergotropy": Experiment(dict(_DIAG), _run_ergotropy),
+    "ergotropy": Experiment(
+        dict(_DIAG), lambda p: _fields(battery.ergotropy(*_diag_state(p)))),
     "n-copy": Experiment(
         {**_DIAG, "n_copies": Param(int, minimum=1)}, _run_n_copy),
     "qsl": Experiment(
@@ -422,13 +368,14 @@ EXPERIMENTS: Dict[str, Experiment] = {
                                     choices=("nearest_neighbor", "power_law")),
          "omega": Param(float), "tau": Param(float, minimum=0.0),
          "dt": Param(float, minimum=0.0)},
-        _run_charge_xxz),
+        lambda p: _trace_row(battery.charge_spins_xxz(**p))),
     "charge-lmg": Experiment(
         {"n_cells": Param(int, minimum=1), "lam": Param(float),
          "gamma": Param(float), "b": Param(float),
          "tau": Param(float, minimum=0.0), "dt": Param(float, minimum=0.0)},
-        _run_charge_lmg),
-    "charge-dicke": Experiment(dict(_DICKE), _run_charge_dicke),
+        lambda p: _trace_row(battery.charge_lmg(**p))),
+    "charge-dicke": Experiment(
+        dict(_DICKE), lambda p: _trace_row(battery.charge_dicke(**p))),
     "advantage": Experiment(
         {**_DICKE, "target_fraction": Param(float, 0.2, minimum=0.0,
                                             maximum=1.0)},

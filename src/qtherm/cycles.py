@@ -223,16 +223,22 @@ def otto_squeezed(omega_a: float, omega_b: float, t_h: float, t_c: float,
     1 - omega_b/omega_a but the relevant bound becomes the generalized
     limit eta_gen = 1 - T_c/(T_h (1 + 2 sinh^2 r)). The cycle is an engine
     when it outputs work, i.e. Delta_H_r coth(omega_a/2T_h) >=
-    coth(omega_b/2T_c), a sign taken without cancellation.
+    coth(omega_b/2T_c), a sign taken without cancellation. A hot-end energy
+    or T_gen beyond the float range raises InvalidParams.
     """
     _check_otto(omega_a, omega_b, t_h, t_c)
     if r < 0:
         raise InvalidParams("squeezing must be non-negative")
     # Delta_H_r - 1 with 1/<n0> = expm1(omega_a/T_h); r = 0 is exactly the
     # thermal cycle even where expm1 overflows
-    excess = (2.0 + np.expm1(omega_a / t_h)) * np.sinh(r) ** 2 if r > 0 else 0.0
-    dhr = 1.0 + excess
-    t_h_gen = t_h * (1.0 + 2.0 * np.sinh(r) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        excess = (2.0 + np.expm1(omega_a / t_h)) * np.sinh(r) ** 2 if r > 0 else 0.0
+        dhr = 1.0 + excess
+        hot_energy = 0.5 * omega_a * _coth(omega_a / (2 * t_h)) * dhr
+        t_h_gen = t_h * (1.0 + 2.0 * np.sinh(r) ** 2)
+    if not (np.isfinite(hot_energy) and np.isfinite(t_h_gen)):
+        raise InvalidParams(f"squeezed hot-end energy {hot_energy:.3g} or T_gen "
+                            f"{t_h_gen:.3g} leaves the float range")
     eta_bar_sq = 1.0 - np.sqrt(t_c / t_h_gen)
     eta_gen = 1.0 - t_c / t_h_gen
     extras = {"eta_bar_squeezed": eta_bar_sq, "eta_gen": eta_gen, "delta_h_r": dhr}
@@ -492,8 +498,7 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
 
 
 def outcoupled_indistinct_ratio(n_atoms: int, delta: float, omega0: float,
-                                v: float, period: float, t1: float,
-                                beta_h: float, beta_c: float) -> float:
+                                v: float, t1: float, beta_c: float) -> float:
     """Work ratio of indistinguishable vs distinguishable N-atom engines.
 
     To leading order in the impulse coupling the work deposited in the

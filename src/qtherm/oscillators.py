@@ -36,7 +36,10 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import expm
 
-from .errors import InvalidParams, NumericalInstability
+from .errors import InvalidParams, NumericalInstability, TooLarge
+
+# the largest phase integral of omega(t) over a ramp, in radians
+MAX_RAMP_PHASE = 1e4
 
 
 # --- second-moment (Gaussian) route -----------------------------------------------
@@ -60,6 +63,8 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
 
     ``omega_squared`` maps an array of times to omega(t)² element-wise; it
     must be positive on a 4001-point grid of [0, tau], else InvalidParams.
+    The phase integral of omega(t), a trapezoid on that grid, may not exceed
+    MAX_RAMP_PHASE, else TooLarge: the DOP853 steps grow in proportion to it.
     The fundamental matrix M(t) of x'' + omega(t)² x = 0, M(0) = I, is
     integrated with DOP853 and Sigma(t) = M(t) Sigma M(t)ᵀ. Returns the
     2x2 covariance at tau, or a stack (len(t_eval), 2, 2) at ``t_eval``.
@@ -67,6 +72,10 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
     w2 = np.asarray(omega_squared(np.linspace(0.0, tau, 4001)), dtype=float)
     if not np.all(w2 > 0):  # also rejects NaN
         raise InvalidParams("frequency ramp must stay positive")
+    w = np.sqrt(w2)
+    phase = float(tau) * float(np.mean(0.5 * (w[1:] + w[:-1])))
+    if phase > MAX_RAMP_PHASE:
+        raise TooLarge(f"ramp phase {phase:.3g} rad exceeds {MAX_RAMP_PHASE:g}")
 
     def rhs(t, m):
         # d/dt [[x_x, x_p], [p_x, p_p]] = [[0, 1], [-omega², 0]] M
@@ -92,7 +101,8 @@ def thermalize_covariance(sigma: np.ndarray, omega: float, temperature: float,
     with the free rotation, A -> A e^{-(kappa + 2i omega) tau}.
     """
     x, c, p = sigma[0, 0], sigma[0, 1], sigma[1, 1]
-    nbar = 1.0 / np.expm1(omega / temperature)
+    with np.errstate(over="ignore"):  # e^x = inf is the nbar = 0 limit
+        nbar = 1.0 / np.expm1(omega / temperature)
     n = (omega**2 * x + p) / (2 * omega) - 0.5
     a2 = (omega**2 * x - p) / (2 * omega) + 1j * c
     decay = np.exp(-kappa * tau)
@@ -220,7 +230,8 @@ def damp_thermalize(rho: np.ndarray, omega: float, omega_ref: float,
     xi = 0.5 * np.log(omega / omega_ref)
     s = squeeze(xi, n_max) if xi != 0.0 else np.eye(n_max + 1, dtype=complex)
     rho_f = s.conj().T @ rho @ s  # frame where H = omega(n + 1/2) is diagonal
-    nbar = 1.0 / np.expm1(omega / temperature)
+    with np.errstate(over="ignore"):  # e^x = inf is the nbar = 0 limit
+        nbar = 1.0 / np.expm1(omega / temperature)
     g_down = kappa * (nbar + 1)
     g_up = kappa * nbar
     dim = n_max + 1

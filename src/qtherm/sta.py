@@ -104,8 +104,11 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule,
     <I(t)> = ½[omega_0² X/b² + b² P - 2 b b' C + b'² X] follows from the
     covariance X = <x²>, P = <p²>, C = <{x, p}>/2 that
     ``oscillators.ramp_covariance`` propagates from the Gibbs state at
-    omega_i. A schedule that inverts the trap raises InvalidParams.
+    omega_i. A schedule that inverts the trap, or T <= 0, raises
+    InvalidParams.
     """
+    if not temperature > 0:
+        raise InvalidParams("temperature must be positive")
     t_eval = np.linspace(0.0, schedule.tau, 101)
     sigma0 = oscillators.thermal_covariance(schedule.omega_i, temperature)
     sigmas = oscillators.ramp_covariance(sigma0, schedule.omega_squared,

@@ -571,13 +571,32 @@ _FLOAT_MAX = repr(sys.float_info.max)
     ("box-carnot", ["l_a=1e-100", "l_b=1e-200", "mass=1e-300"],
      "InvalidParams"),
     ("box-carnot", ["l_a=1e200", "l_b=1", "mass=1"], "InvalidParams"),
+    ("ergotropy", ["energies=0,1,2", "populations=-0.1,0.55,0.55"],
+     "InvalidState"),
+    ("n-copy", ["energies=0,1,2", "populations=-0.1,0.55,0.55", "n_copies=2"],
+     "InvalidState"),
+    ("n-copy", ["energies=0,1", "populations=1e99,1e99", "n_copies=4"],
+     "InvalidState"),
+    ("otto-squeezed", ["omega_a=2000", "omega_b=1000", "t_h=1", "t_c=0.5",
+                       "r=0.1"], "InvalidParams"),
+    ("sta-ermakov", ["omega_i=1", "omega_f=1", "tau=1", "temperature=0"],
+     "InvalidParams"),
+    ("sta-ermakov", ["omega_i=1", "omega_f=1", "tau=1", "temperature=-1"],
+     "InvalidParams"),
+    # a phase of 10 500 rad, just beyond the bound
+    ("otto-numeric", ["omega_a=2", "omega_b=1", "t_h=2", "t_c=1",
+                      "ramp_duration=7000", "thermalization_time=20"],
+     "TooLarge"),
 ], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
         "outcoupled-huge-delta", "outcoupled-huge-g", "outcoupled-largest-g",
         "thermometry-overflowing-grid", "magnetometry-overflowing-grid",
         "advantage-overflowing-steps", "sta-cd-zero-step",
         "sta-cd-infinite-step", "box-carnot-energy-overflow",
-        "box-carnot-energy-underflow"])
+        "box-carnot-energy-underflow", "ergotropy-negative-population",
+        "n-copy-negative-population", "n-copy-overflowing-population",
+        "otto-squeezed-overflowing-hot-energy", "sta-ermakov-zero-temperature",
+        "sta-ermakov-negative-temperature", "otto-numeric-long-ramp"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -603,11 +622,16 @@ def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
         for x in ("--set", item)],
      {"t_c_estimate": "1.3482698511467367e+308",
       "error_estimate": "4.4942328371557893e+307"}),
-], ids=["two-stroke", "magnetometry", "thermometry"])
+    (["otto-numeric"] + [x for item in [
+        "omega_a=2000", "omega_b=1000", "t_h=2", "t_c=1", "ramp_duration=1",
+        "thermalization_time=20"] for x in ("--set", item)],
+     {"mode": "Heater"}),
+], ids=["two-stroke", "magnetometry", "thermometry", "otto-numeric"])
 def test_overflowing_intermediate_gives_the_finite_result(args, want, capsys):
-    # e^(2 omega/T) = inf in the two-stroke occupations is their n = 0
-    # limit; the thermometry estimate is t_star (omega_c/omega_h), whose
-    # product t_star omega_c alone overflows
+    # e^(2 omega/T) = inf in the two-stroke occupations, and e^(omega/T) in
+    # the damping channel's nbar, is the n = 0 limit; the thermometry
+    # estimate is t_star (omega_c/omega_h), whose product t_star omega_c
+    # alone overflows
     row = _run_rows(args, capsys)[0]
     assert {key: row[key] for key in want} == want
 
@@ -620,30 +644,44 @@ def test_thermometry_rejects_n_max(capsys):
 
 
 # sizes kept small so that no example allocates much
-_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50}
+_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
+              "samples": 50, "n_copies": 4, "m_max": 40}
 # an unbounded side is drawn out to 1e100, where near 1e154 the squares
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
 _SCALE = 1e100
 _FULL_RANGE = ("sta-cd", "box-carnot", "outcoupled", "thermometry")
+# experiments whose every column is finite but for an undefined efficiency
+# or coefficient of performance
+_FINITE_ROWS = ("sta-cd", "outcoupled", "maser", "otto", "otto-squeezed",
+                "ctm", "qsl", "ergotropy", "n-copy")
+_RATIOS = ("efficiency", "cop", "efficiency_or_cop")
 
 
 def _bounded(key, spec, scale):
-    """Values of ``spec`` inside its min/max, the bounds themselves often."""
+    """Values of ``spec`` inside its min/max, the bounds themselves often;
+    a list key gets one to three such numbers."""
     if spec.kind is bool:
         return st.sampled_from(["true", "false"])
+    if spec.choices is not None:
+        return st.sampled_from(spec.choices)
     if spec.kind is int:
         return st.integers(int(spec.minimum), _SIZE_CAPS[key]).map(str)
     lo = -scale if spec.minimum is None else spec.minimum
     hi = scale if spec.maximum is None else spec.maximum
     edges = [x for x in (lo, hi, 0.0, 1.0, -1.0) if lo <= x <= hi]
-    return st.one_of(st.sampled_from(edges), st.floats(lo, hi)).map(repr)
+    number = st.one_of(st.sampled_from(edges), st.floats(lo, hi)).map(repr)
+    if spec.kind is list:
+        return st.lists(number, min_size=1, max_size=3).map(",".join)
+    return number
 
 
 @st.composite
 def _bounded_runs(draw):
     name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd",
-                                 "box-carnot", "two-stroke", "magnetometry"]))
+                                 "box-carnot", "two-stroke", "magnetometry",
+                                 "maser", "otto", "otto-squeezed", "ctm", "qsl",
+                                 "ergotropy", "n-copy"]))
     scale = sys.float_info.max if name in _FULL_RANGE else _SCALE
     args = [name]
     for key, spec in cli.EXPERIMENTS[name].params.items():
@@ -651,15 +689,19 @@ def _bounded_runs(draw):
     return args
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(_bounded_runs())
 def test_bounded_parameters_never_exit_4(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     assert code in (0, 3), (code, err.getvalue())
-    if args[0] in ("sta-cd", "outcoupled"):
-        assert "nan" not in out.getvalue()
+    if code == 0 and args[0] in _FINITE_ROWS:
+        header, *rows = [line.split(",") for line in out.getvalue().splitlines()
+                         if not line.startswith("#")]
+        for row in rows:
+            assert all(value not in ("nan", "inf", "-inf")
+                       for key, value in zip(header, row) if key not in _RATIOS)
 
 
 @pytest.mark.parametrize("experiment,key", [

@@ -665,7 +665,7 @@ def test_outcoupled_dephasing_equals_explicit_measurement_branches():
 
 def test_outcoupled_indistinct_ratio_single_atom():
     out = cycles.outcoupled_indistinct_ratio(
-        1, 1.0, 1.0, 0.1, 20.0, 0.35 * 10.0, beta_h=0.1, beta_c=2.0 / np.sqrt(2.0))
+        1, 1.0, 1.0, 0.1, 0.35 * 10.0, beta_c=2.0 / np.sqrt(2.0))
     assert out == pytest.approx(1.0, abs=1e-10)
 
 
@@ -678,8 +678,7 @@ def test_outcoupled_indistinct_ratio_monotone_family():
     eps_half = np.sqrt((omega0 + v * period / 2) ** 2 + 1.0)
     vals = [
         cycles.outcoupled_indistinct_ratio(
-            n, 1.0, omega0, v, period, t1,
-            beta_h=1.0 / (4 * eps_half), beta_c=2.0 / eps0)
+            n, 1.0, omega0, v, t1, beta_c=2.0 / eps0)
         for n in range(1, 9)
     ]
     assert vals[1] > 1.0
