@@ -145,10 +145,12 @@ def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _entropy(pops: np.ndarray) -> float:
-    """Von Neumann entropy of a spectrum; InvalidState outside [0, ln d]."""
+    """Von Neumann entropy of a spectrum; InvalidState outside [0, ln d]
+    (a population near the float maximum overflows p ln p to -inf)."""
     nz = pops[pops > 0]
-    s = float(-np.sum(nz * np.log(nz)))
-    if s < -1e-9 or s > np.log(len(pops)) + 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(-np.sum(nz * np.log(nz)))
+    if not -1e-9 <= s <= np.log(len(pops)) + 1e-9:
         raise InvalidState(f"entropy {s} outside [0, ln {len(pops)}]")
     return s
 

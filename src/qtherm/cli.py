@@ -189,8 +189,7 @@ def _run_sta_cd(p):
 
 
 def _run_outcoupled(p):
-    params = cycles.OutcoupledParams(delta=p["delta"], g=p["g"], b=p["b"],
-                                     n_fock=p["n_fock"])
+    params = cycles.OutcoupledParams(delta=p["delta"], g=p["g"], b=p["b"])
     works = cycles.outcoupled_multicycle(params, p["n_cycles"],
                                          p["per_cycle_measurement"])
     return {"cycle": list(range(1, len(works) + 1)),
@@ -246,6 +245,9 @@ def _run_n_copy(p):
 
 def _run_qsl(p):
     omega, tau = p["omega"], p["tau"]
+    if not math.isfinite(omega / 2 * tau):
+        raise NumericalInstability("the phase omega tau / 2 leaves the float "
+                                   "range")
     times = np.linspace(0.0, tau, p["samples"])
     h = 0.5 * omega * qcore.SIGMA_Z
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -273,7 +275,7 @@ def _run_advantage(p):
 
 # the most points, cycles or samples a key may ask for, so that a config that
 # validates cannot exhaust memory; keys that set a Hilbert-space dimension
-# meet the library's TooLarge checks instead, and n_fock its own maximum
+# meet the library's TooLarge checks instead
 _MAX_POINTS = 10_000
 _TEMPS = {"t_h": Param(float), "t_c": Param(float)}
 _DIAG = {"energies": Param(list), "populations": Param(list)}
@@ -334,8 +336,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         {"n_cycles": Param(int, minimum=1, maximum=_MAX_POINTS),
          "per_cycle_measurement": Param(bool, False),
          "delta": Param(float, 1.0), "g": Param(float, 0.02),
-         "b": Param(float, 0.1),
-         "n_fock": Param(int, 30, minimum=2, maximum=500)},
+         "b": Param(float, 0.1)},
         _run_outcoupled, multi_row=True),
     "qfi": Experiment(
         {"omega": Param(float), "temperature": Param(float, minimum=0.0)},

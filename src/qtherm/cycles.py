@@ -4,8 +4,9 @@ Closed-form cycles (three-level maser, particle-in-box Carnot, harmonic
 Otto with thermal or squeezed-thermal hot bath, two-qubit two-stroke
 machine) plus numerically simulated variants: a finite-time Otto cycle on
 a harmonic oscillator, integrated on the second-moment (covariance) route
-of ``oscillators``, and the outcoupled engine that deposits work into a
-truncated external oscillator through impulse couplings.
+of ``oscillators``, and the outcoupled engine that deposits work into an
+external oscillator through impulse couplings, run on the oscillator's
+<a> and <n>.
 
 Sign convention used throughout the package: W > 0 is work done ON the
 working fluid, Q > 0 is heat flowing INTO it, so a cycle satisfies
@@ -18,14 +19,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import expm
+# unused here, but bench/tracing.py counts calls to cycles.expm by name
+from scipy.linalg import expm  # noqa: F401
 
 from . import oscillators, qcore
-from .errors import CutoffTooSmall, InvalidParams, NumericalInstability
+from .errors import InvalidParams, NumericalInstability
 from .floquet import classify_mode
 from .qcore import SIGMA_X, SIGMA_Z
 
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # e^x is finite up to here
 QUASI_STATIC = "QuasiStatic"
 
 
@@ -332,6 +333,28 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
 # --- two-stroke two-qubit machine -----------------------------------------------------
 
 
+def two_stroke_work(omega_k, omega_un: float, t_h: float, t_c: float,
+                    theta: float):
+    """Excited populations n_k, n_un, transferred fraction sin²(theta) and
+    unitary-stroke work W of the two-stroke machine, elementwise over an
+    array of omega_k (see ``two_stroke``).
+
+    Beyond log(max float) e^x overflows, and its inf is the n = 0 limit.
+    """
+    if not (np.all(omega_k > omega_un) and omega_un > 0):
+        raise InvalidParams("need omega_k > omega_un > 0")
+    if not (t_h > t_c > 0):
+        raise InvalidParams("need T_h > T_c > 0")
+    if not (0 <= theta <= np.pi):
+        raise InvalidParams("theta must lie in [0, pi]")
+    with np.errstate(over="ignore"):
+        n_k = 1.0 / (1.0 + np.exp(2 * omega_k / t_h))
+        n_un = 1.0 / (1.0 + np.exp(2 * omega_un / t_c))
+        s2 = np.sin(theta) ** 2
+        w = -2 * (omega_k - omega_un) * (n_k - n_un) * s2
+    return n_k, n_un, s2, w
+
+
 def two_stroke(omega_k: float, omega_un: float, t_h: float, t_c: float,
                theta: float) -> CycleReport:
     """Two-qubit two-stroke machine: partial swap, then re-thermalization.
@@ -341,21 +364,9 @@ def two_stroke(omega_k: float, omega_un: float, t_h: float, t_c: float,
     subspace by theta, transferring a fraction sin^2(theta) of the
     population difference.
     """
-    if not (omega_k > omega_un > 0):
-        raise InvalidParams("need omega_k > omega_un > 0")
-    if not (t_h > t_c > 0):
-        raise InvalidParams("need T_h > T_c > 0")
-    if not (0 <= theta <= np.pi):
-        raise InvalidParams("theta must lie in [0, pi]")
-    # beyond log(max float) e^x overflows, and its inf is the n = 0 limit;
-    # a test, not np.errstate, since magnetometry calls this per grid point
-    x_k, x_un = 2 * omega_k / t_h, 2 * omega_un / t_c
-    n_k = 1.0 / (1.0 + np.exp(x_k)) if x_k <= _LOG_FLOAT_MAX else 0.0
-    n_un = 1.0 / (1.0 + np.exp(x_un)) if x_un <= _LOG_FLOAT_MAX else 0.0
-    s2 = np.sin(theta) ** 2
+    n_k, n_un, s2, w = two_stroke_work(omega_k, omega_un, t_h, t_c, theta)
     q_c = 2 * omega_un * (n_un - n_k) * s2
     q_h = 2 * omega_k * (n_k - n_un) * s2
-    w = -2 * (omega_k - omega_un) * (n_k - n_un) * s2
     strokes = [
         StrokeRecord("UnitaryStroke", w, 0.0),
         StrokeRecord("ThermalizationStroke", 0.0, q_h),
@@ -389,18 +400,17 @@ class OutcoupledParams:
     the impulse coupling g sx (a + a+) fires at t = (m + b) T. Baths act
     as instantaneous Gibbs resets of the engine (cold at the cycle
     boundaries, hot at mid-cycle). v, the period T, the oscillator
-    frequency omega and both inverse temperatures follow from delta.
+    frequency omega and the cold inverse temperature follow from delta.
 
-    The kick exp(-i g sx (a + a+)) is one ``expm``, which stays unitary to
-    about 2e-9 for |g| <= 1e6 at n_fock = 500 and loses unitarity, then
-    overflows, as |g| sqrt(n_fock) grows. So |g| is bounded by 1e6; a kick
-    that strong already displaces the oscillator far beyond any cutoff.
+    |g| is bounded by 1e6. Each kick moves <a> by at most |g|, so <n>
+    stays below (n_cycles g)², far inside the float range for any cycle
+    count a loop can reach; a kick that strong is far outside the weak
+    coupling the engine models.
     """
 
     delta: float = 1.0
     g: float = 0.02
     b: float = 0.1
-    n_fock: int = 30
 
     def __post_init__(self):
         if not 1e-150 < self.delta < 1e150:  # so delta² is a normal float
@@ -424,73 +434,47 @@ class OutcoupledParams:
     def beta_c(self) -> float:
         return 1.0 / self.delta
 
-    @property
-    def beta_h(self) -> float:
-        e_max = 2 * np.sqrt(self.delta**2 + (self.v * self.period / 2) ** 2)
-        return 1.0 / (4 * e_max)
-
 
 def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
                           per_cycle_measurement: bool) -> np.ndarray:
     """Average external-system work after each of n_cycles engine cycles.
 
     Returns the length-n_cycles array of mean oscillator energy gains
-    (the external system starts in its ground state, E_0 = 0). With
-    ``per_cycle_measurement`` the oscillator is fully dephased in its
-    energy basis at each cycle boundary, which reproduces the average
-    over per-cycle projective energy measurements.
+    W_k = omega <n>_k (the external system starts in its ground state,
+    E_0 = 0). With ``per_cycle_measurement`` the oscillator is fully
+    dephased in its energy basis at each cycle boundary, which reproduces
+    the average over per-cycle projective energy measurements.
+
+    The mean work needs only <a> and <n>. In the sx basis the kick is
+    sum_s |s><s| (x) D(-i g s); the engine is re-prepared at every half
+    cycle and only unitaries act on it between the kick and the trace, so
+    the oscillator is displaced by -i g s with probability
+    <s|rho_E(bT)|s> and otherwise rotates freely. With
+    alpha = -i g Tr(rho_E(bT) sx) and a' = e^{-i omega b T} <a>, a cycle
+    maps <n> to <n> + g² + 2 Re(alpha* a') and <a> to
+    e^{-i omega (1 - b) T} (a' + alpha), or to 0 when dephased.
     """
-    delta, g, b, n_fock = params.delta, params.g, params.b, params.n_fock
+    delta, g, b = params.delta, params.g, params.b
     v, period, omega = params.v, params.period, params.omega
     if not (0 < b < 0.5):
         raise InvalidParams("impulse fraction b must lie in (0, 1/2)")
-    dim = n_fock + 1
 
-    def h_first_half(t):
-        return delta * SIGMA_X + (-v * t) * SIGMA_Z
-
-    def h_second_half(t):
-        return delta * SIGMA_X + (-v * (period - t)) * SIGMA_Z
-
-    # engine segment propagators (identical in every cycle)
-    u_e1 = qcore.midpoint_propagator(h_first_half, 0.0, b * period, 400)
-    u_e2 = qcore.midpoint_propagator(h_first_half, b * period, period / 2, 400)
-    u_e3 = qcore.midpoint_propagator(h_second_half, period / 2, period, 400)
-
-    n_op = np.diag(np.arange(dim)).astype(complex)
-    a = oscillators.destroy(n_fock)
-
-    def osc_phase(dt):
-        return np.diag(np.exp(-1j * omega * np.arange(dim) * dt))
-
-    u1 = np.kron(u_e1, osc_phase(b * period))
-    kick = expm(-1j * g * np.kron(SIGMA_X, a + a.conj().T))
-    u2 = np.kron(u_e2, osc_phase(period / 2 - b * period))
-    u3 = np.kron(u_e3, osc_phase(period / 2))
-
+    # engine state at the kick: the cold Gibbs state, then the first ramp
+    u_e1 = qcore.midpoint_propagator(
+        lambda t: delta * SIGMA_X + (-v * t) * SIGMA_Z, 0.0, b * period, 400)
     gibbs_c = qcore.gibbs_state(delta * SIGMA_X, 1.0 / params.beta_c)
-    gibbs_h = qcore.gibbs_state(h_first_half(period / 2), 1.0 / params.beta_h)
+    alpha = -1j * g * np.trace(u_e1 @ gibbs_c @ u_e1.conj().T @ SIGMA_X).real
+    to_kick, from_kick = np.exp(-1j * omega * period * np.array([b, 1 - b]))
 
-    space = qcore.CompositeSpace((2, dim))
-    rho_s = np.zeros((dim, dim), dtype=complex)
-    rho_s[0, 0] = 1.0
+    a_mean, n_mean = 0j, 0.0
     energies = np.zeros(n_cycles)
     for cyc in range(n_cycles):
-        rho = np.kron(gibbs_c, rho_s)
-        rho = u1 @ rho @ u1.conj().T
-        rho = kick @ rho @ kick.conj().T
-        rho = u2 @ rho @ u2.conj().T
-        rho_s = qcore.partial_trace(rho, space, [1])
-        rho = np.kron(gibbs_h, rho_s)
-        rho = u3 @ rho @ u3.conj().T
-        rho_s = qcore.partial_trace(rho, space, [1])
-        if per_cycle_measurement:
-            rho_s = np.diag(np.diag(rho_s))
-        if not np.all(np.isfinite(rho_s)):
-            raise NumericalInstability("oscillator state is not finite")
-        if float(rho_s[-1, -1].real) > 1e-10:
-            raise CutoffTooSmall("oscillator population reached the Fock cutoff")
-        energies[cyc] = omega * float(np.trace(n_op @ rho_s).real)
+        a_kick = to_kick * a_mean
+        n_mean += g**2 + 2 * (alpha.conjugate() * a_kick).real
+        a_mean = 0j if per_cycle_measurement else from_kick * (a_kick + alpha)
+        energies[cyc] = omega * n_mean
+    if not np.all(np.isfinite(energies)):
+        raise NumericalInstability("oscillator moments are not finite")
     return energies
 
 

@@ -296,15 +296,12 @@ def magnetometry_null(omega_un_true: float, t_h: float, t_c: float,
     propagates to the estimate suppressed by the factor T_c/T_h.
     """
     omega_k_grid = np.asarray(omega_k_grid, dtype=float)
-    trace = []
-    for omega_k in omega_k_grid:
-        rep = cycles.two_stroke(float(omega_k), omega_un_true, t_h, t_c, theta)
-        trace.append((float(omega_k), rep.net_work_output))
-    works = np.array([w for _, w in trace])
+    works = -cycles.two_stroke_work(omega_k_grid, omega_un_true, t_h, t_c,
+                                    theta)[3]
     omega_star, step = _locate_null(omega_k_grid, works)
     return NullProtocolResult(
         null_location=float(omega_star),
         estimated_parameter=float(omega_star * (t_c / t_h)),
         error_estimate=float(0.5 * step * (t_c / t_h)),
-        sweep_trace=trace,
+        sweep_trace=list(zip(omega_k_grid.tolist(), works.tolist())),
     )

@@ -10,9 +10,9 @@ the damping channel (jumps a at rate kappa(nbar+1), a† at rate kappa nbar)
 relaxes <a†a> to nbar as e^{-kappa t} and turns <a²> as
 e^{-(kappa + 2i omega) t}, in closed form. No Fock cutoff enters.
 
-Fock basis. ``destroy`` builds ladder operators for ``cycles`` and
-``battery``. No function of the package calls ``squeeze``,
-``FrequencyRamp`` or ``damp_thermalize``. They stay because the
+Fock basis. ``destroy`` builds ladder operators for ``battery``. No
+function of the package calls ``squeeze``, ``FrequencyRamp`` or
+``damp_thermalize``. They stay because the
 benchmark's tracer (``bench/tracing.py``) wraps them by name (and this
 module's ``solve_ivp``), and the tests use them as the independent Fock
 oracle of the second-moment route. Their operators are matrices in the

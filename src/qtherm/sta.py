@@ -61,7 +61,7 @@ class ErmakovSchedule:
 
     def omega_squared(self, t):
         b = self.b(t)
-        return self.omega0**2 / b**4 - self.b_ddot(t) / b
+        return np.square(self.omega0) / b**4 - self.b_ddot(t) / b
 
     def omega(self, t):
         """Drive frequency; negative omega^2 (inverted trap) maps to nan."""
@@ -76,7 +76,10 @@ def ermakov_schedule(omega_i: float, omega_f: float, tau: float) -> ErmakovSched
 
     Fast schedules may require an inverted trap (omega^2 < 0) at
     intermediate times; this is flagged with TrapInversionWarning but the
-    schedule is still returned.
+    schedule is still returned. A b(t) that is not positive on the check
+    grid (rounding loses b_f once omega_f/omega_i nears 1e31), or an
+    omega(t)^2 there beyond the float range (omega_i beyond about 1e154,
+    or omega_i²/b⁴ overflowing), raises InvalidParams.
     """
     if omega_i <= 0 or omega_f <= 0 or tau <= 0:
         raise InvalidParams("omega_i, omega_f, tau must be positive")
@@ -86,7 +89,14 @@ def ermakov_schedule(omega_i: float, omega_f: float, tau: float) -> ErmakovSched
     coeffs = (1.0, 0.0, 0.0, 10 * d / tau**3, -15 * d / tau**4, 6 * d / tau**5)
     sched = ErmakovSchedule(omega_i, omega_f, tau, coeffs)
     grid = np.linspace(0.0, tau, 1001)
-    if np.min(sched.omega_squared(grid)) < 0:
+    if not np.all(sched.b(grid) > 0):
+        raise InvalidParams(f"scaling function b(t) is not positive for "
+                            f"omega_f/omega_i = {omega_f / omega_i:.3g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_squared = sched.omega_squared(grid)
+    if not np.all(np.isfinite(omega_squared)):
+        raise InvalidParams("omega(t)^2 leaves the float range")
+    if np.min(omega_squared) < 0:
         warnings.warn(
             "schedule requires an inverted trap (omega^2 < 0) at intermediate times",
             TrapInversionWarning,

@@ -17,7 +17,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 import dense_gksl
-from qtherm import battery, cycles, floquet, lindblad, metrology, oscillators, qcore, sta
+import fock_oracle
+from qtherm import battery, cycles, floquet, lindblad, metrology, qcore, sta
 from qtherm.metrology import ParamFamily
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -451,44 +452,15 @@ def test_criterion_14_metrology():
 def test_criterion_15_inter_cycle_coherence():
     failures = []
     p = cycles.OutcoupledParams()
-    delta, g, b, n_fock = p.delta, p.g, p.b, p.n_fock
-    v, period, omega, beta_c, beta_h = p.v, p.period, p.omega, p.beta_c, p.beta_h
-    d = n_fock + 1
+    omega = p.omega
+    d = 31
     n_cycles = 10
 
     dephased = cycles.outcoupled_multicycle(p, n_cycles, True)
     coherent = cycles.outcoupled_multicycle(p, n_cycles, False)
 
     # independent route: a Markov chain over projective energy outcomes
-    a = oscillators.destroy(n_fock)
-
-    def h1(t):
-        return delta * SX + (-v * t) * SZ
-
-    def h2(t):
-        return delta * SX + (-v * (period - t)) * SZ
-
-    def phase(dt):
-        return np.diag(np.exp(-1j * omega * np.arange(d) * dt))
-
-    u1 = np.kron(qcore.midpoint_propagator(h1, 0, b * period, 400),
-                 phase(b * period))
-    kick = sla.expm(-1j * g * np.kron(SX, a + a.conj().T))
-    u2 = np.kron(qcore.midpoint_propagator(h1, b * period, period / 2, 400),
-                 phase(period / 2 - b * period))
-    u3 = np.kron(qcore.midpoint_propagator(h2, period / 2, period, 400),
-                 phase(period / 2))
-    space = qcore.CompositeSpace((2, d))
-    gibbs_c = qcore.gibbs_state(delta * SX, 1 / beta_c)
-    gibbs_h = qcore.gibbs_state(h1(period / 2), 1 / beta_h)
-
-    def one_cycle(rho_s):
-        rho = np.kron(gibbs_c, rho_s)
-        rho = u2 @ kick @ u1 @ rho @ u1.conj().T @ kick.conj().T @ u2.conj().T
-        rho_mid = qcore.partial_trace(rho, space, [1])
-        rho = np.kron(gibbs_h, rho_mid)
-        rho = u3 @ rho @ u3.conj().T
-        return qcore.partial_trace(rho, space, [1])
+    one_cycle = fock_oracle.outcoupled_cycle(p, n_fock=d - 1)
 
     transition = np.zeros((d, d))
     for k in range(d):

@@ -553,10 +553,8 @@ _FLOAT_MAX = repr(sys.float_info.max)
      "InvalidParams"),
     ("outcoupled", ["n_cycles=1", "delta=0"], "InvalidParams"),
     ("outcoupled", ["n_cycles=1", "delta=1e160"], "InvalidParams"),
-    ("outcoupled", ["n_cycles=2", "delta=0.5", "g=1e20", "n_fock=20"],
-     "InvalidParams"),
-    ("outcoupled", ["n_cycles=1", f"g={_FLOAT_MAX}", "n_fock=3"],
-     "InvalidParams"),
+    ("outcoupled", ["n_cycles=2", "delta=0.5", "g=1e20"], "InvalidParams"),
+    ("outcoupled", ["n_cycles=1", f"g={_FLOAT_MAX}"], "InvalidParams"),
     ("thermometry", ["omega_h=1", "omega_c=1", "kappa_h=1", "kappa_c=1", "g=1",
                      "t_c_true=1", "t_h_min=-1.7e308", "t_h_max=1.7e308",
                      "t_h_steps=5"], "InvalidParams"),
@@ -583,6 +581,20 @@ _FLOAT_MAX = repr(sys.float_info.max)
      "InvalidParams"),
     ("sta-ermakov", ["omega_i=1", "omega_f=1", "tau=1", "temperature=-1"],
      "InvalidParams"),
+    # b_f - 1 rounds to -1, so the scaling function reaches 0 at tau
+    ("sta-ermakov", ["omega_i=1", "omega_f=7.635131803765888e+47", "tau=1",
+                     "temperature=1"], "InvalidParams"),
+    # omega_i²/b(t)⁴ and omega_i² leave the float range
+    ("sta-ermakov", ["omega_i=1e150", "omega_f=1e180", "tau=1",
+                     "temperature=1"], "InvalidParams"),
+    ("sta-ermakov", ["omega_i=1e200", "omega_f=1e200", "tau=1",
+                     "temperature=1"], "InvalidParams"),
+    ("qsl", ["omega=3.4385713937027823e+307", "tau=3.4385713937027823e+307",
+             "samples=2"], "NumericalInstability"),
+    ("ergotropy", ["energies=0,1", f"populations={_FLOAT_MAX},1"],
+     "InvalidState"),
+    ("n-copy", ["energies=0,1", f"populations={_FLOAT_MAX},1", "n_copies=2"],
+     "InvalidState"),
     # a phase of 10 500 rad, just beyond the bound
     ("otto-numeric", ["omega_a=2", "omega_b=1", "t_h=2", "t_c=1",
                       "ramp_duration=7000", "thermalization_time=20"],
@@ -596,7 +608,10 @@ _FLOAT_MAX = repr(sys.float_info.max)
         "box-carnot-energy-underflow", "ergotropy-negative-population",
         "n-copy-negative-population", "n-copy-overflowing-population",
         "otto-squeezed-overflowing-hot-energy", "sta-ermakov-zero-temperature",
-        "sta-ermakov-negative-temperature", "otto-numeric-long-ramp"])
+        "sta-ermakov-negative-temperature", "sta-ermakov-vanishing-scale",
+        "sta-ermakov-overflowing-frequency", "sta-ermakov-huge-frequency",
+        "qsl-overflowing-phase", "ergotropy-largest-population",
+        "n-copy-largest-population", "otto-numeric-long-ramp"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -643,8 +658,15 @@ def test_thermometry_rejects_n_max(capsys):
     assert "unknown parameter key 'n_max'" in capsys.readouterr().err
 
 
+def test_outcoupled_rejects_n_fock(capsys):
+    # the engine runs on <a> and <n>, with no Fock cutoff to set
+    args = ["outcoupled", "--set", "n_cycles=1", "--set", "n_fock=30"]
+    assert cli.main(args) == 2
+    assert "unknown parameter key 'n_fock'" in capsys.readouterr().err
+
+
 # sizes kept small so that no example allocates much
-_SIZE_CAPS = {"n_fock": 20, "n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
+_SIZE_CAPS = {"n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
               "samples": 50, "n_copies": 4, "m_max": 40}
 # an unbounded side is drawn out to 1e100, where near 1e154 the squares
 # that a model takes of its inputs leave the float range, or over the whole
@@ -705,7 +727,7 @@ def test_bounded_parameters_never_exit_4(args):
 
 
 @pytest.mark.parametrize("experiment,key", [
-    ("qsl", "samples"), ("outcoupled", "n_fock"), ("outcoupled", "n_cycles"),
+    ("qsl", "samples"), ("outcoupled", "n_cycles"),
     ("ctm", "m_max"), ("thermometry", "t_h_steps"),
     ("magnetometry", "omega_k_steps")])
 def test_keys_that_size_arrays_are_bounded(experiment, key):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 import fock_oracle
 from qtherm import cycles, oscillators, qcore
-from qtherm.errors import InvalidParams, NumericalInstability
+from qtherm.errors import CutoffTooSmall, InvalidParams, NumericalInstability
 
 rng = np.random.default_rng(11)
 
@@ -587,18 +586,18 @@ def test_two_stroke_carnot_bound_random_sweep():
 
 
 def test_outcoupled_single_cycle_settings_agree():
-    p = cycles.OutcoupledParams(n_fock=20)
+    p = cycles.OutcoupledParams()
     w1 = cycles.outcoupled_multicycle(p, 1, False)
     w2 = cycles.outcoupled_multicycle(p, 1, True)
     assert w1[0] == pytest.approx(w2[0], abs=1e-15)
 
 
 def test_outcoupled_non_finite_state_is_numerical_instability(monkeypatch):
-    # a kick that is not finite once gave a NaN work that passed the
-    # cutoff check (nan > 1e-10 is False)
-    monkeypatch.setattr(cycles, "expm", lambda a: np.full_like(a, np.nan))
+    # a propagator that is not finite must raise, not return a NaN work
+    monkeypatch.setattr(qcore, "midpoint_propagator",
+                        lambda *args: np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(NumericalInstability):
-        cycles.outcoupled_multicycle(cycles.OutcoupledParams(n_fock=6), 1, False)
+        cycles.outcoupled_multicycle(cycles.OutcoupledParams(), 1, False)
 
 
 def test_outcoupled_coherence_exceeds_measured():
@@ -608,46 +607,46 @@ def test_outcoupled_coherence_exceeds_measured():
     assert np.any(coherent[1:10] > measured[1:10] + 1e-12)
 
 
+@pytest.mark.parametrize("g,delta,b", [(0.02, 1.0, 0.1), (0.3, 0.7, 0.05),
+                                       (-0.1, 1.3, 0.45), (1e6, 2.0, 0.25)])
+def test_outcoupled_dephased_work_is_k_omega_g_squared(g, delta, b):
+    # dephasing clears <a>, so each kick adds exactly g² quanta
+    p = cycles.OutcoupledParams(delta=delta, g=g, b=b)
+    want = np.arange(1, 8) * p.omega * g**2
+    assert cycles.outcoupled_multicycle(p, 7, True) == pytest.approx(want,
+                                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("measured", [False, True])
+@pytest.mark.parametrize("g,delta", [(0.02, 0.7), (0.1, 1.3), (0.3, 1.0)])
+def test_outcoupled_matches_fock_oracle(g, delta, measured):
+    p = cycles.OutcoupledParams(delta=delta, g=g)
+    want = fock_oracle.outcoupled_multicycle(p, 5, measured, n_fock=30)
+    assert cycles.outcoupled_multicycle(p, 5, measured) == pytest.approx(
+        want, rel=1e-12)
+
+
+@pytest.mark.parametrize("measured", [False, True])
+def test_outcoupled_strong_kick_needs_no_cutoff(measured):
+    # ten kicks at g = 0.3 push the Fock route past a 20-level cutoff
+    p = cycles.OutcoupledParams(g=0.3)
+    with pytest.raises(CutoffTooSmall):
+        fock_oracle.outcoupled_multicycle(p, 10, measured, n_fock=20)
+    want = fock_oracle.outcoupled_multicycle(p, 10, measured, n_fock=80)
+    assert cycles.outcoupled_multicycle(p, 10, measured) == pytest.approx(
+        want, rel=1e-12)
+
+
 def test_outcoupled_dephasing_equals_explicit_measurement_branches():
     """Propagating each projective outcome separately and averaging must
     equal the dephasing-channel implementation."""
-    p = cycles.OutcoupledParams(n_fock=12)
-    d = p.n_fock + 1
-    delta, g, b, n_fock = p.delta, p.g, p.b, p.n_fock
-    v, period, omega, beta_c, beta_h = p.v, p.period, p.omega, p.beta_c, p.beta_h
+    p = cycles.OutcoupledParams()
+    d = 13
     w_channel = cycles.outcoupled_multicycle(p, 2, True)
 
     # oracle: run cycle 1 on the pure ground state, measure (branch), then
     # average the cycle-2 energies over branches
-    def one_cycle(rho_s):
-        sx = cycles.SIGMA_X
-        sz = cycles.SIGMA_Z
-        a = oscillators.destroy(n_fock)
-
-        def h1(t):
-            return delta * sx + (-v * t) * sz
-
-        def h2(t):
-            return delta * sx + (-v * (period - t)) * sz
-
-        def phase(dt):
-            return np.diag(np.exp(-1j * omega * np.arange(d) * dt))
-
-        u1 = np.kron(qcore.midpoint_propagator(h1, 0, b * period, 400),
-                     phase(b * period))
-        kick = expm(-1j * g * np.kron(sx, a + a.conj().T))
-        u2 = np.kron(qcore.midpoint_propagator(h1, b * period, period / 2, 400),
-                     phase(period / 2 - b * period))
-        u3 = np.kron(qcore.midpoint_propagator(h2, period / 2, period, 400),
-                     phase(period / 2))
-        space = qcore.CompositeSpace((2, d))
-        rho = np.kron(qcore.gibbs_state(delta * sx, 1 / beta_c), rho_s)
-        rho = u2 @ kick @ u1 @ rho @ u1.conj().T @ kick.conj().T @ u2.conj().T
-        rho_mid = qcore.partial_trace(rho, space, [1])
-        rho = np.kron(qcore.gibbs_state(h1(period / 2), 1 / beta_h), rho_mid)
-        rho = u3 @ rho @ u3.conj().T
-        return qcore.partial_trace(rho, space, [1])
-
+    one_cycle = fock_oracle.outcoupled_cycle(p, n_fock=d - 1)
     ground = np.zeros((d, d), dtype=complex)
     ground[0, 0] = 1.0
     rho1 = one_cycle(ground)
@@ -659,7 +658,7 @@ def test_outcoupled_dephasing_equals_explicit_measurement_branches():
         branch = np.zeros((d, d), dtype=complex)
         branch[k, k] = 1.0
         rho2 = one_cycle(branch)
-        mean_e2 += probs[k] * omega * float(np.sum(np.arange(d) * np.diag(rho2).real))
+        mean_e2 += probs[k] * p.omega * float(np.sum(np.arange(d) * np.diag(rho2).real))
     assert w_channel[1] == pytest.approx(mean_e2, abs=1e-12)
 
 

@@ -3,8 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 import dense_gksl
-from qtherm import lindblad, metrology, oscillators, qcore
+from qtherm import cycles, lindblad, metrology, oscillators, qcore
 from qtherm.errors import (
+    InvalidParams,
     InvalidPOVM,
     NullNotBracketed,
     SingularState,
@@ -421,6 +422,20 @@ def test_magnetometry_error_suppressed_by_temperature_ratio():
                                        np.linspace(23.05, 28.05, 51))
     assert cold.estimated_parameter == pytest.approx(2.5, abs=0.01)
     assert cold.error_estimate == pytest.approx(warm.error_estimate / 5, rel=1e-9)
+
+
+def test_magnetometry_trace_is_the_two_stroke_output():
+    # the grid is one array expression; each point equals a scalar call
+    grid = np.linspace(3.05, 8.05, 51)
+    res = metrology.magnetometry_null(2.5, 2.0, 1.0, 0.3, grid)
+    want = [(w, cycles.two_stroke(w, 2.5, 2.0, 1.0, 0.3).net_work_output)
+            for w in grid.tolist()]
+    assert res.sweep_trace == want
+
+
+def test_magnetometry_grid_reaching_the_unknown_gap_raises():
+    with pytest.raises(InvalidParams):
+        metrology.magnetometry_null(2.5, 2.0, 1.0, 0.3, np.linspace(2.5, 8.0, 12))
 
 
 def test_magnetometry_zero_swap_angle_raises():
