@@ -34,6 +34,10 @@ DENSE_DIM_BUDGET = 4096
 # a charging trace keeps a state of up to DENSE_DIM_BUDGET amplitudes per step
 MAX_TIME_STEPS = 10_000
 P_FLOOR = 1e-12  # populations below this are dropped from Fisher sums
+# an energy spread below this fraction of max |E| of H0 is the rounding
+# residue of an H0 eigenstate (a few eps): no power-bound tightness is
+# defined there
+SPREAD_FLOOR = 1e-13
 
 
 # --- domain types ------------------------------------------------------------------
@@ -434,44 +438,74 @@ def _time_grid(tau: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Sector:
-    """Orthonormal basis of a symmetry sector of the full space: basis
-    vector k is |rows[k]>, or (|rows[k]> + sign |partner[k]>)/sqrt(2) when
-    a partner index set is given. Vectors run along the first axis."""
+    """Orthonormal basis of a symmetry sector of the full space, for a
+    group G of index permutations with a real character chi: basis vector
+    k is scale_k sum_g chi_g |images[g, k]>, where images[0] (the identity)
+    holds the orbit representatives and scale_k = 1/sqrt(|G| |Stab_k|).
+    The trivial group gives a plain index set. Vectors run along the first
+    axis; build one with ``_sector``."""
 
-    rows: np.ndarray
-    partner: Optional[np.ndarray] = None
-    sign: float = 1.0
+    images: np.ndarray
+    chars: np.ndarray
+    scale: np.ndarray
 
     def block(self, h: np.ndarray) -> np.ndarray:
-        """Matrix of h in this basis. Exact when h leaves the sector
-        invariant and, with a partner, commutes with the exchange of rows
-        and partner (so h[P, P] = h[R, R] and h[P, R] = h[R, P])."""
-        blk = h[np.ix_(self.rows, self.rows)]
-        if self.partner is not None:
-            blk += self.sign * h[np.ix_(self.rows, self.partner)]
+        """Matrix of h in this basis, |G| scale_k scale_l sum_g chi_g
+        h[rows, images_g]. Exact when h leaves the sector invariant and
+        commutes with every permutation of the group."""
+        blk = self._orbit_sum(lambda img: h[np.ix_(self.images[0], img)])
+        blk *= len(self.chars) * self.scale[:, None]
+        blk *= self.scale
         return blk
+
+    def _orbit_sum(self, gather) -> np.ndarray:
+        """sum_g chi_g gather(images_g), in place on a fresh first term
+        (chi_0 = 1)."""
+        total = gather(self.images[0])
+        for chi, img in zip(self.chars[1:], self.images[1:]):
+            total += chi * gather(img)
+        return total
+
+    def _scale_column(self, ndim: int) -> np.ndarray:
+        return self.scale.reshape((-1,) + (1,) * (ndim - 1))
 
     def coords(self, psi: np.ndarray) -> np.ndarray:
         """Components in this basis of full-space vectors."""
-        c = psi[self.rows]
-        if self.partner is not None:
-            c = (c + self.sign * psi[self.partner]) / np.sqrt(2)
+        c = self._orbit_sum(psi.__getitem__)
+        c *= self._scale_column(c.ndim)
         return c
 
     def embed(self, coords: np.ndarray, out: np.ndarray) -> None:
         """Add the full-space vectors with components ``coords`` to ``out``."""
-        if self.partner is None:
-            out[self.rows] += coords
-        else:
-            out[self.rows] += coords / np.sqrt(2)
-            out[self.partner] += self.sign * coords / np.sqrt(2)
+        coords = coords * self._scale_column(coords.ndim)
+        # one orbit never repeats an index within one image row
+        for chi, img in zip(self.chars, self.images):
+            out[img] += chi * coords if chi != 1 else coords
+
+
+def _sector(perms: np.ndarray, chars, mask=True) -> _Sector:
+    """The sector of character ``chars`` (chars[g] = +-1, chars[0] = 1) of
+    the group whose element g maps index s to perms[g, s], perms[0] being
+    the identity, within the group-invariant index set ``mask`` (default:
+    every index). An orbit on which the character is not trivial over the
+    stabiliser carries no vector."""
+    perms = np.asarray(perms)
+    chars = np.asarray(chars, dtype=float)
+    # an orbit's representative is its least index
+    images = perms[:, (perms.min(axis=0) == np.arange(perms.shape[1])) & mask]
+    fixed = images == images[0]
+    stab = fixed.sum(axis=0)
+    keep = chars @ fixed == stab
+    return _Sector(images[:, keep], chars,
+                   1 / np.sqrt(len(chars) * stab[keep]))
 
 
 def _sector_eig(h: np.ndarray, sectors) -> list:
     """Eigenpairs of h one invariant sector at a time: a (sector, levels,
-    eigenvectors in the sector basis) triple per sector."""
+    eigenvectors in the sector basis) triple per sector that holds a
+    vector."""
     return [(sector, *qcore.hermitian_eig(sector.block(h)))
-            for sector in sectors]
+            for sector in sectors if len(sector.scale)]
 
 
 def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -524,9 +558,12 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     variances = (pops * dev**2).sum(axis=1)
     powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
     stored = energies.max() - h0_levels.min()
+    # tightness P / sqrt(Var I_E), 0 where both are rounding residues
     denom = np.sqrt(variances * fisher)
-    tightness = np.where(denom > 1e-300,
-                         np.clip(powers / np.where(denom > 0, denom, 1.0),
+    resolved = ((np.sqrt(variances) > SPREAD_FLOOR * np.max(np.abs(h0_levels)))
+                & (denom > 1e-300))
+    tightness = np.where(resolved,
+                         np.clip(powers / np.where(resolved, denom, 1.0),
                                  -1.0, 1.0), 0.0)
     # speed-limit bounds: the drive is constant, so the energy moments are
     # conserved and the time averages are single expectation values
@@ -567,8 +604,14 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     non-interacting g = 0 one. The battery state is pure, so the final
     fraction is exactly 1 (0 when no energy is stored).
 
-    H0 is diagonalised one magnetisation sector at a time, and H_c in the
-    two sectors of the global flip prod_i sigma_x^i.
+    g_ij depends on |i - j| only, so the site reflection i -> N - 1 - i
+    commutes with H0 and H_c, as does the global flip prod_i sigma_x^i
+    with H_c. H0 is diagonalised on the (magnetisation, reflection parity)
+    sectors. The all-down start is reflection-even, so H_c is diagonalised
+    only on the two reflection-even sectors of flip x reflection, of total
+    dimension (2^N + 2^ceil(N/2))/2. Where g and alpha have opposite signs
+    the reflection-odd sectors also give their lowest level, for the
+    speed-limit reference.
     """
     if n_cells > 12:
         raise TooLarge("full 2^N representation limited to N <= 12")
@@ -582,7 +625,7 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     # bit i of the index is 0 for spin-up (sigma_z = +1), leftmost = site 0
     spins = np.array([1 - 2 * ((idx >> (n_cells - 1 - i)) & 1)
                       for i in range(n_cells)])
-    h_g = np.zeros((dim, dim))
+    h = np.zeros((dim, dim))  # H_g, then H_c and H0 in turn
     for i in range(n_cells):
         for j in range(i + 1, n_cells):
             if interaction_range == "nearest_neighbor":
@@ -591,28 +634,44 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
                 g_ij = g * float(j - i) ** (-nu)
             if g_ij == 0.0:
                 continue
-            h_g[idx, idx] -= g_ij * spins[i] * spins[j]
+            h[idx, idx] -= g_ij * spins[i] * spins[j]
             # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
             mask = (1 << (n_cells - 1 - i)) | (1 << (n_cells - 1 - j))
             anti = spins[i] != spins[j]
-            h_g[idx[anti] ^ mask, idx[anti]] += -2.0 * g_ij * alpha
-    h_drive = h_g.copy()
-    for i in range(n_cells):
-        h_drive[idx ^ (1 << (n_cells - 1 - i)), idx] += omega
+            h[idx[anti] ^ mask, idx[anti]] += -2.0 * g_ij * alpha
+    # the drive flips one spin and H_g two, so its entries are zero in H_g
+    single_flips = [idx ^ (1 << (n_cells - 1 - i)) for i in range(n_cells)]
+    for flipped in single_flips:
+        h[flipped, idx] = omega
+    # the flip maps index s to dim - 1 - s, the reflection reverses its bits
+    reflect = sum(((idx >> i) & 1) << (n_cells - 1 - i) for i in range(n_cells))
+    group = np.stack([idx, dim - 1 - idx, reflect, dim - 1 - reflect])
+    even, odd = ([_sector(group, (1, f, r, f * r)) for f in (1, -1)]
+                 for r in (1, -1))
+    drive = _sector_eig(h, even)
+    # The speed-limit reference is the global ground of H_c. Where no
+    # flip-flop amplitude -2 g_ij alpha is positive, H_c has no positive
+    # off-diagonal entry once conjugated by prod_i sigma_z^i if omega > 0
+    # (that product commutes with the reflection), so by Perron-Frobenius
+    # its ground level has a reflection-even eigenvector. Otherwise the
+    # ground can be reflection-odd, and the odd sectors give their lowest
+    # level.
+    levels = [vals[0] for _, vals, _ in drive]
+    if np.sign(g) * np.sign(alpha) < 0:
+        levels += [sla.eigvalsh(sector.block(h), subset_by_index=[0, 0])[0]
+                   for sector in odd if len(sector.scale)]
+    for flipped in single_flips:
+        h[flipped, idx] = 0.0
     magnetisation = spins.sum(axis=0)
-    h0 = h_g  # H0 = H_g + H_B, built in place
-    h0[idx, idx] += b * magnetisation
-    # the flip maps index s to dim - 1 - s; the upper half of the indices
-    # are the partners of the lower half
-    lower = np.arange(dim // 2)
-    drive = _sector_eig(h_drive, [_Sector(lower, dim - 1 - lower, sign)
-                                  for sign in (1.0, -1.0)])
-    h0_eig = _sector_eig(h0, [_Sector(np.flatnonzero(magnetisation == m))
-                              for m in np.unique(magnetisation)])
+    h[idx, idx] += b * magnetisation
+    h0_eig = _sector_eig(h, [
+        _sector(group[::2], (1, r), magnetisation == m)
+        for m in np.unique(magnetisation) for r in (1, -1)])
     psi0 = np.zeros(dim, dtype=complex)
     psi0[dim - 1] = 1.0  # all spins down
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, drive, psi0, h0_eig)
+    trace, _ = _pure_trace(times, drive, psi0, h0_eig,
+                           drive_ground=min(levels))
     return replace(trace, energies=trace.energies - trace.energies[0])
 
 
@@ -633,7 +692,7 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                                  + gamma * (sy @ sy - n_cells * eye))
     h0_diag = b * np.real(np.diag(sz))
     h_drive = np.diag(h0_diag).astype(complex) + v
-    whole = _Sector(np.arange(n_cells + 1))
+    whole = _sector(np.arange(n_cells + 1)[None], (1,))
     psi0 = np.zeros(n_cells + 1, dtype=complex)
     psi0[0] = 1.0  # m = -j, the ferromagnetic ground state for b > 0
     times = _time_grid(tau, dt)
@@ -680,7 +739,8 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     psi0[0 * dim_cav + n_photons] = 1.0  # |m=-j> x |n_photons>
     # index k * dim_cav + n holds m = -j + k, so the parity is (-1)^(k + n)
     parity = np.add.outer(np.arange(dim_spin), np.arange(dim_cav)).ravel() % 2
-    start, other = (_Sector(np.flatnonzero(parity == p))
+    identity = np.arange(len(psi0))[None]
+    start, other = (_sector(identity, (1,), parity == p)
                     for p in (n_photons % 2, 1 - n_photons % 2))
     drive = _sector_eig(h, [start])
     ground = min(drive[0][1][0], sla.eigvalsh(other.block(h),
@@ -688,7 +748,7 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     times = _time_grid(tau, dt)
 
     trace, psis = _pure_trace(times, drive, psi0,
-                              [(_Sector(np.arange(len(psi0))), h0_diag, None)],
+                              [(_sector(identity, (1,)), h0_diag, None)],
                               drive_ground=ground)
     # cavity tail check over the whole trajectory
     blocks = psis.reshape(dim_spin, dim_cav, len(times))

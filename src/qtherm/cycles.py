@@ -340,6 +340,9 @@ def two_stroke_work(omega_k, omega_un: float, t_h: float, t_c: float,
     array of omega_k (see ``two_stroke``).
 
     Beyond log(max float) e^x overflows, and its inf is the n = 0 limit.
+    The exact factor 2 multiplies last, after the gap has met the
+    population difference (below 1/2 in size), so W overflows only when
+    its true value does.
     """
     if not (np.all(omega_k > omega_un) and omega_un > 0):
         raise InvalidParams("need omega_k > omega_un > 0")
@@ -351,7 +354,7 @@ def two_stroke_work(omega_k, omega_un: float, t_h: float, t_c: float,
         n_k = 1.0 / (1.0 + np.exp(2 * omega_k / t_h))
         n_un = 1.0 / (1.0 + np.exp(2 * omega_un / t_c))
         s2 = np.sin(theta) ** 2
-        w = -2 * (omega_k - omega_un) * (n_k - n_un) * s2
+        w = -(omega_k - omega_un) * (n_k - n_un) * s2 * 2
     return n_k, n_un, s2, w
 
 
@@ -365,8 +368,11 @@ def two_stroke(omega_k: float, omega_un: float, t_h: float, t_c: float,
     population difference.
     """
     n_k, n_un, s2, w = two_stroke_work(omega_k, omega_un, t_h, t_c, theta)
-    q_c = 2 * omega_un * (n_un - n_k) * s2
-    q_h = 2 * omega_k * (n_k - n_un) * s2
+    q_c = omega_un * (n_un - n_k) * s2 * 2  # 2 last, as in the work
+    q_h = omega_k * (n_k - n_un) * s2 * 2
+    if not np.all(np.isfinite([w, q_h, q_c])):
+        raise NumericalInstability(
+            "two-stroke work or heat leaves the float range")
     strokes = [
         StrokeRecord("UnitaryStroke", w, 0.0),
         StrokeRecord("ThermalizationStroke", 0.0, q_h),

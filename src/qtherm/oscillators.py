@@ -66,7 +66,8 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
     The phase integral of omega(t), a trapezoid on that grid, may not exceed
     MAX_RAMP_PHASE, else TooLarge: the DOP853 steps grow in proportion to it.
     The fundamental matrix M(t) of x'' + omega(t)² x = 0, M(0) = I, is
-    integrated with DOP853 and Sigma(t) = M(t) Sigma M(t)ᵀ. Returns the
+    integrated with DOP853 and Sigma(t) = M(t) Sigma M(t)ᵀ; an overflow in
+    a step raises NumericalInstability, as a failed solve does. Returns the
     2x2 covariance at tau, or a stack (len(t_eval), 2, 2) at ``t_eval``.
     """
     w2 = np.asarray(omega_squared(np.linspace(0.0, tau, 4001)), dtype=float)
@@ -82,8 +83,13 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
         w2_t = omega_squared(t)
         return [m[2], m[3], -w2_t * m[0], -w2_t * m[1]]
 
-    sol = solve_ivp(rhs, (0.0, tau), [1.0, 0.0, 0.0, 1.0], t_eval=t_eval,
-                    method="DOP853", rtol=1e-11, atol=1e-13)
+    try:
+        with np.errstate(over="raise"):
+            sol = solve_ivp(rhs, (0.0, tau), [1.0, 0.0, 0.0, 1.0],
+                            t_eval=t_eval, method="DOP853", rtol=1e-11,
+                            atol=1e-13)
+    except FloatingPointError as exc:
+        raise NumericalInstability(f"frequency ramp: {exc}") from exc
     if not sol.success:
         raise NumericalInstability(f"frequency ramp: {sol.message}")
     m = sol.y.T.reshape(-1, 2, 2)

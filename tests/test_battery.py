@@ -768,6 +768,21 @@ def test_dicke_strong_coupling_usability():
     assert battery.power_bound_check(trace) <= 1e-9
 
 
+def test_tightness_at_an_eigenstate_sample_is_zero():
+    # the all-down start is an H0 eigenstate: Var * I_E there is rounding
+    trace = battery.charge_spins_xxz(3, 1.0, 0.5, 1.0, 2.0, "power_law", 1.0,
+                                     4.0, 0.02)
+    assert trace.variances[0] < 1e-25
+    assert trace.bound_tightness[0] == 0.0
+    assert trace.bound_tightness[1] > 0.99
+    # a weak drive's spread at t = dt is small but resolved
+    weak = battery.charge_spins_xxz(6, 1.0, 0.0, 1.0, 2.0, "power_law", 1e-4,
+                                    0.1, 0.02)
+    assert weak.variances[1] < 1e-9
+    assert weak.bound_tightness[0] == 0.0
+    assert np.all(weak.bound_tightness[1:] > 0.99)
+
+
 def test_dicke_rescaled_strong_coupling_scaling():
     sizes = np.arange(2, 9)
     pmax, vend, imax = [], [], []
@@ -840,8 +855,11 @@ def test_xxz_sectors_match_full_space(n, interaction_range):
     times = np.linspace(0.0, 3.0, 151)
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[-1] = 1.0
-    # g = 0 leaves H0 = B sum sigma_z, degenerate across the sectors
-    for g, alpha in ((0.4, 0.3), (0.4, 1.0), (0.0, 0.3)):
+    # g = 0 leaves H0 = B sum sigma_z, degenerate across the sectors; where
+    # g and alpha have opposite signs the ground of H_c can be
+    # reflection-odd (the singlet at n = 2)
+    for g, alpha in ((0.4, 0.3), (0.4, 1.0), (0.0, 0.3), (-0.4, 1.0),
+                     (0.4, -0.5), (-0.4, -0.5)):
         trace = battery.charge_spins_xxz(n, b, g, alpha, nu, interaction_range,
                                          omega, 3.0, 0.02)
         h_drive, h0 = _xxz_dense(n, b, g, alpha, nu, interaction_range, omega)
@@ -913,15 +931,29 @@ def _reassembled(h, sectors):
     return np.hstack(columns), np.concatenate(levels)
 
 
+def _magnetisation(n):
+    return np.array([sum(1 - 2 * ((s >> k) & 1) for k in range(n))
+                     for s in range(2**n)])
+
+
+def _flip_reflection_group(n):
+    """Identity, global flip, site reflection and both, as index maps
+    (the reflection reverses the n-bit string of an index)."""
+    idx = np.arange(2**n)
+    reflect = np.array([int(format(s, f"0{n}b")[::-1], 2) for s in idx])
+    return np.stack([idx, 2**n - 1 - idx, reflect, 2**n - 1 - reflect])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_sector_blocks_reassemble_the_full_hamiltonian(n):
     dim = 2**n
     lower = np.arange(dim // 2)
-    flip = [battery._Sector(lower, dim - 1 - lower, sign)
-            for sign in (1.0, -1.0)]
-    magnetisation = np.array([sum(1 - 2 * ((s >> k) & 1) for k in range(n))
-                              for s in range(dim)])
-    spin_sectors = [battery._Sector(np.flatnonzero(magnetisation == m))
+    identity = np.arange(dim)
+    flip = [battery._sector(np.stack([identity, dim - 1 - identity]),
+                            (1, sign))
+            for sign in (1, -1)]
+    magnetisation = _magnetisation(n)
+    spin_sectors = [battery._sector(identity[None], (1,), magnetisation == m)
                     for m in np.unique(magnetisation)]
     h_drive, h0 = _xxz_dense(n, 0.8, 0.5, 0.3, 1.2, "power_law", 0.9)
     cutoff = 5
@@ -929,7 +961,8 @@ def test_sector_blocks_reassemble_the_full_hamiltonian(n):
     h_dicke, _ = _dicke_dense(n, 0.4, cutoff)
     for h, sectors in (
             (h_drive, flip), (h0, spin_sectors),
-            (h_dicke, [battery._Sector(np.flatnonzero(parity == p))
+            (h_dicke, [battery._sector(np.arange(len(parity))[None], (1,),
+                                       parity == p)
                        for p in (0, 1)])):
         vecs, vals = _reassembled(h, sectors)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(len(h)), atol=1e-12)
@@ -938,6 +971,25 @@ def test_sector_blocks_reassemble_the_full_hamiltonian(n):
     bar = dim - 1 - lower
     assert np.allclose(flip[0].block(h_drive) - flip[1].block(h_drive),
                        2 * h_drive[np.ix_(lower, bar)], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flip_reflection_sectors_reassemble_the_full_hamiltonian(n):
+    # palindromic orbits are fixed by the reflection; for even n some are
+    # fixed by flip x reflection, where the odd flip character vanishes
+    group = _flip_reflection_group(n)
+    drive = {(f, r): battery._sector(group, (1, f, r, f * r))
+             for f in (1, -1) for r in (1, -1)}
+    magnetisation = _magnetisation(n)
+    spin_sectors = [battery._sector(group[::2], (1, r), magnetisation == m)
+                    for m in np.unique(magnetisation) for r in (1, -1)]
+    h_drive, h0 = _xxz_dense(n, 0.8, 0.5, 0.3, 1.2, "power_law", 0.9)
+    for h, sectors in ((h_drive, list(drive.values())), (h0, spin_sectors)):
+        vecs, vals = _reassembled(h, sectors)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(len(h)), atol=1e-12)
+        assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
+    even = len(drive[1, 1].scale) + len(drive[-1, 1].scale)
+    assert even == (2**n + 2 ** ((n + 1) // 2)) // 2
 
 
 # --- extractable fraction ---------------------------------------------------------

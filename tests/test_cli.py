@@ -599,6 +599,10 @@ _FLOAT_MAX = repr(sys.float_info.max)
     ("otto-numeric", ["omega_a=2", "omega_b=1", "t_h=2", "t_c=1",
                       "ramp_duration=7000", "thermalization_time=20"],
      "TooLarge"),
+    # the DOP853 step of the ramp overflows
+    ("otto-numeric", ["omega_a=1e100", "omega_b=1e99", "t_h=1e100", "t_c=1",
+                      "ramp_duration=1e-99", "thermalization_time=1e100"],
+     "NumericalInstability"),
 ], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
         "outcoupled-huge-delta", "outcoupled-huge-g", "outcoupled-largest-g",
@@ -611,7 +615,8 @@ _FLOAT_MAX = repr(sys.float_info.max)
         "sta-ermakov-negative-temperature", "sta-ermakov-vanishing-scale",
         "sta-ermakov-overflowing-frequency", "sta-ermakov-huge-frequency",
         "qsl-overflowing-phase", "ergotropy-largest-population",
-        "n-copy-largest-population", "otto-numeric-long-ramp"])
+        "n-copy-largest-population", "otto-numeric-long-ramp",
+        "otto-numeric-overflowing-ramp"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -641,12 +646,17 @@ def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
         "omega_a=2000", "omega_b=1000", "t_h=2", "t_c=1", "ramp_duration=1",
         "thermalization_time=20"] for x in ("--set", item)],
      {"mode": "Heater"}),
-], ids=["two-stroke", "magnetometry", "thermometry", "otto-numeric"])
+    (["two-stroke", "--set", f"omega_k={_FLOAT_MAX}", "--set", "omega_un=1",
+      "--set", "t_h=2", "--set", "t_c=1", "--set", "theta=1"],
+     {"net_work_output": "-3.034664944417639e+307",
+      "q_hot": "-3.034664944417639e+307"}),
+], ids=["two-stroke", "magnetometry", "thermometry", "otto-numeric",
+        "two-stroke-largest-gap"])
 def test_overflowing_intermediate_gives_the_finite_result(args, want, capsys):
     # e^(2 omega/T) = inf in the two-stroke occupations, and e^(omega/T) in
     # the damping channel's nbar, is the n = 0 limit; the thermometry
     # estimate is t_star (omega_c/omega_h), whose product t_star omega_c
-    # alone overflows
+    # alone overflows, as does 2 omega_k in the two-stroke work and heat
     row = _run_rows(args, capsys)[0]
     assert {key: row[key] for key in want} == want
 

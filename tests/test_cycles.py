@@ -530,6 +530,12 @@ def test_two_stroke_sign_reversal_at_carnot_point():
     assert abs(at.q_hot) < 1e-12 and abs(at.net_work_output) < 1e-12
 
 
+def test_two_stroke_infinite_work_is_numerical_instability():
+    # the CLI rejects a non-finite key; a library call gets an error, not -inf
+    with pytest.raises(NumericalInstability):
+        cycles.two_stroke(np.inf, 1.0, 2.0, 1.0, 1.0)
+
+
 def test_two_stroke_engine_efficiency():
     rep = cycles.two_stroke(5.0, 3.0, 2.0, 1.0, np.pi / 3)
     assert rep.mode == "Engine"
