@@ -180,12 +180,16 @@ def _run_sta_cd(p):
 
     h_cd = sta.counterdiabatic(h0, t, p["dt"])
     coeff = float(np.real(1j * h_cd[0, 1]))
-    try:
-        closed = 0.5 * delta * v / (delta**2 + (v * t) ** 2)
+    try:  # v/2 first, so that delta v stays finite wherever the result does
+        closed = 0.5 * v * (delta / (delta**2 + (v * t) ** 2))
     except OverflowError as exc:  # a float square beyond 1.8e308
         raise NumericalInstability(f"closed form overflows: {exc}") from exc
+    residual = abs(coeff - closed)
+    if not math.isfinite(residual):
+        raise NumericalInstability(
+            f"closed form {closed} or its residual is not finite")
     return {"cd_coefficient": coeff, "closed_form": closed,
-            "residual": abs(coeff - closed)}
+            "residual": residual}
 
 
 def _run_outcoupled(p):

@@ -159,14 +159,19 @@ def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras, engine)
 
     The hot-end mean energy is the thermal one at T_h scaled by
     ``delta_h_r``; ``t_h_gen`` is the hot temperature the Carnot margin is
-    taken against, and ``engine`` selects the mode.
+    taken against, and ``engine`` selects the mode. A stroke energy beyond
+    the float range raises NumericalInstability.
     """
-    ch = _coth(omega_a / (2 * t_h)) * delta_h_r
-    cc = _coth(omega_b / (2 * t_c))
-    w_ab = 0.5 * (omega_b - omega_a) * ch
-    q_c = 0.5 * omega_b * (cc - ch)
-    w_ba = 0.5 * (omega_a - omega_b) * cc
-    q_h = -(w_ab + q_c + w_ba)
+    with np.errstate(all="ignore"):  # checked below
+        ch = _coth(omega_a / (2 * t_h)) * delta_h_r
+        cc = _coth(omega_b / (2 * t_c))
+        w_ab = 0.5 * (omega_b - omega_a) * ch
+        q_c = 0.5 * omega_b * (cc - ch)
+        w_ba = 0.5 * (omega_a - omega_b) * cc
+        q_h = -(w_ab + q_c + w_ba)
+    if not np.all(np.isfinite([w_ab, q_c, w_ba, q_h])):
+        raise NumericalInstability(
+            "an Otto stroke energy leaves the float range")
     strokes = [
         StrokeRecord("IsentropicExpansion", w_ab, 0.0),
         StrokeRecord("ColdIsochore", 0.0, q_c),
@@ -289,28 +294,26 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
             ramp_duration)
 
     energy = oscillators.covariance_energy
-    sigma = oscillators.thermal_covariance(omega_a, t_h)
-    e0 = energy(sigma, omega_a)
-    sigma = ramp(sigma, omega_a, omega_b)  # expansion
-    e1 = energy(sigma, omega_b)
-    w_ab = e1 - e0
+    with np.errstate(all="ignore"):  # checked below
+        sigma = oscillators.thermal_covariance(omega_a, t_h)
+        e0 = energy(sigma, omega_a)
+        sigma = ramp(sigma, omega_a, omega_b)  # expansion
+        e1 = energy(sigma, omega_b)
+        sigma = oscillators.thermalize_covariance(sigma, omega_b, t_c, kappa,
+                                                  thermalization_time)
+        e2 = energy(sigma, omega_b)
+        sigma = ramp(sigma, omega_b, omega_a)  # compression
+        e3 = energy(sigma, omega_a)
+        sigma = oscillators.thermalize_covariance(sigma, omega_a, t_h, kappa,
+                                                  thermalization_time)
+        e4 = energy(sigma, omega_a)
+        w_ab, q_c, w_ba, q_h = e1 - e0, e2 - e1, e3 - e2, e4 - e3
+        net_out = -(w_ab + w_ba)
+        ideal = otto_qho(omega_a, omega_b, t_h, t_c)
+    # a frequency whose square, or an energy E/omega², leaves the float range
+    if not np.all(np.isfinite([e0, e1, e2, e3, e4, net_out])):
+        raise NumericalInstability("oscillator energies leave the float range")
 
-    sigma = oscillators.thermalize_covariance(sigma, omega_b, t_c, kappa,
-                                              thermalization_time)
-    e2 = energy(sigma, omega_b)
-    q_c = e2 - e1
-
-    sigma = ramp(sigma, omega_b, omega_a)  # compression
-    e3 = energy(sigma, omega_a)
-    w_ba = e3 - e2
-
-    sigma = oscillators.thermalize_covariance(sigma, omega_a, t_h, kappa,
-                                              thermalization_time)
-    e4 = energy(sigma, omega_a)
-    q_h = e4 - e3
-
-    ideal = otto_qho(omega_a, omega_b, t_h, t_c)
-    net_out = -(w_ab + w_ba)
     extras = {
         "diabatic_work_excess": ideal.net_work_output - net_out,
         "cycle_closure": e4 - e0,

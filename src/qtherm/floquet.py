@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import lindblad
-from .errors import InvalidParams, NoCoupling, TruncationTooSmall, UnclassifiableState
+from .errors import (InvalidParams, NoCoupling, NumericalInstability,
+                     TruncationTooSmall, UnclassifiableState)
 from .qcore import SIGMA_X
 
 
@@ -104,6 +105,7 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeight
     (spectrally accurate for smooth waveforms). The weights sum to 1 over
     all m; raises TruncationTooSmall when those kept, |m| <= m_max, sum
     below 0.999, so up to 1e-3 of the weight may lie outside the window.
+    A phase Phi(t) beyond the float range raises NumericalInstability.
     """
     if m_max < 0:
         raise InvalidParams("m_max must be non-negative")
@@ -114,7 +116,12 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeight
     n_samples = 1 << 14
     period = mod.period
     t = np.arange(n_samples) * (period / n_samples)
-    f = np.exp(-1j * mod.phase_integral(t))
+    with np.errstate(all="ignore"):  # checked below
+        phase = mod.phase_integral(t)
+    if not np.all(np.isfinite(phase)):
+        raise NumericalInstability(
+            "the modulation phase over one period leaves the float range")
+    f = np.exp(-1j * phase)
     # c_m = (1/T) int f(t) e^{-i m Omega t} dt  ->  FFT coefficients / N
     coeffs = np.fft.fft(f) / n_samples
     w = np.zeros(2 * m_max + 1)

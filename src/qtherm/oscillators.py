@@ -5,10 +5,12 @@ Second-moment route, used by ``cycles.otto_numeric`` and
 and frequency ramps and the thermal damping channel keep it one, so the
 covariance Sigma = [[<x²>, C], [C, <p²>]], C = <{x, p}>/2, carries every
 quadratic observable. A ramp maps Sigma -> M Sigma Mᵀ, with M the 2x2
-fundamental matrix of x'' + omega(t)² x = 0 (DOP853). At fixed frequency
-the damping channel (jumps a at rate kappa(nbar+1), a† at rate kappa nbar)
-relaxes <a†a> to nbar as e^{-kappa t} and turns <a²> as
-e^{-(kappa + 2i omega) t}, in closed form. No Fock cutoff enters.
+fundamental matrix of x'' + omega(t)² x = 0, a time-ordered product of
+closed-form exponentials of sixth-order Magnus generators on a fixed grid
+(``qcore.ordered_product``). At fixed frequency the damping channel
+(jumps a at rate kappa(nbar+1), a† at rate kappa nbar) relaxes <a†a> to
+nbar as e^{-kappa t} and turns <a²> as e^{-(kappa + 2i omega) t}, in
+closed form. No Fock cutoff enters.
 
 Fock basis. ``destroy`` builds ladder operators for ``battery``. No
 function of the package calls ``squeeze``, ``FrequencyRamp`` or
@@ -36,10 +38,22 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import expm
 
+from . import qcore
 from .errors import InvalidParams, NumericalInstability, TooLarge
 
-# the largest phase integral of omega(t) over a ramp, in radians
+# the largest phase integral of omega(t) over a ramp, in radians: the
+# Magnus steps grow in proportion to the phase
 MAX_RAMP_PHASE = 1e4
+# a ramp's first Magnus grid has one step per RAMP_STEP_PHASE rad of phase;
+# the grid doubles until two grids agree to RAMP_RTOL, at most
+# MAX_RAMP_DOUBLINGS times
+RAMP_STEP_PHASE = 0.05
+RAMP_RTOL = 1e-10
+MAX_RAMP_DOUBLINGS = 6
+# Magnus steps evaluated and reduced per batch
+_RAMP_CHUNK = 2**15
+# Gauss-Legendre nodes of [0, 1]
+_GL_NODES = 0.5 + np.sqrt(15.0) / 10 * np.array([-1.0, 0.0, 1.0])
 
 
 # --- second-moment (Gaussian) route -----------------------------------------------
@@ -57,44 +71,112 @@ def covariance_energy(sigma: np.ndarray, omega: float) -> float:
     return float(0.5 * sigma[1, 1] + 0.5 * omega**2 * sigma[0, 0])
 
 
+def _magnus_steps(omega_squared, starts: np.ndarray, h: float) -> np.ndarray:
+    """exp(Omega) over each step [t, t + h], t in ``starts``, for
+    x'' + omega(t)² x = 0, shape starts.shape + (2, 2).
+
+    Omega = [[a, b], [c, -a]] is the sixth-order Magnus generator
+    alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240, with
+    C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60, built from
+    A = [[0, 1], [-omega², 0]] at the Gauss-Legendre nodes t + c_i h
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
+    alpha1 = h A_2, alpha2 = (sqrt(15) h/3)(A_3 - A_1) and
+    alpha3 = (10 h/3)(A_3 - 2 A_2 + A_1) hold only -d1 and -d2 in their
+    lower-left entry, and the commutators are written out below. Omega is
+    traceless, so Omega² = (a² + bc) I and
+    exp(Omega) = cos r I + (sin r / r) Omega with r² = -(a² + bc), or
+    cosh and sinh where a² + bc > 0.
+    """
+    w = omega_squared(starts[..., None] + h * _GL_NODES)
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    d1 = np.sqrt(15.0) / 3 * h * (w3 - w1)
+    d2 = 10.0 / 3 * h * (w3 - 2 * w2 + w1)
+    hw2 = h * w2
+    a = h * d1 * (1 / 12 + h * hw2 / 180 + h * d2 / 7200)
+    b = h + h * h * (h * d1 * d1 / 3600 + d2 / 180)
+    c = (-hw2 - d2 / 12
+         + h * (hw2 * d2 / 180 + d2 * d2 / 3600 - d1 * d1 / 120
+                - h * hw2 * d1 * d1 / 3600))
+    q = a * a + b * c
+    r = np.sqrt(np.abs(q))
+    even, odd = np.cos(r), np.sinc(r / np.pi)
+    hyp = q > 0
+    if hyp.any():
+        even[hyp], odd[hyp] = np.cosh(r[hyp]), np.sinh(r[hyp]) / r[hyp]
+    return np.stack([even + odd * a, odd * b, odd * c, even - odd * a],
+                    axis=-1).reshape(q.shape + (2, 2))
+
+
+def _fundamental(omega_squared, tau: float, segments: int,
+                 steps: int) -> np.ndarray:
+    """M(t_j) at t_j = j tau / segments, j = 1..segments, with ``steps``
+    Magnus steps per segment, shape (segments, 2, 2). The steps are reduced
+    in batches of about _RAMP_CHUNK, so memory does not grow with them."""
+    h = tau / (segments * steps)
+    first = np.arange(segments)[:, None] * steps  # first step of each segment
+    per_batch = max(1, _RAMP_CHUNK // segments)
+    seg = np.eye(2)
+    for i0 in range(0, steps, per_batch):
+        index = first + np.arange(i0, min(i0 + per_batch, steps))
+        seg = qcore.ordered_product(_magnus_steps(omega_squared, index * h, h)) @ seg
+    out = [seg[0]]
+    for m in seg[1:]:
+        out.append(m @ out[-1])
+    return np.array(out)
+
+
 def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
-                    t_eval=None) -> np.ndarray:
+                    samples: int = None) -> np.ndarray:
     """Covariance under H(t) = p²/2 + omega(t)² x²/2 for 0 <= t <= tau.
 
     ``omega_squared`` maps an array of times to omega(t)² element-wise; it
     must be positive on a 4001-point grid of [0, tau], else InvalidParams.
     The phase integral of omega(t), a trapezoid on that grid, may not exceed
-    MAX_RAMP_PHASE, else TooLarge: the DOP853 steps grow in proportion to it.
-    The fundamental matrix M(t) of x'' + omega(t)² x = 0, M(0) = I, is
-    integrated with DOP853 and Sigma(t) = M(t) Sigma M(t)ᵀ; an overflow in
-    a step raises NumericalInstability, as a failed solve does. Returns the
-    2x2 covariance at tau, or a stack (len(t_eval), 2, 2) at ``t_eval``.
+    MAX_RAMP_PHASE, else TooLarge. The fundamental matrix M(t) of
+    x'' + omega(t)² x = 0, M(0) = I, is a time-ordered product of
+    sixth-order Magnus steps on a fixed grid, one step per RAMP_STEP_PHASE
+    rad of phase and at least 8. The grid doubles until M agrees with the
+    coarser grid's to RAMP_RTOL in the max norm of
+    [[x_x, w x_p], [p_x / w, p_p]], w the mean frequency, at every sample;
+    it doubles at most MAX_RAMP_DOUBLINGS times, else NumericalInstability,
+    as for an overflow or a result that is not finite. Sigma(t) =
+    M(t) Sigma M(t)ᵀ. Returns the 2x2 covariance at tau, or a stack
+    (samples, 2, 2) at ``samples`` equally spaced times from 0 to tau.
     """
+    if samples is not None and samples < 2:
+        raise InvalidParams("a ramp needs at least 2 samples")
     w2 = np.asarray(omega_squared(np.linspace(0.0, tau, 4001)), dtype=float)
     if not np.all(w2 > 0):  # also rejects NaN
         raise InvalidParams("frequency ramp must stay positive")
     w = np.sqrt(w2)
-    phase = float(tau) * float(np.mean(0.5 * (w[1:] + w[:-1])))
+    w_mean = float(np.mean(0.5 * (w[1:] + w[:-1])))
+    phase = float(tau) * w_mean
     if phase > MAX_RAMP_PHASE:
         raise TooLarge(f"ramp phase {phase:.3g} rad exceeds {MAX_RAMP_PHASE:g}")
 
-    def rhs(t, m):
-        # d/dt [[x_x, x_p], [p_x, p_p]] = [[0, 1], [-omega², 0]] M
-        w2_t = omega_squared(t)
-        return [m[2], m[3], -w2_t * m[0], -w2_t * m[1]]
-
+    segments = 1 if samples is None else samples - 1
+    steps = -(-max(8, int(np.ceil(phase / RAMP_STEP_PHASE))) // segments)
+    scale = np.array([[1.0, w_mean], [1.0 / w_mean, 1.0]])
     try:
-        with np.errstate(over="raise"):
-            sol = solve_ivp(rhs, (0.0, tau), [1.0, 0.0, 0.0, 1.0],
-                            t_eval=t_eval, method="DOP853", rtol=1e-11,
-                            atol=1e-13)
+        with np.errstate(over="raise", invalid="raise"):
+            coarse = _fundamental(omega_squared, tau, segments, steps)
+            for _ in range(MAX_RAMP_DOUBLINGS):
+                steps *= 2
+                m = _fundamental(omega_squared, tau, segments, steps)
+                err = np.max(np.abs((m - coarse) * scale), axis=(1, 2))
+                if np.all(err <= RAMP_RTOL * np.max(np.abs(m * scale), axis=(1, 2))):
+                    break
+                coarse = m
+            else:
+                raise NumericalInstability(
+                    f"frequency ramp: Magnus grids of up to {steps * segments} "
+                    f"steps disagree beyond {RAMP_RTOL:g}")
     except FloatingPointError as exc:
         raise NumericalInstability(f"frequency ramp: {exc}") from exc
-    if not sol.success:
-        raise NumericalInstability(f"frequency ramp: {sol.message}")
-    m = sol.y.T.reshape(-1, 2, 2)
+    if not np.all(np.isfinite(m)):
+        raise NumericalInstability("frequency ramp: fundamental matrix is not finite")
     out = m @ sigma @ m.transpose(0, 2, 1)
-    return out if t_eval is not None else out[-1]
+    return out[-1] if samples is None else np.concatenate([sigma[None], out])
 
 
 def thermalize_covariance(sigma: np.ndarray, omega: float, temperature: float,

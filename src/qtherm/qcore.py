@@ -143,10 +143,18 @@ def midpoint_propagator(h_of_t, t0: float, t1: float, n_steps: int) -> np.ndarra
         raise NotHermitian("midpoint Hamiltonian is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(hs)
     steps = (vecs * np.exp(-1j * dt * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    u = np.eye(hs.shape[-1], dtype=complex)
-    for step in steps:
-        u = step @ u
-    return u
+    return ordered_product(steps)
+
+
+def ordered_product(m: np.ndarray) -> np.ndarray:
+    """Time-ordered product m[..., n-1, :, :] @ ... @ m[..., 0, :, :] of a
+    stack of n >= 1 square matrices along axis -3, by pairwise halving:
+    ceil(log2 n) batched matmuls."""
+    while m.shape[-3] > 1:
+        even = m.shape[-3] // 2 * 2
+        pairs = m[..., 1:even:2, :, :] @ m[..., 0:even:2, :, :]
+        m = np.concatenate([pairs, m[..., even:, :, :]], axis=-3)
+    return m[..., 0, :, :]
 
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:

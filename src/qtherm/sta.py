@@ -114,17 +114,17 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule,
     <I(t)> = ½[omega_0² X/b² + b² P - 2 b b' C + b'² X] follows from the
     covariance X = <x²>, P = <p²>, C = <{x, p}>/2 that
     ``oscillators.ramp_covariance`` propagates from the Gibbs state at
-    omega_i. A schedule that inverts the trap, or T <= 0, raises
-    InvalidParams.
+    omega_i, on its sixth-order Magnus product sampled at the 101 times. A
+    schedule that inverts the trap, or T <= 0, raises InvalidParams.
     """
     if not temperature > 0:
         raise InvalidParams("temperature must be positive")
-    t_eval = np.linspace(0.0, schedule.tau, 101)
+    times = np.linspace(0.0, schedule.tau, 101)
     sigma0 = oscillators.thermal_covariance(schedule.omega_i, temperature)
     sigmas = oscillators.ramp_covariance(sigma0, schedule.omega_squared,
-                                         schedule.tau, t_eval=t_eval)
+                                         schedule.tau, samples=times.size)
     x, c, p = sigmas[:, 0, 0], sigmas[:, 0, 1], sigmas[:, 1, 1]
-    b, bd = schedule.b(t_eval), schedule.b_dot(t_eval)
+    b, bd = schedule.b(times), schedule.b_dot(times)
     inv = 0.5 * (schedule.omega0**2 * x / b**2 + b**2 * p - 2 * b * bd * c
                  + bd**2 * x)
     return float(np.max(np.abs(inv - inv[0])) / abs(inv[0]))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtherm import cli
+from qtherm import cli, cycles
 from qtherm.errors import InvalidConfig, TrapInversionWarning
 
 SPEC_EXPERIMENTS = {
@@ -599,9 +599,19 @@ _FLOAT_MAX = repr(sys.float_info.max)
     ("otto-numeric", ["omega_a=2", "omega_b=1", "t_h=2", "t_c=1",
                       "ramp_duration=7000", "thermalization_time=20"],
      "TooLarge"),
-    # the DOP853 step of the ramp overflows
-    ("otto-numeric", ["omega_a=1e100", "omega_b=1e99", "t_h=1e100", "t_c=1",
-                      "ramp_duration=1e-99", "thermalization_time=1e100"],
+    # omega_a² is subnormal, so <x²> = E/omega_a² of the Gibbs state
+    # overflows
+    ("otto-numeric", ["omega_a=1e-155", "omega_b=1e-160", "t_h=2", "t_c=1",
+                      "ramp_duration=1", "thermalization_time=20"],
+     "NumericalInstability"),
+    # the cold-isochore coth ~ 2 T_c/omega_b times omega_a passes 1.8e308
+    ("otto", ["omega_a=1e100", "omega_b=1.4925283067475307e-251",
+              "t_h=1e100", "t_c=1"], "NumericalInstability"),
+    # a period of 2e294 times the amplitude passes 1.8e308
+    ("ctm", ["omega0=2.9373394875061713e-294",
+             "drive_frequency=2.9373394875061713e-294", "t_hot=1e100",
+             "t_cold=1", "rate=1e100", "amplitude=168081467386170.0",
+             "waveform=piecewise_asymmetric", "m_max=1"],
      "NumericalInstability"),
 ], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
@@ -616,7 +626,8 @@ _FLOAT_MAX = repr(sys.float_info.max)
         "sta-ermakov-overflowing-frequency", "sta-ermakov-huge-frequency",
         "qsl-overflowing-phase", "ergotropy-largest-population",
         "n-copy-largest-population", "otto-numeric-long-ramp",
-        "otto-numeric-overflowing-ramp"])
+        "otto-numeric-subnormal-square", "otto-overflowing-stroke",
+        "ctm-overflowing-phase"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -661,6 +672,32 @@ def test_overflowing_intermediate_gives_the_finite_result(args, want, capsys):
     assert {key: row[key] for key in want} == want
 
 
+def test_sta_cd_closed_form_at_the_largest_velocity(capsys):
+    # 0.5 delta v alone overflows; delta v/(2 delta²) = v/(2 delta) does not
+    row = _run_rows(["sta-cd", "--set", "delta=3", "--set",
+                     f"velocity=-{_FLOAT_MAX}", "--set", "t=0",
+                     "--set", "dt=0.5"], capsys)[0]
+    assert float(row["closed_form"]) == pytest.approx(-sys.float_info.max / 6,
+                                                      rel=1e-15)
+    assert float(row["residual"]) <= 1e-9 * sys.float_info.max / 6
+
+
+def test_otto_numeric_at_extreme_scale_is_the_scaled_cycle(capsys):
+    # omega -> omega s, T -> T s and ramp time -> t / s leave the cycle's
+    # dimensionless dynamics alone and scale every energy by s; both runs
+    # thermalize fully (kappa t = 100 and 1e100), so kappa needs no scaling.
+    # At s = 1e100 the squared frequencies near 1e200 must not overflow.
+    args = ["otto-numeric"] + [x for item in [
+        "omega_a=1e100", "omega_b=1e99", "t_h=1e100", "t_c=1",
+        "ramp_duration=1e-99", "thermalization_time=1e100"]
+        for x in ("--set", item)]
+    row = _run_rows(args, capsys)[0]
+    unit = cycles.otto_numeric(1.0, 0.1, 1.0, 1e-100, 10.0, 100.0)
+    for key in ("net_work_output", "q_hot", "q_cold"):
+        assert float(row[key]) == pytest.approx(1e100 * getattr(unit, key),
+                                                rel=1e-9)
+
+
 def test_thermometry_rejects_n_max(capsys):
     args = ["thermometry"] + [x for item in _THERMOMETRY_SETS + [
         "t_c_true=1", "t_h_max=3", "n_max=400"] for x in ("--set", item)]
@@ -677,7 +714,7 @@ def test_outcoupled_rejects_n_fock(capsys):
 
 # sizes kept small so that no example allocates much
 _SIZE_CAPS = {"n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
-              "samples": 50, "n_copies": 4, "m_max": 40}
+              "samples": 50, "n_copies": 4, "m_max": 40, "n_max": 40}
 # an unbounded side is drawn out to 1e100, where near 1e154 the squares
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
@@ -712,8 +749,8 @@ def _bounded(key, spec, scale):
 def _bounded_runs(draw):
     name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd",
                                  "box-carnot", "two-stroke", "magnetometry",
-                                 "maser", "otto", "otto-squeezed", "ctm", "qsl",
-                                 "ergotropy", "n-copy"]))
+                                 "maser", "otto", "otto-squeezed", "otto-numeric",
+                                 "ctm", "qsl", "ergotropy", "n-copy"]))
     scale = sys.float_info.max if name in _FULL_RANGE else _SCALE
     args = [name]
     for key, spec in cli.EXPERIMENTS[name].params.items():

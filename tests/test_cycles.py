@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
+from scipy.special import jv, jvp
 
 import fock_oracle
 from qtherm import cycles, oscillators, qcore
@@ -384,16 +386,91 @@ def test_ramp_covariance_at_fixed_frequency_is_a_rotation():
     sigma = np.array([[0.7, 0.2], [0.2, 1.1]])
     omega, times = 1.3, np.linspace(0.0, 3.0, 7)
     got = oscillators.ramp_covariance(sigma, lambda t: np.full_like(t, omega**2),
-                                      3.0, t_eval=times)
+                                      3.0, samples=7)
     for t, sig in zip(times, got):
         c, s = np.cos(omega * t), np.sin(omega * t)
         m = np.array([[c, s / omega], [-omega * s, c]])
         assert np.max(np.abs(sig - m @ sigma @ m.T)) < 1e-10
 
 
+def linear_ramp_fundamental(omega_from, omega_to, tau):
+    """Closed-form M(tau) of x'' + omega(t)² x = 0 for omega(t) linear in t.
+
+    With s = omega(t) and k = d omega/dt, the equation reads
+    k² x_ss + s² x = 0, solved by sqrt(s) J_{±1/4}(s²/(2|k|)).
+    """
+    k = (omega_to - omega_from) / tau
+
+    def solutions(s):  # columns (x, dx/dt) of the two solutions
+        z = s**2 / (2 * abs(k))
+        cols = []
+        for nu in (0.25, -0.25):
+            dx_ds = (jv(nu, z) / (2 * np.sqrt(s))
+                     + np.sqrt(s) * jvp(nu, z) * s / abs(k))
+            cols.append([np.sqrt(s) * jv(nu, z), k * dx_ds])
+        return np.array(cols).T
+
+    return solutions(omega_to) @ np.linalg.inv(solutions(omega_from))
+
+
+@pytest.mark.parametrize("omega_from,omega_to", [(2.0, 1.0), (1.0, 2.0),
+                                                 (5.0, 0.2), (0.2, 5.0)])
+@pytest.mark.parametrize("tau", [0.01, 0.05, 0.5, 1.0, 4.0, 8.0, 800.0])
+def test_ramp_covariance_matches_bessel_closed_form(omega_from, omega_to, tau):
+    sigma = oscillators.thermal_covariance(omega_from, 0.7)
+    got = oscillators.ramp_covariance(
+        sigma, lambda t: (omega_from + (omega_to - omega_from) * t / tau) ** 2,
+        tau)
+    m = linear_ramp_fundamental(omega_from, omega_to, tau)
+    want = m @ sigma @ m.T
+    # each entry against sqrt(<a²><b²>), which bounds it
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.max(np.abs(got - want) / scale) < 1e-10
+
+
+@pytest.mark.parametrize("omega_from,omega_to,tau", [(2.0, 1.0, 4.0),
+                                                     (5.0, 0.2, 1.0)])
+def test_magnus_product_is_sixth_order(omega_from, omega_to, tau):
+    # the grid doubling would hide a lower-order step behind more steps;
+    # on a fixed grid, halving the step divides the error by about 2^6
+    omega_squared = lambda t: (omega_from + (omega_to - omega_from) * t / tau) ** 2
+    want = linear_ramp_fundamental(omega_from, omega_to, tau)
+    err = [np.max(np.abs(oscillators._fundamental(omega_squared, tau, 1, n)[-1]
+                         - want)) for n in (16, 32)]
+    assert 50 < err[0] / err[1] < 80
+
+
+def test_ramp_covariance_memory_does_not_grow_with_phase():
+    # a phase of 9900 rad takes about 2e5 steps and then 4e5; reduced in
+    # batches, the peak stays a few MB (an unbatched grid takes about 100)
+    tau = 0.99 * oscillators.MAX_RAMP_PHASE / 1.5
+    tracemalloc.start()
+    try:
+        oscillators.ramp_covariance(np.eye(2), lambda t: (2.0 - t / tau) ** 2,
+                                    tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_ramp_covariance_unconverged_grid_is_numerical_instability(monkeypatch):
+    # no grid within MAX_RAMP_DOUBLINGS doublings meets a tolerance below
+    # rounding
+    monkeypatch.setattr(oscillators, "RAMP_RTOL", 1e-30)
+    with pytest.raises(NumericalInstability):
+        oscillators.ramp_covariance(np.eye(2), lambda t: (2.0 - t) ** 2, 1.0)
+
+
 def test_ramp_covariance_rejects_inverted_trap():
     with pytest.raises(InvalidParams):
         oscillators.ramp_covariance(np.eye(2), lambda t: 1.0 - t, 2.0)
+
+
+def test_ramp_covariance_rejects_a_single_sample():
+    with pytest.raises(InvalidParams):
+        oscillators.ramp_covariance(np.eye(2), lambda t: 1.0 + 0 * t, 2.0,
+                                    samples=1)
 
 
 # --- oscillator damping and ramps ---------------------------------------------------------

@@ -134,11 +134,23 @@ def expm_loop_propagator(h_of_t, t0, t1, n_steps):
 
 
 def test_midpoint_propagator_matches_expm_loop():
-    for d, n_steps in [(2, 400), (3, 37), (5, 12)]:
+    # the pairwise product associates differently from the loop, so the two
+    # agree to rounding; odd counts leave a step over at some level
+    for d, n_steps in [(2, 1), (2, 2), (3, 7), (2, 400), (2, 401), (3, 37),
+                       (5, 12)]:
         h0, h1 = random_hermitian(d), random_hermitian(d)
         h_of_t = lambda t: h0 + np.sin(1.3 * t) * h1
         got = qcore.midpoint_propagator(h_of_t, 0.2, 2.9, n_steps)
         assert np.max(np.abs(got - expm_loop_propagator(h_of_t, 0.2, 2.9, n_steps))) < 1e-13
+
+
+def test_ordered_product_keeps_time_order_and_leading_axes():
+    m = rng.normal(size=(2, 5, 3, 3))
+    want = np.array([m[i, 4] @ m[i, 3] @ m[i, 2] @ m[i, 1] @ m[i, 0]
+                     for i in range(2)])
+    got = qcore.ordered_product(m)
+    assert got.shape == (2, 3, 3)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_midpoint_propagator_rejects_non_hermitian():

@@ -93,6 +93,32 @@ class DetunedSchedule(sta.ErmakovSchedule):
         return (1 + 0.5 * np.sin(np.pi * t / self.tau) ** 2) * super().omega_squared(t)
 
 
+def dop853_ramp_covariance(sigma, omega_squared, tau, samples):
+    """Oracle: the fundamental matrix of x'' + omega(t)² x = 0 integrated
+    with DOP853 at rtol 1e-13, the covariance at ``samples`` equal times."""
+    def rhs(t, m):
+        w2 = omega_squared(t)
+        return [m[2], m[3], -w2 * m[0], -w2 * m[1]]
+
+    sol = solve_ivp(rhs, (0.0, tau), [1.0, 0.0, 0.0, 1.0],
+                    t_eval=np.linspace(0.0, tau, samples), method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    m = sol.y.T.reshape(-1, 2, 2)
+    return m @ sigma @ m.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("omega_i,omega_f,tau", [
+    (2.0, 1.0, 3.0), (2.0, 1.6, 5.0), (1.0, 2.0, 3.0), (3.0, 1.0, 10.0)])
+def test_ermakov_ramp_covariance_matches_dop853(omega_i, omega_f, tau):
+    s = sta.ermakov_schedule(omega_i, omega_f, tau)
+    sigma = oscillators.thermal_covariance(omega_i, 0.5)
+    got = oscillators.ramp_covariance(sigma, s.omega_squared, tau, samples=101)
+    want = dop853_ramp_covariance(sigma, s.omega_squared, tau, 101)
+    diag = np.diagonal(want, axis1=1, axis2=2)
+    scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
+    assert np.max(np.abs(got - want) / scale) < 1e-10
+
+
 def test_ermakov_invariant_static_schedule():
     s = sta.ermakov_schedule(2.0, 2.0, 2.0)
     drift = sta.verify_ermakov_invariant(s, temperature=1.0)
