@@ -259,6 +259,11 @@ def _qsl_from_scalars(dist: float, de_tau: float, e_tau: float,
     )
 
 
+def _binary_scale(x: float) -> float:
+    """The least power of two s >= 1 with |x|/s < 2."""
+    return float(np.ldexp(1.0, max(np.frexp(x)[1] - 1, 0)))
+
+
 def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
                h_of_t: Callable[[float], np.ndarray]) -> QSLReport:
     """Mandelstam-Tamm and unified speed-limit bounds for a trajectory of
@@ -274,16 +279,24 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
     tau = float(times[-1] - times[0])
     if not tau > 0:
         raise InvalidParams(f"trajectory duration {tau} must be positive")
-    dist = qcore.bures_angle(trajectory[0][1], trajectory[-1][1])
-    spreads, means = [], []
-    for t, rho in trajectory:
-        h = np.asarray(h_of_t(t), dtype=complex)
-        e = float(np.trace(rho @ h).real)
-        e2 = float(np.trace(rho @ h @ h).real)
-        spreads.append(np.sqrt(max(e2 - e**2, 0.0)))
-        means.append(e - float(np.linalg.eigvalsh(h).min()))
-    de_tau = float(np.trapezoid(spreads, times)) / tau
-    e_tau = float(np.trapezoid(means, times)) / tau
+    rhos = np.array([rho for _, rho in trajectory], dtype=complex)
+    hs = np.array([h_of_t(t) for t, _ in trajectory], dtype=complex)
+    dist = qcore.bures_angle(rhos[0], rhos[-1])
+    # energies in units of s and times in units of s_t, powers of two that
+    # are 1 unless |H| or tau reach 2: the scaling is exact, and no square
+    # or time-energy product overflows
+    s = _binary_scale(np.max(np.abs(hs)))
+    s_t = _binary_scale(tau)
+    hs = hs / s
+    # Tr(rho H) and Tr(rho H²) of every sample, and every ground level
+    rh = rhos @ hs
+    e = np.einsum("kii->k", rh).real
+    e2 = np.einsum("kij,kji->k", rh, hs).real
+    spreads = np.sqrt(np.maximum(e2 - e**2, 0.0))
+    means = e - np.linalg.eigvalsh(hs)[:, 0]
+    t, span = times / s_t, tau / s_t
+    de_tau = float(np.trapezoid(spreads, t)) / span * s
+    e_tau = float(np.trapezoid(means, t)) / span * s
     return _qsl_from_scalars(dist, de_tau, e_tau, tau)
 
 

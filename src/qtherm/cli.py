@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -252,13 +253,13 @@ def _run_qsl(p):
     if not math.isfinite(omega / 2 * tau):
         raise NumericalInstability("the phase omega tau / 2 leaves the float "
                                    "range")
-    times = np.linspace(0.0, tau, p["samples"])
+    times = _grid(0.0, tau, p["samples"])
     h = 0.5 * omega * qcore.SIGMA_Z
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    traj = []
-    for t in times:
-        psi = np.exp(-1j * np.array([omega / 2, -omega / 2]) * t) * plus
-        traj.append((float(t), np.outer(psi, psi.conj())))
+    # |+> evolved under h to every sample time, one row each
+    psis = np.exp(-1j * np.array([omega / 2, -omega / 2]) * times[:, None]) * plus
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    traj = list(zip(times.tolist(), rhos))
     rep = battery.qsl_report(traj, lambda t: h)
     return {"bures_distance": rep.bures_distance, "tau_mt": rep.tau_mt,
             "tau_unified": rep.tau_unified, "actual_tau": rep.actual_tau}
@@ -325,7 +326,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
          "waveform": Param(str, "sinusoidal",
                            choices=("constant", "sinusoidal",
                                     "piecewise_asymmetric")),
-         # beyond 2^13 - 1 the 2^14-point FFT of sideband_weights aliases
+         # bounds the 2 m_max + 1 sideband weights held at once
          "m_max": Param(int, 40, minimum=1, maximum=(1 << 13) - 1)},
         _run_ctm),
     "sta-ermakov": Experiment(
@@ -628,7 +629,10 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 # --- command line ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtherm",
         description=("Quantum thermal machine / metrology / battery "
@@ -640,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("experiment", choices=names)
     run_p.add_argument("--config", required=False)
-    run_p.add_argument("--set", dest="sets", action="append", default=[],
+    run_p.add_argument("--set", dest="sets", action="append",
                        metavar="key=value")
     run_p.add_argument("--out")
     run_p.add_argument("--format", choices=("csv", "json"))
@@ -690,7 +694,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # run
     overrides = {}
-    for item in args.sets:
+    for item in args.sets or []:
         if "=" not in item:
             print(f"--set expects key=value, got {item!r}", file=sys.stderr)
             return EXIT_CONFIG

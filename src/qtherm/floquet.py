@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import jv
 
 from . import lindblad
 from .errors import (InvalidParams, NoCoupling, NumericalInstability,
@@ -66,24 +67,6 @@ class PeriodicModulation:
         down = -self.amplitude * u / (1.0 - u)
         return self.mean_gap + np.where(phase < u, self.amplitude, down)
 
-    def phase_integral(self, t) -> np.ndarray:
-        """Phi(t) = integral_0^t (omega_s - omega0) dt'."""
-        t = np.asarray(t, dtype=float)
-        w = self.drive_frequency
-        if self.waveform == "constant":
-            return 0.0 * t
-        if self.waveform == "sinusoidal":
-            return (self.amplitude / w) * (1.0 - np.cos(w * t))
-        u = self.up_fraction  # piecewise_asymmetric
-        period = self.period
-        down = -self.amplitude * u / (1.0 - u)
-        n_full = np.floor(t / period)
-        frac = t - n_full * period
-        up_time = np.minimum(frac, u * period)
-        down_time = np.clip(frac - u * period, 0.0, None)
-        # full periods integrate to zero by the mean constraint
-        return self.amplitude * up_time + down * down_time
-
 
 @dataclass(frozen=True)
 class SidebandWeights:
@@ -99,36 +82,43 @@ class SidebandWeights:
 
 
 def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeights:
-    """Fourier weights P_m = |(1/T) int_0^T e^{-i Phi(t)} e^{-i m Omega t} dt|^2.
+    """Fourier weights P_m = |(1/T) int_0^T e^{-i Phi(t)} e^{-i m Omega t} dt|^2
+    of the phase Phi(t) = int_0^t (omega_s - omega0) dt', in closed form.
 
-    Computed by FFT on a uniform grid of 2^14 points per period
-    (spectrally accurate for smooth waveforms). The weights sum to 1 over
-    all m; raises TruncationTooSmall when those kept, |m| <= m_max, sum
-    below 0.999, so up to 1e-3 of the weight may lie outside the window.
-    A phase Phi(t) beyond the float range raises NumericalInstability.
+    With a = A/Omega:
+      * ``sinusoidal``: Phi = a (1 - cos Omega t), so P_m = J_m(a)^2.
+      * ``piecewise_asymmetric``: Phi is linear on each of the two segments,
+        slope A for the first u T and -A u/(1-u) for the rest. Each segment
+        integrates to a sinc; their phases differ by pi m, so
+        P_m = [u sinc((a + m) u) + (-1)^m (1-u) sinc(m (1-u) - a u)]^2
+        with sinc(x) = sin(pi x)/(pi x).
+      * ``constant``: P_m = delta_m0.
+    The weights sum to 1 over all m; raises TruncationTooSmall when those
+    kept, |m| <= m_max, sum below 0.999, so up to 1e-3 of the weight may
+    lie outside the window. A phase (A/Omega, or A u T of the piecewise
+    waveform) beyond the float range raises NumericalInstability.
     """
     if m_max < 0:
         raise InvalidParams("m_max must be non-negative")
+    m = np.arange(-m_max, m_max + 1)
     if mod.waveform == "constant":
-        w = np.zeros(2 * m_max + 1)
-        w[m_max] = 1.0
-        return SidebandWeights(m_max, w)
-    n_samples = 1 << 14
-    period = mod.period
-    t = np.arange(n_samples) * (period / n_samples)
+        return SidebandWeights(m_max, (m == 0).astype(float))
     with np.errstate(all="ignore"):  # checked below
-        phase = mod.phase_integral(t)
-    if not np.all(np.isfinite(phase)):
+        a = mod.amplitude / mod.drive_frequency
+        if mod.waveform == "sinusoidal":
+            phase = a
+            w = jv(m, a) ** 2
+        else:  # piecewise_asymmetric
+            u = mod.up_fraction
+            phase = mod.amplitude * (u * mod.period)
+            sign = 1 - 2 * (m % 2)
+            w = (u * np.sinc((a + m) * u)
+                 + sign * (1 - u) * np.sinc(m * (1 - u) - a * u)) ** 2
+    if not (np.isfinite(phase) and np.all(np.isfinite(w))):
         raise NumericalInstability(
             "the modulation phase over one period leaves the float range")
-    f = np.exp(-1j * phase)
-    # c_m = (1/T) int f(t) e^{-i m Omega t} dt  ->  FFT coefficients / N
-    coeffs = np.fft.fft(f) / n_samples
-    w = np.zeros(2 * m_max + 1)
-    for m in range(-m_max, m_max + 1):
-        w[m + m_max] = abs(coeffs[m % n_samples]) ** 2
     total = float(np.sum(w))
-    if total < 0.999:
+    if not total >= 0.999:
         raise TruncationTooSmall(
             f"sideband weights sum to {total:.6f} at m_max={m_max}; raise m_max"
         )

@@ -61,14 +61,15 @@ _GL_NODES = 0.5 + np.sqrt(15.0) / 10 * np.array([-1.0, 0.0, 1.0])
 
 def thermal_covariance(omega: float, temperature: float) -> np.ndarray:
     """Covariance [[<x²>, C], [C, <p²>]] of the Gibbs state of H(omega),
-    where <p²> = omega² <x²> = omega (nbar + ½) and C = 0."""
+    where <p²> = omega² <x²> = omega (nbar + ½) and C = 0. The squares are
+    NumPy's, so one beyond the float range is inf, not an OverflowError."""
     energy = 0.5 * omega / np.tanh(omega / (2 * temperature))
-    return np.diag([energy / omega**2, energy])
+    return np.diag([energy / np.square(omega), energy])
 
 
 def covariance_energy(sigma: np.ndarray, omega: float) -> float:
     """<H(omega)> = <p²>/2 + omega² <x²>/2."""
-    return float(0.5 * sigma[1, 1] + 0.5 * omega**2 * sigma[0, 0])
+    return float(0.5 * sigma[1, 1] + 0.5 * np.square(omega) * sigma[0, 0])
 
 
 def _magnus_steps(omega_squared, starts: np.ndarray, h: float) -> np.ndarray:
@@ -130,7 +131,8 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
     """Covariance under H(t) = p²/2 + omega(t)² x²/2 for 0 <= t <= tau.
 
     ``omega_squared`` maps an array of times to omega(t)² element-wise; it
-    must be positive on a 4001-point grid of [0, tau], else InvalidParams.
+    must be positive on a 4001-point grid of [0, tau], else InvalidParams,
+    and finite there, else NumericalInstability.
     The phase integral of omega(t), a trapezoid on that grid, may not exceed
     MAX_RAMP_PHASE, else TooLarge. The fundamental matrix M(t) of
     x'' + omega(t)² x = 0, M(0) = I, is a time-ordered product of
@@ -148,6 +150,8 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
     w2 = np.asarray(omega_squared(np.linspace(0.0, tau, 4001)), dtype=float)
     if not np.all(w2 > 0):  # also rejects NaN
         raise InvalidParams("frequency ramp must stay positive")
+    if not np.all(np.isfinite(w2)):
+        raise NumericalInstability("frequency ramp: omega(t)² leaves the float range")
     w = np.sqrt(w2)
     w_mean = float(np.mean(0.5 * (w[1:] + w[:-1])))
     phase = float(tau) * w_mean
@@ -191,8 +195,8 @@ def thermalize_covariance(sigma: np.ndarray, omega: float, temperature: float,
     x, c, p = sigma[0, 0], sigma[0, 1], sigma[1, 1]
     with np.errstate(over="ignore"):  # e^x = inf is the nbar = 0 limit
         nbar = 1.0 / np.expm1(omega / temperature)
-    n = (omega**2 * x + p) / (2 * omega) - 0.5
-    a2 = (omega**2 * x - p) / (2 * omega) + 1j * c
+    n = (np.square(omega) * x + p) / (2 * omega) - 0.5
+    a2 = (np.square(omega) * x - p) / (2 * omega) + 1j * c
     decay = np.exp(-kappa * tau)
     n = nbar + (n - nbar) * decay
     a2 = a2 * decay * np.exp(-2j * omega * tau)

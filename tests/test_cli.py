@@ -273,6 +273,31 @@ def test_malformed_set():
     assert cli.main(["run", "otto", "--set", "omega_a"]) == 2
 
 
+def test_parser_is_built_once_and_reused_safely(tmp_path, capsys,
+                                                monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run",
+                        lambda cfg: seen.append(dict(cfg.parameters)) or run(cfg))
+    assert cli.main(["otto", "--set", "omega_a=2", "--set", "omega_b=1",
+                     "--set", "t_h=4", "--set", "t_c=1"]) == 0
+    assert cli.main(["run", "qfi", "--set", "omega=1",
+                     "--set", "temperature=2"]) == 0
+    path = write_config(tmp_path, OTTO_CONFIG)
+    assert cli.main(["validate", path]) == 0
+    with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+        cli.main(["run", "otto", "--threads", "many"])
+    assert exc.value.code == 2
+    assert cli.main(["run", "otto", "--config", path]) == 0
+    # no call sees a --set of an earlier one
+    assert seen == [
+        {"omega_a": "2", "omega_b": "1", "t_h": "4", "t_c": "1"},
+        {"omega": "1", "temperature": "2"},
+        {"omega_a": "2.0", "omega_b": "1.0", "t_h": "4.0", "t_c": "1.0"}]
+    capsys.readouterr()
+
+
 # --- one parse for validate and run ------------------------------------------------
 
 
@@ -607,6 +632,9 @@ _FLOAT_MAX = repr(sys.float_info.max)
     # the cold-isochore coth ~ 2 T_c/omega_b times omega_a passes 1.8e308
     ("otto", ["omega_a=1e100", "omega_b=1.4925283067475307e-251",
               "t_h=1e100", "t_c=1"], "NumericalInstability"),
+    # A/Omega = 1e310: J_m(inf) would be NaN, read as no coupling
+    ("ctm", ["omega0=10", "t_hot=4", "t_cold=1", "amplitude=1e300",
+             "drive_frequency=1e-10"], "NumericalInstability"),
     # a period of 2e294 times the amplitude passes 1.8e308
     ("ctm", ["omega0=2.9373394875061713e-294",
              "drive_frequency=2.9373394875061713e-294", "t_hot=1e100",
@@ -627,7 +655,7 @@ _FLOAT_MAX = repr(sys.float_info.max)
         "qsl-overflowing-phase", "ergotropy-largest-population",
         "n-copy-largest-population", "otto-numeric-long-ramp",
         "otto-numeric-subnormal-square", "otto-overflowing-stroke",
-        "ctm-overflowing-phase"])
+        "ctm-overflowing-ratio", "ctm-overflowing-phase"])
 def test_degenerate_parameter_exits_3_not_4(experiment, sets, error, capsys):
     # each once ended in a Python arithmetic error (exit 4) or printed NaN
     args = [experiment]
@@ -719,7 +747,7 @@ _SIZE_CAPS = {"n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
 _SCALE = 1e100
-_FULL_RANGE = ("sta-cd", "box-carnot", "outcoupled", "thermometry")
+_FULL_RANGE = ("sta-cd", "box-carnot", "outcoupled", "thermometry", "qsl")
 # experiments whose every column is finite but for an undefined efficiency
 # or coefficient of performance
 _FINITE_ROWS = ("sta-cd", "outcoupled", "maser", "otto", "otto-squeezed",
@@ -758,9 +786,7 @@ def _bounded_runs(draw):
     return args
 
 
-@settings(max_examples=600, deadline=None)
-@given(_bounded_runs())
-def test_bounded_parameters_never_exit_4(args):
+def _assert_exit_0_with_finite_rows_or_3(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
@@ -771,6 +797,29 @@ def test_bounded_parameters_never_exit_4(args):
         for row in rows:
             assert all(value not in ("nan", "inf", "-inf")
                        for key, value in zip(header, row) if key not in _RATIOS)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_bounded_runs())
+def test_bounded_parameters_never_exit_4(args):
+    _assert_exit_0_with_finite_rows_or_3(args)
+
+
+@pytest.mark.parametrize("args", [
+    # the sample grid from 0 to the largest float overflowed in linspace
+    ["qsl", "--set", "omega=0.0", "--set", f"tau={_FLOAT_MAX}",
+     "--set", "samples=49"],
+    # (omega/2)² and the time integral of Delta E = omega/2 pass 1.8e308
+    ["qsl", "--set", f"omega=-{_FLOAT_MAX}", "--set", "tau=1.9",
+     "--set", "samples=2"],
+    # omega_a² passes 1.8e308, once a Python OverflowError
+    ["otto-numeric", "--set", "omega_a=1e155", "--set", "omega_b=1",
+     "--set", "t_h=2", "--set", "t_c=1", "--set", "ramp_duration=1e-160",
+     "--set", "thermalization_time=20"],
+], ids=["qsl-largest-tau", "qsl-largest-omega",
+        "otto-numeric-overflowing-square"])
+def test_float_range_edges_exit_0_or_3(args):
+    _assert_exit_0_with_finite_rows_or_3(args)
 
 
 @pytest.mark.parametrize("experiment,key", [

@@ -5,7 +5,8 @@ from scipy.special import jv
 
 import dense_gksl
 from qtherm import floquet, lindblad, qcore
-from qtherm.errors import InvalidParams, NoCoupling, UnclassifiableState
+from qtherm.errors import (InvalidParams, NoCoupling, NumericalInstability,
+                           UnclassifiableState)
 from qtherm.qcore import SIGMA_MINUS, SIGMA_PLUS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,6 +103,56 @@ def test_sideband_asymmetric_parseval_and_mean():
     w = floquet.sideband_weights(mod, 40)
     assert w.total >= 1 - 1e-8
     assert np.all(w.weights >= 0)
+
+
+def _phase_integral(mod, t):
+    """Phi(t) = int_0^t (omega_s - omega0) dt' of a modulation, on a grid."""
+    if mod.waveform == "sinusoidal":
+        w = mod.drive_frequency
+        return (mod.amplitude / w) * (1.0 - np.cos(w * t))
+    u, period = mod.up_fraction, mod.period  # piecewise_asymmetric
+    down = -mod.amplitude * u / (1.0 - u)
+    frac = t - np.floor(t / period) * period
+    up_time = np.minimum(frac, u * period)
+    down_time = np.clip(frac - u * period, 0.0, None)
+    # full periods integrate to zero by the mean constraint
+    return mod.amplitude * up_time + down * down_time
+
+
+def fft_sideband_weights(mod, m_max, n_samples):
+    """The oracle: |c_m|² from an n_samples-point FFT of e^{-i Phi(t)} over
+    one period, spectrally accurate for a smooth waveform and O(N^-2) off
+    at the kinks of a piecewise one."""
+    t = np.arange(n_samples) * (mod.period / n_samples)
+    coeffs = np.fft.fft(np.exp(-1j * _phase_integral(mod, t))) / n_samples
+    return np.abs(coeffs[np.arange(-m_max, m_max + 1) % n_samples]) ** 2
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 2.0, 5.0])
+def test_sideband_sinusoidal_matches_fft(ratio):
+    mod = floquet.PeriodicModulation(10.0, 1.7, "sinusoidal",
+                                     amplitude=ratio * 1.7)
+    w = floquet.sideband_weights(mod, 40).weights
+    assert np.max(np.abs(w - fft_sideband_weights(mod, 40, 1 << 14))) <= 1e-14
+
+
+@pytest.mark.parametrize("u", [0.1, 0.3, 0.5, 0.8])
+def test_sideband_piecewise_matches_fine_fft(u):
+    # the 2^20-point FFT is within about 1e-11 of the exact weights here
+    for ratio in (0.05, 0.7, 1.5, 3.0):
+        mod = floquet.PeriodicModulation(5.0, 1.3, "piecewise_asymmetric",
+                                         amplitude=ratio * 1.3, up_fraction=u)
+        w = floquet.sideband_weights(mod, 400).weights
+        ref = fft_sideband_weights(mod, 400, 1 << 20)
+        assert np.max(np.abs(w - ref)) <= 1e-11, ratio
+
+
+@pytest.mark.parametrize("waveform", ["sinusoidal", "piecewise_asymmetric"])
+def test_sideband_phase_beyond_float_range_raises(waveform):
+    # A/Omega = 1e310; J_m(inf) alone would be NaN
+    mod = floquet.PeriodicModulation(10.0, 1e-10, waveform, amplitude=1e300)
+    with pytest.raises(NumericalInstability, match="float range"):
+        floquet.sideband_weights(mod, 40)
 
 
 def test_modulation_rejects_up_fraction_at_construction():
