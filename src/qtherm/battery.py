@@ -168,25 +168,29 @@ def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     """Maximum unitary work Tr(rho h) - Tr(sigma_rho h), plus the
-    thermodynamic bound W_max against the entropy-matched Gibbs state,
-    whose inverse temperature is searched on [1e-8, 1e8] and clamped to
-    the end of that bracket when the target entropy lies beyond it."""
+    thermodynamic bound W_max against the entropy-matched Gibbs state.
+
+    Its inverse temperature is searched in units of the level spread, as
+    beta (E_max - E_min) on [1e-8, 1e8] (1 for equal levels), so the result
+    does not depend on the energy unit; it is clamped to the end of that
+    bracket when the target entropy lies beyond it."""
     pops, eps, sigma = _passive(rho, h)
     s_target = _entropy(pops)
     e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
     e_pass = float(pops[::-1] @ eps)
-    # S(zeta_beta) is monotone decreasing in beta: a root in log beta on
-    # [1e-8, 1e8], or the end of the bracket the target lies beyond
-    def excess(log_beta: float) -> float:
-        return _gibbs_entropy_energy(eps, np.exp(log_beta))[0] - s_target
+    spread = float(eps[-1] - eps[0]) or 1.0
+    # S(zeta_beta) is monotone decreasing in beta: a root in log(beta
+    # spread) on [log 1e-8, log 1e8], or the end the target lies beyond
+    def excess(log_b: float) -> float:
+        return _gibbs_entropy_energy(eps, np.exp(log_b) / spread)[0] - s_target
 
     lo, hi = np.log(1e-8), np.log(1e8)
     if excess(lo) <= 0:
-        beta = 1e-8
+        beta = 1e-8 / spread
     elif excess(hi) >= 0:
-        beta = 1e8
+        beta = 1e8 / spread
     else:
-        beta = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14)))
+        beta = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14))) / spread
     _, e_thermal = _gibbs_entropy_energy(eps, beta)
     w_max = e_rho - e_thermal
     return ErgotropyReport(
@@ -730,7 +734,7 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     of the initial state is diagonalised and evolved; the other sector
     gives only its lowest level, for the speed-limit reference.
     """
-    if not np.isclose(omega, omega_c):
+    if not np.isclose(omega, omega_c, atol=0.0):  # relative, whatever the unit
         raise InvalidParams("resonance omega = omega_c required")
     if n_photons > photon_cutoff:
         raise CutoffTooSmall("initial photon number exceeds the cutoff")

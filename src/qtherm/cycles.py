@@ -237,7 +237,7 @@ def otto_squeezed(omega_a: float, omega_b: float, t_h: float, t_c: float,
         raise InvalidParams("squeezing must be non-negative")
     # Delta_H_r - 1 with 1/<n0> = expm1(omega_a/T_h); r = 0 is exactly the
     # thermal cycle even where expm1 overflows
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(all="ignore"):  # checked below
         excess = (2.0 + np.expm1(omega_a / t_h)) * np.sinh(r) ** 2 if r > 0 else 0.0
         dhr = 1.0 + excess
         hot_energy = 0.5 * omega_a * _coth(omega_a / (2 * t_h)) * dhr

@@ -9,15 +9,18 @@ gamma(omega). The Lamb shift is omitted. Such a generator maps a coherence
 frequency E_a - E_b (Davies 1974), so it is stored in that eigenbasis as
 blocks over Bohr sectors: the connected components of the level pairs
 (a, b) that the nonzero entries of the dissipators join. One list of
-those entries both finds the sectors and fills the blocks. Sectors of
-equal size are stacked, so each operation is a few batched array
-operations. The zero-frequency sector holds every population; for a
-non-degenerate spectrum it has d pairs.
+those entries, from every bath at once, both finds the sectors and fills
+the blocks, so a build makes a fixed number of array passes whatever the
+number of baths or of sector sizes. Sectors of equal size are stacked,
+so each operation is a few batched array operations. The zero-frequency
+sector holds every population; for a non-degenerate spectrum it has d
+pairs.
 
 The steady state is one LU solve of the zero-frequency block with its
 (redundant) ground-population row replaced by the trace functional; every
-other block must be nonsingular. Evolution exponentiates each block. No
-d² x d² array is formed on these paths.
+other block must be nonsingular, which a bound from their inverses
+certifies (the singular values decide only where it cannot). Evolution
+exponentiates each block. No d² x d² array is formed on these paths.
 
 The dense superoperator (column stacking) is the generator's lazy
 ``total``, built from ``decompose_coupling`` and ``dissipator_super``. No
@@ -117,36 +120,58 @@ class BathSpec:
             return self.spectral.positive_side(omega)
         return np.exp(omega / self.temperature) * self.spectral.positive_side(-omega)
 
+    def rates(self, omegas: np.ndarray) -> np.ndarray:
+        """``rate`` at each of an array of (signed) frequencies."""
+        w = np.asarray(omegas, dtype=float)
+        spec, x = self.spectral, np.abs(w)
+        if spec.family == "ohmic_exp_cutoff":
+            x = x / spec.cutoff
+            gamma = spec.base_rate * x * np.exp(-x)
+        elif spec.family == "windowed_flat":
+            lo, hi = spec.window
+            gamma = np.where((lo < x) & (x < hi), spec.base_rate, 0.0)
+        else:
+            gamma = spec.base_rate
+        with np.errstate(over="ignore"):  # omega/T = -inf: a factor of 0
+            return gamma * np.exp(np.minimum(w, 0.0) / self.temperature)
+
 
 # --- jump terms and dense superoperators -----------------------------------------
 
 
 def _bohr_terms(s: np.ndarray, s_eig: np.ndarray, vals: np.ndarray):
-    """Jump term of each entry of S in the eigenbasis of H (-1 where the
-    entry's cluster block is dropped) and the frequency of each term.
+    """Jump term of each entry of a stack of coupling operators S_n in the
+    eigenbasis of H (-1 where the entry's cluster block is dropped), and
+    the operator index n and the frequency of each term.
 
     Eigenvalues cluster by ``qcore.level_clusters``, with its tolerance.
-    The block of ``s_eig`` between eigenvalue clusters a and b is the part
-    of S that lowers the energy by E_b - E_a; blocks whose largest entry
-    is below 1e-14 (1 + max |S|) are dropped. Blocks whose Bohr
-    frequencies round to the same multiple of the tolerance form one term,
-    which keeps the frequency of its first block in row-major order; terms
-    come in ascending frequency.
+    The block of ``s_eig[n]`` between eigenvalue clusters a and b is the
+    part of S_n that lowers the energy by E_b - E_a; blocks whose largest
+    entry is below 1e-14 (1 + max |S_n|) are dropped. Blocks of one S_n
+    whose Bohr frequencies round to the same multiple of the tolerance
+    form one term, which keeps the frequency of its first block in
+    row-major order; terms are numbered by n, then by ascending frequency.
     """
     starts, energies, degeneracy_tol = qcore.level_clusters(vals)
-    mags = np.abs(s_eig)
-    block_max = np.maximum.reduceat(np.maximum.reduceat(mags, starts, axis=0),
-                                    starts, axis=1)
-    present = block_max >= 1e-14 * (1 + np.max(np.abs(s)))
+    block_max = np.maximum.reduceat(np.maximum.reduceat(np.abs(s_eig), starts, axis=1),
+                                    starts, axis=2)
+    floor = 1e-14 * (1 + np.abs(s).max(axis=(1, 2)))
+    present = block_max >= floor[:, None, None]
     omegas = energies[None, :] - energies[:, None]  # [a, b] = E_b - E_a
     keys = np.rint(omegas / degeneracy_tol)
-    flat = np.flatnonzero(present)  # row-major
-    _, first, term_of = np.unique(keys.flat[flat], return_index=True,
-                                  return_inverse=True)
+    n_blocks = len(starts) ** 2
+    owner, flat = np.nonzero(present.reshape(len(s), n_blocks))  # row-major
+    span = 2 * np.abs(keys).max() + 1  # (owner, key) -> one exact float
+    code = owner * span + keys.flat[flat]
+    order = np.argsort(code, kind="stable")
+    new = np.ones(len(code), dtype=bool)
+    new[1:] = code[order[1:]] != code[order[:-1]]
+    first = order[new]  # the first block of each term, in row-major order
     block_term = np.full(present.shape, -1)
-    block_term.flat[flat] = term_of
-    cluster = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(vals)))
-    return block_term[np.ix_(cluster, cluster)], omegas.flat[flat[first]]
+    block_term.reshape(len(s), n_blocks)[owner[order], flat[order]] = np.cumsum(new) - 1
+    cluster = np.searchsorted(starts, np.arange(len(vals)), side="right") - 1
+    return (block_term[:, cluster[:, None], cluster], owner[first],
+            omegas.flat[flat[first]])
 
 
 def decompose_coupling(s: np.ndarray, h: np.ndarray):
@@ -160,7 +185,7 @@ def decompose_coupling(s: np.ndarray, h: np.ndarray):
     s = np.asarray(s, dtype=complex)
     vals, vecs = qcore.hermitian_eig(h)
     s_eig = vecs.conj().T @ s @ vecs
-    entry_term, freqs = _bohr_terms(s, s_eig, vals)
+    entry_term, _owner, freqs = _bohr_terms(s[None], s_eig[None], vals)
     masked = np.where(entry_term == np.arange(len(freqs))[:, None, None], s_eig, 0)
     return freqs, vecs @ masked @ vecs.conj().T
 
@@ -230,13 +255,15 @@ class SectorBlocks:
 
 
 def _equal_pairs(key: np.ndarray):
-    """Positions (i, j) of every ordered pair of entries with equal keys."""
+    """Positions (i, j) of every ordered pair of entries with equal keys,
+    for non-negative integer keys."""
     order = np.argsort(key, kind="stable")
-    _, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    n_each = np.repeat(count, count)
+    count = np.bincount(key)
+    n_each = np.repeat(count, count)  # group size, per sorted entry
+    start = np.repeat(np.cumsum(count) - count, count)
     i = np.repeat(np.arange(len(key)), n_each)
     within = np.arange(len(i)) - np.repeat(np.cumsum(n_each) - n_each, n_each)
-    return order[i], order[np.repeat(np.repeat(start, count), n_each) + within]
+    return order[i], order[np.repeat(start, n_each) + within]
 
 
 def _dissipator_entries(baths, vals: np.ndarray, vecs: np.ndarray):
@@ -250,29 +277,27 @@ def _dissipator_entries(baths, vals: np.ndarray, vecs: np.ndarray):
         with r s_ac conj(s_be) (the sandwich);
       * K[a, c] maps (c, b) into (a, b), and (b, a) into (b, c), with
         -K[a, c]/2 for every level b (the anticommutator).
+    Every bath's terms come from one ``_bohr_terms`` call on the stacked
+    coupling operators, so the terms of different baths never meet.
     """
     d = len(vals)
     s = np.array([bath.coupling_operator for bath in baths],
                  dtype=complex).reshape(-1, d, d)
     s_eig = vecs.conj().T @ s @ vecs
-    terms, rates = [], []
-    for bath, s_bath, s_bath_eig in zip(baths, s, s_eig):
-        term, freqs = _bohr_terms(s_bath, s_bath_eig, vals)
-        terms.append(term)
-        rates.append(np.array([bath.rate(f) for f in freqs] + [0.0])[term])
-    term = np.array(terms, dtype=int).reshape(-1, d, d)
-    rated = np.array(rates).reshape(-1, d, d) * s_eig  # r(a, c) s_ac
+    term, owner, freqs = _bohr_terms(s, s_eig, vals)
+    ends = np.searchsorted(owner, np.arange(len(baths) + 1))  # terms of each bath
+    rates = np.concatenate([bath.rates(freqs[lo:hi]) for bath, lo, hi
+                            in zip(baths, ends, ends[1:])] + [[0.0]])
+    rated = rates[term] * s_eig  # r(a, c) s_ac
     n, a, c = np.nonzero(rated)
-    t, v = term[n, a, c], rated[n, a, c]
-    n_keys = int(term.max(initial=0)) + 1
-    i, j = _equal_pairs(n * n_keys + t)
-    sandwich = (n[i], a[i] * d + a[j], c[i] * d + c[j],
-                v[i] * s_eig[n[j], a[j], c[j]].conj())
-    # only entries of one row and one jump term meet in K
-    i, j = _equal_pairs((n * d + a) * n_keys + t)
-    w = v[i].conj() * s_eig[n[j], a[j], c[j]]
+    t, v, sv = term[n, a, c], rated[n, a, c], s_eig[n, a, c]
+    i, j = _equal_pairs(t)
+    x = v[i] * sv[j].conj()
+    sandwich = (n[i], a[i] * d + a[j], c[i] * d + c[j], x)
+    # only entries of one row and one jump term meet in K, with conj(x)
+    row = a[i] == a[j]
     k = np.zeros((len(s), d, d), dtype=complex)
-    np.add.at(k, (n[i], c[i], c[j]), w)
+    np.add.at(k, (n[i[row]], c[i[row]], c[j[row]]), x[row].conj())
     kn, ka, kc = np.nonzero(k)
     b = np.arange(d)
     into = np.concatenate([ka[:, None] * d + b, b * d + kc[:, None]], axis=1)
@@ -293,24 +318,44 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.minimum.at(new, src, low)
         np.minimum.at(new, dst, low)
         new = new[new]
-        if np.array_equal(new, label):
+        if (new == label).all():
             return label
         label = new
 
 
-def _bohr_sectors(d: int, into: np.ndarray, frm: np.ndarray) -> tuple:
-    """Connected components of the level pairs joined by dissipator
-    entries (``into``, ``frm``), as the ``pairs`` of SectorBlocks."""
+def _sector_layout(d: int, into: np.ndarray, frm: np.ndarray):
+    """Bohr sectors and where their blocks lie in one flat buffer.
+
+    The sectors are the connected components of the level pairs joined by
+    dissipator entries (``into``, ``frm``). Pairs are ordered by class (the
+    zero-frequency sector, then ascending sector size), then by sector (by
+    smallest pair), then by pair; each sector's m x m block follows the
+    previous one's. Returns the ``pairs`` of SectorBlocks, the offset of
+    each class in the buffer (and its size last), and for each pair p
+    the offsets ``row`` and ``slot``: entry [k, i, j] of a class, for the
+    pairs p_i and p_j of its sector k, sits at row[p_i] + slot[p_j].
+    """
     moves = into != frm  # an entry mapping a pair into itself joins nothing
     label = _components(d * d, into[moves], frm[moves])
-    label[np.isin(label, label[np.arange(d) * (d + 1)])] = -1  # zero sector
-    order = np.argsort(label, kind="stable")
-    _, start, count = np.unique(label[order], return_index=True, return_counts=True)
-    pairs = [order[None, :count[0]]]
-    for m in np.unique(count[1:]):
-        first = start[1:][count[1:] == m]
-        pairs.append(order[first[:, None] + np.arange(m)])
-    return tuple(pairs)
+    in_zero = np.zeros(d * d, dtype=bool)
+    in_zero[label[np.arange(d) * (d + 1)]] = True
+    in_zero = in_zero[label]  # every sector holding a population
+    root = (label == np.arange(d * d)) & ~in_zero
+    sector = np.where(in_zero, 0, np.cumsum(root)[label])
+    m = np.bincount(sector)[sector]
+    cls = np.where(in_zero, 0, m)
+    order = np.argsort(cls * d * d + sector, kind="stable")
+    sector, m, cls = sector[order], m[order], cls[order]
+    # each pair before pair q (in this order) takes m entries of the buffer
+    start = np.cumsum(m) - m
+    first = np.flatnonzero(np.concatenate(([True], sector[1:] != sector[:-1])))
+    row, slot = np.empty(d * d, dtype=int), np.empty(d * d, dtype=int)
+    row[order] = start
+    slot[order] = np.arange(d * d) - np.repeat(first, m[first])
+    lo = np.flatnonzero(np.concatenate(([True], cls[1:] != cls[:-1])))
+    hi = np.concatenate((lo[1:], [d * d]))
+    pairs = tuple(order[a:b].reshape(-1, m[a]) for a, b in zip(lo, hi))
+    return pairs, np.concatenate((start[lo], [start[-1] + m[-1]])), row, slot
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +387,14 @@ class LindbladGenerator:
 
 
 def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
-    """Assemble the secular GKSL generator for a Hamiltonian and baths."""
+    """Assemble the secular GKSL generator for a Hamiltonian and baths.
+
+    A fixed number of array passes, whatever the number of baths or of
+    sector sizes: every bath's dissipator entries are scattered into one
+    flat buffer of (baths + 1) rows, the last row is their sum plus the
+    -i omega diagonal, and every stack of ``blocks`` and of
+    ``dissipator_parts`` is a reshaped view of that buffer.
+    """
     h = qcore.require_hermitian(h, tol=1e-10)
     d = h.shape[0]
     baths = tuple(baths)
@@ -356,33 +408,20 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
             )
     vals, vecs = qcore.hermitian_eig(h)
     owner, into, frm, value = _dissipator_entries(baths, vals, vecs)
-    pairs = _bohr_sectors(d, into, frm)
-    # the classes' (baths, n, m, m) stacks laid end to end: entry
-    # [bath, k, i, j], for the pairs p_i and p_j of sector k, sits at
-    # row[p_i] + slot[p_j] + bath stride[p_i]
-    row, slot, stride = (np.empty(d * d, dtype=int) for _ in range(3))
-    offsets = np.cumsum([0] + [len(baths) * p.size * p.shape[-1] for p in pairs])
-    for p, offset in zip(pairs, offsets):
-        n, m = p.shape
-        row[p] = offset + np.arange(n * m).reshape(n, m) * m
-        slot[p] = np.arange(m)
-        stride[p] = n * m * m
-    flat = np.zeros(offsets[-1], dtype=complex)
-    np.add.at(flat, row[into] + slot[frm] + owner * stride[into], value)
-    parts, total = [], []
-    for p, part in zip(pairs, np.split(flat, offsets[1:-1])):
-        n, m = p.shape
-        part = part.reshape(len(baths), n, m, m)
-        a, b = np.divmod(p, d)
-        blocks = part.sum(axis=0)
-        blocks[:, np.arange(m), np.arange(m)] += -1j * (vals[a] - vals[b])
-        parts.append(part)
-        total.append(blocks)
+    pairs, offsets, row, slot = _sector_layout(d, into, frm)
+    nb, size = len(baths), offsets[-1]
+    flat = np.zeros((nb + 1) * size, dtype=complex)
+    np.add.at(flat, owner * size + row[into] + slot[frm], value)
+    flat = flat.reshape(nb + 1, size)
+    np.sum(flat[:nb], axis=0, out=flat[nb])
+    flat[nb, row + slot] -= 1j * np.subtract.outer(vals, vals).ravel()  # pair a d + b
+    stacks = [flat[:, lo:hi].reshape(nb + 1, *p.shape, p.shape[-1])
+              for p, lo, hi in zip(pairs, offsets[:-1], offsets[1:])]
     return LindbladGenerator(
         dim=d, hamiltonian=h, baths=baths,
-        blocks=SectorBlocks(vals, vecs, pairs, tuple(total)),
+        blocks=SectorBlocks(vals, vecs, pairs, tuple(s[nb] for s in stacks)),
         dissipator_parts={bath.label: SectorBlocks(vals, vecs, pairs,
-                                                   tuple(part[k] for part in parts))
+                                                   tuple(s[k] for s in stacks))
                           for k, bath in enumerate(baths)})
 
 
@@ -402,24 +441,34 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
     return rho
 
 
+# The certificate's slack over the SVD rule it stands in for: it covers
+# the rounding of the computed inverses.
+CERTIFICATE_MARGIN = 4.0
+
+
 def steady_state(gen: LindbladGenerator) -> np.ndarray:
     """Unique trace-one kernel element of the generator.
 
     The kernel lies in the zero-frequency sector: every other block must
-    have its smallest singular value above kernel_tol = 1e-9 times the largest
-    of the generator. In the zero-frequency block the row of the ground
-    population is redundant (the generator preserves the trace), so it is
-    replaced by the trace functional and L x = 0, Tr x = 1 is solved by one
-    LU factorisation. A pivot below kernel_tol times the largest, or a
-    residual |L x| above kernel_tol |L| |x|, means the kernel is not one
-    traceful state; only then is the kernel computed by SVD, for the
-    exception.
+    have its smallest singular value above kernel_tol = 1e-9 times the
+    largest of the generator. ``_nonsingular_certified`` proves this from
+    one batched inverse per class; only a class it cannot certify
+    (singular, non-finite, or within CERTIFICATE_MARGIN of the rule) sends
+    the generator through the rule itself, on the singular values of every
+    block, so exactly the generators the rule rejects raise. In the
+    zero-frequency block the row of the ground population is redundant
+    (the generator preserves the trace), so it is replaced by the trace
+    functional and L x = 0, Tr x = 1 is solved by one LU factorisation. A
+    pivot below kernel_tol times the largest, or a residual |L x| above
+    kernel_tol |L| |x|, means the kernel is not one traceful state; only
+    then is the kernel computed by SVD, for the exception.
     """
     blocks, d, kernel_tol = gen.blocks, gen.dim, 1e-9
-    svals = [np.linalg.svd(b, compute_uv=False) for b in blocks.stacks]
-    s_max = max(float(s.max()) for s in svals)
-    if any(s[:, -1].min() <= kernel_tol * s_max for s in svals[1:]):
-        _raise_degenerate(gen, kernel_tol)
+    if not _nonsingular_certified(blocks.stacks, kernel_tol):
+        svals = [np.linalg.svd(b, compute_uv=False) for b in blocks.stacks]
+        s_max = max(float(s.max()) for s in svals)
+        if any(s[:, -1].min() <= kernel_tol * s_max for s in svals[1:]):
+            _raise_degenerate(gen, kernel_tol)
     p0 = blocks.pairs[0][0]
     a, b = np.divmod(p0, d)
     l0 = blocks.stacks[0][0]
@@ -446,6 +495,35 @@ def steady_state(gen: LindbladGenerator) -> np.ndarray:
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise NumericalInstability("steady state not positive semidefinite")
     return rho
+
+
+def _nonsingular_certified(stacks, kernel_tol: float) -> bool:
+    """Whether every block after the zero-frequency one provably has its
+    smallest singular value above ``kernel_tol`` times the largest of all
+    blocks, with CERTIFICATE_MARGIN to spare.
+
+    sigma_min(B) = 1/|B^-1|_2 >= 1/|B^-1|_F, from one batched inverse per
+    class (|b| for 1 x 1 blocks), and every sigma_max(B) is at most
+    sqrt(|L|_1 |L|_inf), the largest column and row sums of all blocks.
+    A singular, non-finite or uncertified class gives False.
+    """
+    norms, lows = [], [np.inf]  # |B|_1, |B|_inf per class; sigma_min bounds
+    with np.errstate(all="ignore"):  # inf and NaN give False below
+        for k, b in enumerate(stacks):
+            mags = np.abs(b)
+            norms += [mags.sum(axis=1).max(), mags.sum(axis=2).max()]
+            if k == 0:
+                continue
+            if b.shape[-1] == 1:  # sigma_min = |b|
+                lows.append(mags.min())
+                continue
+            try:
+                inv = np.abs(np.linalg.inv(b))
+            except np.linalg.LinAlgError:
+                return False
+            lows.append(1 / np.sqrt((inv * inv).sum(axis=(1, 2)).max()))
+        s_max = np.sqrt(np.max(norms[0::2]) * np.max(norms[1::2]))
+        return bool(np.min(lows) > CERTIFICATE_MARGIN * kernel_tol * s_max)
 
 
 def _raise_degenerate(gen: LindbladGenerator, kernel_tol: float):

@@ -119,9 +119,9 @@ def level_clusters(levels: np.ndarray):
     level joins the cluster of the one below it when their gap is at most
     tol = 1e-9 max(max |E|, 1), so clusters chain. Returns each cluster's
     first index and mean energy, and tol."""
-    tol = 1e-9 * max(np.max(np.abs(levels)), 1.0)
-    starts = np.flatnonzero(np.diff(levels, prepend=-np.inf) > tol)
-    sizes = np.diff(starts, append=len(levels))
+    tol = 1e-9 * max(np.abs(levels).max(), 1.0)
+    starts = np.concatenate(([True], levels[1:] - levels[:-1] > tol)).nonzero()[0]
+    sizes = np.concatenate((starts[1:], [len(levels)])) - starts
     return starts, np.add.reduceat(levels, starts) / sizes, tol
 
 

@@ -165,10 +165,11 @@ def test_ergotropy_effective_beta_matches_bisection():
             assert rep.thermal_bound == pytest.approx(w_max, abs=1e-8)
 
 
-@pytest.mark.parametrize("levels", [[1.0, 1.0, 1.0], [0.0, 1e-9, 2e-9]])
+@pytest.mark.parametrize("levels", [[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 def test_ergotropy_beta_beyond_the_bracket(levels):
-    # no beta in [1e-8, 1e8] cools the Gibbs state down to the target
-    # entropy: both routes return the upper end
+    # no temperature cools the Gibbs state down to the target entropy (its
+    # entropy stays at least log 2): both routes return the upper end, in
+    # units of the level spread 0 (taken as 1) and 1
     rho = np.diag([0.9, 0.08, 0.02]).astype(complex)
     h = np.diag(levels).astype(complex)
     rep = battery.ergotropy(rho, h)
@@ -176,6 +177,28 @@ def test_ergotropy_beta_beyond_the_bracket(levels):
     assert rep.effective_beta == 1e8
     assert beta == pytest.approx(1e8, rel=1e-12)
     assert rep.thermal_bound == pytest.approx(w_max, abs=1e-12)
+
+
+def test_ergotropy_does_not_depend_on_the_energy_unit():
+    # scaling by powers of four is exact, so the bound and the temperature
+    # scale with the unit to rounding
+    rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    for levels in ([0.0, 1.0, 2.5], [0.0, 1e12, 2.5e12]):
+        h = np.diag(levels).astype(complex)
+        ref = battery.ergotropy(rho, h)
+        for k in range(-20, 21):
+            rep = battery.ergotropy(rho, 4.0**k * h)
+            assert rep.thermal_bound == pytest.approx(4.0**k * ref.thermal_bound,
+                                                      rel=1e-12, abs=0)
+            assert rep.effective_beta == pytest.approx(4.0**-k * ref.effective_beta,
+                                                       rel=1e-12, abs=0)
+    # levels 1e12 apart once clamped beta to 1e-8, and 1e-9 apart to 1e8
+    unit = battery.ergotropy(rho, np.diag([0.0, 1.0, 2.5]).astype(complex))
+    assert unit.thermal_bound == pytest.approx(0.75574081965536, rel=1e-12)
+    for s in (1e12, 1e-9):
+        rep = battery.ergotropy(rho, np.diag([0.0, s, 2.5 * s]).astype(complex))
+        assert rep.thermal_bound == pytest.approx(s * unit.thermal_bound, rel=1e-9)
+        assert rep.effective_beta == pytest.approx(unit.effective_beta / s, rel=1e-9)
 
 
 # --- N-copy passivity ------------------------------------------------------
@@ -778,6 +801,9 @@ def test_dicke_no_coupling_is_flat():
 def test_dicke_off_resonance_rejected():
     with pytest.raises(InvalidParams):
         battery.charge_dicke(2, 2, 0.2, False, 1.0, 1.5, 20, 5.0, 0.01)
+    # in any energy unit: omega_c = 2 omega is off resonance at 1e-9 too
+    with pytest.raises(InvalidParams):
+        battery.charge_dicke(2, 2, 0.5, True, 1e-9, 2e-9, 20, 1.0, 0.01)
 
 
 def test_dicke_cutoff_too_small():

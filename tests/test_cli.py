@@ -816,8 +816,11 @@ def test_bounded_parameters_never_exit_4(args):
     ["otto-numeric", "--set", "omega_a=1e155", "--set", "omega_b=1",
      "--set", "t_h=2", "--set", "t_c=1", "--set", "ramp_duration=1e-160",
      "--set", "thermalization_time=20"],
+    # 2 T_h overflows, so coth(omega_a / 2T_h) divided by zero
+    ["otto-squeezed", "--set", f"omega_a={_FLOAT_MAX}", "--set", "omega_b=1",
+     "--set", f"t_h={_FLOAT_MAX}", "--set", "t_c=1", "--set", f"r={_FLOAT_MAX}"],
 ], ids=["qsl-largest-tau", "qsl-largest-omega",
-        "otto-numeric-overflowing-square"])
+        "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h"])
 def test_float_range_edges_exit_0_or_3(args):
     _assert_exit_0_with_finite_rows_or_3(args)
 

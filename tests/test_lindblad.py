@@ -188,10 +188,13 @@ def test_build_generator_qubit_oracle():
 
 
 def test_zero_rate_reduces_to_commutator():
-    gen = lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SX, rate=0.0)])
     commutator = dense_gksl.superoperator(0.5 * SZ)
-    assert np.allclose(gen.total, commutator, atol=1e-14)
-    assert np.allclose(dense_gksl.from_blocks(gen.blocks), commutator, atol=1e-14)
+    # a closed channel, a zero coupling operator, no bath at all
+    for baths in ([flat_bath("b", 1.0, SX, rate=0.0)],
+                  [flat_bath("b", 1.0, np.zeros((2, 2)))], []):
+        gen = lindblad.build_generator(0.5 * SZ, baths)
+        assert np.allclose(gen.total, commutator, atol=1e-14)
+        assert np.allclose(dense_gksl.from_blocks(gen.blocks), commutator, atol=1e-14)
 
 
 def test_stacked_dissipator_matches_per_term_build():
@@ -461,6 +464,109 @@ def test_level_chain_clusters_alike_in_lindblad_and_battery():
     assert len(freqs) == len(want)
     assert np.max(np.abs(freqs - want)) < 1e-14
     assert_matches_dense(lindblad.build_generator(h, [flat_bath("b", 0.8, s, 0.5)]))
+
+
+def svd_rule_accepts(gen, kernel_tol=1e-9):
+    """The SVD rule: every block but the zero-frequency one has its
+    smallest singular value above ``kernel_tol`` times the largest of all
+    blocks."""
+    svals = [np.linalg.svd(b, compute_uv=False) for b in gen.blocks.stacks]
+    s_max = max(s.max() for s in svals)
+    return all(s[:, -1].min() > kernel_tol * s_max for s in svals[1:])
+
+
+def kernel_projector(basis):
+    """Orthogonal projector onto the span of d x d matrices."""
+    q, _ = np.linalg.qr(np.array([dense_gksl.vectorize(k) for k in basis]).T)
+    return q @ q.conj().T
+
+
+def near_degenerate_model(delta, rate, strong_rate):
+    """Levels 0, 1, 1 + delta, 1.5: the bath joins 0 with 1 and with 2 at
+    ``rate``, a second one 0 with 3 at ``strong_rate``. The coherence of
+    the near pair has Bohr frequency delta and is damped at about ``rate``,
+    so its 1 x 1 block is nearly singular against the largest block."""
+    h = np.diag([0.0, 1.0, 1.0 + delta, 1.5])
+    weak, strong = np.zeros((4, 4)), np.zeros((4, 4))
+    weak[0, 1:3] = weak[1:3, 0] = 1.0
+    strong[0, 3] = strong[3, 0] = 1.0
+    return h, [flat_bath("weak", 0.7, weak, rate),
+               flat_bath("strong", 0.7, strong, strong_rate)]
+
+
+def test_certificate_accepts_only_what_the_svd_rule_accepts():
+    for family in sorted(FAMILIES):
+        for d in range(2, 7):
+            for n_baths in (1, 2):
+                gen = lindblad.build_generator(random_hermitian(d),
+                                               random_baths(d, n_baths, family))
+                # well-separated random models: every sector is certified
+                assert lindblad._nonsingular_certified(gen.blocks.stacks, 1e-9)
+                assert svd_rule_accepts(gen)
+    fixtures = [lindblad.build_generator(0.5 * SZ, [flat_bath("b", 1.0, SZ)])]
+    eye = np.eye(2)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for u in (np.eye(4), q):  # the untouched qubit, in two bases
+        fixtures.append(lindblad.build_generator(
+            qcore.hermitianize(u @ (0.5 * np.kron(SZ, eye) + 0.8 * np.kron(eye, SZ))
+                               @ u.conj().T),
+            [flat_bath("b", 1.0, qcore.hermitianize(u @ np.kron(SX, eye) @ u.conj().T))]))
+    _h, baths = two_mode_model(2, 2.0, 0.6, 0.3)  # a† a + b† b: degenerate shells
+    fixtures.append(lindblad.build_generator(
+        np.diag(np.add.outer(np.arange(3.0), np.arange(3.0)).ravel()), baths))
+    fixtures += [lindblad.build_generator(*near_degenerate_model(2.5e-9, 1e-9, 1e-9)),
+                 lindblad.build_generator(*near_degenerate_model(1e-8, 1e-9, 100.0))]
+    verdicts = []
+    for gen in fixtures:
+        certified = lindblad._nonsingular_certified(gen.blocks.stacks, 1e-9)
+        accepted = svd_rule_accepts(gen)
+        assert accepted or not certified
+        verdicts.append((certified, accepted))
+        try:
+            lindblad.steady_state(gen)
+        except DegenerateSteadyState as exc:
+            want = dense_gksl.svd_kernel(gen.total)
+            assert len(exc.kernel_basis) == len(want)
+            assert np.max(np.abs(kernel_projector(exc.kernel_basis)
+                                 - kernel_projector(want))) < 1e-9
+        else:
+            assert accepted
+    # the near pair: uncertified, then accepted by the SVD rule (about 1.8
+    # times kernel_tol) or, beside the strong channel, rejected by it
+    assert verdicts[-2:] == [(False, True), (False, False)]
+
+
+def test_uncertified_sector_falls_back_to_the_svd_rule():
+    h, baths = near_degenerate_model(2.5e-9, 1e-9, 1e-9)
+    gen = lindblad.build_generator(h, baths)
+    assert not lindblad._nonsingular_certified(gen.blocks.stacks, 1e-9)
+    rho = lindblad.steady_state(gen)
+    assert np.max(np.abs(rho - qcore.gibbs_state(h, 0.7))) < 1e-12
+    stacks = list(gen.blocks.stacks)
+    stacks[1] = stacks[1].copy()
+    stacks[1][0] = 0.0  # an exactly singular 1 x 1 block
+    assert not lindblad._nonsingular_certified(stacks, 1e-9)
+    for bad in (np.nan, np.inf):
+        stacks[0] = np.full_like(gen.blocks.stacks[0], bad)
+        assert not lindblad._nonsingular_certified(stacks, 1e-9)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_vectorised_rates_match_scalar_rate(family):
+    kwargs = {"cutoff": 1.5} if family == "ohmic_exp_cutoff" else {"window": (0.5, 2.0)}
+    spectral = lindblad.SpectralFunction(family, 0.7, **kwargs)
+    edges = [0.5, 2.0, np.nextafter(0.5, 0), np.nextafter(2.0, 3)]
+    w = [0.0, -0.0, 1e-300, 0.3, 1.0, 1.7, 10.0, 1e3, 1e5, 1e300, 1.7976931348623157e308]
+    w = np.array(edges + w + [-x for x in edges + w])
+    for temperature in (0.1, 1.0, 1e-300, 1e300):
+        bath = lindblad.BathSpec("b", temperature, spectral, SX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bath.rates(w)
+        with np.errstate(all="ignore"):
+            want = [bath.rate(float(x)) for x in w]
+        assert np.array_equal(got, want)
+    assert np.array_equal(bath.rates(w.reshape(2, -1)), got.reshape(2, -1))
 
 
 def test_d256_steady_state_without_superoperator():
