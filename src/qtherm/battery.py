@@ -159,39 +159,55 @@ def _entropy(pops: np.ndarray) -> float:
     return s
 
 
-def _gibbs_entropy_energy(eps: np.ndarray, beta: float) -> Tuple[float, float]:
-    w = np.exp(-beta * (eps - eps.min()))
-    p = w / w.sum()
+def _gibbs_populations(x: np.ndarray, b: float) -> np.ndarray:
+    """Gibbs populations at dimensionless inverse temperature b of the
+    levels x (ascending, x[0] = 0)."""
+    w = np.exp(-b * x)
+    return w / w.sum()
+
+
+def _gibbs_entropy(p: np.ndarray) -> float:
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz))), float(p @ eps)
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     """Maximum unitary work Tr(rho h) - Tr(sigma_rho h), plus the
     thermodynamic bound W_max against the entropy-matched Gibbs state.
 
-    Its inverse temperature is searched in units of the level spread, as
-    beta (E_max - E_min) on [1e-8, 1e8] (1 for equal levels), so the result
-    does not depend on the energy unit; it is clamped to the end of that
-    bracket when the target entropy lies beyond it."""
+    Its inverse temperature is searched on the dimensionless levels
+    (E - E_min) / (E_max - E_min), as b = beta (E_max - E_min) on
+    [1e-8, 1e8] (spread 1 for equal levels), so the result does not depend
+    on the energy unit; b is clamped to the end of that bracket when the
+    target entropy lies beyond it. InvalidParams when the spread, or beta
+    itself (b over the spread), is not a finite float."""
     pops, eps, sigma = _passive(rho, h)
     s_target = _entropy(pops)
     e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
     e_pass = float(pops[::-1] @ eps)
-    spread = float(eps[-1] - eps[0]) or 1.0
-    # S(zeta_beta) is monotone decreasing in beta: a root in log(beta
-    # spread) on [log 1e-8, log 1e8], or the end the target lies beyond
+    with np.errstate(over="ignore"):
+        spread = float(eps[-1] - eps[0]) or 1.0
+    if not np.isfinite(spread):
+        raise InvalidParams("the level spread overflows a float")
+    x = (eps - eps[0]) / spread
+    # S(zeta_b) is monotone decreasing in b: a root in log b on
+    # [log 1e-8, log 1e8], or the end the target lies beyond
     def excess(log_b: float) -> float:
-        return _gibbs_entropy_energy(eps, np.exp(log_b) / spread)[0] - s_target
+        return _gibbs_entropy(_gibbs_populations(x, np.exp(log_b))) - s_target
 
     lo, hi = np.log(1e-8), np.log(1e8)
     if excess(lo) <= 0:
-        beta = 1e-8 / spread
+        b = 1e-8
     elif excess(hi) >= 0:
-        beta = 1e8 / spread
+        b = 1e8
     else:
-        beta = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14))) / spread
-    _, e_thermal = _gibbs_entropy_energy(eps, beta)
+        b = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14)))
+    with np.errstate(over="ignore"):
+        beta = b / spread
+    if not np.isfinite(beta):
+        raise InvalidParams(f"level spread {spread:.3g} leaves no finite inverse "
+                            f"temperature for the Gibbs bound (beta spread = {b:.3g})")
+    e_thermal = float(_gibbs_populations(x, b) @ eps)
     w_max = e_rho - e_thermal
     return ErgotropyReport(
         ergotropy=e_rho - e_pass,

@@ -186,20 +186,15 @@ def _channels(cfg: CTMConfig, m_max: int):
     Raises NoCoupling when no sideband falls inside any bath window.
     """
     weights = sideband_weights(cfg.modulation, m_max)
-    omega0 = cfg.modulation.mean_gap
-    omega = cfg.modulation.drive_frequency
-    out = []
-    for m in range(-m_max, m_max + 1):
-        p = weights.weight(m)
-        if p <= 0:
-            continue
-        w_m = omega0 + m * omega
-        if w_m <= 0:
-            continue
-        for bath in (cfg.hot_bath, cfg.cold_bath):
-            g = bath.spectral.positive_side(w_m)
-            if p * g > 0:
-                out.append((m, bath, w_m, p * g))
+    m = np.arange(-m_max, m_max + 1)
+    w = cfg.modulation.mean_gap + m * cfg.modulation.drive_frequency
+    up = w > 0
+    m, w = m[up], w[up]
+    baths = (cfg.hot_bath, cfg.cold_bath)
+    u = weights.weights[up, None] * np.stack(
+        [bath.spectral.positive_side(w) for bath in baths], axis=1)
+    out = [(int(m[k]), baths[j], float(w[k]), float(u[k, j]))
+           for k, j in zip(*np.nonzero(u > 0))]  # by m, then hot before cold
     if not out:
         raise NoCoupling("no sideband falls inside any bath window")
     return out

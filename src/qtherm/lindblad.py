@@ -11,10 +11,10 @@ blocks over Bohr sectors: the connected components of the level pairs
 (a, b) that the nonzero entries of the dissipators join. One list of
 those entries, from every bath at once, both finds the sectors and fills
 the blocks, so a build makes a fixed number of array passes whatever the
-number of baths or of sector sizes. Sectors of equal size are stacked,
-so each operation is a few batched array operations. The zero-frequency
-sector holds every population; for a non-degenerate spectrum it has d
-pairs.
+number of baths or of sector sizes, besides one vectorised rate
+evaluation per bath. Sectors of equal size are stacked, so each
+operation is a few batched array operations. The zero-frequency sector
+holds every population; for a non-degenerate spectrum it has d pairs.
 
 The steady state is one LU solve of the zero-frequency block with its
 (redundant) ground-population row replaced by the trace functional; every
@@ -87,17 +87,19 @@ class SpectralFunction:
             raise InvalidParams(
                 f"windowed_flat needs a window lo < hi, got {self.window!r}")
 
-    def positive_side(self, omega: float) -> float:
-        """gamma(omega) for omega >= 0 (before KMS completion)."""
+    def positive_side(self, omega):
+        """gamma(omega) for omega >= 0 (before KMS completion), at a float
+        or at each entry of an array of frequencies."""
+        w = np.asarray(omega, dtype=float)
         if self.family == "ohmic_exp_cutoff":
-            if omega <= 0:
-                return 0.0
-            x = omega / self.cutoff
-            return self.base_rate * x * np.exp(-x)
-        if self.family == "windowed_flat":
+            x = w / self.cutoff
+            gamma = self.base_rate * x * np.exp(-x)  # 0 at omega = 0
+        elif self.family == "windowed_flat":
             lo, hi = self.window
-            return self.base_rate if lo < omega < hi else 0.0
-        return self.base_rate
+            gamma = np.where((lo < w) & (w < hi), self.base_rate, 0.0)
+        else:
+            gamma = np.full_like(w, self.base_rate)
+        return gamma[()]
 
 
 @dataclass(frozen=True)
@@ -116,24 +118,15 @@ class BathSpec:
 
     def rate(self, omega: float) -> float:
         """KMS-completed rate at any (signed) frequency."""
-        if omega >= 0:
-            return self.spectral.positive_side(omega)
-        return np.exp(omega / self.temperature) * self.spectral.positive_side(-omega)
+        return float(self.rates(omega))
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
-        """``rate`` at each of an array of (signed) frequencies."""
+        """KMS-completed rate at each of an array of (signed) frequencies:
+        gamma(|omega|), times exp(omega/T) below zero."""
         w = np.asarray(omegas, dtype=float)
-        spec, x = self.spectral, np.abs(w)
-        if spec.family == "ohmic_exp_cutoff":
-            x = x / spec.cutoff
-            gamma = spec.base_rate * x * np.exp(-x)
-        elif spec.family == "windowed_flat":
-            lo, hi = spec.window
-            gamma = np.where((lo < x) & (x < hi), spec.base_rate, 0.0)
-        else:
-            gamma = spec.base_rate
         with np.errstate(over="ignore"):  # omega/T = -inf: a factor of 0
-            return gamma * np.exp(np.minimum(w, 0.0) / self.temperature)
+            return self.spectral.positive_side(np.abs(w)) * np.exp(
+                np.minimum(w, 0.0) / self.temperature)
 
 
 # --- jump terms and dense superoperators -----------------------------------------
@@ -381,7 +374,7 @@ class LindbladGenerator:
         total = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
         for bath in self.baths:
             freqs, ops = decompose_coupling(bath.coupling_operator, h)
-            total += dissipator_super(ops, [bath.rate(f) for f in freqs])
+            total += dissipator_super(ops, bath.rates(freqs))
         total.flags.writeable = False
         return total
 
@@ -390,7 +383,8 @@ def build_generator(h: np.ndarray, baths) -> LindbladGenerator:
     """Assemble the secular GKSL generator for a Hamiltonian and baths.
 
     A fixed number of array passes, whatever the number of baths or of
-    sector sizes: every bath's dissipator entries are scattered into one
+    sector sizes, besides ``BathSpec.rates`` once per bath (on that bath's
+    jump frequencies): every bath's dissipator entries are scattered into one
     flat buffer of (baths + 1) rows, the last row is their sum plus the
     -i omega diagonal, and every stack of ``blocks`` and of
     ``dissipator_parts`` is a reshaped view of that buffer.

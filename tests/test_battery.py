@@ -201,6 +201,16 @@ def test_ergotropy_does_not_depend_on_the_energy_unit():
         assert rep.effective_beta == pytest.approx(unit.effective_beta / s, rel=1e-9)
 
 
+
+def test_ergotropy_spread_without_a_float_beta_raises():
+    rho = np.diag([0.9, 0.1]).astype(complex)
+    tiny = battery.ergotropy(rho, np.diag([0.0, 1e-305]).astype(complex))
+    assert tiny.effective_beta == pytest.approx(np.log(9) * 1e305, rel=1e-12)
+    for levels in ([0.0, 1e-309], [-1e308, 1e308]):
+        with pytest.raises(InvalidParams):
+            battery.ergotropy(rho, np.diag(levels).astype(complex))
+
+
 # --- N-copy passivity ------------------------------------------------------
 
 

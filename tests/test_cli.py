@@ -819,8 +819,15 @@ def test_bounded_parameters_never_exit_4(args):
     # 2 T_h overflows, so coth(omega_a / 2T_h) divided by zero
     ["otto-squeezed", "--set", f"omega_a={_FLOAT_MAX}", "--set", "omega_b=1",
      "--set", f"t_h={_FLOAT_MAX}", "--set", "t_c=1", "--set", f"r={_FLOAT_MAX}"],
+    # the bracket end 1e8 over a spread of 1e-305 overflowed beta to inf
+    ["ergotropy", "--set", "energies=0,1e-305", "--set", "populations=0.9,0.1"],
+    # beta = 2.2 / 1e-309 is not a float; 2e308 is not a level spread
+    ["ergotropy", "--set", "energies=0,1e-309", "--set", "populations=0.9,0.1"],
+    ["ergotropy", "--set", "energies=-1e308,1e308", "--set", "populations=0.9,0.1"],
 ], ids=["qsl-largest-tau", "qsl-largest-omega",
-        "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h"])
+        "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h",
+        "ergotropy-spread-1e-305", "ergotropy-spread-1e-309",
+        "ergotropy-overflowing-spread"])
 def test_float_range_edges_exit_0_or_3(args):
     _assert_exit_0_with_finite_rows_or_3(args)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -551,6 +552,19 @@ def test_uncertified_sector_falls_back_to_the_svd_rule():
         assert not lindblad._nonsingular_certified(stacks, 1e-9)
 
 
+def _written_out_rate(spectral, temperature, omega):
+    """The KMS-completed rate of one frequency, each family's formula
+    written out with the math module."""
+    x = abs(omega)
+    if spectral.family == "ohmic_exp_cutoff":
+        gamma = spectral.base_rate * (x / spectral.cutoff) * math.exp(-x / spectral.cutoff)
+    elif spectral.family == "windowed_flat":
+        gamma = spectral.base_rate if spectral.window[0] < x < spectral.window[1] else 0.0
+    else:
+        gamma = spectral.base_rate
+    return gamma * math.exp(min(omega, 0.0) / temperature)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_vectorised_rates_match_scalar_rate(family):
     kwargs = {"cutoff": 1.5} if family == "ohmic_exp_cutoff" else {"window": (0.5, 2.0)}
@@ -563,10 +577,14 @@ def test_vectorised_rates_match_scalar_rate(family):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bath.rates(w)
-        with np.errstate(all="ignore"):
-            want = [bath.rate(float(x)) for x in w]
-        assert np.array_equal(got, want)
+            scalar = [bath.rate(float(x)) for x in w]
+        want = [_written_out_rate(spectral, temperature, float(x)) for x in w]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert np.array_equal(scalar, got)
     assert np.array_equal(bath.rates(w.reshape(2, -1)), got.reshape(2, -1))
+    # floquet reads the one-sided spectrum at single positive frequencies
+    assert [spectral.positive_side(float(x)) for x in w[w >= 0]] == list(
+        spectral.positive_side(w[w >= 0]))
 
 
 def test_d256_steady_state_without_superoperator():

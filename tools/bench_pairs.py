@@ -1,16 +1,15 @@
 """Alternating parent/change pairs of the benchmark, summarised as JSON.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json
-        [--pairs 10] [--seconds 16] [--seed 1] [--workload NAME ...]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json --seed S
 
 The parent side is ``git archive REV`` unpacked into a temporary
 directory; the change side is this checkout's working tree. Each run is
-``bench/run.py`` in its own process, one at a time. Pair k runs both
-sides at seed ``--seed + k``, the parent first when k is even. The JSON
-holds every run's end-to-end metrics and, per workload and metric, each
-side's median and quartiles and the number of pairs the change won (a
-tie counts for neither side), with the direction taken from
-BENCHMARK.json.
+``bench/run.py`` in its own process, one at a time, for BENCHMARK.json's
+``run_seconds``, on every workload it lists. Pair k of the ten runs both
+sides at seed S + k, the parent first when k is even. The JSON holds
+every run's end-to-end metrics and, per workload and metric, each side's
+median and quartiles and the number of pairs the change won (a tie
+counts for neither side), with the direction taken from BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -61,27 +61,22 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workload", action="append",
-                   help="a workload to run (default: all of BENCHMARK.json's)")
+    p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                               args.parent], capture_output=True, check=True).stdout
-    report = {"parent": args.parent, "seconds": seconds, "workloads": {}}
+    report = {"parent": args.parent, "seed": args.seed, "seconds": seconds,
+              "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         checkouts = {"parent": Path(tmp), "change": ROOT}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = run_bench(checkouts[side], workload, args.seed + k, seconds)
