@@ -31,8 +31,10 @@ from .errors import (
 )
 
 DENSE_DIM_BUDGET = 4096
-# a charging trace keeps a state of up to DENSE_DIM_BUDGET amplitudes per step
 MAX_TIME_STEPS = 10_000
+# a charging trace walks time in chunks of at most this many state
+# amplitudes, and keeps only the populations of its energy groups
+CHUNK_AMPLITUDES = 2**18
 P_FLOOR = 1e-12  # populations below this are dropped from Fisher sums
 # an energy spread below this fraction of max |E| of H0 is the rounding
 # residue of an H0 eigenstate (a few eps): no power-bound tightness is
@@ -251,9 +253,12 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
 # --- quantum speed limits -------------------------------------------------------------
 
 
-def _qsl_from_scalars(dist: float, de_tau: float, e_tau: float,
-                      tau: float) -> QSLReport:
-    if de_tau < 1e-14:
+def _qsl_from_scalars(dist: float, de_tau: float, e_tau: float, tau: float,
+                      scale: float) -> QSLReport:
+    """Speed-limit bounds from the Bures distance and the time-averaged
+    spread and mean energy; the energy floors are relative to ``scale``,
+    the energy scale of the Hamiltonian, and the duration slack to tau."""
+    if de_tau <= 1e-14 * scale:
         if dist > 1e-9:
             raise InconsistentTrajectory(
                 "finite Bures distance with zero time-averaged energy spread")
@@ -264,9 +269,9 @@ def _qsl_from_scalars(dist: float, de_tau: float, e_tau: float,
         # Margolus-Levitin branch: 2 D^2 / (pi E), the generalization that
         # is valid at every angle and reduces to D/E at orthogonality
         # (D = pi/2); the linear-in-D form holds only there.
-        ml = 2 * dist**2 / (np.pi * e_tau) if e_tau > 1e-14 else 0.0
+        ml = 2 * dist**2 / (np.pi * e_tau) if e_tau > 1e-14 * scale else 0.0
         tau_uni = max(tau_mt, ml)
-    if tau < tau_uni - 1e-9:
+    if tau_uni - tau > 1e-9 * tau:
         raise InconsistentTrajectory(
             f"actual duration {tau} beats the unified bound {tau_uni}")
     return QSLReport(
@@ -280,8 +285,8 @@ def _qsl_from_scalars(dist: float, de_tau: float, e_tau: float,
 
 
 def _binary_scale(x: float) -> float:
-    """The least power of two s >= 1 with |x|/s < 2."""
-    return float(np.ldexp(1.0, max(np.frexp(x)[1] - 1, 0)))
+    """The power of two s with 1 <= |x|/s < 2 (1 for x = 0)."""
+    return float(np.ldexp(1.0, np.frexp(x)[1] - 1)) if x else 1.0
 
 
 def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
@@ -302,10 +307,11 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
     rhos = np.array([rho for _, rho in trajectory], dtype=complex)
     hs = np.array([h_of_t(t) for t, _ in trajectory], dtype=complex)
     dist = qcore.bures_angle(rhos[0], rhos[-1])
-    # energies in units of s and times in units of s_t, powers of two that
-    # are 1 unless |H| or tau reach 2: the scaling is exact, and no square
-    # or time-energy product overflows
-    s = _binary_scale(np.max(np.abs(hs)))
+    # energies in units of s and times in units of s_t, the powers of two
+    # of max |H| and tau: the scaling is exact, and no square or
+    # time-energy product overflows or underflows
+    h_max = float(np.max(np.abs(hs)))
+    s = _binary_scale(h_max)
     s_t = _binary_scale(tau)
     hs = hs / s
     # Tr(rho H) and Tr(rho H²) of every sample, and every ground level
@@ -317,7 +323,7 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
     t, span = times / s_t, tau / s_t
     de_tau = float(np.trapezoid(spreads, t)) / span * s
     e_tau = float(np.trapezoid(means, t)) / span * s
-    return _qsl_from_scalars(dist, de_tau, e_tau, tau)
+    return _qsl_from_scalars(dist, de_tau, e_tau, tau, h_max)
 
 
 # --- energy-space Fisher information and power bound ------------------------------------
@@ -326,18 +332,24 @@ def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
 def _group_energies(evals: np.ndarray):
     """Degenerate energy levels grouped together by
     ``qcore.level_clusters``. Returns the group energies (each group's
-    mean) and the grouping (level order, group starts) that ``_aggregate``
+    mean, ascending) and each level's group index, which ``_aggregate``
     takes."""
     evals = np.asarray(evals, dtype=float)
     order = np.argsort(evals, kind="stable")
     starts, energies, _tol = qcore.level_clusters(evals[order])
-    return energies, (order, starts)
+    group = np.empty(len(evals), dtype=int)
+    group[order] = np.repeat(np.arange(len(starts)),
+                             np.diff(np.append(starts, len(evals))))
+    return energies, group
 
 
-def _aggregate(populations: np.ndarray, groups) -> np.ndarray:
-    """Sum population columns over degenerate-energy groups."""
-    order, starts = groups
-    return np.add.reduceat(populations[:, order], starts, axis=1)
+def _aggregate(level_pops: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Sum the rows of level populations (levels x samples) over the
+    groups of ``group``: one row per group that holds a level, in the
+    order of ``np.unique(group)``."""
+    rows = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[rows], prepend=-1))
+    return np.add.reduceat(level_pops[rows], starts, axis=0)
 
 
 def _power_and_fisher(pops: np.ndarray, dev: np.ndarray,
@@ -371,12 +383,10 @@ def energy_fisher(trajectory: Sequence[np.ndarray], h0: np.ndarray,
     levels of h0 and centered time differences (one-sided at the ends)."""
     h0 = qcore.require_hermitian(np.asarray(h0, dtype=complex))
     evals, evecs = qcore.hermitian_eig(h0)
-    _energies, groups = _group_energies(evals)
-    pops = _aggregate(np.array([
-        np.real(np.einsum("ik,ij,jk->k", evecs.conj(),
-                          np.asarray(rho, dtype=complex), evecs))
-        for rho in trajectory
-    ]), groups)
+    _energies, group = _group_energies(evals)
+    level_pops = np.einsum("ik,tij,jk->kt", evecs.conj(),
+                           np.asarray(trajectory, dtype=complex), evecs).real
+    pops = _aggregate(level_pops, group).T
     return _fisher(pops, np.gradient(pops, dt, axis=0), pops > P_FLOOR)
 
 
@@ -400,16 +410,17 @@ def variance_decomposition(rho: np.ndarray, spec: BatterySpec) -> dict:
     n = spec.n_cells
     means = np.zeros(n)
     local_sum = 0.0
+    # Tr(r a) = vdot(a, r) for Hermitian a
     for i in range(n):
         r_i = qcore.partial_trace(rho, space, [i])
-        means[i] = float(np.trace(r_i @ h).real)
-        local_sum += float(np.trace(r_i @ h2).real) - means[i] ** 2
+        means[i] = np.vdot(h, r_i).real
+        local_sum += np.vdot(h2, r_i).real - means[i] ** 2
     ent = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             r_ij = qcore.partial_trace(rho, space, [i, j])
-            ent += 2 * (float(np.trace(r_ij @ hh).real) - means[i] * means[j])
-    return {"local_sum": local_sum, "entanglement_part": ent}
+            ent += 2 * (np.vdot(hh, r_ij).real - means[i] * means[j])
+    return {"local_sum": float(local_sum), "entanglement_part": float(ent)}
 
 
 # --- quantum advantage ------------------------------------------------------------------
@@ -476,35 +487,23 @@ class _Sector:
     k is scale_k sum_g chi_g |images[g, k]>, where images[0] (the identity)
     holds the orbit representatives and scale_k = 1/sqrt(|G| |Stab_k|).
     The trivial group gives a plain index set. Vectors run along the first
-    axis; build one with ``_sector``."""
+    axis; build them with ``_sectors``."""
 
     images: np.ndarray
     chars: np.ndarray
     scale: np.ndarray
-
-    def block(self, h: np.ndarray) -> np.ndarray:
-        """Matrix of h in this basis, |G| scale_k scale_l sum_g chi_g
-        h[rows, images_g]. Exact when h leaves the sector invariant and
-        commutes with every permutation of the group."""
-        blk = self._orbit_sum(lambda img: h[np.ix_(self.images[0], img)])
-        blk *= len(self.chars) * self.scale[:, None]
-        blk *= self.scale
-        return blk
-
-    def _orbit_sum(self, gather) -> np.ndarray:
-        """sum_g chi_g gather(images_g), in place on a fresh first term
-        (chi_0 = 1)."""
-        total = gather(self.images[0])
-        for chi, img in zip(self.chars[1:], self.images[1:]):
-            total += chi * gather(img)
-        return total
 
     def _scale_column(self, ndim: int) -> np.ndarray:
         return self.scale.reshape((-1,) + (1,) * (ndim - 1))
 
     def coords(self, psi: np.ndarray) -> np.ndarray:
         """Components in this basis of full-space vectors."""
-        c = self._orbit_sum(psi.__getitem__)
+        c = psi[self.images[0]]  # a fresh array (chi_0 = 1)
+        for chi, img in zip(self.chars[1:], self.images[1:]):
+            if chi == 1:
+                c += psi[img]
+            else:
+                c -= psi[img]
         c *= self._scale_column(c.ndim)
         return c
 
@@ -513,32 +512,93 @@ class _Sector:
         coords = coords * self._scale_column(coords.ndim)
         # one orbit never repeats an index within one image row
         for chi, img in zip(self.chars, self.images):
-            out[img] += chi * coords if chi != 1 else coords
+            if chi == 1:
+                out[img] += coords
+            else:
+                out[img] -= coords
 
 
-def _sector(perms: np.ndarray, chars, mask=True) -> _Sector:
-    """The sector of character ``chars`` (chars[g] = +-1, chars[0] = 1) of
+def _sectors(perms: np.ndarray, chars, labels=None) -> dict:
+    """The sectors of character ``chars`` (chars[g] = +-1, chars[0] = 1) of
     the group whose element g maps index s to perms[g, s], perms[0] being
-    the identity, within the group-invariant index set ``mask`` (default:
-    every index). An orbit on which the character is not trivial over the
-    stabiliser carries no vector."""
+    the identity: one per value of the group-invariant integer ``labels``
+    (default: one value for every index) that holds a vector, keyed by that
+    value in ascending order, all from one pass over the orbits. An orbit
+    on which the character is not trivial over the stabiliser carries no
+    vector."""
     perms = np.asarray(perms)
     chars = np.asarray(chars, dtype=float)
     # an orbit's representative is its least index
-    images = perms[:, (perms.min(axis=0) == np.arange(perms.shape[1])) & mask]
+    images = perms[:, perms.min(axis=0) == np.arange(perms.shape[1])]
     fixed = images == images[0]
     stab = fixed.sum(axis=0)
     keep = chars @ fixed == stab
-    return _Sector(images[:, keep], chars,
-                   1 / np.sqrt(len(chars) * stab[keep]))
+    images, stab = images[:, keep], stab[keep]
+    label = (np.zeros(len(stab), dtype=int) if labels is None
+             else np.asarray(labels)[images[0]])
+    order = np.argsort(label, kind="stable")
+    values, starts = np.unique(label[order], return_index=True)
+    images, scale = images[:, order], 1 / np.sqrt(len(chars) * stab[order])
+    ends = np.append(starts[1:], len(order))
+    return {v: _Sector(images[:, a:b], chars, scale[a:b])
+            for v, a, b in zip(values.tolist(), starts, ends)}
 
 
-def _sector_eig(h: np.ndarray, sectors) -> list:
-    """Eigenpairs of h one invariant sector at a time: a (sector, levels,
-    eigenvectors in the sector basis) triple per sector that holds a
-    vector."""
-    return [(sector, *qcore.hermitian_eig(sector.block(h)))
-            for sector in sectors if len(sector.scale)]
+def _blocks(sectors: Sequence[_Sector], entries, dim: int) -> List[np.ndarray]:
+    """Matrices in each of ``sectors`` (disjoint sectors of one character)
+    of the real dim x dim matrix h whose nonzero entries are ``entries`` =
+    (rows, cols, values), each position once: block entry (k, l) is
+    |G| scale_k scale_l sum_g chi_g h[images_0[k], images_g[l]]. Exact
+    when h leaves every sector invariant and commutes with every
+    permutation of the group.
+
+    One lookup from full index to basis position serves all the sectors.
+    The entries whose row is a representative are listed once per group
+    element, in group order, and one bincount scatters them into a flat
+    buffer whose slices are the blocks: it sums in input order, so each
+    block entry is summed over g in turn, as the orbit sum reads."""
+    if not sectors:
+        return []
+    rows, cols, vals = entries
+    images = np.concatenate([s.images for s in sectors], axis=1)
+    sizes = np.array([len(s.scale) for s in sectors])
+    offsets = np.concatenate(([0], np.cumsum(sizes**2)))
+    size = np.repeat(sizes, sizes)  # of the block of a basis position
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # its first position
+    positions = np.arange(len(first))
+    # flat index of (position, first column of its block) minus that column
+    row_base = np.repeat(offsets[:-1], sizes) + (positions - first) * size - first
+    where = np.full(dim, -1)
+    where[images[0]] = positions
+    r = where[rows]
+    kept = r >= 0
+    r, cols, vals = r[kept], cols[kept], vals[kept]
+    lo, hi, base = first[r], first[r] + size[r], row_base[r]
+    flat, weights = [], []
+    for chi, img in zip(sectors[0].chars, images):
+        where.fill(-1)
+        where[img] = positions
+        c = where[cols]
+        inside = (c >= lo) & (c < hi)
+        flat.append(base[inside] + c[inside])
+        weights.append(chi * vals[inside])
+    total = np.bincount(np.concatenate(flat), np.concatenate(weights),
+                        minlength=offsets[-1])
+    blocks = []
+    for s, a, b in zip(sectors, offsets[:-1], offsets[1:]):
+        blk = total[a:b].reshape(len(s.scale), -1)
+        blk *= len(s.chars) * s.scale[:, None]
+        blk *= s.scale
+        blocks.append(blk)
+    return blocks
+
+
+def _sector_eig(sectors: Sequence[_Sector], entries, dim: int) -> list:
+    """Eigenpairs of the matrix with nonzero ``entries`` in each of
+    ``sectors`` (as ``_blocks`` takes them): a (sector, levels,
+    eigenvectors in the sector basis) triple per sector."""
+    return [(s, *qcore.hermitian_eig(blk))
+            for s, blk in zip(sectors, _blocks(sectors, entries, dim))]
 
 
 def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -550,54 +610,38 @@ def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             ).view(complex)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
 def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
-                drive_ground: float = None) -> Tuple[ChargeTrace, np.ndarray]:
+                bare_levels=(), drive_ground: float = None,
+                check_states: Callable[[np.ndarray], None] = None
+                ) -> ChargeTrace:
     """Exact closed evolution of a pure state under a constant drive, with
     all ChargeTrace observables taken on the bare Hamiltonian H0.
 
     ``drive`` and ``h0`` are eigenpairs sector by sector, as ``_sector_eig``
     returns them; an ``h0`` entry with vectors None is diagonal in its
     sector's basis. The drive sectors must span a subspace holding psi0,
-    and the h0 sectors the whole space. The drive's ground level (the
-    speed-limit reference) is its lowest level over its sectors unless
-    ``drive_ground`` gives it.
+    and the h0 sectors one holding every state the drive reaches;
+    ``bare_levels`` are the levels of H0 on the rest of the space, which
+    enter its ground level, its largest |E| and the grouping of its
+    levels. The drive's ground level (the speed-limit reference) is its
+    lowest level over its sectors unless ``drive_ground`` gives it.
+
+    Time is walked in chunks of at most CHUNK_AMPLITUDES amplitudes;
+    ``check_states``, if given, sees each chunk's full-space states as
+    columns (dim x samples). Only the populations of the energy groups are
+    kept, and groups that hold no population at any sample are dropped.
 
     A pure state's ergotropy is its energy above the ground level of H0
     (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
     or 0 when nothing is stored.
-
-    Returns the trace and the sampled full-space states as columns
-    (dim x n_times).
     """
-    psis = np.zeros((len(psi0), len(times)), dtype=complex)
-    levels, weights = [], []
-    for sector, vals, vecs in drive:
-        c0 = vecs.conj().T @ sector.coords(psi0)
-        phases = np.exp(-1j * np.outer(vals, times))
-        sector.embed(_matmul(vecs, phases * c0[:, None]), psis)
-        levels.append(vals)
-        weights.append(np.abs(c0) ** 2)
-    vals, probs = np.concatenate(levels), np.concatenate(weights)
-    h0_levels = np.concatenate([lv for _, lv, _ in h0])
-    pops_full = np.concatenate(
-        [np.abs(sector.coords(psis) if vecs is None
-                else _matmul(vecs.conj().T, sector.coords(psis))) ** 2
-         for sector, _, vecs in h0]).T
-    group_e, groups = _group_energies(h0_levels)
-    pops = _aggregate(pops_full, groups)
-    energies = pops @ group_e
-    # central moment: E[H0^2] - E[H0]^2 cancels to below zero at an eigenstate
-    dev = group_e[None, :] - energies[:, None]
-    variances = (pops * dev**2).sum(axis=1)
-    powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
-    stored = energies.max() - h0_levels.min()
-    # tightness P / sqrt(Var I_E), 0 where both are rounding residues
-    denom = np.sqrt(variances * fisher)
-    resolved = ((np.sqrt(variances) > SPREAD_FLOOR * np.max(np.abs(h0_levels)))
-                & (denom > 1e-300))
-    tightness = np.where(resolved,
-                         np.clip(powers / np.where(resolved, denom, 1.0),
-                                 -1.0, 1.0), 0.0)
+    coeffs = [vecs.conj().T @ sector.coords(psi0) for sector, _, vecs in drive]
+    vals = np.concatenate([v for _, v, _ in drive])
+    probs = np.concatenate([_abs2(c) for c in coeffs])
     # speed-limit bounds: the drive is constant, so the energy moments are
     # conserved and the time averages are single expectation values
     e_mean = float(probs @ vals)
@@ -612,13 +656,101 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     phi = np.angle(probs @ np.exp(-1j * vals * tau))
     chord = np.sqrt(probs @ np.sin((vals * tau + phi) / 2) ** 2)
     dist = float(2 * np.arcsin(min(chord, 1.0)))
-    qsl = _qsl_from_scalars(dist, de_tau, e_tau, tau)
-    trace = ChargeTrace(
+    qsl = _qsl_from_scalars(dist, de_tau, e_tau, tau, np.max(np.abs(vals)))
+
+    reached = np.concatenate([lv for _, lv, _ in h0])
+    levels = np.concatenate([reached, bare_levels])
+    group_e, group = _group_energies(levels)
+    group = group[:len(reached)]
+    n_t, dim = len(times), len(psi0)
+    step = max(1, CHUNK_AMPLITUDES // dim)
+    # e^{-iE t_k} for t_k = k dt, k = k0 + qK + r in a chunk from k0, as the
+    # product of c e^{-iE t_(k0 + qK)} and e^{-iE t_r} (r < K): two small
+    # tables of exps in place of one exp per entry
+    K = int(np.ceil(np.sqrt(min(step, n_t))))
+    fast = [np.exp(-1j * np.outer(v, times[:K])) for _, v, _ in drive]
+    h0_maps = [(sector, None if vecs is None else vecs.conj().T)
+               for sector, _, vecs in h0]
+
+    def group_pops(k0: int, k1: int) -> np.ndarray:
+        """Populations of the groups that hold a level (groups x samples)
+        at samples k0 to k1."""
+        psis = np.zeros((dim, k1 - k0), dtype=complex)
+        for (sector, v, vecs), c, b in zip(drive, coeffs, fast):
+            a = c[:, None] * np.exp(-1j * np.outer(v, times[k0:k1:K]))
+            phases = (a[:, :, None] * b[:, None, :]).reshape(len(v), -1)
+            sector.embed(_matmul(vecs, phases[:, :k1 - k0]), psis)
+        if check_states is not None:
+            check_states(psis)
+        level_pops = np.concatenate(
+            [_abs2(sector.coords(psis) if vecs_h is None
+                   else _matmul(vecs_h, sector.coords(psis)))
+             for sector, vecs_h in h0_maps])
+        return _aggregate(level_pops, group)
+
+    # a chunk's states are freed before the next chunk's are made
+    pops = np.concatenate([group_pops(k0, min(k0 + step, n_t))
+                           for k0 in range(0, n_t, step)], axis=1)
+    present = np.unique(group)
+    held = pops.any(axis=1)
+    pops = np.ascontiguousarray(pops[held].T)
+    group_e = group_e[present[held]]
+    energies = pops @ group_e
+    # central moment: E[H0^2] - E[H0]^2 cancels to below zero at an eigenstate
+    dev = group_e[None, :] - energies[:, None]
+    variances = (pops * dev**2).sum(axis=1)
+    powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
+    stored = energies.max() - levels.min()
+    # tightness P / sqrt(Var I_E), 0 where both are rounding residues
+    denom = np.sqrt(variances * fisher)
+    resolved = ((np.sqrt(variances) > SPREAD_FLOOR * np.max(np.abs(levels)))
+                & (denom > 1e-300))
+    tightness = np.where(resolved,
+                         np.clip(powers / np.where(resolved, denom, 1.0),
+                                 -1.0, 1.0), 0.0)
+    return ChargeTrace(
         times=times, energies=energies, powers=powers, variances=variances,
         energy_fisher=fisher, bound_tightness=tightness,
         final_fraction=1.0 if stored > 1e-12 else 0.0, qsl=qsl,
     )
-    return trace, psis
+
+
+def _xxz_entries(n_cells: int, b: float, g: float, alpha: float, nu: float,
+                 interaction_range: str, omega: float):
+    """Nonzero entries (rows, cols, values) of the XXZ battery's charging
+    Hamiltonian H_c and of its H0 on the 2^N basis, from the bit rules of
+    their terms (see ``charge_spins_xxz``), each position once. Bit i of an
+    index is 0 for spin-up (sigma_z = +1), leftmost = site 0. Also returns
+    every index's magnetisation."""
+    dim = 2 ** n_cells
+    idx = np.arange(dim)
+    shifts = np.arange(n_cells - 1, -1, -1)  # of the bit of each site
+    masks = 1 << shifts
+    spins = 1 - 2 * ((idx >> shifts[:, None]) & 1)
+    diag = np.zeros(dim)  # of H_g
+    rows, cols, vals = [idx], [idx], [diag]
+    for i in range(n_cells):
+        for j in range(i + 1, n_cells):
+            if interaction_range == "nearest_neighbor":
+                g_ij = g if j == i + 1 else 0.0
+            else:
+                g_ij = g * float(j - i) ** (-nu)
+            if g_ij == 0.0:
+                continue
+            diag -= g_ij * spins[i] * spins[j]
+            # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
+            anti = idx[spins[i] != spins[j]]
+            rows.append(anti ^ (masks[i] | masks[j]))
+            cols.append(anti)
+            vals.append(np.full(len(anti), -2.0 * g_ij * alpha))
+    magnetisation = spins.sum(axis=0)
+    # the drive flips one spin and H_g two, so no position repeats
+    drive = tuple(np.concatenate(part) for part in (
+        rows + [idx ^ m for m in masks], cols + [idx] * n_cells,
+        vals + [np.full(n_cells * dim, float(omega))]))
+    vals[0] = diag + b * magnetisation
+    h0 = tuple(np.concatenate(part) for part in (rows, cols, vals))
+    return drive, h0, magnetisation
 
 
 def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
@@ -639,12 +771,15 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
 
     g_ij depends on |i - j| only, so the site reflection i -> N - 1 - i
     commutes with H0 and H_c, as does the global flip prod_i sigma_x^i
-    with H_c. H0 is diagonalised on the (magnetisation, reflection parity)
-    sectors. The all-down start is reflection-even, so H_c is diagonalised
-    only on the two reflection-even sectors of flip x reflection, of total
-    dimension (2^N + 2^ceil(N/2))/2. Where g and alpha have opposite signs
-    the reflection-odd sectors also give their lowest level, for the
-    speed-limit reference.
+    with H_c. The all-down start is reflection-even, so H_c is
+    diagonalised only on the two reflection-even sectors of flip x
+    reflection, of total dimension (2^N + 2^ceil(N/2))/2, and H0 only on
+    the reflection-even (magnetisation, +) sectors, which hold every state
+    the drive reaches; the reflection-odd (magnetisation, -) sectors give
+    only their levels. Where g and alpha have opposite signs the
+    reflection-odd sectors of H_c also give their lowest level, for the
+    speed-limit reference. Every block is built from the Hamiltonians'
+    nonzero entries, with no 2^N x 2^N matrix.
     """
     if n_cells > 12:
         raise TooLarge("full 2^N representation limited to N <= 12")
@@ -655,33 +790,16 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
             "interaction_range must be 'nearest_neighbor' or 'power_law'")
     dim = 2 ** n_cells
     idx = np.arange(dim)
-    # bit i of the index is 0 for spin-up (sigma_z = +1), leftmost = site 0
-    spins = np.array([1 - 2 * ((idx >> (n_cells - 1 - i)) & 1)
-                      for i in range(n_cells)])
-    h = np.zeros((dim, dim))  # H_g, then H_c and H0 in turn
-    for i in range(n_cells):
-        for j in range(i + 1, n_cells):
-            if interaction_range == "nearest_neighbor":
-                g_ij = g if j == i + 1 else 0.0
-            else:
-                g_ij = g * float(j - i) ** (-nu)
-            if g_ij == 0.0:
-                continue
-            h[idx, idx] -= g_ij * spins[i] * spins[j]
-            # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
-            mask = (1 << (n_cells - 1 - i)) | (1 << (n_cells - 1 - j))
-            anti = spins[i] != spins[j]
-            h[idx[anti] ^ mask, idx[anti]] += -2.0 * g_ij * alpha
-    # the drive flips one spin and H_g two, so its entries are zero in H_g
-    single_flips = [idx ^ (1 << (n_cells - 1 - i)) for i in range(n_cells)]
-    for flipped in single_flips:
-        h[flipped, idx] = omega
+    drive_entries, h0_entries, magnetisation = _xxz_entries(
+        n_cells, b, g, alpha, nu, interaction_range, omega)
     # the flip maps index s to dim - 1 - s, the reflection reverses its bits
     reflect = sum(((idx >> i) & 1) << (n_cells - 1 - i) for i in range(n_cells))
     group = np.stack([idx, dim - 1 - idx, reflect, dim - 1 - reflect])
-    even, odd = ([_sector(group, (1, f, r, f * r)) for f in (1, -1)]
+    even, odd = ([s for f in (1, -1)
+                  for s in _sectors(group, (1, f, r, f * r)).values()]
                  for r in (1, -1))
-    drive = _sector_eig(h, even)
+    drive = [triple for s in even
+             for triple in _sector_eig([s], drive_entries, dim)]
     # The speed-limit reference is the global ground of H_c. Where no
     # flip-flop amplitude -2 g_ij alpha is positive, H_c has no positive
     # off-diagonal entry once conjugated by prod_i sigma_z^i if omega > 0
@@ -691,20 +809,18 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     # level.
     levels = [vals[0] for _, vals, _ in drive]
     if np.sign(g) * np.sign(alpha) < 0:
-        levels += [sla.eigvalsh(sector.block(h), subset_by_index=[0, 0])[0]
-                   for sector in odd if len(sector.scale)]
-    for flipped in single_flips:
-        h[flipped, idx] = 0.0
-    magnetisation = spins.sum(axis=0)
-    h[idx, idx] += b * magnetisation
-    h0_eig = _sector_eig(h, [
-        _sector(group[::2], (1, r), magnetisation == m)
-        for m in np.unique(magnetisation) for r in (1, -1)])
+        levels += [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
+                   for s in odd for blk in _blocks([s], drive_entries, dim)]
+    h0_even, h0_odd = (list(_sectors(group[::2], (1, r), magnetisation).values())
+                       for r in (1, -1))
+    bare = [np.linalg.eigvalsh(blk) for blk in _blocks(h0_odd, h0_entries, dim)]
     psi0 = np.zeros(dim, dtype=complex)
     psi0[dim - 1] = 1.0  # all spins down
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, drive, psi0, h0_eig,
-                           drive_ground=min(levels))
+    trace = _pure_trace(times, drive, psi0,
+                        _sector_eig(h0_even, h0_entries, dim),
+                        np.concatenate([np.zeros(0)] + bare),
+                        drive_ground=min(levels))
     return replace(trace, energies=trace.energies - trace.energies[0])
 
 
@@ -725,13 +841,35 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                                  + gamma * (sy @ sy - n_cells * eye))
     h0_diag = b * np.real(np.diag(sz))
     h_drive = np.diag(h0_diag).astype(complex) + v
-    whole = _sector(np.arange(n_cells + 1)[None], (1,))
+    whole = _sectors(np.arange(n_cells + 1)[None], (1,))[0]
     psi0 = np.zeros(n_cells + 1, dtype=complex)
     psi0[0] = 1.0  # m = -j, the ferromagnetic ground state for b > 0
     times = _time_grid(tau, dt)
-    trace, _ = _pure_trace(times, _sector_eig(h_drive, [whole]), psi0,
-                           [(whole, h0_diag, None)])
-    return trace
+    return _pure_trace(times, [(whole, *qcore.hermitian_eig(h_drive))], psi0,
+                       [(whole, h0_diag, None)])
+
+
+def _dicke_entries(n_cells: int, omega: float, omega_c: float,
+                   coupling: float, photon_cutoff: int):
+    """Nonzero entries (rows, cols, values) of the Dicke Hamiltonian
+    omega J_z + omega_c a†a + coupling J_x (a + a†) on the spin x cavity
+    basis, index k (photon_cutoff + 1) + n for m = -j + k: the diagonal and
+    four couplings (k, n) <-> (k +- 1, n +- 1) per row, each position once."""
+    dim_spin, dim_cav = n_cells + 1, photon_cutoff + 1
+    jx = qcore.spin_operators(n_cells / 2.0)[0].real
+    spin_hop = np.diagonal(jx, 1)  # <m|J_x|m + 1>
+    cav_hop = np.diagonal(oscillators.destroy(photon_cutoff).real, 1)  # sqrt(n)
+    number = np.concatenate(([0.0], cav_hop**2))  # a†a, as (a^T a) gives it
+    m = np.arange(-n_cells / 2.0, n_cells / 2.0 + 1)
+    diag = (omega * m[:, None] + omega_c * number[None, :]).ravel()
+    low = (np.arange(dim_spin - 1)[:, None] * dim_cav
+           + np.arange(dim_cav - 1)[None, :]).ravel()  # (k, n)
+    high = low + dim_cav + 1  # (k + 1, n + 1)
+    hop = (coupling * np.multiply.outer(spin_hop, cav_hop)).ravel()
+    idx = np.arange(dim_spin * dim_cav)
+    return (np.concatenate([idx, low, high, low + 1, high - 1]),
+            np.concatenate([idx, high, low, high - 1, low + 1]),
+            np.concatenate([diag, hop, hop, hop, hop]))
 
 
 def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
@@ -747,8 +885,10 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     energy-optimal sample.
 
     H commutes with the parity (-1)^(m + j + n), so only the parity sector
-    of the initial state is diagonalised and evolved; the other sector
-    gives only its lowest level, for the speed-limit reference.
+    of the initial state is diagonalised and evolved, and H0 evaluated;
+    the other sector gives only its lowest level, for the speed-limit
+    reference. Both sector blocks come from the Hamiltonian's nonzero
+    entries.
     """
     if not np.isclose(omega, omega_c, atol=0.0):  # relative, whatever the unit
         raise InvalidParams("resonance omega = omega_c required")
@@ -756,39 +896,45 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
         raise CutoffTooSmall("initial photon number exceeds the cutoff")
     dim_spin = n_cells + 1
     dim_cav = photon_cutoff + 1
-    if dim_spin * dim_cav > DENSE_DIM_BUDGET:
+    dim = dim_spin * dim_cav
+    if dim > DENSE_DIM_BUDGET:
         raise TooLarge("Dicke composite dimension exceeds the dense budget")
-    j = n_cells / 2.0
-    jx, _jy, jz = (op.real for op in qcore.spin_operators(j))
-    a = oscillators.destroy(photon_cutoff).real
     lam_eff = lam / np.sqrt(n_cells) if rescale else lam
-    eye_c = np.eye(dim_cav)
-    h = (omega * np.kron(jz, eye_c)
-         + omega_c * np.kron(np.eye(dim_spin), a.T @ a)
-         + 2 * omega_c * lam_eff * np.kron(jx, a + a.T))
-    m = np.arange(-j, j + 1)
+    entries = _dicke_entries(n_cells, omega, omega_c, 2 * omega_c * lam_eff,
+                             photon_cutoff)
+    m = np.arange(-n_cells / 2.0, n_cells / 2.0 + 1)
     h0_diag = omega * np.kron(m, np.ones(dim_cav))
-    psi0 = np.zeros(dim_spin * dim_cav, dtype=complex)
+    psi0 = np.zeros(dim, dtype=complex)
     psi0[0 * dim_cav + n_photons] = 1.0  # |m=-j> x |n_photons>
     # index k * dim_cav + n holds m = -j + k, so the parity is (-1)^(k + n)
     parity = np.add.outer(np.arange(dim_spin), np.arange(dim_cav)).ravel() % 2
-    identity = np.arange(len(psi0))[None]
-    start, other = (_sector(identity, (1,), parity == p)
-                    for p in (n_photons % 2, 1 - n_photons % 2))
-    drive = _sector_eig(h, [start])
-    ground = min(drive[0][1][0], sla.eigvalsh(other.block(h),
-                                              subset_by_index=[0, 0])[0])
+    sectors = _sectors(np.arange(dim)[None], (1,), parity)
+    start = sectors[n_photons % 2]
+    others = [s for s in sectors.values() if s is not start]
+    blocks = _blocks([start] + others, entries, dim)
+    drive = [(start, *qcore.hermitian_eig(blocks[0]))]
+    ground = min([drive[0][1][0]] + [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
+                                     for blk in blocks[1:]])
     times = _time_grid(tau, dt)
 
-    trace, psis = _pure_trace(times, drive, psi0,
-                              [(_sector(identity, (1,)), h0_diag, None)],
-                              drive_ground=ground)
-    # cavity tail check over the whole trajectory
-    blocks = psis.reshape(dim_spin, dim_cav, len(times))
-    tail = np.max(np.sum(np.abs(blocks[:, -1, :]) ** 2, axis=0))
-    if tail > 1e-8:
-        raise CutoffTooSmall(f"top photon level holds population {tail:.2e}")
-    block = blocks[:, :, int(np.argmax(trace.energies))]
+    def cavity_tail(psis):
+        tail = np.max(_abs2(psis.reshape(dim_spin, dim_cav, -1)[:, -1, :])
+                      .sum(axis=0))
+        if tail > 1e-8:
+            raise CutoffTooSmall(f"top photon level holds population {tail:.2e}")
+
+    trace = _pure_trace(times, drive, psi0,
+                        [(start, h0_diag[start.images[0]], None)],
+                        np.concatenate([h0_diag[s.images[0]] for s in others]
+                                       + [np.zeros(0)]),
+                        drive_ground=ground, check_states=cavity_tail)
+    # the state at the energy-optimal sample, from the drive eigenpairs
+    _, vals, vecs = drive[0]
+    t = trace.times[int(np.argmax(trace.energies))]
+    psi = np.zeros((dim, 1), dtype=complex)
+    start.embed(_matmul(vecs, (np.exp(-1j * vals * t)
+                               * (vecs.T @ start.coords(psi0)))[:, None]), psi)
+    block = psi.reshape(dim_spin, dim_cav)
     try:
         fraction = extractable_fraction(block @ block.conj().T,
                                         omega * np.diag(m))

@@ -95,13 +95,13 @@ def partial_trace(rho: np.ndarray, space: CompositeSpace, keep) -> np.ndarray:
         raise DimMismatch(
             f"state dimension {rho.shape} does not match space dimension {space.dim}"
         )
-    tensor = rho.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    # Trace highest index first so lower positions stay valid.
-    for i in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
+    # one contraction: a traced factor carries the same label on both sides
+    rows = list(range(n))
+    cols = [i if i not in keep else n + i for i in range(n)]
+    out = np.einsum(rho.reshape(dims + dims), rows + cols,
+                    keep + [n + k for k in keep])
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return tensor.reshape(d_keep, d_keep)
+    return out.reshape(d_keep, d_keep)
 
 
 def hermitian_eig(h: np.ndarray):
@@ -117,9 +117,10 @@ def hermitian_eig(h: np.ndarray):
 def level_clusters(levels: np.ndarray):
     """Clusters of (near-)degenerate levels among ascending ``levels``: a
     level joins the cluster of the one below it when their gap is at most
-    tol = 1e-9 max(max |E|, 1), so clusters chain. Returns each cluster's
-    first index and mean energy, and tol."""
-    tol = 1e-9 * max(np.abs(levels).max(), 1.0)
+    tol = 1e-9 max |E|, so clusters chain and do not depend on the energy
+    unit (levels all 0 form one cluster). Returns each cluster's first
+    index and mean energy, and tol."""
+    tol = 1e-9 * np.abs(levels).max()
     starts = np.concatenate(([True], levels[1:] - levels[:-1] > tol)).nonzero()[0]
     sizes = np.concatenate((starts[1:], [len(levels)])) - starts
     return starts, np.add.reduceat(levels, starts) / sizes, tol

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ def _group_energies_loop(evals, tol=None):
     to the group's last sorted level is at most tol."""
     evals = np.asarray(evals, dtype=float)
     if tol is None:
-        tol = 1e-9 * max(np.max(np.abs(evals)), 1.0)
+        tol = 1e-9 * np.max(np.abs(evals))
     order = np.argsort(evals)
     groups, energies = [], []
     current = [order[0]]
@@ -467,11 +468,12 @@ def _group_energies_loop(evals, tol=None):
 def test_group_energies_matches_level_loop(evals):
     evals = np.asarray(evals, dtype=float)
     pops = np.random.default_rng(2).random((3, len(evals)))
-    energies, groups = battery._group_energies(evals)
+    energies, group = battery._group_energies(evals)
     ref_energies, ref_groups = _group_energies_loop(evals)
     assert np.allclose(energies, ref_energies, rtol=1e-15, atol=0)
     ref = np.stack([pops[:, g].sum(axis=1) for g in ref_groups], axis=1)
-    assert np.allclose(battery._aggregate(pops, groups), ref, rtol=1e-14,
+    assert np.array_equal(np.unique(group), np.arange(len(ref_groups)))
+    assert np.allclose(battery._aggregate(pops.T, group).T, ref, rtol=1e-14,
                        atol=0)
 
 
@@ -875,7 +877,8 @@ def test_dicke_rescaled_strong_coupling_scaling():
 def _dense_trace(times, h_drive, psi0, h0):
     """Charging observables from one full-space eigendecomposition of the
     drive and one of H0, with levels grouped by ``_group_energies_loop``.
-    Returns the fields to compare and the sampled states (n_times x dim)."""
+    Returns the fields to compare (and the final fraction of a pure
+    battery state) and the sampled states (n_times x dim)."""
     vals, vecs = np.linalg.eigh(h_drive)
     c0 = vecs.conj().T @ psi0
     psis = (np.exp(-1j * np.outer(times, vals)) * c0) @ vecs.T
@@ -887,6 +890,12 @@ def _dense_trace(times, h_drive, psi0, h0):
     dev = group_e[None, :] - energies[:, None]
     dp = np.gradient(pops, times[1] - times[0], axis=0)
     mask = pops > battery.P_FLOOR
+    variances = (pops * dev**2).sum(axis=1)
+    powers = (dev * np.where(mask, dp, 0.0)).sum(axis=1)
+    fisher = np.where(mask, dp**2 / np.where(mask, pops, 1.0), 0.0).sum(axis=1)
+    denom = np.sqrt(variances * fisher)
+    resolved = ((np.sqrt(variances) > battery.SPREAD_FLOOR * np.max(np.abs(e0)))
+                & (denom > 1e-300))
     probs = np.abs(c0) ** 2
     e_mean = probs @ vals
     spread = np.sqrt(max(probs @ vals**2 - e_mean**2, 0.0))
@@ -895,10 +904,11 @@ def _dense_trace(times, h_drive, psi0, h0):
     tau_mt = dist / spread
     ml = 2 * dist**2 / (np.pi * (e_mean - vals.min()))
     fields = dict(
-        energies=energies, powers=(dev * np.where(mask, dp, 0.0)).sum(axis=1),
-        variances=(pops * dev**2).sum(axis=1),
-        energy_fisher=np.where(mask, dp**2 / np.where(mask, pops, 1.0),
-                               0.0).sum(axis=1),
+        energies=energies, powers=powers, variances=variances,
+        energy_fisher=fisher,
+        bound_tightness=np.where(
+            resolved, np.clip(powers / np.where(resolved, denom, 1.0), -1, 1), 0.0),
+        final_fraction=1.0 if energies.max() - e0.min() > 1e-12 else 0.0,
         qsl=battery.QSLReport(dist, spread, e_mean - vals.min(), tau_mt,
                               max(tau_mt, ml), tau))
     return fields, psis
@@ -907,6 +917,7 @@ def _dense_trace(times, h_drive, psi0, h0):
 def _assert_trace_matches(trace, ref):
     for name in ("energies", "powers", "variances"):
         assert np.max(np.abs(getattr(trace, name) - ref[name])) < 1e-10, name
+    assert np.max(np.abs(trace.bound_tightness - ref["bound_tightness"])) < 1e-8
     fisher = ref["energy_fisher"]
     assert np.max(np.abs(trace.energy_fisher - fisher)) \
         <= 1e-8 * np.max(np.abs(fisher))
@@ -926,6 +937,9 @@ def test_xxz_sectors_match_full_space(n, interaction_range):
     # g = 0 leaves H0 = B sum sigma_z, degenerate across the sectors; where
     # g and alpha have opposite signs the ground of H_c can be
     # reflection-odd (the singlet at n = 2)
+    # reflection-odd H0 levels enter only as bare levels; at n = 8, g = -0.4,
+    # alpha = 1 the H0 ground is one of them, which sets the stored energy
+    reflect = _flip_reflection_group(n)[2]
     for g, alpha in ((0.4, 0.3), (0.4, 1.0), (0.0, 0.3), (-0.4, 1.0),
                      (0.4, -0.5), (-0.4, -0.5)):
         trace = battery.charge_spins_xxz(n, b, g, alpha, nu, interaction_range,
@@ -934,17 +948,22 @@ def test_xxz_sectors_match_full_space(n, interaction_range):
         ref, _ = _dense_trace(times, h_drive, psi0, h0)
         ref["energies"] = ref["energies"] - ref["energies"][0]
         _assert_trace_matches(trace, ref)
+        assert trace.final_fraction == ref["final_fraction"]
+        if (n, g, alpha) == (8, -0.4, 1.0):
+            e0, w0 = np.linalg.eigh(h0)
+            assert e0[1] - e0[0] > 0.1
+            assert np.allclose(w0[reflect, 0], -w0[:, 0], atol=1e-10)
 
 
-def _dicke_dense(n, lam, cutoff):
+def _dicke_dense(n, lam, cutoff, omega=1.0):
     """Dicke Hamiltonian and battery levels on the full spin x cavity
-    space, omega = omega_c = 1."""
+    space, omega = omega_c."""
     jx, _jy, jz = qcore.spin_operators(n / 2.0)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
     eye_c = np.eye(cutoff + 1)
-    h = (np.kron(jz, eye_c) + np.kron(np.eye(n + 1), a.T @ a)
-         + 2 * lam * np.kron(jx, a + a.T))
-    return h, np.kron(jz, eye_c)
+    h = (omega * np.kron(jz, eye_c) + omega * np.kron(np.eye(n + 1), a.T @ a)
+         + 2 * omega * lam * np.kron(jx, a + a.T))
+    return h, omega * np.kron(jz, eye_c)
 
 
 @pytest.mark.parametrize("rescale", [False, True])
@@ -988,10 +1007,48 @@ def test_dicke_parity_sector_cutoff_check_matches_full_space(n, n_photons,
                              10.0, 0.01)
 
 
+def _entries(h):
+    """Nonzero entries (rows, cols, values) of a real dense matrix."""
+    rows, cols = np.nonzero(h)
+    return rows, cols, h[rows, cols].real
+
+
+def _gather_block(sector, h):
+    """Matrix of a dense h in a sector basis by dense gathers,
+    |G| scale_k scale_l sum_g chi_g h[images_0[k], images_g[l]]: the oracle
+    of ``battery._blocks``."""
+    blk = h[np.ix_(sector.images[0], sector.images[0])]  # chi_0 = 1
+    for chi, img in zip(sector.chars[1:], sector.images[1:]):
+        blk += chi * h[np.ix_(sector.images[0], img)]
+    blk *= len(sector.chars) * sector.scale[:, None]
+    blk *= sector.scale
+    return blk
+
+
+def test_charge_dicke_memory_does_not_grow_with_the_steps():
+    # dim 5 x 300 = 1500, so 200 steps already fill a chunk of
+    # CHUNK_AMPLITUDES amplitudes; the full 2000-step state would be 48 MB
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            battery.charge_dicke(4, 4, 0.2, False, 1.0, 1.0, 299,
+                                 steps * 0.01, 0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200), peak(2000)
+    assert 1500 * 200 > battery.CHUNK_AMPLITUDES
+    assert long < short + 2**20
+
+
 def _reassembled(h, sectors):
-    """Full-space eigenvectors and levels from per-sector eigenpairs."""
+    """Full-space eigenvectors and levels from per-sector eigenpairs, each
+    sector's block built from the nonzero entries of h."""
     columns, levels = [], []
-    for sector, vals, vecs in battery._sector_eig(h, sectors):
+    triples = [t for s in sectors
+               for t in battery._sector_eig([s], _entries(h), len(h))]
+    for sector, vals, vecs in triples:
         full = np.zeros((len(h), len(vals)), dtype=complex)
         sector.embed(vecs, full)
         columns.append(full)
@@ -1017,28 +1074,27 @@ def test_sector_blocks_reassemble_the_full_hamiltonian(n):
     dim = 2**n
     lower = np.arange(dim // 2)
     identity = np.arange(dim)
-    flip = [battery._sector(np.stack([identity, dim - 1 - identity]),
-                            (1, sign))
+    flip = [battery._sectors(np.stack([identity, dim - 1 - identity]),
+                             (1, sign))[0]
             for sign in (1, -1)]
     magnetisation = _magnetisation(n)
-    spin_sectors = [battery._sector(identity[None], (1,), magnetisation == m)
-                    for m in np.unique(magnetisation)]
+    spin_sectors = list(battery._sectors(identity[None], (1,),
+                                         magnetisation).values())
     h_drive, h0 = _xxz_dense(n, 0.8, 0.5, 0.3, 1.2, "power_law", 0.9)
     cutoff = 5
     parity = np.add.outer(np.arange(n + 1), np.arange(cutoff + 1)).ravel() % 2
     h_dicke, _ = _dicke_dense(n, 0.4, cutoff)
     for h, sectors in (
             (h_drive, flip), (h0, spin_sectors),
-            (h_dicke, [battery._sector(np.arange(len(parity))[None], (1,),
-                                       parity == p)
-                       for p in (0, 1)])):
+            (h_dicke, list(battery._sectors(np.arange(len(parity))[None],
+                                            (1,), parity).values()))):
         vecs, vals = _reassembled(h, sectors)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(len(h)), atol=1e-12)
         assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
     # the flip blocks are H[R, R] + H[R, R-bar] and H[R, R] - H[R, R-bar]
     bar = dim - 1 - lower
-    assert np.allclose(flip[0].block(h_drive) - flip[1].block(h_drive),
-                       2 * h_drive[np.ix_(lower, bar)], atol=1e-14)
+    even, odd = (battery._blocks([s], _entries(h_drive), dim)[0] for s in flip)
+    assert np.allclose(even - odd, 2 * h_drive[np.ix_(lower, bar)], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1046,18 +1102,90 @@ def test_flip_reflection_sectors_reassemble_the_full_hamiltonian(n):
     # palindromic orbits are fixed by the reflection; for even n some are
     # fixed by flip x reflection, where the odd flip character vanishes
     group = _flip_reflection_group(n)
-    drive = {(f, r): battery._sector(group, (1, f, r, f * r))
+    drive = {(f, r): battery._sectors(group, (1, f, r, f * r)).get(0)
              for f in (1, -1) for r in (1, -1)}
     magnetisation = _magnetisation(n)
-    spin_sectors = [battery._sector(group[::2], (1, r), magnetisation == m)
-                    for m in np.unique(magnetisation) for r in (1, -1)]
+    spin_sectors = [s for r in (1, -1) for s in battery._sectors(
+        group[::2], (1, r), magnetisation).values()]
     h_drive, h0 = _xxz_dense(n, 0.8, 0.5, 0.3, 1.2, "power_law", 0.9)
-    for h, sectors in ((h_drive, list(drive.values())), (h0, spin_sectors)):
+    for h, sectors in ((h_drive, [s for s in drive.values() if s is not None]),
+                       (h0, spin_sectors)):
         vecs, vals = _reassembled(h, sectors)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(len(h)), atol=1e-12)
         assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
     even = len(drive[1, 1].scale) + len(drive[-1, 1].scale)
     assert even == (2**n + 2 ** ((n + 1) // 2)) // 2
+
+
+def _xxz_dense_bits(n, b, g, alpha, nu, interaction_range, omega):
+    """H_c and H0 of the XXZ battery as dense 2^N x 2^N arrays filled by
+    the bit rules (bit i of an index is 0 for spin-up, leftmost = site 0),
+    in the order of ``battery._xxz_entries``: the dense oracle of its
+    entries."""
+    dim = 2**n
+    idx = np.arange(dim)
+    spins = np.array([1 - 2 * ((idx >> (n - 1 - i)) & 1) for i in range(n)])
+    h = np.zeros((dim, dim))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if interaction_range == "nearest_neighbor":
+                g_ij = g if j == i + 1 else 0.0
+            else:
+                g_ij = g * float(j - i) ** (-nu)
+            if g_ij == 0.0:
+                continue
+            h[idx, idx] -= g_ij * spins[i] * spins[j]
+            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+            anti = spins[i] != spins[j]
+            h[idx[anti] ^ mask, idx[anti]] += -2.0 * g_ij * alpha
+    h0 = h.copy()
+    h0[idx, idx] += b * spins.sum(axis=0)
+    for i in range(n):
+        h[idx ^ (1 << (n - 1 - i)), idx] = omega
+    return h, h0
+
+
+def _assert_blocks_equal_gathers(sectors, entries, h):
+    sectors = list(sectors.values())
+    for sector, blk in zip(sectors, battery._blocks(sectors, entries, len(h))):
+        assert np.array_equal(blk, _gather_block(sector, h))
+
+
+@pytest.mark.parametrize("interaction_range", ["nearest_neighbor",
+                                               "power_law"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_entry_blocks_equal_dense_gathers_bit_for_bit(n, interaction_range):
+    group = _flip_reflection_group(n)
+    magnetisation = _magnetisation(n)
+    for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
+        drive, h0, mag = battery._xxz_entries(n, 0.7, g, alpha, 1.3,
+                                              interaction_range, 0.9)
+        assert np.array_equal(mag, magnetisation)
+        h_drive, h0_dense = _xxz_dense_bits(n, 0.7, g, alpha, 1.3,
+                                            interaction_range, 0.9)
+        # each position once, so a bincount never sums two entries
+        for rows, cols, _ in (drive, h0):
+            assert len(np.unique(rows * 2**n + cols)) == len(rows)
+        for f, r in itertools.product((1, -1), (1, -1)):
+            _assert_blocks_equal_gathers(
+                battery._sectors(group, (1, f, r, f * r)), drive, h_drive)
+        for r in (1, -1):
+            _assert_blocks_equal_gathers(
+                battery._sectors(group[::2], (1, r), magnetisation), h0,
+                h0_dense)
+
+
+@pytest.mark.parametrize("n, cutoff, lam", [(1, 5, 0.3), (4, 12, 0.7),
+                                            (8, 60, 0.5 / np.sqrt(8))])
+def test_dicke_entry_blocks_equal_dense_gathers_bit_for_bit(n, cutoff, lam):
+    for omega in (1.0, 0.7):
+        h, _ = _dicke_dense(n, lam, cutoff, omega)
+        entries = battery._dicke_entries(n, omega, omega, 2 * omega * lam,
+                                         cutoff)
+        parity = np.add.outer(np.arange(n + 1), np.arange(cutoff + 1)).ravel() % 2
+        sectors = battery._sectors(np.arange(len(h))[None], (1,), parity)
+        assert len(sectors) == 2
+        _assert_blocks_equal_gathers(sectors, entries, h)
 
 
 # --- extractable fraction ---------------------------------------------------------

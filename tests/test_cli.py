@@ -916,6 +916,44 @@ def test_qsl_experiment(capsys):
                                                              abs=1e-9)
 
 
+def _scaled_rows(experiment, unit, scaled, common, capsys):
+    """The rows of one experiment run at two sets of keys."""
+    return [_run_rows([experiment] + [x for kv in keys + common
+                                      for x in ("--set", kv)], capsys)[0]
+            for keys in (unit, scaled)]
+
+
+def test_qsl_does_not_depend_on_the_energy_unit(capsys):
+    # at |H| = 5e-301, Tr(rho H²) underflowed to 0 and the spread met an
+    # absolute floor, so the run exited 3
+    unit, scaled = _scaled_rows("qsl", ["omega=1", "tau=1"],
+                                ["omega=1e-300", "tau=1e300"], ["samples=49"],
+                                capsys)
+    assert float(scaled["bures_distance"]) == pytest.approx(
+        float(unit["bures_distance"]), rel=1e-12)
+    for key in ("tau_mt", "tau_unified", "actual_tau"):
+        assert float(scaled[key]) == pytest.approx(1e300 * float(unit[key]),
+                                                   rel=1e-12)
+
+
+def test_charge_dicke_does_not_depend_on_the_energy_unit(capsys):
+    # at omega = 1e-9, an absolute floor of 1e-9 in the level clustering
+    # put every level of H0 in one group, so no energy was deposited
+    unit, scaled = _scaled_rows(
+        "charge-dicke", ["omega=1", "omega_c=1", "tau=1", "dt=0.01"],
+        ["omega=1e-9", "omega_c=1e-9", "tau=1e9", "dt=1e7"],
+        ["n_cells=2", "n_photons=2", "lam=0.5", "photon_cutoff=20",
+         "rescale=true"], capsys)
+    # each column's power of the energy unit; bound_violation is a
+    # rounding residue
+    powers = {"energy_max": 1, "power_max": 2, "variance_max": 2,
+              "fisher_mean": 2, "final_fraction": 0, "tau_mt": -1,
+              "tau_unified": -1}
+    for key, k in powers.items():
+        assert float(scaled[key]) == pytest.approx(1e-9**k * float(unit[key]),
+                                                   rel=1e-12), key
+
+
 def test_outcoupled_multi_row(capsys):
     rows = _run_rows(["run", "outcoupled", "--set", "n_cycles=3",
                       "--set", "per_cycle_measurement=true"], capsys)
