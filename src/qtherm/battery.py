@@ -289,29 +289,34 @@ def _binary_scale(x: float) -> float:
     return float(np.ldexp(1.0, np.frexp(x)[1] - 1)) if x else 1.0
 
 
-def qsl_report(trajectory: Sequence[Tuple[float, np.ndarray]],
-               h_of_t: Callable[[float], np.ndarray]) -> QSLReport:
-    """Mandelstam-Tamm and unified speed-limit bounds for a trajectory of
-    (time, density matrix) samples driven by h_of_t.
+def qsl_report(times, rhos, hs) -> QSLReport:
+    """Mandelstam-Tamm and unified speed-limit bounds for the density
+    matrices ``rhos`` (k, d, d) sampled at ``times`` (k) under ``hs``: one
+    Hamiltonian per sample (k, d, d), or one (d, d) Hamiltonian for all.
 
     The unified bound combines the Mandelstam-Tamm branch D/DeltaE_tau with
     the Margolus-Levitin branch 2 D^2 / (pi E_tau), where E_tau is the
     time-averaged mean energy measured from the instantaneous ground state.
     """
-    if len(trajectory) < 2:
+    times = np.asarray(times, dtype=float)
+    rhos = np.asarray(rhos, dtype=complex)
+    if not (times.ndim == 1 and rhos.shape == times.shape + rhos.shape[-1:] * 2
+            and np.shape(hs) in (rhos.shape, rhos.shape[1:])):
+        raise DimMismatch(f"times {times.shape}, states {rhos.shape} and "
+                          f"Hamiltonians {np.shape(hs)} do not match")
+    if len(times) < 2:
         raise InvalidParams("need at least two trajectory samples")
-    times = np.array([t for t, _ in trajectory], dtype=float)
     tau = float(times[-1] - times[0])
     if not tau > 0:
         raise InvalidParams(f"trajectory duration {tau} must be positive")
-    rhos = np.array([rho for _, rho in trajectory], dtype=complex)
-    hs = np.array([h_of_t(t) for t, _ in trajectory], dtype=complex)
+    hs = np.broadcast_to(np.asarray(hs, dtype=complex), rhos.shape)
     dist = qcore.bures_angle(rhos[0], rhos[-1])
     # energies in units of s and times in units of s_t, the powers of two
     # of max |H| and tau: the scaling is exact, and no square or
-    # time-energy product overflows or underflows
+    # time-energy product overflows or underflows. s is at least the least
+    # normal float, as complex division by s forms 1/s
     h_max = float(np.max(np.abs(hs)))
-    s = _binary_scale(h_max)
+    s = max(_binary_scale(h_max), np.finfo(float).tiny)
     s_t = _binary_scale(tau)
     hs = hs / s
     # Tr(rho H) and Tr(rho H²) of every sample, and every ground level

@@ -174,16 +174,17 @@ def _run_sta_ermakov(p):
 
 def _run_sta_cd(p):
     delta, v, t = p["delta"], p["velocity"], p["t"]
-
-    def h0(tt):  # delta sx - v tt sz, with no inf * 0 where v tt overflows
-        eps = -v * tt
-        return np.array([[eps, delta], [delta, -eps]], dtype=complex)
-
-    h_cd = sta.counterdiabatic(h0, t, p["dt"])
+    eps = -v * t  # H0 = delta sx - v t sz, with no inf * 0 where v t overflows
+    h0 = np.array([[eps, delta], [delta, -eps]], dtype=complex)
+    h_cd = sta.counterdiabatic(h0, np.diag([-v, v]))
     coeff = float(np.real(1j * h_cd[0, 1]))
-    try:  # v/2 first, so that delta v stays finite wherever the result does
-        closed = 0.5 * v * (delta / (delta**2 + (v * t) ** 2))
-    except OverflowError as exc:  # a float square beyond 1.8e308
+    # v delta / (2 (delta² + (v t)²)) on delta and v t divided by the power
+    # of two 2^k above both, so that no square over- or underflows
+    k = math.frexp(max(abs(delta), abs(eps)))[1]
+    d, e = math.ldexp(delta, -k), math.ldexp(eps, -k)
+    try:
+        closed = math.ldexp(0.5 * v * (d / (d * d + e * e)), -k)
+    except OverflowError as exc:  # the closed form itself passes 1.8e308
         raise NumericalInstability(f"closed form overflows: {exc}") from exc
     residual = abs(coeff - closed)
     if not math.isfinite(residual):
@@ -202,17 +203,19 @@ def _run_outcoupled(p):
 
 
 def _run_qfi(p):
-    omega = p["omega"]
-
-    def thermal_qubit(temp):
-        with np.errstate(over="ignore"):  # e^x = inf is the pe = 0 limit
-            pe = 1.0 / (1.0 + np.exp(omega / temp))
-        return np.diag([1.0 - pe, pe]).astype(complex)
-
-    family, temp = metrology.ParamFamily(thermal_qubit), p["temperature"]
-    if not temp > family.step(temp):  # the central difference samples T - step
-        raise InvalidParams("temperature must exceed the finite-difference step")
-    return _fields(metrology.qfi(family, temp))
+    omega, temp = p["omega"], p["temperature"]
+    if not temp > 0:
+        raise InvalidParams("temperature must be positive")
+    # the thermal qubit diag(1 - p_e, p_e), p_e = 1/(1 + e^{omega/T}), and the
+    # exact dp_e/dT = p_e (1 - p_e) omega/T² (0 if one level holds all)
+    x = omega / temp
+    with np.errstate(over="ignore"):  # e^x = inf is the p_e = 0 limit
+        pe = 1.0 / (1.0 + np.exp(x))
+        w = pe * (1.0 - pe)
+        dpe = w * x / temp if w > 0 else 0.0
+    if not math.isfinite(dpe):
+        raise NumericalInstability("dp_e/dT leaves the float range")
+    return _fields(metrology.qfi(np.diag([1.0 - pe, pe]), np.diag([-dpe, dpe])))
 
 
 def _run_thermometry(p):
@@ -259,8 +262,7 @@ def _run_qsl(p):
     # |+> evolved under h to every sample time, one row each
     psis = np.exp(-1j * np.array([omega / 2, -omega / 2]) * times[:, None]) * plus
     rhos = psis[:, :, None] * psis[:, None, :].conj()
-    traj = list(zip(times.tolist(), rhos))
-    rep = battery.qsl_report(traj, lambda t: h)
+    rep = battery.qsl_report(times, rhos, h)
     return {"bures_distance": rep.bures_distance, "tau_mt": rep.tau_mt,
             "tau_unified": rep.tau_unified, "actual_tau": rep.actual_tau}
 
@@ -335,7 +337,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _run_sta_ermakov),
     "sta-cd": Experiment(
         {"delta": Param(float), "velocity": Param(float),
-         "t": Param(float), "dt": Param(float, 1e-6)},
+         "t": Param(float)},
         _run_sta_cd),
     "outcoupled": Experiment(
         {"n_cycles": Param(int, minimum=1, maximum=_MAX_POINTS),

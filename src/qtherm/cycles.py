@@ -469,8 +469,8 @@ def outcoupled_multicycle(params: OutcoupledParams, n_cycles: int,
         raise InvalidParams("impulse fraction b must lie in (0, 1/2)")
 
     # engine state at the kick: the cold Gibbs state, then the first ramp
-    u_e1 = qcore.midpoint_propagator(
-        lambda t: delta * SIGMA_X + (-v * t) * SIGMA_Z, 0.0, b * period, 400)
+    u_e1 = qcore.midpoint_propagator(delta * SIGMA_X, -v * SIGMA_Z, 0.0,
+                                     b * period, 400)
     gibbs_c = qcore.gibbs_state(delta * SIGMA_X, 1.0 / params.beta_c)
     alpha = -1j * g * np.trace(u_e1 @ gibbs_c @ u_e1.conj().T @ SIGMA_X).real
     to_kick, from_kick = np.exp(-1j * omega * period * np.array([b, 1 - b]))
@@ -504,12 +504,10 @@ def outcoupled_indistinct_ratio(n_atoms: int, delta: float, omega0: float,
     if n_atoms < 1 or n_atoms > 12:
         raise InvalidParams("n_atoms must be in [1, 12]")
 
-    def h_single(t):
-        return delta * SIGMA_X + (omega0 + v * t) * SIGMA_Z
-
-    # distinguishable: per-atom mean of the evolved sx
-    u1 = qcore.midpoint_propagator(h_single, 0.0, t1, 400)
-    rho1 = qcore.gibbs_state(h_single(0.0), 1.0 / beta_c)
+    # distinguishable: per-atom mean of the evolved sx, H(t) = h1 + t v sz
+    h1 = delta * SIGMA_X + omega0 * SIGMA_Z
+    u1 = qcore.midpoint_propagator(h1, v * SIGMA_Z, 0.0, t1, 400)
+    rho1 = qcore.gibbs_state(h1, 1.0 / beta_c)
     sx_t = u1.conj().T @ SIGMA_X @ u1
     m1 = float(np.trace(rho1 @ sx_t).real)
     dist = n_atoms + n_atoms * (n_atoms - 1) * m1**2  # (sx_t)^2 = identity
@@ -517,12 +515,9 @@ def outcoupled_indistinct_ratio(n_atoms: int, delta: float, omega0: float,
     # indistinguishable: symmetric sector, S_x = 2 J_x, S_z = 2 J_z
     jx, _jy, jz = qcore.spin_operators(n_atoms / 2.0)
     sx, sz = 2 * jx, 2 * jz
-
-    def h_sym(t):
-        return delta * sx + (omega0 + v * t) * sz
-
-    u = qcore.midpoint_propagator(h_sym, 0.0, t1, 400)
-    rho = qcore.gibbs_state(h_sym(0.0), 1.0 / beta_c)
+    h = delta * sx + omega0 * sz
+    u = qcore.midpoint_propagator(h, v * sz, 0.0, t1, 400)
+    rho = qcore.gibbs_state(h, 1.0 / beta_c)
     v_i = u.conj().T @ sx @ u
     indist = float(np.trace(rho @ v_i @ v_i).real)
     return indist / dist

@@ -218,13 +218,14 @@ class CTMReport:
 
 
 def classify_mode(j_h: float, j_c: float, p: float, tol: float = 1e-9) -> str:
-    """Operating mode from the steady-current sign table."""
-    scale = max(abs(j_h), abs(j_c), abs(p), 1e-300)
-    if abs(j_h + j_c + p) > max(tol, 1e-9 * scale) * 10:
+    """Operating mode from the steady-current sign table. A current at most
+    tol scale counts as zero, and the first law must hold to 1e-8 scale,
+    with scale = max(|J_h|, |J_c|, |P|): no energy unit enters."""
+    scale = max(abs(j_h), abs(j_c), abs(p))
+    if abs(j_h + j_c + p) > 1e-8 * scale:
         raise UnclassifiableState("first-law residual exceeds tolerance")
-    sh = 0 if abs(j_h) <= tol else (1 if j_h > 0 else -1)
-    sc = 0 if abs(j_c) <= tol else (1 if j_c > 0 else -1)
-    sp = 0 if abs(p) <= tol else (1 if p > 0 else -1)
+    sh, sc, sp = (0 if abs(x) <= tol * scale else (1 if x > 0 else -1)
+                  for x in (j_h, j_c, p))
     if sh == sc == sp == 0:
         return "Off"
     if sh >= 0 and sc <= 0 and sp <= 0:

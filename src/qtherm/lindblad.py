@@ -92,7 +92,9 @@ class SpectralFunction:
         or at each entry of an array of frequencies."""
         w = np.asarray(omega, dtype=float)
         if self.family == "ohmic_exp_cutoff":
-            x = w / self.cutoff
+            # x capped at 1e3, where e^-x is 0: omega/cutoff = inf gives 0
+            with np.errstate(over="ignore"):
+                x = np.minimum(w / self.cutoff, 1e3)
             gamma = self.base_rate * x * np.exp(-x)  # 0 at omega = 0
         elif self.family == "windowed_flat":
             lo, hi = self.window

@@ -1,8 +1,8 @@
 """Quantum estimation tools and null-point measurement protocols.
 
 Fisher-information machinery (symmetric logarithmic derivative, quantum
-and classical Fisher information, Cramér-Rao floor) for arbitrary
-finite-dimensional parameter families, plus two Wheatstone-bridge style
+and classical Fisher information, Cramér-Rao floor) of a finite-dimensional
+state and its exact parameter derivative, plus two Wheatstone-bridge style
 protocols built on thermal machines: Otto-null thermometry with two
 exchange-coupled oscillators and two-stroke magnetometry. The protocols
 estimate an unknown parameter by sweeping a known control until a
@@ -12,12 +12,13 @@ current/work observable changes sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import cycles, qcore
 from .errors import (
+    DimMismatch,
     InvalidParams,
     InvalidPOVM,
     NullNotBracketed,
@@ -26,26 +27,7 @@ from .errors import (
 )
 
 
-# --- parameter families and Fisher information ------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamFamily:
-    """Differentiable map theta -> density matrix, with a finite-difference step."""
-
-    generator: Callable[[float], np.ndarray]
-    dtheta: Optional[float] = None
-
-    def step(self, theta: float) -> float:
-        if self.dtheta is not None:
-            return self.dtheta
-        return 1e-5 * max(abs(theta), 1.0)
-
-    def drho(self, theta: float) -> np.ndarray:
-        dt = self.step(theta)
-        plus = np.asarray(self.generator(theta + dt), dtype=complex)
-        minus = np.asarray(self.generator(theta - dt), dtype=complex)
-        return qcore.hermitianize((plus - minus) / (2 * dt))
+# --- Fisher information ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -66,10 +48,18 @@ class NullProtocolResult:
 SLD_FLOOR = 1e-12
 
 
-def _sld_in_eigenbasis(family: ParamFamily, theta0: float):
-    rho = qcore.hermitianize(np.asarray(family.generator(theta0), dtype=complex))
-    vals, vecs = np.linalg.eigh(rho)
-    drho = vecs.conj().T @ family.drho(theta0) @ vecs
+def _state_pair(rho, drho):
+    rho, drho = (np.asarray(a, dtype=complex) for a in (rho, drho))
+    if rho.shape != drho.shape:
+        raise DimMismatch(f"state {rho.shape} and derivative {drho.shape} "
+                          "differ in shape")
+    return rho, drho
+
+
+def _sld_in_eigenbasis(rho: np.ndarray, drho: np.ndarray):
+    rho, drho = _state_pair(rho, drho)
+    vals, vecs = np.linalg.eigh(qcore.hermitianize(rho))
+    drho = vecs.conj().T @ qcore.hermitianize(drho) @ vecs
     denom = vals[:, None] + vals
     support = denom > SLD_FLOOR
     if np.any(np.abs(drho[~support]) > 1e-8):
@@ -78,23 +68,28 @@ def _sld_in_eigenbasis(family: ParamFamily, theta0: float):
     return vals, vecs, drho, l_eig
 
 
-def sld(family: ParamFamily, theta0: float) -> np.ndarray:
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L solving
-    d_theta rho = (L rho + rho L)/2, restricted to the support of rho."""
-    _vals, vecs, _drho, l_eig = _sld_in_eigenbasis(family, theta0)
+    drho = (L rho + rho L)/2 for a state ``rho`` and its exact parameter
+    derivative ``drho``, restricted to the support of rho."""
+    _vals, vecs, _drho, l_eig = _sld_in_eigenbasis(rho, drho)
     return qcore.hermitianize(vecs @ l_eig @ vecs.conj().T)
 
 
-def qfi(family: ParamFamily, theta0: float) -> FisherReport:
-    """Quantum Fisher information: population term sum (dp_i)^2/p_i plus the
-    coherence term, equivalently sum_ij 2|d_theta rho_ij|^2/(p_i + p_j) =
-    Re sum_ij conj(d_theta rho_ij) L_ij over p_i + p_j > SLD_FLOOR in the
-    eigenbasis of rho. Cross-checked against Tr(rho L^2)."""
-    vals, vecs, drho, l_eig = _sld_in_eigenbasis(family, theta0)
-    h = float(np.sum(drho.conj() * l_eig).real)  # L is 0 off the support
-    l_op = qcore.hermitianize(vecs @ l_eig @ vecs.conj().T)
-    rho = vecs @ np.diag(np.clip(vals, 0, None)).astype(complex) @ vecs.conj().T
-    h_check = float(np.trace(rho @ l_op @ l_op).real)
+def qfi(rho: np.ndarray, drho: np.ndarray) -> FisherReport:
+    """Quantum Fisher information of ``rho`` with parameter derivative
+    ``drho``: population term sum (dp_i)^2/p_i plus the coherence term,
+    equivalently sum_ij 2|drho_ij|^2/(p_i + p_j) = Re sum_ij conj(drho_ij)
+    L_ij over p_i + p_j > SLD_FLOOR in the eigenbasis of rho.
+    Cross-checked against Tr(rho L^2)."""
+    vals, vecs, drho, l_eig = _sld_in_eigenbasis(rho, drho)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h = float(np.sum(drho.conj() * l_eig).real)  # L is 0 off the support
+        l_op = qcore.hermitianize(vecs @ l_eig @ vecs.conj().T)
+        rho = vecs @ np.diag(np.clip(vals, 0, None)).astype(complex) @ vecs.conj().T
+        h_check = float(np.trace(rho @ l_op @ l_op).real)
+    if not np.isfinite(h):
+        raise NumericalInstability(f"QFI {h} leaves the float range")
     if abs(h - h_check) > 1e-7 * max(h, 1.0):
         raise NumericalInstability(
             f"QFI spectral formula ({h}) disagrees with Tr(rho L^2) ({h_check})"
@@ -103,16 +98,16 @@ def qfi(family: ParamFamily, theta0: float) -> FisherReport:
     return FisherReport(qfi=h, sld=l_op, cramer_rao_floor=floor)
 
 
-def cfi(family: ParamFamily, theta0: float, povm) -> float:
-    """Classical Fisher information sum_x (d_theta p_x)^2 / p_x for a POVM,
-    over the outcomes with p_x above 1e-12."""
+def cfi(rho: np.ndarray, drho: np.ndarray, povm) -> float:
+    """Classical Fisher information sum_x (dp_x)^2 / p_x of a POVM on
+    ``rho`` with parameter derivative ``drho``, over the outcomes with p_x
+    above 1e-12."""
     povm = [np.asarray(e, dtype=complex) for e in povm]
     d = povm[0].shape[0]
     total = sum(povm)
     if np.max(np.abs(total - np.eye(d))) > 1e-10:
         raise InvalidPOVM("POVM elements do not sum to the identity")
-    rho = np.asarray(family.generator(theta0), dtype=complex)
-    drho = family.drho(theta0)
+    rho, drho = _state_pair(rho, drho)
     out = 0.0
     for e in povm:
         p = float(np.trace(rho @ e).real)

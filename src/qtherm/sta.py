@@ -23,6 +23,7 @@ import numpy as np
 from . import oscillators, qcore
 from .errors import (
     DegenerateSpectrum,
+    DimMismatch,
     InvalidParams,
     NumericalInstability,
     TrapInversionWarning,
@@ -133,37 +134,31 @@ def verify_ermakov_invariant(schedule: ErmakovSchedule,
 # --- counterdiabatic driving ---------------------------------------------------------
 
 
-def counterdiabatic(h0_of_t, t: float, dt: float) -> np.ndarray:
+def counterdiabatic(h0: np.ndarray, h0_dot: np.ndarray) -> np.ndarray:
     """Counterdiabatic term
-    H_CD(t) = i sum_{m != n} |m><m| dH0/dt |n><n| / (E_n - E_m)
-    in the instantaneous eigenbasis of H0(t) (Berry's form, zero on the
-    diagonal), with dH0/dt the centred difference of H0 at step ``dt`` > 0.
+    H_CD = i sum_{m != n} |m><m| dH0/dt |n><n| / (E_n - E_m)
+    in the eigenbasis of the bare Hamiltonian ``h0`` at one instant (Berry's
+    form, zero on the diagonal), from its exact time derivative ``h0_dot``.
 
-    A spectral gap below 1e-8 times max(|E|, 1) raises DegenerateSpectrum;
-    a non-finite H0(t), H0(t +- dt), dH0/dt or H_CD raises
+    A gap between adjacent levels of at most 1e-8 max |E| raises
+    DegenerateSpectrum, also when every level is 0 (one level has no gap,
+    and its H_CD is 0); a non-finite H0, dH0/dt or H_CD raises
     NumericalInstability.
     """
-    if not dt > 0:
-        raise InvalidParams("finite-difference step dt must be positive")
-    h_mid, h_plus, h_minus = (np.asarray(h0_of_t(s), dtype=complex)
-                              for s in (t, t + dt, t - dt))
+    h0, h0_dot = (np.asarray(a, dtype=complex) for a in (h0, h0_dot))
+    if h0.shape != h0_dot.shape:
+        raise DimMismatch(f"H0 {h0.shape} and dH0/dt {h0_dot.shape} differ in shape")
+    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h0_dot))):
+        raise NumericalInstability("H0 or its time derivative is not finite")
+    vals, vecs = qcore.hermitian_eig(h0)
     with np.errstate(all="ignore"):
-        h_dot = (h_plus - h_minus) / (2 * dt)
-    if not (np.all(np.isfinite(h_mid)) and np.all(np.isfinite(h_dot))):
-        raise NumericalInstability(
-            f"H0 or its time derivative is not finite at t={t}")
-    vals, vecs = qcore.hermitian_eig(h_mid)
-    with np.errstate(all="ignore"):
-        gaps = np.diff(vals)
-        scale = max(np.max(np.abs(vals)), 1.0)
-        if np.min(gaps) < 1e-8 * scale:
-            raise DegenerateSpectrum(
-                f"spectral gap {np.min(gaps):.2e} below tolerance at t={t}"
-            )
+        gap = np.min(np.diff(vals), initial=np.inf)
+        if gap <= 1e-8 * np.max(np.abs(vals)):
+            raise DegenerateSpectrum(f"spectral gap {gap:.2e} below tolerance")
         denom = vals[None, :] - vals[:, None]  # E_n - E_m at [m, n]
         np.fill_diagonal(denom, np.inf)
-        h_cd_eig = 1j * (vecs.conj().T @ h_dot @ vecs) / denom
+        h_cd_eig = 1j * (vecs.conj().T @ h0_dot @ vecs) / denom
         h_cd = vecs @ h_cd_eig @ vecs.conj().T
     if not np.all(np.isfinite(h_cd)):
-        raise NumericalInstability(f"counterdiabatic term is not finite at t={t}")
+        raise NumericalInstability("counterdiabatic term is not finite")
     return qcore.hermitianize(h_cd)

@@ -66,27 +66,25 @@ def outcoupled_cycle(params, n_fock: int):
     beta_h = 1.0 / (4 * e_max)  # the hot reset's inverse temperature
     dim = n_fock + 1
 
-    def h_first_half(t):
-        return delta * SIGMA_X + (-v * t) * SIGMA_Z
-
-    def h_second_half(t):
-        return delta * SIGMA_X + (-v * (period - t)) * SIGMA_Z
+    # H(t) = delta sx - v t sz up to T/2, then delta sx - v (T - t) sz
+    h_first = (delta * SIGMA_X, -v * SIGMA_Z)
+    h_second = (delta * SIGMA_X - v * period * SIGMA_Z, v * SIGMA_Z)
 
     def osc_phase(dt):
         return np.diag(np.exp(-1j * omega * np.arange(dim) * dt))
 
     a = oscillators.destroy(n_fock)
-    u1 = np.kron(qcore.midpoint_propagator(h_first_half, 0.0, b * period, 400),
+    u1 = np.kron(qcore.midpoint_propagator(*h_first, 0.0, b * period, 400),
                  osc_phase(b * period))
     kick = expm(-1j * g * np.kron(SIGMA_X, a + a.conj().T))
-    u2 = np.kron(qcore.midpoint_propagator(h_first_half, b * period,
-                                           period / 2, 400),
-                 osc_phase(period / 2 - b * period))
-    u3 = np.kron(qcore.midpoint_propagator(h_second_half, period / 2, period,
+    u2 = np.kron(qcore.midpoint_propagator(*h_first, b * period, period / 2,
                                            400),
+                 osc_phase(period / 2 - b * period))
+    u3 = np.kron(qcore.midpoint_propagator(*h_second, period / 2, period, 400),
                  osc_phase(period / 2))
     gibbs_c = qcore.gibbs_state(delta * SIGMA_X, 1.0 / params.beta_c)
-    gibbs_h = qcore.gibbs_state(h_first_half(period / 2), 1.0 / beta_h)
+    gibbs_h = qcore.gibbs_state(delta * SIGMA_X - v * period / 2 * SIGMA_Z,
+                                1.0 / beta_h)
     space = qcore.CompositeSpace((2, dim))
 
     def one_cycle(rho_s):

@@ -273,8 +273,8 @@ def test_n_copy_dimension_at_budget_is_allowed():
 def test_qsl_stationary_state():
     h = np.diag([0.0, 1.0]).astype(complex)
     rho = np.diag([0.8, 0.2]).astype(complex)
-    traj = [(t, rho) for t in np.linspace(0.0, 2.0, 21)]
-    rep = battery.qsl_report(traj, lambda t: h)
+    times = np.linspace(0.0, 2.0, 21)
+    rep = battery.qsl_report(times, [rho] * len(times), h)
     assert rep.bures_distance < 1e-9
     assert rep.tau_mt == 0.0
     assert rep.tau_unified == 0.0
@@ -293,7 +293,7 @@ def test_qsl_mandelstam_tamm_saturation():
         psi = np.exp(-1j * np.array([omega / 2, -omega / 2]) * t) * plus
         return np.outer(psi, psi.conj())
 
-    rep = battery.qsl_report([(t, state(t)) for t in times], lambda t: h)
+    rep = battery.qsl_report(times, [state(t) for t in times], h)
     assert rep.bures_distance == pytest.approx(np.pi / 2, abs=1e-9)
     assert rep.time_averaged_variance == pytest.approx(omega / 2, abs=1e-12)
     assert abs(rep.actual_tau - rep.tau_mt) < 1e-9
@@ -308,11 +308,9 @@ def test_qsl_random_driven_qubits():
         times = np.linspace(0.0, tau, 51)
         vals, vecs = np.linalg.eigh(h)
         c0 = vecs.conj().T @ psi0
-        traj = []
-        for t in times:
-            psi = vecs @ (np.exp(-1j * vals * t) * c0)
-            traj.append((t, np.outer(psi, psi.conj())))
-        rep = battery.qsl_report(traj, lambda t: h)
+        psis = (vecs * c0) @ np.exp(-1j * np.outer(vals, times))
+        rhos = np.einsum("it,jt->tij", psis, psis.conj())
+        rep = battery.qsl_report(times, rhos, h)
         assert rep.actual_tau >= rep.tau_unified - 1e-9
 
 
@@ -342,7 +340,8 @@ def test_qsl_batched_moments_match_the_per_sample_loop():
     for t in np.linspace(0.0, 2.5, 41):
         psi = sla.expm(-1j * t * h0) @ np.array([0.6, 0.8j, 0.0])
         traj.append((t, 0.7 * np.outer(psi, psi.conj()) + 0.1 * np.eye(3)))
-    rep = battery.qsl_report(traj, h_of_t)
+    times, rhos = zip(*traj)
+    rep = battery.qsl_report(times, rhos, [h_of_t(t) for t in times])
     de_tau, e_tau = _qsl_moments_per_sample(traj, h_of_t)
     assert rep.time_averaged_variance == pytest.approx(de_tau, rel=1e-14)
     assert rep.time_averaged_energy == pytest.approx(e_tau, rel=1e-14)
@@ -356,11 +355,9 @@ def test_qsl_stationary_pure_states_do_not_raise():
         h = random_hermitian(d)
         vals, vecs = np.linalg.eigh(h)
         k = int(rng.integers(d))
-        traj = []
-        for t in np.linspace(0.0, rng.uniform(0.5, 3.0), 5):
-            psi = np.exp(-1j * vals[k] * t) * vecs[:, k]
-            traj.append((t, np.outer(psi, psi.conj())))
-        rep = battery.qsl_report(traj, lambda t: h)
+        times = np.linspace(0.0, rng.uniform(0.5, 3.0), 5)
+        psis = np.exp(-1j * vals[k] * times)[:, None] * vecs[:, k]
+        rep = battery.qsl_report(times, psis[:, :, None] * psis[:, None, :].conj(), h)
         assert rep.bures_distance < 1e-9
 
 
@@ -368,15 +365,34 @@ def test_qsl_zero_duration_raises():
     rho = np.diag([0.8, 0.2]).astype(complex)
     h = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(InvalidParams, match="duration"):
-        battery.qsl_report([(1.0, rho), (1.0, rho)], lambda t: h)
+        battery.qsl_report([1.0, 1.0], [rho, rho], h)
 
 
 def test_qsl_inconsistent_trajectory_raises():
     h0 = np.zeros((2, 2), dtype=complex)
-    traj = [(0.0, np.diag([1.0, 0.0]).astype(complex)),
-            (1.0, np.diag([0.0, 1.0]).astype(complex))]
+    rhos = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     with pytest.raises(InconsistentTrajectory):
-        battery.qsl_report(traj, lambda t: h0)
+        battery.qsl_report([0.0, 1.0], rhos, h0)
+
+
+def test_qsl_one_hamiltonian_equals_its_stack():
+    h = random_hermitian(3)
+    times = np.linspace(0.0, 1.5, 7)
+    rhos = [sla.expm(-1j * t * h) @ np.diag([0.5, 0.3, 0.2]) @ sla.expm(1j * t * h)
+            + 0.1 * np.cos(t) * (np.eye(3, k=1) + np.eye(3, k=-1)) for t in times]
+    assert battery.qsl_report(times, rhos, h) == battery.qsl_report(
+        times, rhos, np.array([h] * len(times)))
+
+
+@pytest.mark.parametrize("times,n_states,h_shape", [
+    ([0.0, 1.0, 2.0], 2, (2, 2)),  # fewer states than times
+    ([0.0, 1.0], 2, (3, 2, 2)),  # one Hamiltonian too many
+    ([0.0, 1.0], 2, (3, 3)),  # a Hamiltonian of another dimension
+    ([[0.0, 1.0]], 2, (2, 2)),  # times that are not a vector
+])
+def test_qsl_mismatched_shapes_raise(times, n_states, h_shape):
+    with pytest.raises(DimMismatch):
+        battery.qsl_report(times, [np.eye(2) / 2] * n_states, np.ones(h_shape))
 
 
 # --- energy-space Fisher information ----------------------------------------

@@ -571,6 +571,8 @@ _FLOAT_MAX = repr(sys.float_info.max)
 
 @pytest.mark.parametrize("experiment,sets,error", [
     ("qfi", ["omega=1", "temperature=0"], "InvalidParams"),
+    # dp_e/dT = 2e189 is finite, and its square over p_e (1 - p_e) is not
+    ("qfi", ["omega=1e-190", "temperature=1e-190"], "NumericalInstability"),
     ("thermometry", _THERMOMETRY_SETS + ["t_c_true=0", "t_h_max=2"],
      "InvalidParams"),
     ("thermometry", _THERMOMETRY_SETS + ["kappa_h=0", "kappa_c=0",
@@ -588,9 +590,6 @@ _FLOAT_MAX = repr(sys.float_info.max)
                       "omega_k_steps=4"], "InvalidParams"),
     ("advantage", ["n_cells=2", "n_photons=2", "lam=0.5", "photon_cutoff=10",
                    "tau=8.66e290", "dt=1e-300"], "TooLarge"),
-    ("sta-cd", ["delta=1", "velocity=1", "t=0", "dt=0"], "InvalidParams"),
-    ("sta-cd", ["delta=1", "velocity=0", f"t={_FLOAT_MAX}", f"dt={_FLOAT_MAX}"],
-     "NumericalInstability"),
     ("box-carnot", ["l_a=1e-100", "l_b=1e-200", "mass=1e-300"],
      "InvalidParams"),
     ("box-carnot", ["l_a=1e200", "l_b=1", "mass=1"], "InvalidParams"),
@@ -641,12 +640,12 @@ _FLOAT_MAX = repr(sys.float_info.max)
              "t_cold=1", "rate=1e100", "amplitude=168081467386170.0",
              "waveform=piecewise_asymmetric", "m_max=1"],
      "NumericalInstability"),
-], ids=["qfi-zero-temperature", "thermometry-zero-cold-temperature",
+], ids=["qfi-zero-temperature", "qfi-overflowing-information",
+        "thermometry-zero-cold-temperature",
         "thermometry-undamped-modes", "outcoupled-zero-delta",
         "outcoupled-huge-delta", "outcoupled-huge-g", "outcoupled-largest-g",
         "thermometry-overflowing-grid", "magnetometry-overflowing-grid",
-        "advantage-overflowing-steps", "sta-cd-zero-step",
-        "sta-cd-infinite-step", "box-carnot-energy-overflow",
+        "advantage-overflowing-steps", "box-carnot-energy-overflow",
         "box-carnot-energy-underflow", "ergotropy-negative-population",
         "n-copy-negative-population", "n-copy-overflowing-population",
         "otto-squeezed-overflowing-hot-energy", "sta-ermakov-zero-temperature",
@@ -703,8 +702,7 @@ def test_overflowing_intermediate_gives_the_finite_result(args, want, capsys):
 def test_sta_cd_closed_form_at_the_largest_velocity(capsys):
     # 0.5 delta v alone overflows; delta v/(2 delta²) = v/(2 delta) does not
     row = _run_rows(["sta-cd", "--set", "delta=3", "--set",
-                     f"velocity=-{_FLOAT_MAX}", "--set", "t=0",
-                     "--set", "dt=0.5"], capsys)[0]
+                     f"velocity=-{_FLOAT_MAX}", "--set", "t=0"], capsys)[0]
     assert float(row["closed_form"]) == pytest.approx(-sys.float_info.max / 6,
                                                       rel=1e-15)
     assert float(row["residual"]) <= 1e-9 * sys.float_info.max / 6
@@ -738,6 +736,21 @@ def test_outcoupled_rejects_n_fock(capsys):
     args = ["outcoupled", "--set", "n_cycles=1", "--set", "n_fock=30"]
     assert cli.main(args) == 2
     assert "unknown parameter key 'n_fock'" in capsys.readouterr().err
+
+
+def test_sta_cd_rejects_dt(capsys):
+    # dH0/dt is exact, with no finite-difference step to set
+    args = ["sta-cd", "--set", "delta=1", "--set", "velocity=1", "--set",
+            "t=0.5", "--set", "dt=1e-6"]
+    assert cli.main(args) == 2
+    assert "unknown parameter key 'dt'" in capsys.readouterr().err
+
+
+def test_sta_cd_residual_is_a_few_ulps(capsys):
+    # the centred difference at dt = 1e-6 left a residual of 4.0e-13
+    row = _run_rows(["sta-cd", "--set", "delta=1", "--set", "velocity=1",
+                     "--set", "t=0.5"], capsys)[0]
+    assert float(row["residual"]) <= 8 * np.spacing(float(row["closed_form"]))
 
 
 # sizes kept small so that no example allocates much
@@ -812,6 +825,10 @@ def test_bounded_parameters_never_exit_4(args):
     # (omega/2)² and the time integral of Delta E = omega/2 pass 1.8e308
     ["qsl", "--set", f"omega=-{_FLOAT_MAX}", "--set", "tau=1.9",
      "--set", "samples=2"],
+    # max |H| is subnormal, so 1/s of its power of two s overflowed in the
+    # complex division H/s
+    ["qsl", "--set", "omega=2.225073858507e-311", "--set", f"tau={_FLOAT_MAX}",
+     "--set", "samples=2"],
     # omega_a² passes 1.8e308, once a Python OverflowError
     ["otto-numeric", "--set", "omega_a=1e155", "--set", "omega_b=1",
      "--set", "t_h=2", "--set", "t_c=1", "--set", "ramp_duration=1e-160",
@@ -824,7 +841,7 @@ def test_bounded_parameters_never_exit_4(args):
     # beta = 2.2 / 1e-309 is not a float; 2e308 is not a level spread
     ["ergotropy", "--set", "energies=0,1e-309", "--set", "populations=0.9,0.1"],
     ["ergotropy", "--set", "energies=-1e308,1e308", "--set", "populations=0.9,0.1"],
-], ids=["qsl-largest-tau", "qsl-largest-omega",
+], ids=["qsl-largest-tau", "qsl-largest-omega", "qsl-subnormal-omega",
         "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h",
         "ergotropy-spread-1e-305", "ergotropy-spread-1e-309",
         "ergotropy-overflowing-spread"])
@@ -934,6 +951,49 @@ def test_qsl_does_not_depend_on_the_energy_unit(capsys):
     for key in ("tau_mt", "tau_unified", "actual_tau"):
         assert float(scaled[key]) == pytest.approx(1e300 * float(unit[key]),
                                                    rel=1e-12)
+
+
+def test_sta_cd_does_not_depend_on_the_energy_unit(capsys):
+    # delta -> s delta, velocity -> s² velocity and t -> t/s scale H_CD by
+    # s; the gap test was once against 1e-8 max(max |E|, 1), so
+    # delta = 1e-10, velocity = 1e-20, t = 5e9 exited 3
+    unit = ["delta=1", "velocity=1", "t=0.5"]
+    for s in [4.0**k for k in (-30, -10, -2, 2, 10, 30)] + [1e-10]:
+        unit_row, scaled = _scaled_rows(
+            "sta-cd", unit,
+            [f"delta={s!r}", f"velocity={s * s!r}", f"t={0.5 / s!r}"], [],
+            capsys)
+        for key in ("cd_coefficient", "closed_form", "residual"):
+            assert float(scaled[key]) == pytest.approx(
+                s * float(unit_row[key]), rel=1e-12), (s, key)
+
+
+def test_qfi_does_not_depend_on_the_energy_unit(capsys):
+    # the centred difference's step was 1e-5 max(|T|, 1), so T = 7e-7
+    # exited 3 ("temperature must exceed the finite-difference step")
+    unit, scaled = _scaled_rows("qfi", ["omega=1", "temperature=0.7"],
+                                ["omega=1e-6", "temperature=7e-7"], [], capsys)
+    assert float(scaled["qfi"]) == pytest.approx(1e12 * float(unit["qfi"]),
+                                                 rel=1e-12)
+    assert float(scaled["cramer_rao_floor"]) == pytest.approx(
+        1e-12 * float(unit["cramer_rao_floor"]), rel=1e-12)
+
+
+def test_ctm_mode_does_not_depend_on_the_energy_unit(capsys):
+    # currents near 1e-14 once met classify_mode's absolute 1e-9 sign
+    # threshold, so the scaled engine read "Off" with efficiency nan
+    s = 2.0**-20
+    keys = {"omega0": 10, "drive_frequency": 2, "t_hot": 3, "t_cold": 1,
+            "amplitude": 1.7}
+    unit, scaled = _scaled_rows(
+        "ctm", [f"{k}={v!r}" for k, v in keys.items()],
+        [f"{k}={v * s!r}" for k, v in keys.items()] + [f"rate={s!r}"], [],
+        capsys)
+    assert unit["mode"] == scaled["mode"] == "Engine"
+    assert float(scaled["efficiency_or_cop"]) == pytest.approx(1 / 3, rel=1e-12)
+    for key in ("j_hot", "j_cold", "power"):
+        assert float(scaled[key]) == pytest.approx(s * s * float(unit[key]),
+                                                   rel=1e-12), key
 
 
 def test_charge_dicke_does_not_depend_on_the_energy_unit(capsys):

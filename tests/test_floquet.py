@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from scipy.special import jv
 
 import dense_gksl
+from callback_propagator import callback_propagator
 from qtherm import floquet, lindblad, qcore
 from qtherm.errors import (InvalidParams, NoCoupling, NumericalInstability,
                            UnclassifiableState)
@@ -23,7 +24,7 @@ def floquet_hamiltonian(h_of_t, period: float, n_steps: int = 2000) -> np.ndarra
     matrix logarithm puts the quasi-energies in (-Omega/2, Omega/2] with
     Omega = 2 pi / T.
     """
-    u = qcore.midpoint_propagator(h_of_t, 0.0, period, n_steps)
+    u = callback_propagator(h_of_t, 0.0, period, n_steps)
     # principal log via the (unitary) eigendecomposition
     vals, vecs = sla.schur(u, output="complex")
     phases = np.angle(np.diag(vals))  # in (-pi, pi]

@@ -587,6 +587,16 @@ def test_vectorised_rates_match_scalar_rate(family):
         spectral.positive_side(w[w >= 0]))
 
 
+def test_ohmic_rate_is_zero_where_omega_over_cutoff_overflows():
+    # omega/cutoff = inf once gave inf * e^-inf = NaN, with a RuntimeWarning
+    spectral = lindblad.SpectralFunction("ohmic_exp_cutoff", 1.0, cutoff=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral.positive_side(1e10) == 0
+        assert list(spectral.positive_side(np.array([1e10, 1e-300, 0.0]))) == [
+            0.0, math.exp(-1.0), 0.0]
+
+
 def test_d256_steady_state_without_superoperator():
     """Two-mode model at cutoff 15: its d² x d² superoperator would take
     about 69 GB."""

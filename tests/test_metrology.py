@@ -5,12 +5,12 @@ from scipy.linalg import expm
 import dense_gksl
 from qtherm import cycles, lindblad, metrology, oscillators, qcore
 from qtherm.errors import (
+    DimMismatch,
     InvalidParams,
     InvalidPOVM,
     NullNotBracketed,
     SingularState,
 )
-from qtherm.metrology import ParamFamily
 
 rng = np.random.default_rng(31)
 
@@ -26,6 +26,14 @@ def qubit_thermal(omega, temperature):
     return np.diag([p_e, 1.0 - p_e]).astype(complex)
 
 
+def at(gen, theta, step=None):
+    """The state gen(theta) and its centred-difference derivative, at the
+    step 1e-5 max(|theta|, 1) unless one is given."""
+    h = 1e-5 * max(abs(theta), 1.0) if step is None else step
+    drho = (np.asarray(gen(theta + h)) - np.asarray(gen(theta - h))) / (2 * h)
+    return gen(theta), qcore.hermitianize(drho)
+
+
 def fidelity(rho, sigma):
     vals, vecs = np.linalg.eigh(rho)
     sq = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
@@ -39,14 +47,12 @@ def fidelity(rho, sigma):
 
 def test_sld_constant_family_is_zero():
     rho = qubit_thermal(1.0, 1.0)
-    fam = ParamFamily(lambda theta: rho)
-    assert np.max(np.abs(metrology.sld(fam, 0.3))) < 1e-10
+    assert np.max(np.abs(metrology.sld(*at(lambda theta: rho, 0.3)))) < 1e-10
 
 
 def test_sld_diagonal_thermal_closed_form():
     omega, temp = 1.3, 0.8
-    fam = ParamFamily(lambda t: qubit_thermal(omega, t))
-    l_op = metrology.sld(fam, temp)
+    l_op = metrology.sld(*at(lambda t: qubit_thermal(omega, t), temp))
     # L is diagonal with L_ii = d_T ln p_i
     x = omega / temp
     dp_e = (omega / temp**2) * np.exp(x) / (1 + np.exp(x)) ** 2
@@ -67,10 +73,9 @@ def test_sld_solves_lyapunov_equation():
         return u @ np.diag(pops).astype(complex) @ u.conj().T
 
     theta0 = 0.4
-    fam = ParamFamily(gen)
-    l_op = metrology.sld(fam, theta0)
-    rho = gen(theta0)
-    residual = fam.drho(theta0) - 0.5 * (l_op @ rho + rho @ l_op)
+    rho, drho = at(gen, theta0)
+    l_op = metrology.sld(rho, drho)
+    residual = drho - 0.5 * (l_op @ rho + rho @ l_op)
     assert np.max(np.abs(residual)) < 1e-8
     assert np.max(np.abs(l_op - l_op.conj().T)) < 1e-12
 
@@ -84,7 +89,7 @@ def test_sld_kernel_coupling_raises():
         return base + theta * kick
 
     with pytest.raises(SingularState):
-        metrology.sld(ParamFamily(gen), 0.0)
+        metrology.sld(*at(gen, 0.0))
 
 
 # --- quantum Fisher information ---------------------------------------------------
@@ -103,19 +108,18 @@ def test_qfi_pure_state_unitary_family():
 
     mean = np.vdot(psi0, g @ psi0).real
     var = np.vdot(psi0, g @ g @ psi0).real - mean**2
-    rep = metrology.qfi(ParamFamily(gen), 0.2)
+    rep = metrology.qfi(*at(gen, 0.2))
     assert rep.qfi == pytest.approx(4 * var, rel=1e-7)
     assert rep.cramer_rao_floor == pytest.approx(1.0 / (4 * var), rel=1e-7)
 
 
 def test_qfi_thermal_qubit_closed_form():
     omega, temp = 1.0, 1.0
-    fam = ParamFamily(lambda t: qubit_thermal(omega, t))
     x = omega / temp
     dp = (omega / temp**2) * np.exp(x) / (1 + np.exp(x)) ** 2
     p = 1.0 / (1.0 + np.exp(x))
     expected = dp**2 * (1.0 / p + 1.0 / (1.0 - p))
-    rep = metrology.qfi(fam, temp)
+    rep = metrology.qfi(*at(lambda t: qubit_thermal(omega, t), temp))
     assert rep.qfi == pytest.approx(expected, rel=1e-7)
 
 
@@ -128,7 +132,7 @@ def test_qfi_matches_fidelity_susceptibility():
         return u @ np.diag([p, 1 - p]).astype(complex) @ u.conj().T
 
     theta0 = 0.3
-    rep = metrology.qfi(ParamFamily(gen, dtheta=1e-6), theta0)
+    rep = metrology.qfi(*at(gen, theta0, step=1e-6))
 
     def chi(eps):
         # Bures relation uses the fidelity amplitude sqrt(F)
@@ -143,7 +147,8 @@ def test_qfi_matches_fidelity_susceptibility():
 # --- classical Fisher information ---------------------------------------------------
 
 
-def mixed_qubit_family():
+def mixed_qubit_state():
+    """A rotating, dephasing qubit and its derivative at theta = 0.45."""
     k = random_hermitian(2, np.random.default_rng(7))
 
     def gen(theta):
@@ -151,39 +156,46 @@ def mixed_qubit_family():
         u = expm(-1j * theta * k)
         return u @ np.diag([p, 1 - p]).astype(complex) @ u.conj().T
 
-    return ParamFamily(gen)
+    return at(gen, 0.45)
 
 
 def test_cfi_sld_eigenbasis_saturates_qfi():
-    fam = mixed_qubit_family()
-    theta0 = 0.45
-    rep = metrology.qfi(fam, theta0)
+    state = mixed_qubit_state()
+    rep = metrology.qfi(*state)
     _, vecs = np.linalg.eigh(rep.sld)
     povm = [np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(2)]
-    assert metrology.cfi(fam, theta0, povm) == pytest.approx(rep.qfi, rel=1e-7)
+    assert metrology.cfi(*state, povm) == pytest.approx(rep.qfi, rel=1e-7)
 
 
 def test_cfi_trivial_povm_is_zero():
-    fam = mixed_qubit_family()
-    assert metrology.cfi(fam, 0.45, [np.eye(2)]) == pytest.approx(0.0, abs=1e-12)
+    state = mixed_qubit_state()
+    assert metrology.cfi(*state, [np.eye(2)]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cfi_incomplete_povm_raises():
-    fam = mixed_qubit_family()
+    state = mixed_qubit_state()
     proj = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(InvalidPOVM):
-        metrology.cfi(fam, 0.45, [proj])
+        metrology.cfi(*state, [proj])
+
+
+def test_mismatched_derivative_raises():
+    rho = np.eye(2) / 2
+    for call in (lambda: metrology.sld(rho, np.eye(3)),
+                 lambda: metrology.qfi(rho, np.eye(3)),
+                 lambda: metrology.cfi(rho, np.eye(3), [np.eye(2)])):
+        with pytest.raises(DimMismatch):
+            call()
 
 
 def test_cfi_bounded_by_qfi():
-    fam = mixed_qubit_family()
-    theta0 = 0.45
-    rep = metrology.qfi(fam, theta0)
+    state = mixed_qubit_state()
+    rep = metrology.qfi(*state)
     for _ in range(100):
         a = random_hermitian(2)
         _, vecs = np.linalg.eigh(a)
         povm = [np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(2)]
-        assert metrology.cfi(fam, theta0, povm) <= rep.qfi + 1e-8
+        assert metrology.cfi(*state, povm) <= rep.qfi + 1e-8
 
 
 # --- Otto-null thermometry ----------------------------------------------------------

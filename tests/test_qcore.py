@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg as sla
 
 import dense_gksl
+from callback_propagator import callback_propagator
 from qtherm import qcore
-from qtherm.errors import InvalidSubsystem, NotHermitian
+from qtherm.errors import DimMismatch, InvalidSubsystem, NotHermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -148,7 +149,7 @@ def test_spin_operators_algebra(j):
 
 def test_midpoint_propagator_constant_hamiltonian():
     h = random_hermitian(4)
-    u = qcore.midpoint_propagator(lambda t: h, 0.3, 1.7, 50)
+    u = qcore.midpoint_propagator(h, np.zeros((4, 4)), 0.3, 1.7, 50)
     assert np.allclose(u, sla.expm(-1j * h * 1.4), rtol=0, atol=1e-12)
 
 
@@ -167,9 +168,21 @@ def test_midpoint_propagator_matches_expm_loop():
     for d, n_steps in [(2, 1), (2, 2), (3, 7), (2, 400), (2, 401), (3, 37),
                        (5, 12)]:
         h0, h1 = random_hermitian(d), random_hermitian(d)
-        h_of_t = lambda t: h0 + np.sin(1.3 * t) * h1
-        got = qcore.midpoint_propagator(h_of_t, 0.2, 2.9, n_steps)
+        h_of_t = lambda t: h0 + t * h1
+        got = qcore.midpoint_propagator(h0, h1, 0.2, 2.9, n_steps)
         assert np.max(np.abs(got - expm_loop_propagator(h_of_t, 0.2, 2.9, n_steps))) < 1e-13
+
+
+def test_midpoint_propagator_equals_the_callback_route_bit_for_bit():
+    # the stacked build h_a + t h_b is the callback's H(t) entry for entry
+    local = np.random.default_rng(50)
+    for _ in range(50):
+        d = int(local.integers(2, 5))
+        h_a, h_b = random_hermitian(d, local), random_hermitian(d, local)
+        t0, t1 = sorted(local.uniform(-3.0, 3.0, size=2))
+        n = int(local.integers(1, 500))
+        want = callback_propagator(lambda t: h_a + t * h_b, t0, t1, n)
+        assert np.array_equal(qcore.midpoint_propagator(h_a, h_b, t0, t1, n), want)
 
 
 def test_ordered_product_keeps_time_order_and_leading_axes():
@@ -182,8 +195,16 @@ def test_ordered_product_keeps_time_order_and_leading_axes():
 
 
 def test_midpoint_propagator_rejects_non_hermitian():
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):
-        qcore.midpoint_propagator(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0, 4)
+        qcore.midpoint_propagator(shift, np.zeros((2, 2)), 0.0, 1.0, 4)
+    with pytest.raises(NotHermitian):
+        qcore.midpoint_propagator(np.eye(2), shift, 0.0, 1.0, 4)
+
+
+def test_midpoint_propagator_rejects_a_mismatched_pair():
+    with pytest.raises(DimMismatch):
+        qcore.midpoint_propagator(np.eye(2), np.eye(3), 0.0, 1.0, 4)
 
 
 def test_matrix_exp_trivial():

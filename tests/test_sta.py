@@ -8,6 +8,7 @@ import fock_oracle
 from qtherm import oscillators, sta
 from qtherm.errors import (
     DegenerateSpectrum,
+    DimMismatch,
     NumericalInstability,
     TrapInversionWarning,
 )
@@ -166,8 +167,14 @@ def test_ermakov_invariant_drift_and_population_restoration():
 
 def test_cd_time_independent_is_zero():
     h = 0.4 * SZ + 0.3 * SX
-    h_cd = sta.counterdiabatic(lambda t: h, 0.5, 1e-5)
+    h_cd = sta.counterdiabatic(h, np.zeros((2, 2)))
     assert np.max(np.abs(h_cd)) < 1e-8
+
+
+def test_cd_of_one_level_is_zero():
+    # one level has no transition to suppress; np.min over its empty list
+    # of gaps once raised a ValueError
+    assert sta.counterdiabatic(np.eye(1), 3 * np.eye(1)).tolist() == [[0]]
 
 
 def test_cd_landau_zener_closed_form():
@@ -176,42 +183,56 @@ def test_cd_landau_zener_closed_form():
     def omega(t):
         return -2.0 * t
 
-    def h0(t):
-        return delta * SX + omega(t) * SZ
-
     for t in [0.1, 0.3, 0.8]:
-        h_cd = sta.counterdiabatic(h0, t, 1e-6)
+        h_cd = sta.counterdiabatic(delta * SX + omega(t) * SZ, -2.0 * SZ)
         omega_dot = -2.0
         expected = -0.5 * delta * omega_dot / (delta**2 + omega(t) ** 2) * SY
         assert np.max(np.abs(h_cd - expected)) < 1e-8
         assert np.max(np.abs(h_cd - h_cd.conj().T)) < 1e-10
 
 
-def test_cd_gauge_diagonal_vanishes():
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def test_cd_mismatched_derivative_raises():
+    with pytest.raises(DimMismatch):
+        sta.counterdiabatic(SZ, np.eye(3))
+
+
+def _random_path(gen, dim, base, amp, rates):
+    """H0(t) = base + amp (cos(r0 t) h_a + sin(r1 t) h_b) for random
+    Hermitian h_a, h_b, and its exact derivative."""
+    a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    b = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     ha, hb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
+    r0, r1 = rates
 
     def h0(t):
-        return np.diag([0.0, 1.0, 2.5, 4.0]) + 0.2 * np.cos(t) * ha + 0.2 * np.sin(t) * hb
+        return base + amp * np.cos(r0 * t) * ha + amp * np.sin(r1 * t) * hb
 
-    h_cd = sta.counterdiabatic(h0, 0.7, 1e-6)
+    def h0_dot(t):
+        return amp * r1 * np.cos(r1 * t) * hb - amp * r0 * np.sin(r0 * t) * ha
+
+    return h0, h0_dot
+
+
+def test_cd_gauge_diagonal_vanishes():
+    h0, h0_dot = _random_path(rng, 4, np.diag([0.0, 1.0, 2.5, 4.0]), 0.2, (1, 1))
+    h_cd = sta.counterdiabatic(h0(0.7), h0_dot(0.7))
     _, vecs = np.linalg.eigh(h0(0.7))
     diag = np.einsum("in,ij,jn->n", vecs.conj(), h_cd, vecs)
     assert np.max(np.abs(diag)) < 1e-10
 
 
 def test_cd_degenerate_spectrum_raises():
-    def h0(t):
-        return np.diag([0.0, 1e-12, 1.0]) + 0j
-
     with pytest.raises(DegenerateSpectrum):
-        sta.counterdiabatic(h0, 0.0, 1e-6)
+        sta.counterdiabatic(np.diag([0.0, 1e-12, 1.0]), np.zeros((3, 3)))
+    # the gap test is relative to max |E|, and an all-zero spectrum is
+    # degenerate at every energy unit
+    with pytest.raises(DegenerateSpectrum):
+        sta.counterdiabatic(np.zeros((2, 2)), SZ)
 
 
-def _transport_infidelity(h0, tau, level, dim):
+def _transport_infidelity(h0, h0_dot, tau, level, dim):
     def rhs(t, y):
-        h = h0(t) + sta.counterdiabatic(h0, t, 1e-6)
+        h = h0(t) + sta.counterdiabatic(h0(t), h0_dot(t))
         return (-1j * h @ y.reshape(dim, 1)).reshape(-1)
 
     _, vecs0 = np.linalg.eigh(h0(0.0))
@@ -232,7 +253,7 @@ def test_cd_fast_landau_zener_transport():
         return delta * SX + (-40.0 * (t - 0.05)) * SZ  # 100x faster than adiabatic
 
     def rhs(t, y):
-        h = h0(t) + sta.counterdiabatic(h0, t, 1e-7)
+        h = h0(t) + sta.counterdiabatic(h0(t), -40.0 * SZ)
         return (-1j * h @ y.reshape(2, 1)).reshape(-1)
 
     _, v0 = np.linalg.eigh(h0(0.0))
@@ -244,16 +265,10 @@ def test_cd_fast_landau_zener_transport():
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_cd_transport_random_paths(dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    ha, hb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
-
-    def h0(t):
-        base = np.diag(2.0 * np.arange(dim)).astype(complex)
-        return base + 0.3 * np.cos(2 * t) * ha + 0.3 * np.sin(t) * hb
-
+    h0, h0_dot = _random_path(rng, dim, np.diag(2.0 * np.arange(dim)), 0.3,
+                              (2, 1))
     for level in range(dim):
-        assert _transport_infidelity(h0, 1.5, level, dim) < 1e-6
+        assert _transport_infidelity(h0, h0_dot, 1.5, level, dim) < 1e-6
 
 
 def _aligned_eig(h, reference):
@@ -282,28 +297,20 @@ def counterdiabatic_by_eigenvector_difference(h0, t, dt):
 def test_cd_matches_eigenvector_difference_oracle():
     local = np.random.default_rng(5)
     for _ in range(20):
-        a = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
-        b = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))
-        ha, hb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
+        h0, h0_dot = _random_path(local, 4, np.diag([0.0, 1.0, 2.5, 4.0]), 0.3,
+                                  (1, 2))
         t = local.uniform(-2.0, 2.0)
-
-        def h0(tt):
-            return (np.diag([0.0, 1.0, 2.5, 4.0]) + 0.3 * np.cos(tt) * ha
-                    + 0.3 * np.sin(2 * tt) * hb)
-
         expected = counterdiabatic_by_eigenvector_difference(h0, t, 1e-5)
-        assert np.max(np.abs(sta.counterdiabatic(h0, t, 1e-5) - expected)) < 1e-8
+        assert np.max(np.abs(sta.counterdiabatic(h0(t), h0_dot(t)) - expected)) < 1e-8
 
 
-@pytest.mark.parametrize("velocity,t,dt", [
-    (0.0, 1.7976931348623157e308, 1.7976931348623157e308),  # 0 * inf
-    (1e308, 1e308, 1e-6),  # H0(t) itself overflows
-    (1.0, 0.0, 1e-320),  # dH0/dt overflows
-])
-def test_cd_non_finite_drive_raises(velocity, t, dt):
-    def h0(tt):
-        eps = -velocity * tt  # no inf * 0 in building H0 itself
-        return np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
-
+def test_cd_non_finite_drive_raises():
+    # H0 = sx - v t sz with v t = 1e616: H0 itself overflows
+    velocity, t = 1e308, 1e308
+    eps = -velocity * t  # no inf * 0 in building H0 itself
+    h0 = np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
     with pytest.raises(NumericalInstability):
-        sta.counterdiabatic(h0, t, dt)
+        sta.counterdiabatic(h0, np.diag([-velocity, velocity]))
+    # a finite drive whose H_CD = dH0/dt / gap overflows
+    with pytest.raises(NumericalInstability):
+        sta.counterdiabatic(1e-300 * SX, 1e308 * SZ)
