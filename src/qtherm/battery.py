@@ -601,8 +601,9 @@ def _blocks(sectors: Sequence[_Sector], entries, dim: int) -> List[np.ndarray]:
 def _sector_eig(sectors: Sequence[_Sector], entries, dim: int) -> list:
     """Eigenpairs of the matrix with nonzero ``entries`` in each of
     ``sectors`` (as ``_blocks`` takes them): a (sector, levels,
-    eigenvectors in the sector basis) triple per sector."""
-    return [(s, *qcore.hermitian_eig(blk))
+    eigenvectors in the sector basis) triple per sector. The blocks are
+    real and symmetric by construction, so they go to ``eigh`` unchecked."""
+    return [(s, *np.linalg.eigh(blk))
             for s, blk in zip(sectors, _blocks(sectors, entries, dim))]
 
 
@@ -917,7 +918,7 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     start = sectors[n_photons % 2]
     others = [s for s in sectors.values() if s is not start]
     blocks = _blocks([start] + others, entries, dim)
-    drive = [(start, *qcore.hermitian_eig(blocks[0]))]
+    drive = [(start, *np.linalg.eigh(blocks[0]))]
     ground = min([drive[0][1][0]] + [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
                                      for blk in blocks[1:]])
     times = _time_grid(tau, dt)

@@ -280,6 +280,16 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
     states, with no Fock cutoff), and the diabatic work excess relative to
     the ideal cycle is reported in ``extras`` (quantum friction makes it
     non-negative).
+
+    Only the expansion's fundamental matrix M = [[a, b], [c, d]] is
+    integrated (``oscillators.ramp_fundamental``). The compression's
+    omega(t) is the expansion's at ramp_duration - t, and if y(t) solves
+    the expansion, P y(ramp_duration - t) with P = diag(1, -1) solves the
+    compression, so its fundamental matrix is P M⁻¹ P = [[d, b], [c, a]]
+    (det M = 1: each Magnus step is the exponential of a traceless
+    matrix). The swap only permutes the entries of the scaled norm the
+    ramp's grid is refined in, so the compression meets the same
+    tolerance.
     """
     _check_otto(omega_a, omega_b, t_h, t_c)
     for name, value in (("ramp_duration", ramp_duration),
@@ -288,21 +298,21 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
         if not value > 0:
             raise InvalidParams(f"{name} must be positive")
 
-    def ramp(sigma, w_from, w_to):
-        return oscillators.ramp_covariance(
-            sigma, lambda t: (w_from + (w_to - w_from) * t / ramp_duration) ** 2,
-            ramp_duration)
+    def expansion_squared(t):
+        return (omega_a + (omega_b - omega_a) * t / ramp_duration) ** 2
 
     energy = oscillators.covariance_energy
     with np.errstate(all="ignore"):  # checked below
         sigma = oscillators.thermal_covariance(omega_a, t_h)
         e0 = energy(sigma, omega_a)
-        sigma = ramp(sigma, omega_a, omega_b)  # expansion
+        m = oscillators.ramp_fundamental(expansion_squared, ramp_duration)
+        sigma = m @ sigma @ m.T  # expansion
         e1 = energy(sigma, omega_b)
         sigma = oscillators.thermalize_covariance(sigma, omega_b, t_c, kappa,
                                                   thermalization_time)
         e2 = energy(sigma, omega_b)
-        sigma = ramp(sigma, omega_b, omega_a)  # compression
+        m = m[::-1, ::-1].T  # [[d, b], [c, a]]
+        sigma = m @ sigma @ m.T  # compression
         e3 = energy(sigma, omega_a)
         sigma = oscillators.thermalize_covariance(sigma, omega_a, t_h, kappa,
                                                   thermalization_time)

@@ -9,6 +9,7 @@ Fourier weights P_m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,22 +99,28 @@ def sideband_weights(mod: PeriodicModulation, m_max: int = 40) -> SidebandWeight
     lie outside the window. A phase (A/Omega, or A u T of the piecewise
     waveform) beyond the float range raises NumericalInstability.
     """
+    with np.errstate(all="ignore"):  # checked in _sideband_weights
+        return _sideband_weights(mod, m_max)
+
+
+def _sideband_weights(mod: PeriodicModulation, m_max: int) -> SidebandWeights:
+    """``sideband_weights`` for a caller that has set np.errstate: an
+    overflow is checked here, not warned of."""
     if m_max < 0:
         raise InvalidParams("m_max must be non-negative")
     m = np.arange(-m_max, m_max + 1)
     if mod.waveform == "constant":
         return SidebandWeights(m_max, (m == 0).astype(float))
-    with np.errstate(all="ignore"):  # checked below
-        a = mod.amplitude / mod.drive_frequency
-        if mod.waveform == "sinusoidal":
-            phase = a
-            w = jv(m, a) ** 2
-        else:  # piecewise_asymmetric
-            u = mod.up_fraction
-            phase = mod.amplitude * (u * mod.period)
-            sign = 1 - 2 * (m % 2)
-            w = (u * np.sinc((a + m) * u)
-                 + sign * (1 - u) * np.sinc(m * (1 - u) - a * u)) ** 2
+    a = mod.amplitude / mod.drive_frequency
+    if mod.waveform == "sinusoidal":
+        phase = a
+        w = jv(m, a) ** 2
+    else:  # piecewise_asymmetric
+        u = mod.up_fraction
+        phase = mod.amplitude * (u * mod.period)
+        sign = 1 - 2 * (m % 2)
+        w = (u * np.sinc((a + m) * u)
+             + sign * (1 - u) * np.sinc(m * (1 - u) - a * u)) ** 2
     if not (np.isfinite(phase) and np.all(np.isfinite(w))):
         raise NumericalInstability(
             "the modulation phase over one period leaves the float range")
@@ -183,9 +190,10 @@ def spectral_separation_preset(
 def _channels(cfg: CTMConfig, m_max: int):
     """Active sideband channels: (m, bath, omega_m, P_m * gamma(omega_m)).
 
-    Raises NoCoupling when no sideband falls inside any bath window.
+    Raises NoCoupling when no sideband falls inside any bath window. A
+    sideband beyond the float range is inf, so the caller sets np.errstate.
     """
-    weights = sideband_weights(cfg.modulation, m_max)
+    weights = _sideband_weights(cfg.modulation, m_max)
     m = np.arange(-m_max, m_max + 1)
     w = cfg.modulation.mean_gap + m * cfg.modulation.drive_frequency
     up = w > 0
@@ -246,24 +254,29 @@ def ctm_currents(cfg: CTMConfig, m_max: int = 40) -> CTMReport:
     """Steady-state heat currents, power, and operating mode.
 
     J_j = sum_m ((omega0 + m Omega)/omega0) Tr(L_m^j rho_ss H_F) with
-    H_F = (omega0/2) sigma_z; P = -(J_h + J_c).
+    H_F = (omega0/2) sigma_z; P = -(J_h + J_c). A current or power beyond
+    the float range raises NumericalInstability. The critical frequency
+    omega0 (T_h - T_c)/(T_h + T_c) is formed from T_c/T_h, so it overflows
+    only where omega0 does.
     """
-    channels = _channels(cfg, m_max)
-    r = _population_ratio(channels)
-    omega0 = cfg.modulation.mean_gap
-    omega = cfg.modulation.drive_frequency
-    p_e = r / (1.0 + r)
-    p_g = 1.0 / (1.0 + r)
-    currents = {cfg.hot_bath.label: 0.0, cfg.cold_bath.label: 0.0}
-    for _m, bath, w_m, u in channels:
-        # net upward population flux of this channel at the steady state
-        flux = u * (np.exp(-w_m / bath.temperature) * p_g - p_e)
-        currents[bath.label] += w_m * flux
-    j_h = currents[cfg.hot_bath.label]
-    j_c = currents[cfg.cold_bath.label]
-    power = -(j_h + j_c)
     t_h, t_c = cfg.hot_bath.temperature, cfg.cold_bath.temperature
-    omega_cr = omega0 * (t_h - t_c) / (t_h + t_c)
+    with np.errstate(all="ignore"):  # checked below
+        channels = _channels(cfg, m_max)
+        r = _population_ratio(channels)
+        p_e = r / (1.0 + r)
+        p_g = 1.0 / (1.0 + r)
+        currents = {cfg.hot_bath.label: 0.0, cfg.cold_bath.label: 0.0}
+        for _m, bath, w_m, u in channels:
+            # net upward population flux of this channel at the steady state
+            flux = u * (np.exp(-w_m / bath.temperature) * p_g - p_e)
+            currents[bath.label] += w_m * flux
+        j_h = currents[cfg.hot_bath.label]
+        j_c = currents[cfg.cold_bath.label]
+        power = -(j_h + j_c)
+        ratio = t_c / t_h
+        omega_cr = cfg.modulation.mean_gap * ((1.0 - ratio) / (1.0 + ratio))
+    if not all(map(math.isfinite, (j_h, j_c, power))):
+        raise NumericalInstability("CTM heat currents leave the float range")
     mode = classify_mode(j_h, j_c, power)
     eff = None
     if mode == "Engine" and j_h > 0:

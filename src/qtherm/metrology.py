@@ -101,13 +101,16 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> FisherReport:
 def cfi(rho: np.ndarray, drho: np.ndarray, povm) -> float:
     """Classical Fisher information sum_x (dp_x)^2 / p_x of a POVM on
     ``rho`` with parameter derivative ``drho``, over the outcomes with p_x
-    above 1e-12."""
-    povm = [np.asarray(e, dtype=complex) for e in povm]
-    d = povm[0].shape[0]
-    total = sum(povm)
-    if np.max(np.abs(total - np.eye(d))) > 1e-10:
-        raise InvalidPOVM("POVM elements do not sum to the identity")
+    above 1e-12. An empty POVM raises InvalidPOVM, and elements of another
+    shape than rho DimMismatch."""
     rho, drho = _state_pair(rho, drho)
+    povm = [np.asarray(e, dtype=complex) for e in povm]
+    if not povm:
+        raise InvalidPOVM("POVM has no elements")
+    if any(e.shape != rho.shape for e in povm):
+        raise DimMismatch(f"POVM elements differ in shape from the state {rho.shape}")
+    if np.max(np.abs(sum(povm) - np.eye(len(rho)))) > 1e-10:
+        raise InvalidPOVM("POVM elements do not sum to the identity")
     out = 0.0
     for e in povm:
         p = float(np.trace(rho @ e).real)

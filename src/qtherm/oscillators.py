@@ -5,12 +5,12 @@ Second-moment route, used by ``cycles.otto_numeric`` and
 and frequency ramps and the thermal damping channel keep it one, so the
 covariance Sigma = [[<x²>, C], [C, <p²>]], C = <{x, p}>/2, carries every
 quadratic observable. A ramp maps Sigma -> M Sigma Mᵀ, with M the 2x2
-fundamental matrix of x'' + omega(t)² x = 0, a time-ordered product of
-closed-form exponentials of sixth-order Magnus generators on a fixed grid
-(``qcore.ordered_product``). At fixed frequency the damping channel
-(jumps a at rate kappa(nbar+1), a† at rate kappa nbar) relaxes <a†a> to
-nbar as e^{-kappa t} and turns <a²> as e^{-(kappa + 2i omega) t}, in
-closed form. No Fock cutoff enters.
+fundamental matrix of x'' + omega(t)² x = 0 (``ramp_fundamental``), a
+time-ordered product of closed-form exponentials of sixth-order Magnus
+generators on a fixed grid (``qcore.ordered_product``). At fixed
+frequency the damping channel (jumps a at rate kappa(nbar+1), a† at rate
+kappa nbar) relaxes <a†a> to nbar as e^{-kappa t} and turns <a²> as
+e^{-(kappa + 2i omega) t}, in closed form. No Fock cutoff enters.
 
 Fock basis. ``destroy`` builds ladder operators for ``battery``. No
 function of the package calls ``squeeze``, ``FrequencyRamp`` or
@@ -126,24 +126,23 @@ def _fundamental(omega_squared, tau: float, segments: int,
     return np.array(out)
 
 
-def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
-                    samples: int = None) -> np.ndarray:
-    """Covariance under H(t) = p²/2 + omega(t)² x²/2 for 0 <= t <= tau.
+def ramp_fundamental(omega_squared, tau: float, samples: int = None) -> np.ndarray:
+    """Fundamental matrix M(t) of x'' + omega(t)² x = 0, M(0) = I, over
+    0 <= t <= tau: M maps (x, p) at 0 to (x, p) at t.
 
     ``omega_squared`` maps an array of times to omega(t)² element-wise; it
     must be positive on a 4001-point grid of [0, tau], else InvalidParams,
     and finite there, else NumericalInstability.
     The phase integral of omega(t), a trapezoid on that grid, may not exceed
-    MAX_RAMP_PHASE, else TooLarge. The fundamental matrix M(t) of
-    x'' + omega(t)² x = 0, M(0) = I, is a time-ordered product of
+    MAX_RAMP_PHASE, else TooLarge. M is a time-ordered product of
     sixth-order Magnus steps on a fixed grid, one step per RAMP_STEP_PHASE
     rad of phase and at least 8. The grid doubles until M agrees with the
     coarser grid's to RAMP_RTOL in the max norm of
     [[x_x, w x_p], [p_x / w, p_p]], w the mean frequency, at every sample;
     it doubles at most MAX_RAMP_DOUBLINGS times, else NumericalInstability,
-    as for an overflow or a result that is not finite. Sigma(t) =
-    M(t) Sigma M(t)ᵀ. Returns the 2x2 covariance at tau, or a stack
-    (samples, 2, 2) at ``samples`` equally spaced times from 0 to tau.
+    as for an overflow or a result that is not finite. Returns the 2x2
+    M(tau), or a stack (samples, 2, 2) at ``samples`` equally spaced times
+    from 0 (M = I) to tau.
     """
     if samples is not None and samples < 2:
         raise InvalidParams("a ramp needs at least 2 samples")
@@ -179,8 +178,21 @@ def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
         raise NumericalInstability(f"frequency ramp: {exc}") from exc
     if not np.all(np.isfinite(m)):
         raise NumericalInstability("frequency ramp: fundamental matrix is not finite")
-    out = m @ sigma @ m.transpose(0, 2, 1)
-    return out[-1] if samples is None else np.concatenate([sigma[None], out])
+    return m[-1] if samples is None else np.concatenate([np.eye(2)[None], m])
+
+
+def ramp_covariance(sigma: np.ndarray, omega_squared, tau: float,
+                    samples: int = None) -> np.ndarray:
+    """Covariance under H(t) = p²/2 + omega(t)² x²/2 for 0 <= t <= tau,
+    Sigma(t) = M(t) Sigma M(t)ᵀ with M from ``ramp_fundamental`` (which
+    holds the checks). Returns the 2x2 covariance at tau, or a stack
+    (samples, 2, 2) at ``samples`` equally spaced times from 0 to tau.
+    """
+    m = ramp_fundamental(omega_squared, tau, samples)
+    if samples is None:
+        return m @ sigma @ m.T
+    m = m[1:]
+    return np.concatenate([sigma[None], m @ sigma @ m.transpose(0, 2, 1)])
 
 
 def thermalize_covariance(sigma: np.ndarray, omega: float, temperature: float,

@@ -1204,6 +1204,38 @@ def test_dicke_entry_blocks_equal_dense_gathers_bit_for_bit(n, cutoff, lam):
         _assert_blocks_equal_gathers(sectors, entries, h)
 
 
+def _assert_blocks_symmetric(sectors, entries, dim):
+    # the blocks go to eigh unchecked, which reads one triangle
+    sectors = list(sectors.values())
+    for blk in battery._blocks(sectors, entries, dim):
+        assert not np.iscomplexobj(blk)
+        assert np.max(np.abs(blk - blk.T), initial=0.0) <= (
+            1e-15 * np.max(np.abs(blk), initial=0.0))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sector_blocks_are_real_symmetric(n):
+    group = _flip_reflection_group(n)
+    magnetisation = _magnetisation(n)
+    for interaction_range in ("nearest_neighbor", "power_law"):
+        for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
+            drive, h0, _ = battery._xxz_entries(n, 0.7, g, alpha, 1.3,
+                                                interaction_range, 0.9)
+            for f, r in itertools.product((1, -1), (1, -1)):
+                _assert_blocks_symmetric(
+                    battery._sectors(group, (1, f, r, f * r)), drive, 2**n)
+            for r in (1, -1):
+                _assert_blocks_symmetric(
+                    battery._sectors(group[::2], (1, r), magnetisation), h0,
+                    2**n)
+    cutoff = 8 * n
+    entries = battery._dicke_entries(n, 1.0, 1.0, 2 * 0.5 / np.sqrt(n), cutoff)
+    parity = np.add.outer(np.arange(n + 1), np.arange(cutoff + 1)).ravel() % 2
+    _assert_blocks_symmetric(
+        battery._sectors(np.arange(len(parity))[None], (1,), parity), entries,
+        len(parity))
+
+
 # --- extractable fraction ---------------------------------------------------------
 
 

@@ -841,10 +841,19 @@ def test_bounded_parameters_never_exit_4(args):
     # beta = 2.2 / 1e-309 is not a float; 2e308 is not a level spread
     ["ergotropy", "--set", "energies=0,1e-309", "--set", "populations=0.9,0.1"],
     ["ergotropy", "--set", "energies=-1e308,1e308", "--set", "populations=0.9,0.1"],
+    # omega0 + Omega overflowed, and omega0 (T_h - T_c) in omega_cr
+    ["ctm", "--set", f"omega0={_FLOAT_MAX}", "--set", "drive_frequency=2e292",
+     "--set", "t_hot=3", "--set", "t_cold=1"],
+    # 2 Omega overflowed, and the hot current w_m * flux
+    ["ctm", "--set", "omega0=1", "--set", f"drive_frequency={_FLOAT_MAX}",
+     "--set", f"t_hot={_FLOAT_MAX}", "--set", "t_cold=1",
+     "--set", f"rate={_FLOAT_MAX}", "--set", f"amplitude=-{_FLOAT_MAX}",
+     "--set", "m_max=2"],
 ], ids=["qsl-largest-tau", "qsl-largest-omega", "qsl-subnormal-omega",
         "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h",
         "ergotropy-spread-1e-305", "ergotropy-spread-1e-309",
-        "ergotropy-overflowing-spread"])
+        "ergotropy-overflowing-spread", "ctm-overflowing-sideband",
+        "ctm-overflowing-current"])
 def test_float_range_edges_exit_0_or_3(args):
     _assert_exit_0_with_finite_rows_or_3(args)
 

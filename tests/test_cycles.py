@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import jv, jvp
 
 import fock_oracle
-from qtherm import cycles, oscillators, qcore
+from qtherm import cycles, oscillators, qcore, sta
 from qtherm.errors import CutoffTooSmall, InvalidParams, NumericalInstability
 
 rng = np.random.default_rng(11)
@@ -471,6 +471,93 @@ def test_ramp_covariance_rejects_a_single_sample():
     with pytest.raises(InvalidParams):
         oscillators.ramp_covariance(np.eye(2), lambda t: 1.0 + 0 * t, 2.0,
                                     samples=1)
+
+
+def test_ramp_fundamental_samples_start_at_the_identity():
+    omega_squared = lambda t: (2.0 - t / 3.0) ** 2
+    stack = oscillators.ramp_fundamental(omega_squared, 3.0, samples=4)
+    assert stack.shape == (4, 2, 2)
+    assert np.array_equal(stack[0], np.eye(2))
+    # one segment or three: grids of different steps, each within RAMP_RTOL
+    single = oscillators.ramp_fundamental(omega_squared, 3.0)
+    assert np.max(np.abs(stack[-1] - single)) < 1e-10 * np.max(np.abs(single))
+
+
+def _assert_reversed_ramp_swaps_entries(omega_squared, tau):
+    # omega(tau - t) has fundamental matrix P M⁻¹ P = [[d, b], [c, a]],
+    # P = diag(1, -1), compared in the norm the grid is refined in
+    m = oscillators.ramp_fundamental(omega_squared, tau)
+    back = oscillators.ramp_fundamental(lambda t: omega_squared(tau - t), tau)
+    w2 = omega_squared(np.linspace(0.0, tau, 4001))
+    w = np.sqrt(w2)
+    w_mean = np.mean(0.5 * (w[1:] + w[:-1]))
+    scale = np.array([[1.0, w_mean], [1.0 / w_mean, 1.0]])
+    swapped = np.array([[m[1, 1], m[0, 1]], [m[1, 0], m[0, 0]]])
+    assert np.max(np.abs((back - swapped) * scale)) <= (
+        oscillators.RAMP_RTOL * np.max(np.abs(back * scale)))
+
+
+@pytest.mark.parametrize("omega_from,omega_to", [(2.0, 1.0), (1.0, 2.0),
+                                                 (5.0, 0.2), (0.2, 5.0)])
+@pytest.mark.parametrize("tau", [1e-3, 0.5, 8.0, 800.0])
+def test_reversed_linear_ramp_is_the_swapped_fundamental(omega_from, omega_to,
+                                                          tau):
+    _assert_reversed_ramp_swaps_entries(
+        lambda t: (omega_from + (omega_to - omega_from) * t / tau) ** 2, tau)
+
+
+def test_reversed_ermakov_ramp_is_the_swapped_fundamental():
+    # the Ermakov schedule is not symmetric in time, so the swap is not
+    # only a relabelling of the same ramp
+    schedule = sta.ermakov_schedule(2.0, 0.7, 1.3)
+    _assert_reversed_ramp_swaps_entries(schedule.omega_squared, 1.3)
+
+
+def _two_ramp_otto(omega_a, omega_b, t_h, t_c, ramp, therm, kappa=1.0):
+    """Stroke energies of ``otto_numeric``'s cycle with the compression
+    integrated on its own, as a second ramp ω_b -> ω_a: the oracle of the
+    time-reversed compression."""
+    energy = oscillators.covariance_energy
+
+    def linear(w_from, w_to):
+        return lambda t: (w_from + (w_to - w_from) * t / ramp) ** 2
+
+    sigma = oscillators.thermal_covariance(omega_a, t_h)
+    e = [energy(sigma, omega_a)]
+    sigma = oscillators.ramp_covariance(sigma, linear(omega_a, omega_b), ramp)
+    e.append(energy(sigma, omega_b))
+    sigma = oscillators.thermalize_covariance(sigma, omega_b, t_c, kappa, therm)
+    e.append(energy(sigma, omega_b))
+    sigma = oscillators.ramp_covariance(sigma, linear(omega_b, omega_a), ramp)
+    e.append(energy(sigma, omega_a))
+    sigma = oscillators.thermalize_covariance(sigma, omega_a, t_h, kappa, therm)
+    e.append(energy(sigma, omega_a))
+    return np.diff(e)  # W_ab, Q_c, W_ba, Q_h
+
+
+@pytest.mark.parametrize("config", [(2.0, 1.0, 2.0, 0.5), (5.0, 0.2, 10.0, 0.3),
+                                    (1.3, 0.9, 1.0, 0.4)])
+@pytest.mark.parametrize("ramp", [1e-3, 0.05, 0.5, 2.0, 8.0, 60.0, 800.0])
+def test_otto_numeric_matches_the_two_ramp_oracle(config, ramp):
+    rep = cycles.otto_numeric(*config, ramp_duration=ramp,
+                              thermalization_time=40.0)
+    want = _two_ramp_otto(*config, ramp, 40.0)
+    got = [rep.strokes[0].work, rep.q_cold, rep.strokes[2].work, rep.q_hot]
+    assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) < 1e-10
+
+
+def test_otto_numeric_integrates_one_ramp_per_cycle(monkeypatch):
+    calls = []
+    ramp_fundamental = oscillators.ramp_fundamental
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ramp_fundamental(*args, **kwargs)
+
+    monkeypatch.setattr(oscillators, "ramp_fundamental", counting)
+    cycles.otto_numeric(2.0, 1.0, 2.0, 0.5, ramp_duration=0.5,
+                        thermalization_time=20.0)
+    assert len(calls) == 1
 
 
 # --- oscillator damping and ramps ---------------------------------------------------------

@@ -179,6 +179,16 @@ def test_cfi_incomplete_povm_raises():
         metrology.cfi(*state, [proj])
 
 
+def test_cfi_empty_povm_raises():
+    with pytest.raises(InvalidPOVM):
+        metrology.cfi(np.eye(2) / 2, np.zeros((2, 2)), [])
+
+
+def test_cfi_povm_of_another_dimension_raises():
+    with pytest.raises(DimMismatch):
+        metrology.cfi(np.eye(2) / 2, np.zeros((2, 2)), [np.eye(3)])
+
+
 def test_mismatched_derivative_raises():
     rho = np.eye(2) / 2
     for call in (lambda: metrology.sld(rho, np.eye(3)),
