@@ -168,9 +168,13 @@ def _gibbs_populations(x: np.ndarray, b: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _gibbs_entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+def _gibbs_entropy(x: np.ndarray, b):
+    """Entropy ln Z + b <x> of the Gibbs populations of the levels x
+    (ascending, x[0] = 0, so Z >= 1 and no population is filtered out) at
+    each dimensionless inverse temperature in ``b``."""
+    w = np.exp(-np.multiply.outer(b, x))
+    z = w.sum(axis=-1)
+    return np.log(z) + b * (w * x).sum(axis=-1) / z
 
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
@@ -193,17 +197,21 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
         raise InvalidParams("the level spread overflows a float")
     x = (eps - eps[0]) / spread
     # S(zeta_b) is monotone decreasing in b: a root in log b on
-    # [log 1e-8, log 1e8], or the end the target lies beyond
-    def excess(log_b: float) -> float:
-        return _gibbs_entropy(_gibbs_populations(x, np.exp(log_b))) - s_target
+    # [log 1e-8, log 1e8], bracketed by the first of 65 points where the
+    # excess is not positive, or the end the target lies beyond
+    def excess(log_b):
+        return _gibbs_entropy(x, np.exp(log_b)) - s_target
 
-    lo, hi = np.log(1e-8), np.log(1e8)
-    if excess(lo) <= 0:
+    log_b = np.linspace(np.log(1e-8), np.log(1e8), 65)
+    grid = excess(log_b)
+    if grid[0] <= 0:
         b = 1e-8
-    elif excess(hi) >= 0:
+    elif grid[-1] >= 0:
         b = 1e8
     else:
-        b = float(np.exp(brentq(excess, lo, hi, xtol=1e-12, rtol=1e-14)))
+        k = int(np.argmax(grid <= 0))
+        b = float(np.exp(brentq(excess, log_b[k - 1], log_b[k], xtol=1e-12,
+                                rtol=1e-14)))
     with np.errstate(over="ignore"):
         beta = b / spread
     if not np.isfinite(beta):
@@ -643,7 +651,8 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
 
     A pure state's ergotropy is its energy above the ground level of H0
     (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
-    or 0 when nothing is stored.
+    or 0 when the stored energy is at most 1e-12 of the spread of H0's
+    levels.
     """
     coeffs = [vecs.conj().T @ sector.coords(psi0) for sector, _, vecs in drive]
     vals = np.concatenate([v for _, v, _ in drive])
@@ -707,6 +716,7 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     variances = (pops * dev**2).sum(axis=1)
     powers, fisher = _power_and_fisher(pops, dev, times[1] - times[0])
     stored = energies.max() - levels.min()
+    spread = levels.max() - levels.min()
     # tightness P / sqrt(Var I_E), 0 where both are rounding residues
     denom = np.sqrt(variances * fisher)
     resolved = ((np.sqrt(variances) > SPREAD_FLOOR * np.max(np.abs(levels)))
@@ -717,7 +727,7 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     return ChargeTrace(
         times=times, energies=energies, powers=powers, variances=variances,
         energy_fisher=fisher, bound_tightness=tightness,
-        final_fraction=1.0 if stored > 1e-12 else 0.0, qsl=qsl,
+        final_fraction=1.0 if stored > 1e-12 * spread else 0.0, qsl=qsl,
     )
 
 
@@ -957,12 +967,14 @@ def extractable_fraction(rho_sub: np.ndarray, h_sub: np.ndarray) -> float:
     the energy counted from the ground level of h_sub.
 
     One spectrum of each of rho and h gives both: the stored energy is
-    Tr(rho h) - E_0 and the ergotropy Tr(rho h) - Tr(sigma_rho h).
+    Tr(rho h) - E_0 and the ergotropy Tr(rho h) - Tr(sigma_rho h). A stored
+    energy of at most 1e-12 of the spread of h's levels raises
+    UndefinedFraction.
     """
     pops, eps, _ = _passive(rho_sub, h_sub)
     e_rho = float(np.vdot(h_sub, rho_sub).real)
     energy = e_rho - eps[0]
-    if energy <= 1e-12:
+    if energy <= 1e-12 * (eps[-1] - eps[0]):
         raise UndefinedFraction(f"stored energy {energy} is not positive")
     _entropy(pops)  # rejects a non-state, as ``ergotropy`` does
     work = e_rho - float(pops[::-1] @ eps)

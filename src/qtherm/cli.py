@@ -29,10 +29,11 @@ Config format is INI-style (key = value) with sections::
 Units: hbar = k_B = 1; energies and temperatures share one energy unit,
 times are in its inverse.
 
-Exit codes: 0 success, 2 config error, 3 numeric/model error, 4 internal
-invariant breach. ``validate`` and ``run`` share one parse, ``parse_config``:
-each value and sweep point (rounded within 1e-9 for an integer key) must
-convert, be finite and meet min/max/choices, or it is exit 2.
+Exit codes: 0 success, 2 config or output error, 3 numeric/model error, 4
+internal invariant breach. ``validate`` and ``run`` share one parse,
+``parse_config``: each value and sweep point (rounded within 1e-9 for an
+integer key) must convert, be finite and meet min/max/choices, or it is
+exit 2.
 
 Where an experiment is one library call, its keys are that function's
 parameters and its runner passes them through (``otto-numeric`` drops the
@@ -49,8 +50,11 @@ import configparser
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
+import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -632,9 +636,9 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; ``parse_args``
-    leaves it unchanged."""
+def _parsers() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser and its ``run`` sub-parser, built once per
+    process; ``parse_args`` leaves both unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtherm",
         description=("Quantum thermal machine / metrology / battery "
@@ -644,6 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     names = sorted(EXPERIMENTS)
     run_p = sub.add_parser("run", help="run an experiment config")
+    run_p.set_defaults(command="run")
     run_p.add_argument("experiment", choices=names)
     run_p.add_argument("--config", required=False)
     run_p.add_argument("--set", dest="sets", action="append",
@@ -654,7 +659,12 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="statically validate a config")
     val_p.add_argument("path")
     sub.add_parser("list", help="print the experiment catalog")
-    return parser
+    return parser, run_p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``_parsers``."""
+    return _parsers()[0]
 
 
 def _print_catalog(stream) -> None:
@@ -669,13 +679,29 @@ def _print_catalog(stream) -> None:
         stream.write(" ".join(p for p in parts if p) + "\n")
 
 
+def _write_result(text: str, path: str) -> None:
+    """Write ``text`` to ``path`` in place: an existing regular file is
+    overwritten and then cut at the end of the text, not truncated to
+    length 0 first (closing a file truncated to 0 can start its writeback
+    at once); a device or FIFO is written and not cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # allow `qtherm <experiment> ...` as shorthand for `qtherm run ...`
+    parser, run_parser = _parsers()
+    # `qtherm run ...` and its shorthand `qtherm <experiment> ...` go
+    # straight to the run sub-parser, in one parse
     if argv and argv[0] in EXPERIMENTS:
-        argv = ["run"] + argv
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+        args = run_parser.parse_args(argv)
+    elif argv[:1] == ["run"]:
+        args = run_parser.parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG
@@ -731,12 +757,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL
-    writer = write_csv if cfg.output_format == "csv" else write_json
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            writer(table, fh)
-    else:
-        writer(table, sys.stdout)
+    buf = io.StringIO()
+    (write_csv if cfg.output_format == "csv" else write_json)(table, buf)
+    if not cfg.output_path:
+        sys.stdout.write(buf.getvalue())
+        return EXIT_OK
+    try:
+        _write_result(buf.getvalue(), cfg.output_path)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

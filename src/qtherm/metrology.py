@@ -50,6 +50,8 @@ SLD_FLOOR = 1e-12
 
 def _state_pair(rho, drho):
     rho, drho = (np.asarray(a, dtype=complex) for a in (rho, drho))
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimMismatch(f"state of shape {rho.shape} is not a square matrix")
     if rho.shape != drho.shape:
         raise DimMismatch(f"state {rho.shape} and derivative {drho.shape} "
                           "differ in shape")

@@ -72,9 +72,10 @@ def covariance_energy(sigma: np.ndarray, omega: float) -> float:
     return float(0.5 * sigma[1, 1] + 0.5 * np.square(omega) * sigma[0, 0])
 
 
-def _magnus_steps(omega_squared, starts: np.ndarray, h: float) -> np.ndarray:
-    """exp(Omega) over each step [t, t + h], t in ``starts``, for
-    x'' + omega(t)² x = 0, shape starts.shape + (2, 2).
+def _magnus_steps(omega_squared, starts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(Omega) over each step [t, t + h], with t from ``starts`` and h
+    from ``h`` (broadcast against ``starts``), for x'' + omega(t)² x = 0,
+    shape starts.shape + (2, 2).
 
     Omega = [[a, b], [c, -a]] is the sixth-order Magnus generator
     alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240, with
@@ -88,7 +89,7 @@ def _magnus_steps(omega_squared, starts: np.ndarray, h: float) -> np.ndarray:
     exp(Omega) = cos r I + (sin r / r) Omega with r² = -(a² + bc), or
     cosh and sinh where a² + bc > 0.
     """
-    w = omega_squared(starts[..., None] + h * _GL_NODES)
+    w = omega_squared(starts[..., None] + h[..., None] * _GL_NODES)
     w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
     d1 = np.sqrt(15.0) / 3 * h * (w3 - w1)
     d2 = 10.0 / 3 * h * (w3 - 2 * w2 + w1)
@@ -110,20 +111,32 @@ def _magnus_steps(omega_squared, starts: np.ndarray, h: float) -> np.ndarray:
 
 def _fundamental(omega_squared, tau: float, segments: int,
                  steps: int) -> np.ndarray:
-    """M(t_j) at t_j = j tau / segments, j = 1..segments, with ``steps``
-    Magnus steps per segment, shape (segments, 2, 2). The steps are reduced
-    in batches of about _RAMP_CHUNK, so memory does not grow with them."""
+    """M(t_j) at t_j = j tau / segments, j = 1..segments, on the grid of
+    ``steps`` Magnus steps per segment and on its doubling, shape
+    (2, segments, 2, 2). A batch holds a run of steps of width h and the
+    two h/2 steps that halve each, from one ``_magnus_steps`` call; the
+    halves are multiplied in pairs (step 2k+1 @ step 2k), which is the first
+    level of the doubled grid's pairwise product, so one ordered product
+    reduces both grids. A batch holds at most _RAMP_CHUNK steps, so memory
+    does not grow with them."""
     h = tau / (segments * steps)
     first = np.arange(segments)[:, None] * steps  # first step of each segment
-    per_batch = max(1, _RAMP_CHUNK // segments)
+    per_batch = max(1, _RAMP_CHUNK // (3 * segments))
     seg = np.eye(2)
     for i0 in range(0, steps, per_batch):
         index = first + np.arange(i0, min(i0 + per_batch, steps))
-        seg = qcore.ordered_product(_magnus_steps(omega_squared, index * h, h)) @ seg
-    out = [seg[0]]
-    for m in seg[1:]:
+        n = index.shape[1]
+        halves = (2 * index[..., None] + np.arange(2)).reshape(segments, 2 * n)
+        u = _magnus_steps(omega_squared,
+                          np.concatenate([index * h, halves * (h / 2)], axis=1),
+                          np.repeat([h, h / 2], [n, 2 * n]))
+        fine = u[:, n:].reshape(segments, n, 2, 2, 2)
+        both = np.stack([u[:, :n], fine[:, :, 1] @ fine[:, :, 0]])
+        seg = qcore.ordered_product(both) @ seg
+    out = [seg[:, 0]]
+    for m in seg[:, 1:].swapaxes(0, 1):
         out.append(m @ out[-1])
-    return np.array(out)
+    return np.stack(out, axis=1)
 
 
 def ramp_fundamental(omega_squared, tau: float, samples: int = None) -> np.ndarray:
@@ -162,14 +175,12 @@ def ramp_fundamental(omega_squared, tau: float, samples: int = None) -> np.ndarr
     scale = np.array([[1.0, w_mean], [1.0 / w_mean, 1.0]])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            coarse = _fundamental(omega_squared, tau, segments, steps)
             for _ in range(MAX_RAMP_DOUBLINGS):
+                coarse, m = _fundamental(omega_squared, tau, segments, steps)
                 steps *= 2
-                m = _fundamental(omega_squared, tau, segments, steps)
                 err = np.max(np.abs((m - coarse) * scale), axis=(1, 2))
                 if np.all(err <= RAMP_RTOL * np.max(np.abs(m * scale), axis=(1, 2))):
                     break
-                coarse = m
             else:
                 raise NumericalInstability(
                     f"frequency ramp: Magnus grids of up to {steps * segments} "

@@ -154,9 +154,9 @@ def ordered_product(m: np.ndarray) -> np.ndarray:
     stack of n >= 1 square matrices along axis -3, by pairwise halving:
     ceil(log2 n) batched matmuls."""
     while m.shape[-3] > 1:
-        even = m.shape[-3] // 2 * 2
-        pairs = m[..., 1:even:2, :, :] @ m[..., 0:even:2, :, :]
-        m = np.concatenate([pairs, m[..., even:, :, :]], axis=-3)
+        pairs = m[..., 1::2, :, :] @ m[..., 0:-1:2, :, :]
+        m = (np.concatenate([pairs, m[..., -1:, :, :]], axis=-3)
+             if m.shape[-3] % 2 else pairs)
     return m[..., 0, :, :]
 
 

@@ -197,6 +197,38 @@ def test_run_parses_its_config_once(tmp_path, monkeypatch):
         cli.run(cli.ExperimentConfig("otto", {"omega_a": "2"}))
 
 
+OTTO_SETS = ["--set", "omega_a=2", "--set", "omega_b=1", "--set", "t_h=4",
+             "--set", "t_c=1"]
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "nowhere" / "x.csv"
+    assert cli.main(["otto"] + OTTO_SETS + ["--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert not path.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["otto"] + OTTO_SETS + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    assert cli.main(["otto"] + OTTO_SETS + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_shorter_table_leaves_no_stale_tail(tmp_path, fmt, capsys):
+    # the file is rewritten in place and cut at the end of the new table
+    path = tmp_path / f"out.{fmt}"
+    path.write_text("x" * 100_000)
+    args = ["otto"] + OTTO_SETS + ["--format", fmt]
+    assert cli.main(args + ["--out", str(path)]) == 0
+    assert cli.main(args) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
 def test_missing_key_names_it(tmp_path, capsys):
     path = write_config(tmp_path, """
 [experiment]
@@ -1021,6 +1053,31 @@ def test_charge_dicke_does_not_depend_on_the_energy_unit(capsys):
     for key, k in powers.items():
         assert float(scaled[key]) == pytest.approx(1e-9**k * float(unit[key]),
                                                    rel=1e-12), key
+
+
+def test_charge_lmg_final_fraction_does_not_depend_on_the_energy_unit(capsys):
+    # the stored energy was tested against an absolute 1e-12, so at the
+    # unit 1e-12 the pure final state read final_fraction 0
+    unit, scaled = _scaled_rows(
+        "charge-lmg", ["lam=0.5", "b=1", "tau=2", "dt=0.05"],
+        ["lam=5e-13", "b=1e-12", "tau=2e12", "dt=5e10"],
+        ["n_cells=6", "gamma=0.3"], capsys)
+    assert unit["final_fraction"] == scaled["final_fraction"] == "1"
+    assert float(scaled["energy_max"]) == pytest.approx(
+        1e-12 * float(unit["energy_max"]), rel=1e-12)
+
+
+def test_charge_dicke_final_fraction_at_a_tiny_energy_unit(capsys):
+    # extractable_fraction's absolute 1e-12 floor on the stored energy made
+    # the fraction 0 at omega = 1e-12
+    unit, scaled = _scaled_rows(
+        "charge-dicke", ["omega=1", "omega_c=1", "tau=1", "dt=0.01"],
+        ["omega=1e-12", "omega_c=1e-12", "tau=1e12", "dt=1e10"],
+        ["n_cells=2", "n_photons=2", "lam=0.5", "photon_cutoff=20",
+         "rescale=true"], capsys)
+    assert float(unit["final_fraction"]) == pytest.approx(0.2552, abs=1e-4)
+    assert float(scaled["final_fraction"]) == pytest.approx(
+        float(unit["final_fraction"]), rel=1e-12)
 
 
 def test_outcoupled_multi_row(capsys):

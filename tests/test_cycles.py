@@ -435,9 +435,54 @@ def test_magnus_product_is_sixth_order(omega_from, omega_to, tau):
     # on a fixed grid, halving the step divides the error by about 2^6
     omega_squared = lambda t: (omega_from + (omega_to - omega_from) * t / tau) ** 2
     want = linear_ramp_fundamental(omega_from, omega_to, tau)
-    err = [np.max(np.abs(oscillators._fundamental(omega_squared, tau, 1, n)[-1]
+    err = [np.max(np.abs(oscillators._fundamental(omega_squared, tau, 1, n)[0, -1]
                          - want)) for n in (16, 32)]
     assert 50 < err[0] / err[1] < 80
+
+
+def single_grid_fundamental(omega_squared, tau, segments, steps):
+    """M(t_j) at the ends of the segments, from one ordered product of the
+    grid's steps per segment, unbatched: the pairing-free route."""
+    h = tau / (segments * steps)
+    index = np.arange(segments)[:, None] * steps + np.arange(steps)
+    seg = qcore.ordered_product(
+        oscillators._magnus_steps(omega_squared, index * h, np.full(steps, h)))
+    out = [seg[0]]
+    for m in seg[1:]:
+        out.append(m @ out[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("segments", [1, 100])
+@pytest.mark.parametrize("ramp", ["linear", "ermakov"])
+def test_fundamental_pair_is_two_single_grid_products(segments, ramp):
+    # below one batch, multiplying the half steps in pairs is the first
+    # level of the doubled grid's own pairwise product, bit for bit
+    if ramp == "linear":
+        tau = 4.0
+        omega_squared = lambda t: (2.0 - t / tau) ** 2
+    else:
+        tau = 3.7
+        omega_squared = sta.ermakov_schedule(2.0, 1.3, tau).omega_squared
+    cap = oscillators._RAMP_CHUNK // (3 * segments)
+    for steps in sorted({1, 2, 3, 8, 37, cap - 1, cap}):
+        coarse, fine = oscillators._fundamental(omega_squared, tau, segments,
+                                                steps)
+        assert np.array_equal(
+            coarse, single_grid_fundamental(omega_squared, tau, segments, steps))
+        assert np.array_equal(
+            fine, single_grid_fundamental(omega_squared, tau, segments, 2 * steps))
+
+
+def test_fundamental_pair_over_many_batches_meets_the_single_grids():
+    # above one batch the products group differently, within rounding
+    tau = 800.0
+    omega_squared = lambda t: (2.0 - t / tau) ** 2
+    steps = oscillators._RAMP_CHUNK + 5  # three full batches and a short one
+    coarse, fine = oscillators._fundamental(omega_squared, tau, 1, steps)
+    for got, n in ((coarse, steps), (fine, 2 * steps)):
+        want = single_grid_fundamental(omega_squared, tau, 1, n)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_ramp_covariance_memory_does_not_grow_with_phase():

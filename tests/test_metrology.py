@@ -189,6 +189,15 @@ def test_cfi_povm_of_another_dimension_raises():
         metrology.cfi(np.eye(2) / 2, np.zeros((2, 2)), [np.eye(3)])
 
 
+def test_non_square_state_raises():
+    rho = np.ones((2, 3)) / 3
+    for call in (lambda: metrology.sld(rho, np.zeros((2, 3))),
+                 lambda: metrology.qfi(rho, np.zeros((2, 3))),
+                 lambda: metrology.cfi(rho, np.zeros((2, 3)), [np.eye(2)])):
+        with pytest.raises(DimMismatch):
+            call()
+
+
 def test_mismatched_derivative_raises():
     rho = np.eye(2) / 2
     for call in (lambda: metrology.sld(rho, np.eye(3)),
