@@ -11,11 +11,13 @@ classical Fisher information of the energy distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from functools import cache
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 from scipy.optimize import brentq
 
 from . import oscillators, qcore
@@ -25,6 +27,7 @@ from .errors import (
     InconsistentTrajectory,
     InvalidParams,
     InvalidState,
+    NumericalInstability,
     TargetUnreached,
     TooLarge,
     UndefinedFraction,
@@ -356,13 +359,16 @@ def _group_energies(evals: np.ndarray):
     return energies, group
 
 
-def _aggregate(level_pops: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Sum the rows of level populations (levels x samples) over the
-    groups of ``group``: one row per group that holds a level, in the
-    order of ``np.unique(group)``."""
-    rows = np.argsort(group, kind="stable")
-    starts = np.flatnonzero(np.diff(group[rows], prepend=-1))
-    return np.add.reduceat(level_pops[rows], starts, axis=0)
+def _aggregate(group: np.ndarray) -> sparse.csr_array:
+    """The indicator (groups x levels) whose product with level
+    populations (levels x samples) sums them over the groups of ``group``:
+    one row per group that holds a level, in the order of
+    ``np.unique(group)``, each summing its levels in index order."""
+    counts = np.bincount(group)
+    indptr = np.concatenate(([0], np.cumsum(counts[counts > 0])))
+    return sparse.csr_array((np.ones(len(group)),
+                             np.argsort(group, kind="stable"), indptr),
+                            shape=(len(indptr) - 1, len(group)))
 
 
 def _power_and_fisher(pops: np.ndarray, dev: np.ndarray,
@@ -399,7 +405,7 @@ def energy_fisher(trajectory: Sequence[np.ndarray], h0: np.ndarray,
     _energies, group = _group_energies(evals)
     level_pops = np.einsum("ik,tij,jk->kt", evecs.conj(),
                            np.asarray(trajectory, dtype=complex), evecs).real
-    pops = _aggregate(level_pops, group).T
+    pops = (_aggregate(group) @ level_pops).T
     return _fisher(pops, np.gradient(pops, dt, axis=0), pops > P_FLOOR)
 
 
@@ -499,36 +505,32 @@ class _Sector:
     group G of index permutations with a real character chi: basis vector
     k is scale_k sum_g chi_g |images[g, k]>, where images[0] (the identity)
     holds the orbit representatives and scale_k = 1/sqrt(|G| |Stab_k|).
-    The trivial group gives a plain index set. Vectors run along the first
-    axis; build them with ``_sectors``."""
+    The trivial group gives a plain index set. Build them with
+    ``_sectors``; the arrays are read-only."""
 
     images: np.ndarray
     chars: np.ndarray
     scale: np.ndarray
 
-    def _scale_column(self, ndim: int) -> np.ndarray:
-        return self.scale.reshape((-1,) + (1,) * (ndim - 1))
+    def __post_init__(self):
+        _freeze(self)
 
-    def coords(self, psi: np.ndarray) -> np.ndarray:
-        """Components in this basis of full-space vectors."""
-        c = psi[self.images[0]]  # a fresh array (chi_0 = 1)
-        for chi, img in zip(self.chars[1:], self.images[1:]):
-            if chi == 1:
-                c += psi[img]
-            else:
-                c -= psi[img]
-        c *= self._scale_column(c.ndim)
-        return c
+    def basis_coords(self, index: int) -> np.ndarray:
+        """Components in this basis of the full-space basis vector
+        |index>."""
+        return (self.chars @ (self.images == index)) * self.scale
 
-    def embed(self, coords: np.ndarray, out: np.ndarray) -> None:
-        """Add the full-space vectors with components ``coords`` to ``out``."""
-        coords = coords * self._scale_column(coords.ndim)
-        # one orbit never repeats an index within one image row
-        for chi, img in zip(self.chars, self.images):
-            if chi == 1:
-                out[img] += coords
-            else:
-                out[img] -= coords
+
+def _freeze(record):
+    """``record`` (a dataclass or a NamedTuple), its array fields made
+    read-only: sectors, plans and layouts may be cached and shared between
+    calls."""
+    values = (record if isinstance(record, tuple)
+              else [getattr(record, f.name) for f in fields(record)])
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return record
 
 
 def _sectors(perms: np.ndarray, chars, labels=None) -> dict:
@@ -540,7 +542,7 @@ def _sectors(perms: np.ndarray, chars, labels=None) -> dict:
     on which the character is not trivial over the stabiliser carries no
     vector."""
     perms = np.asarray(perms)
-    chars = np.asarray(chars, dtype=float)
+    chars = np.array(chars, dtype=float)
     # an orbit's representative is its least index
     images = perms[:, perms.min(axis=0) == np.arange(perms.shape[1])]
     fixed = images == images[0]
@@ -557,22 +559,60 @@ def _sectors(perms: np.ndarray, chars, labels=None) -> dict:
             for v, a, b in zip(values.tolist(), starts, ends)}
 
 
-def _blocks(sectors: Sequence[_Sector], entries, dim: int) -> List[np.ndarray]:
-    """Matrices in each of ``sectors`` (disjoint sectors of one character)
-    of the real dim x dim matrix h whose nonzero entries are ``entries`` =
-    (rows, cols, values), each position once: block entry (k, l) is
+def _joined(pieces: Sequence[_Sector]) -> Optional[_Sector]:
+    """The sector spanned by disjoint sectors of one character, their basis
+    vectors in turn; None for no pieces."""
+    if not pieces:
+        return None
+    return _Sector(np.concatenate([p.images for p in pieces], axis=1),
+                   pieces[0].chars, np.concatenate([p.scale for p in pieces]))
+
+
+class _BlockPlan(NamedTuple):
+    """Where the entries of a matrix land in the blocks of ``sectors`` (see
+    ``_block_plan``): for each term of the orbit sums, in summation order,
+    the entry it reads, its character and its position in a flat buffer
+    that holds the blocks one after another. The arrays are read-only."""
+
+    sectors: Tuple[_Sector, ...]
+    source: np.ndarray
+    sign: np.ndarray
+    flat: np.ndarray
+    offsets: np.ndarray
+
+    def blocks(self, vals: np.ndarray) -> List[np.ndarray]:
+        """The blocks of the matrix whose entries at the planned positions
+        are ``vals``: one bincount sums each block entry over g in turn,
+        as the orbit sum reads, and the orbit scales then multiply it."""
+        total = np.bincount(self.flat, self.sign * vals[self.source],
+                            minlength=self.offsets[-1])
+        blocks = []
+        for s, a, b in zip(self.sectors, self.offsets[:-1], self.offsets[1:]):
+            blk = total[a:b].reshape(len(s.scale), -1)
+            blk *= len(s.chars) * s.scale[:, None]
+            blk *= s.scale
+            blocks.append(blk)
+        return blocks
+
+
+def _block_plan(sectors: Sequence[_Sector], rows: np.ndarray,
+                cols: np.ndarray, dim: int) -> _BlockPlan:
+    """The plan of the matrices in each of ``sectors`` (disjoint sectors of
+    one character) of a real dim x dim matrix h whose nonzero entries sit
+    at (rows, cols), each position once: block entry (k, l) is
     |G| scale_k scale_l sum_g chi_g h[images_0[k], images_g[l]]. Exact
     when h leaves every sector invariant and commutes with every
-    permutation of the group.
+    permutation of the group. The plan depends on where the entries sit,
+    not on their values.
 
     One lookup from full index to basis position serves all the sectors.
     The entries whose row is a representative are listed once per group
-    element, in group order, and one bincount scatters them into a flat
-    buffer whose slices are the blocks: it sums in input order, so each
-    block entry is summed over g in turn, as the orbit sum reads."""
+    element, in group order, so that a bincount over the plan sums each
+    block entry over g in turn. No sectors give a plan of no blocks."""
     if not sectors:
-        return []
-    rows, cols, vals = entries
+        return _freeze(_BlockPlan((), np.zeros(0, np.int32),
+                                  np.zeros(0, np.int8), np.zeros(0, np.int32),
+                                  np.zeros(1, int)))
     images = np.concatenate([s.images for s in sectors], axis=1)
     sizes = np.array([len(s.scale) for s in sectors])
     offsets = np.concatenate(([0], np.cumsum(sizes**2)))
@@ -584,86 +624,86 @@ def _blocks(sectors: Sequence[_Sector], entries, dim: int) -> List[np.ndarray]:
     where = np.full(dim, -1)
     where[images[0]] = positions
     r = where[rows]
-    kept = r >= 0
-    r, cols, vals = r[kept], cols[kept], vals[kept]
+    kept = np.flatnonzero(r >= 0)
+    r, cols = r[kept], cols[kept]
     lo, hi, base = first[r], first[r] + size[r], row_base[r]
-    flat, weights = [], []
+    flat, source, sign = [], [], []
     for chi, img in zip(sectors[0].chars, images):
         where.fill(-1)
         where[img] = positions
         c = where[cols]
         inside = (c >= lo) & (c < hi)
         flat.append(base[inside] + c[inside])
-        weights.append(chi * vals[inside])
-    total = np.bincount(np.concatenate(flat), np.concatenate(weights),
-                        minlength=offsets[-1])
-    blocks = []
-    for s, a, b in zip(sectors, offsets[:-1], offsets[1:]):
-        blk = total[a:b].reshape(len(s.scale), -1)
-        blk *= len(s.chars) * s.scale[:, None]
-        blk *= s.scale
-        blocks.append(blk)
-    return blocks
+        source.append(kept[inside])
+        sign.append(np.full(len(flat[-1]), chi, dtype=np.int8))
+    return _freeze(_BlockPlan(
+        tuple(sectors), np.concatenate(source).astype(np.int32),
+        np.concatenate(sign), np.concatenate(flat).astype(np.int32), offsets))
 
 
-def _sector_eig(sectors: Sequence[_Sector], entries, dim: int) -> list:
-    """Eigenpairs of the matrix with nonzero ``entries`` in each of
-    ``sectors`` (as ``_blocks`` takes them): a (sector, levels,
-    eigenvectors in the sector basis) triple per sector. The blocks are
-    real and symmetric by construction, so they go to ``eigh`` unchecked."""
-    return [(s, *np.linalg.eigh(blk))
-            for s, blk in zip(sectors, _blocks(sectors, entries, dim))]
+def _blocks(sectors: Sequence[_Sector], entries, dim: int) -> List[np.ndarray]:
+    """Matrices in each of ``sectors`` of the matrix whose nonzero entries
+    are ``entries`` = (rows, cols, values), as ``_block_plan`` defines
+    them."""
+    rows, cols, vals = entries
+    return _block_plan(sectors, rows, cols, dim).blocks(vals)
 
 
 def _matmul(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """a @ vecs for complex column vectors; a real ``a`` takes the real and
-    imaginary parts in one real product (a quarter of the complex flops)."""
+    """a @ vecs for complex column vectors whose rows are contiguous (a
+    column slice is); a real ``a`` takes the real and imaginary parts in
+    one real product (a quarter of the complex flops), on a view."""
     if np.iscomplexobj(a):
         return a @ vecs
-    return (a @ np.ascontiguousarray(vecs, dtype=complex).view(float)
-            ).view(complex)
+    return (a @ vecs.view(float)).view(complex)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
-                bare_levels=(), drive_ground: float = None,
-                check_states: Callable[[np.ndarray], None] = None
-                ) -> ChargeTrace:
-    """Exact closed evolution of a pure state under a constant drive, with
-    all ChargeTrace observables taken on the bare Hamiltonian H0.
+# an overflow, or the nan it makes, is caught by the finiteness check at
+# the end
+@np.errstate(over="ignore", invalid="ignore")
+def _pure_trace(times: np.ndarray, dim: int, drive: list, reached: np.ndarray,
+                populations: Callable[[list], np.ndarray], bare_levels=(),
+                drive_ground: float = None) -> ChargeTrace:
+    """Exact closed evolution of a pure state of a dim-dimensional space
+    under a constant drive, with all ChargeTrace observables taken on the
+    bare Hamiltonian H0, in the coordinates of the drive's sectors: no
+    full-space state is formed.
 
-    ``drive`` and ``h0`` are eigenpairs sector by sector, as ``_sector_eig``
-    returns them; an ``h0`` entry with vectors None is diagonal in its
-    sector's basis. The drive sectors must span a subspace holding psi0,
-    and the h0 sectors one holding every state the drive reaches;
-    ``bare_levels`` are the levels of H0 on the rest of the space, which
-    enter its ground level, its largest |E| and the grouping of its
-    levels. The drive's ground level (the speed-limit reference) is its
-    lowest level over its sectors unless ``drive_ground`` gives it.
+    ``drive`` holds, per drive sector, its levels E, the amplitudes c of
+    the initial state on its eigenvectors and transfer rows T; the sectors
+    must span a subspace holding the initial state. ``populations`` maps
+    the products T (c e^{-iEt}) of all the sectors (rows x samples) to the
+    populations of ``reached``, the levels of H0 on a subspace holding
+    every state the drive reaches, in that order. ``bare_levels`` are the levels
+    of H0 on the rest of the space, which enter its ground level, its
+    largest |E| and the grouping of its levels. The drive's ground level
+    (the speed-limit reference) is its lowest level over its sectors unless
+    ``drive_ground`` gives it.
 
-    Time is walked in chunks of at most CHUNK_AMPLITUDES amplitudes;
-    ``check_states``, if given, sees each chunk's full-space states as
-    columns (dim x samples). Only the populations of the energy groups are
-    kept, and groups that hold no population at any sample are dropped.
+    Time is walked in chunks of CHUNK_AMPLITUDES // dim samples (at least
+    one). Only the populations of the energy groups are kept, and groups
+    that hold no population at any sample are dropped. NumericalInstability
+    if an observable (or a power squared, or Var(H0) I_E) is not a finite
+    float.
 
     A pure state's ergotropy is its energy above the ground level of H0
     (Allahverdyan et al., EPL 67, 565 (2004)), so the final fraction is 1,
     or 0 when the stored energy is at most 1e-12 of the spread of H0's
     levels.
     """
-    coeffs = [vecs.conj().T @ sector.coords(psi0) for sector, _, vecs in drive]
-    vals = np.concatenate([v for _, v, _ in drive])
-    probs = np.concatenate([_abs2(c) for c in coeffs])
+    vals = np.concatenate([v for v, _, _ in drive])
+    probs = np.concatenate([_abs2(c) for _, c, _ in drive])
     # speed-limit bounds: the drive is constant, so the energy moments are
-    # conserved and the time averages are single expectation values
-    e_mean = float(probs @ vals)
-    e2_mean = float(probs @ vals**2)
+    # conserved and the time averages are single expectation values (NumPy
+    # floats, whose squares overflow to inf as the arrays' do)
+    e_mean = probs @ vals
+    e2_mean = probs @ vals**2
     de_tau = np.sqrt(max(e2_mean - e_mean**2, 0.0))
-    e_tau = e_mean - float(vals.min() if drive_ground is None
-                           else drive_ground)
+    e_tau = e_mean - (vals.min() if drive_ground is None else drive_ground)
     # Bures angle arccos|<psi(0)|psi(tau)>| = 2 arcsin(|psi(tau) - e^{i phi}
     # psi(0)| / 2), phi the phase of the overlap: exact to rounding where
     # the overlap is near 1 and arccos is not
@@ -673,43 +713,34 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     dist = float(2 * np.arcsin(min(chord, 1.0)))
     qsl = _qsl_from_scalars(dist, de_tau, e_tau, tau, np.max(np.abs(vals)))
 
-    reached = np.concatenate([lv for _, lv, _ in h0])
     levels = np.concatenate([reached, bare_levels])
     group_e, group = _group_energies(levels)
     group = group[:len(reached)]
-    n_t, dim = len(times), len(psi0)
+    indicator = _aggregate(group)
+    n_t = len(times)
     step = max(1, CHUNK_AMPLITUDES // dim)
     # e^{-iE t_k} for t_k = k dt, k = k0 + qK + r in a chunk from k0, as the
     # product of c e^{-iE t_(k0 + qK)} and e^{-iE t_r} (r < K): two small
     # tables of exps in place of one exp per entry
     K = int(np.ceil(np.sqrt(min(step, n_t))))
-    fast = [np.exp(-1j * np.outer(v, times[:K])) for _, v, _ in drive]
-    h0_maps = [(sector, None if vecs is None else vecs.conj().T)
-               for sector, _, vecs in h0]
+    fast = [np.exp(-1j * np.outer(v, times[:K])) for v, _, _ in drive]
 
     def group_pops(k0: int, k1: int) -> np.ndarray:
         """Populations of the groups that hold a level (groups x samples)
         at samples k0 to k1."""
-        psis = np.zeros((dim, k1 - k0), dtype=complex)
-        for (sector, v, vecs), c, b in zip(drive, coeffs, fast):
+        products = []
+        for (v, c, transfer), b in zip(drive, fast):
             a = c[:, None] * np.exp(-1j * np.outer(v, times[k0:k1:K]))
             phases = (a[:, :, None] * b[:, None, :]).reshape(len(v), -1)
-            sector.embed(_matmul(vecs, phases[:, :k1 - k0]), psis)
-        if check_states is not None:
-            check_states(psis)
-        level_pops = np.concatenate(
-            [_abs2(sector.coords(psis) if vecs_h is None
-                   else _matmul(vecs_h, sector.coords(psis)))
-             for sector, vecs_h in h0_maps])
-        return _aggregate(level_pops, group)
+            products.append(_matmul(transfer, phases[:, :k1 - k0]))
+        return indicator @ populations(products)
 
-    # a chunk's states are freed before the next chunk's are made
+    # a chunk's amplitudes are freed before the next chunk's are made
     pops = np.concatenate([group_pops(k0, min(k0 + step, n_t))
                            for k0 in range(0, n_t, step)], axis=1)
-    present = np.unique(group)
     held = pops.any(axis=1)
     pops = np.ascontiguousarray(pops[held].T)
-    group_e = group_e[present[held]]
+    group_e = group_e[np.unique(group)[held]]
     energies = pops @ group_e
     # central moment: E[H0^2] - E[H0]^2 cancels to below zero at an eigenstate
     dev = group_e[None, :] - energies[:, None]
@@ -724,6 +755,12 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     tightness = np.where(resolved,
                          np.clip(powers / np.where(resolved, denom, 1.0),
                                  -1.0, 1.0), 0.0)
+    if not all(np.isfinite(x).all() for x in (
+            energies, variances, fisher, powers**2, variances * fisher,
+            [getattr(qsl, f.name) for f in fields(qsl)])):
+        raise NumericalInstability(
+            f"charging observables leave the float range (drive levels up to "
+            f"{np.max(np.abs(vals)):.3g}, time step {times[1] - times[0]:.3g})")
     return ChargeTrace(
         times=times, energies=energies, powers=powers, variances=variances,
         energy_fisher=fisher, bound_tightness=tightness,
@@ -731,42 +768,206 @@ def _pure_trace(times: np.ndarray, drive: list, psi0: np.ndarray, h0: list,
     )
 
 
-def _xxz_entries(n_cells: int, b: float, g: float, alpha: float, nu: float,
-                 interaction_range: str, omega: float):
-    """Nonzero entries (rows, cols, values) of the XXZ battery's charging
-    Hamiltonian H_c and of its H0 on the 2^N basis, from the bit rules of
-    their terms (see ``charge_spins_xxz``), each position once. Bit i of an
-    index is 0 for spin-up (sigma_z = +1), leftmost = site 0. Also returns
-    every index's magnetisation."""
+class _PairedSectors(NamedTuple):
+    """One reflection sector of the XXZ chain in the bases of the global
+    flip F's two sectors, ``plus`` and ``minus``, each ordered by |M|, the
+    absolute magnetisation (M = 0 first).
+
+    H_g conserves M and commutes with F and the reflection, so it is
+    block-diagonal over (flip, |M|). At |M| = m > 0 both flip sectors hold
+    the same orbits in the same order, and basis vector k of ``minus`` is
+    that of ``plus`` with its flipped half negated; so the ``minus`` block of
+    H_g is D B D, B the ``plus`` block and D the sign of M at each orbit
+    representative, and M maps basis vector k of one flip sector to m D_k
+    times that of the other. With B = U diag(lambda) U^T, H0 = H_g + b M
+    on the amplitudes (U^T x_+, U^T D x_-) of a state x is
+    [[lambda, b m], [b m, lambda]]: levels lambda +- b m, with amplitudes
+    (U^T x_+ +- U^T D x_-)/sqrt 2, from one eigenproblem per |M| > 0. At
+    M = 0, b M vanishes and each flip sector has its own block. ``plus``
+    (and so every |M| > 0 part) may hold no vector."""
+
+    plus: Optional[_Sector]
+    minus: Optional[_Sector]
+    zeros: Tuple[int, int]  # the sizes of the M = 0 parts of plus and minus
+    m: np.ndarray  # |M| of each |M| > 0 block, ascending
+    bounds: np.ndarray  # the starts of those blocks past M = 0, and the end
+    sign: np.ndarray  # D on the rows past M = 0
+    h_g_plus: _BlockPlan  # H_g on plus, one block per |M|
+    h_g_minus: _BlockPlan  # H_g on the M = 0 part of minus
+
+    def blocks(self, h_g: np.ndarray) -> List[np.ndarray]:
+        """H_g's blocks, from its entry values: on plus at M = 0 (where it
+        holds vectors), on plus at each |M| > 0, and on minus at M = 0
+        (where it holds vectors)."""
+        return self.h_g_plus.blocks(h_g) + self.h_g_minus.blocks(h_g)
+
+    def levels(self, lams: List[np.ndarray], b: float) -> np.ndarray:
+        """H0's levels from the levels of ``blocks``, in the order of
+        ``populations``: both M = 0 parts, then lambda + b m and
+        lambda - b m over the |M| > 0 blocks."""
+        n_plus, n_minus = (int(z > 0) for z in self.zeros)
+        inner = np.concatenate(lams[n_plus:len(lams) - n_minus] + [np.zeros(0)])
+        shift = b * np.repeat(self.m, np.diff(self.bounds))
+        return np.concatenate(lams[:n_plus] + lams[len(lams) - n_minus:]
+                              + [inner + shift, inner - shift])
+
+    def transfer(self, vecs: List[np.ndarray], v_plus: np.ndarray,
+                 v_minus: np.ndarray) -> None:
+        """Turn v_plus and v_minus (vectors as columns, in the plus and
+        minus bases) in place into the rows that take amplitudes on those
+        columns to the coordinates ``populations`` reads, from the
+        eigenvectors of ``blocks``: U^T on each |M| block of plus and
+        U^T D on each of minus. Each block of rows is its own block of
+        v's rows, so no second copy of v is made."""
+        n_plus, n_minus = self.zeros
+        if n_plus:
+            v_plus[:n_plus] = vecs[0].T @ v_plus[:n_plus]
+        if n_minus:
+            v_minus[:n_minus] = vecs[-1].T @ v_minus[:n_minus]
+        v_minus[n_minus:] *= self.sign[:, None]
+        pairs = vecs[int(n_plus > 0):len(vecs) - int(n_minus > 0)]
+        for u, a, b in zip(pairs, self.bounds[:-1], self.bounds[1:]):
+            for v, n in ((v_plus, n_plus), (v_minus, n_minus)):
+                v[n + a:n + b] = u.T @ v[n + a:n + b]
+
+    def populations(self, products: list) -> np.ndarray:
+        """Populations of the ``levels`` from the ``transfer`` products of
+        the plus and minus amplitudes (rows x samples)."""
+        plus, minus = products
+        n_plus, n_minus = self.zeros
+        a, b = plus[n_plus:], minus[n_minus:]
+        return np.concatenate([_abs2(plus[:n_plus]), _abs2(minus[:n_minus]),
+                               _abs2(a + b) / 2, _abs2(a - b) / 2])
+
+
+def _paired_sectors(group: np.ndarray, r: int, magnetisation: np.ndarray,
+                    rows: np.ndarray, cols: np.ndarray) -> _PairedSectors:
+    """The sector of reflection character r of the XXZ chain, with the
+    plans of H_g, whose nonzero entries sit at (rows, cols)."""
+    dim = len(magnetisation)
+    plus, minus = (_sectors(group, (1, f, r, f * r), np.abs(magnetisation))
+                   for f in (1, -1))
+    # the M = 0 pieces, where they hold vectors
+    zero_plus, zero_minus = ([] if z is None else [z]
+                             for z in (plus.pop(0, None), minus.pop(0, None)))
+    pairs = list(plus.values())
+    reps = np.concatenate([p.images[0] for p in pairs] + [np.zeros(0, int)])
+    return _freeze(_PairedSectors(
+        plus=_joined(zero_plus + pairs),
+        minus=_joined(zero_minus + list(minus.values())),
+        zeros=tuple(sum(len(z.scale) for z in zero)
+                    for zero in (zero_plus, zero_minus)),
+        m=np.array(list(plus), dtype=float),
+        bounds=np.cumsum([0] + [len(p.scale) for p in pairs]),
+        sign=np.sign(magnetisation[reps]).astype(float),
+        h_g_plus=_block_plan(zero_plus + pairs, rows, cols, dim),
+        h_g_minus=_block_plan(zero_minus, rows, cols, dim)))
+
+
+class _XXZLayout(NamedTuple):
+    """Everything of the XXZ battery that its couplings, field and drive do
+    not change, for one chain shape (see ``_xxz_layout``); read-only."""
+
+    distances: np.ndarray  # j - i of each coupled pair (i, j), as floats
+    zz: np.ndarray  # -s_i s_j of each pair at each index (pairs x 2^N)
+    # entry positions of H_c: H_g's diagonal, its flip-flops pair by pair,
+    # then the drive's single flips
+    rows: np.ndarray
+    cols: np.ndarray
+    pair: np.ndarray  # the pair of each flip-flop entry
+    magnetisation: np.ndarray
+    even: _PairedSectors  # reflection-even, which holds every reached state
+    odd: _PairedSectors
+    drive: Tuple[_BlockPlan, _BlockPlan]  # H_c on even.plus and even.minus
+    # H_c on odd.plus and odd.minus, where they hold vectors
+    odd_drive: Tuple[_BlockPlan, ...]
+
+    @property
+    def n_h_g(self) -> int:
+        """The number of H_g's entries, which come first."""
+        return len(self.magnetisation) + len(self.pair)
+
+
+@cache
+def _xxz_layout(n_cells: int, interaction_range: str) -> _XXZLayout:
+    """The entry positions, symmetry sectors and block plans of the XXZ
+    battery of ``charge_spins_xxz`` with N cells. Bit i of an index is 0
+    for spin-up (sigma_z = +1), leftmost = site 0.
+
+    Every pair of the range is listed, also where its coupling is zero,
+    so no coupling enters the layout: it is built once per chain shape
+    and shared by every trace of that shape."""
     dim = 2 ** n_cells
     idx = np.arange(dim)
     shifts = np.arange(n_cells - 1, -1, -1)  # of the bit of each site
     masks = 1 << shifts
     spins = 1 - 2 * ((idx >> shifts[:, None]) & 1)
-    diag = np.zeros(dim)  # of H_g
-    rows, cols, vals = [idx], [idx], [diag]
-    for i in range(n_cells):
-        for j in range(i + 1, n_cells):
-            if interaction_range == "nearest_neighbor":
-                g_ij = g if j == i + 1 else 0.0
-            else:
-                g_ij = g * float(j - i) ** (-nu)
-            if g_ij == 0.0:
-                continue
-            diag -= g_ij * spins[i] * spins[j]
-            # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
-            anti = idx[spins[i] != spins[j]]
-            rows.append(anti ^ (masks[i] | masks[j]))
-            cols.append(anti)
-            vals.append(np.full(len(anti), -2.0 * g_ij * alpha))
-    magnetisation = spins.sum(axis=0)
+    pairs = [(i, j) for i in range(n_cells) for j in range(i + 1, n_cells)
+             if interaction_range == "power_law" or j == i + 1]
+    rows, cols, pair = [idx], [idx], [np.zeros(0, dtype=int)]
+    for p, (i, j) in enumerate(pairs):
+        # sigma_x sigma_x + sigma_y sigma_y flips anti-aligned pairs
+        anti = idx[spins[i] != spins[j]]
+        rows.append(anti ^ (masks[i] | masks[j]))
+        cols.append(anti)
+        pair.append(np.full(len(anti), p))
+    n_h_g = sum(map(len, rows))
     # the drive flips one spin and H_g two, so no position repeats
-    drive = tuple(np.concatenate(part) for part in (
-        rows + [idx ^ m for m in masks], cols + [idx] * n_cells,
-        vals + [np.full(n_cells * dim, float(omega))]))
-    vals[0] = diag + b * magnetisation
-    h0 = tuple(np.concatenate(part) for part in (rows, cols, vals))
-    return drive, h0, magnetisation
+    rows = np.concatenate(rows + [idx ^ m for m in masks]).astype(np.int32)
+    cols = np.concatenate(cols + [idx] * n_cells).astype(np.int32)
+    magnetisation = spins.sum(axis=0)
+    # the flip maps index s to dim - 1 - s, the reflection reverses its bits
+    reflect = sum(((idx >> i) & 1) << (n_cells - 1 - i) for i in range(n_cells))
+    group = np.stack([idx, dim - 1 - idx, reflect, dim - 1 - reflect])
+    even, odd = (_paired_sectors(group, r, magnetisation, rows[:n_h_g],
+                                 cols[:n_h_g]) for r in (1, -1))
+    return _freeze(_XXZLayout(
+        distances=np.array([j - i for i, j in pairs], dtype=float),
+        zz=np.array([-spins[i] * spins[j] for i, j in pairs],
+                    dtype=np.int8).reshape(len(pairs), dim),
+        rows=rows, cols=cols, pair=np.concatenate(pair).astype(np.int32),
+        magnetisation=magnetisation, even=even, odd=odd,
+        drive=tuple(_block_plan([s], rows, cols, dim)
+                    for s in (even.plus, even.minus)),
+        odd_drive=tuple(_block_plan([s], rows, cols, dim)
+                        for s in (odd.plus, odd.minus) if s is not None)))
+
+
+# the largest float whose square is a float: an energy above it has no
+# variance
+_SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
+
+
+def _xxz_entries(n_cells: int, b: float, g: float, alpha: float, nu: float,
+                 interaction_range: str, omega: float):
+    """Nonzero entries (rows, cols, values) of the XXZ battery's charging
+    Hamiltonian H_c and of its H0 on the 2^N basis, each position once,
+    at the positions of ``_xxz_layout`` (see ``charge_spins_xxz``); also
+    every index's magnetisation. InvalidParams if a value is not a float
+    whose square is a float."""
+    layout = _xxz_layout(n_cells, interaction_range)
+    dim = 2 ** n_cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        if interaction_range == "nearest_neighbor":
+            g_ij = np.full(len(layout.distances), float(g))
+        else:
+            # scalar powers, which round as the C library's pow does
+            g_ij = np.array([g * d ** (-nu) for d in layout.distances])
+        # the diagonal sums the pairs in turn
+        diag = (g_ij[:, None] * layout.zz).sum(axis=0)
+        h_g = np.concatenate([diag, (-2.0 * g_ij * alpha)[layout.pair]])
+        h0 = h_g.copy()
+        h0[:dim] += b * layout.magnetisation
+        drive = np.concatenate([h_g, np.full(n_cells * dim, float(omega))])
+    largest = max(np.max(np.abs(v)) for v in (drive, h0))
+    if not largest <= _SQRT_FLOAT_MAX:  # also a nan (an inf times 0)
+        raise InvalidParams(
+            f"the couplings give a Hamiltonian entry of magnitude "
+            f"{largest:.3g}; above {_SQRT_FLOAT_MAX:.3g} its square, and so "
+            f"an energy variance, is not a float")
+    n = layout.n_h_g
+    return ((layout.rows, layout.cols, drive),
+            (layout.rows[:n], layout.cols[:n], h0), layout.magnetisation)
 
 
 def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
@@ -787,15 +988,17 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
 
     g_ij depends on |i - j| only, so the site reflection i -> N - 1 - i
     commutes with H0 and H_c, as does the global flip prod_i sigma_x^i
-    with H_c. The all-down start is reflection-even, so H_c is
+    with H_c and H_g. The all-down start is reflection-even, so H_c is
     diagonalised only on the two reflection-even sectors of flip x
-    reflection, of total dimension (2^N + 2^ceil(N/2))/2, and H0 only on
-    the reflection-even (magnetisation, +) sectors, which hold every state
-    the drive reaches; the reflection-odd (magnetisation, -) sectors give
-    only their levels. Where g and alpha have opposite signs the
+    reflection, of total dimension (2^N + 2^ceil(N/2))/2, and the trace is
+    computed in their bases: H0 there takes one eigenproblem of H_g per
+    |M| > 0, which gives the levels of both flip sectors (see
+    ``_PairedSectors``), and the reflection-odd sectors give its levels
+    alone, the same way. Where g and alpha have opposite signs the
     reflection-odd sectors of H_c also give their lowest level, for the
     speed-limit reference. Every block is built from the Hamiltonians'
-    nonzero entries, with no 2^N x 2^N matrix.
+    nonzero entries, with no 2^N x 2^N matrix and no 2^N state, by plans
+    cached per (N, range).
     """
     if n_cells > 12:
         raise TooLarge("full 2^N representation limited to N <= 12")
@@ -804,18 +1007,13 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     if interaction_range not in ("nearest_neighbor", "power_law"):
         raise InvalidParams(
             "interaction_range must be 'nearest_neighbor' or 'power_law'")
-    dim = 2 ** n_cells
-    idx = np.arange(dim)
-    drive_entries, h0_entries, magnetisation = _xxz_entries(
-        n_cells, b, g, alpha, nu, interaction_range, omega)
-    # the flip maps index s to dim - 1 - s, the reflection reverses its bits
-    reflect = sum(((idx >> i) & 1) << (n_cells - 1 - i) for i in range(n_cells))
-    group = np.stack([idx, dim - 1 - idx, reflect, dim - 1 - reflect])
-    even, odd = ([s for f in (1, -1)
-                  for s in _sectors(group, (1, f, r, f * r)).values()]
-                 for r in (1, -1))
-    drive = [triple for s in even
-             for triple in _sector_eig([s], drive_entries, dim)]
+    times = _time_grid(tau, dt)
+    layout = _xxz_layout(n_cells, interaction_range)
+    # H0 at B = 0 is H_g
+    (_, _, h_c), (_, _, h_g), _ = _xxz_entries(n_cells, 0.0, g, alpha, nu,
+                                              interaction_range, omega)
+    even, odd = layout.even, layout.odd
+    drive = [np.linalg.eigh(plan.blocks(h_c)[0]) for plan in layout.drive]
     # The speed-limit reference is the global ground of H_c. Where no
     # flip-flop amplitude -2 g_ij alpha is positive, H_c has no positive
     # off-diagonal entry once conjugated by prod_i sigma_z^i if omega > 0
@@ -823,20 +1021,21 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     # its ground level has a reflection-even eigenvector. Otherwise the
     # ground can be reflection-odd, and the odd sectors give their lowest
     # level.
-    levels = [vals[0] for _, vals, _ in drive]
+    ground = [vals[0] for vals, _ in drive]
     if np.sign(g) * np.sign(alpha) < 0:
-        levels += [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
-                   for s in odd for blk in _blocks([s], drive_entries, dim)]
-    h0_even, h0_odd = (list(_sectors(group[::2], (1, r), magnetisation).values())
-                       for r in (1, -1))
-    bare = [np.linalg.eigvalsh(blk) for blk in _blocks(h0_odd, h0_entries, dim)]
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[dim - 1] = 1.0  # all spins down
-    times = _time_grid(tau, dt)
-    trace = _pure_trace(times, drive, psi0,
-                        _sector_eig(h0_even, h0_entries, dim),
-                        np.concatenate([np.zeros(0)] + bare),
-                        drive_ground=min(levels))
+        ground += [sla.eigvalsh(plan.blocks(h_c)[0], subset_by_index=[0, 0])[0]
+                   for plan in layout.odd_drive]
+    # the all-down start, on each sector's drive eigenvectors
+    coeffs = [vecs.T @ s.basis_coords(2 ** n_cells - 1)
+              for (_, vecs), s in zip(drive, (even.plus, even.minus))]
+    h0 = [np.linalg.eigh(blk) for blk in even.blocks(h_g)]
+    # the drive eigenvectors become the transfer rows, in place
+    even.transfer([u for _, u in h0], drive[0][1], drive[1][1])
+    sectors = [(vals, c, rows) for (vals, rows), c in zip(drive, coeffs)]
+    bare = odd.levels([np.linalg.eigvalsh(blk) for blk in odd.blocks(h_g)], b)
+    trace = _pure_trace(times, 2 ** n_cells, sectors,
+                        even.levels([lam for lam, _ in h0], b),
+                        even.populations, bare, drive_ground=min(ground))
     return replace(trace, energies=trace.energies - trace.energies[0])
 
 
@@ -857,12 +1056,13 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
                                  + gamma * (sy @ sy - n_cells * eye))
     h0_diag = b * np.real(np.diag(sz))
     h_drive = np.diag(h0_diag).astype(complex) + v
-    whole = _sectors(np.arange(n_cells + 1)[None], (1,))[0]
     psi0 = np.zeros(n_cells + 1, dtype=complex)
     psi0[0] = 1.0  # m = -j, the ferromagnetic ground state for b > 0
     times = _time_grid(tau, dt)
-    return _pure_trace(times, [(whole, *qcore.hermitian_eig(h_drive))], psi0,
-                       [(whole, h0_diag, None)])
+    vals, vecs = qcore.hermitian_eig(h_drive)
+    # H0 is diagonal in the basis of the drive's one sector
+    return _pure_trace(times, n_cells + 1, [(vals, vecs.conj().T @ psi0, vecs)],
+                       h0_diag, lambda products: _abs2(products[0]))
 
 
 def _dicke_entries(n_cells: int, omega: float, omega_c: float,
@@ -901,10 +1101,10 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     energy-optimal sample.
 
     H commutes with the parity (-1)^(m + j + n), so only the parity sector
-    of the initial state is diagonalised and evolved, and H0 evaluated;
-    the other sector gives only its lowest level, for the speed-limit
-    reference. Both sector blocks come from the Hamiltonian's nonzero
-    entries.
+    of the initial state is diagonalised and evolved, and H0, diagonal in
+    its basis, evaluated there; the other sector gives only its lowest
+    level, for the speed-limit reference. Both sector blocks come from the
+    Hamiltonian's nonzero entries.
     """
     if not np.isclose(omega, omega_c, atol=0.0):  # relative, whatever the unit
         raise InvalidParams("resonance omega = omega_c required")
@@ -915,41 +1115,41 @@ def charge_dicke(n_cells: int, n_photons: int, lam: float, rescale: bool,
     dim = dim_spin * dim_cav
     if dim > DENSE_DIM_BUDGET:
         raise TooLarge("Dicke composite dimension exceeds the dense budget")
+    times = _time_grid(tau, dt)
     lam_eff = lam / np.sqrt(n_cells) if rescale else lam
     entries = _dicke_entries(n_cells, omega, omega_c, 2 * omega_c * lam_eff,
                              photon_cutoff)
     m = np.arange(-n_cells / 2.0, n_cells / 2.0 + 1)
     h0_diag = omega * np.kron(m, np.ones(dim_cav))
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[0 * dim_cav + n_photons] = 1.0  # |m=-j> x |n_photons>
     # index k * dim_cav + n holds m = -j + k, so the parity is (-1)^(k + n)
     parity = np.add.outer(np.arange(dim_spin), np.arange(dim_cav)).ravel() % 2
     sectors = _sectors(np.arange(dim)[None], (1,), parity)
     start = sectors[n_photons % 2]
     others = [s for s in sectors.values() if s is not start]
     blocks = _blocks([start] + others, entries, dim)
-    drive = [(start, *np.linalg.eigh(blocks[0]))]
-    ground = min([drive[0][1][0]] + [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
-                                     for blk in blocks[1:]])
-    times = _time_grid(tau, dt)
+    vals, vecs = np.linalg.eigh(blocks[0])
+    ground = min([vals[0]] + [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
+                              for blk in blocks[1:]])
+    coeffs = vecs.T @ start.basis_coords(n_photons)  # |m=-j> x |n_photons>
+    rows = start.images[0]  # the full index of each basis vector
+    top = rows % dim_cav == photon_cutoff
 
-    def cavity_tail(psis):
-        tail = np.max(_abs2(psis.reshape(dim_spin, dim_cav, -1)[:, -1, :])
-                      .sum(axis=0))
+    def populations(products):
+        (amps,) = products
+        tail = np.max(_abs2(amps[top]).sum(axis=0))
         if tail > 1e-8:
             raise CutoffTooSmall(f"top photon level holds population {tail:.2e}")
+        return _abs2(amps)
 
-    trace = _pure_trace(times, drive, psi0,
-                        [(start, h0_diag[start.images[0]], None)],
+    trace = _pure_trace(times, dim, [(vals, coeffs, vecs)], h0_diag[rows],
+                        populations,
                         np.concatenate([h0_diag[s.images[0]] for s in others]
                                        + [np.zeros(0)]),
-                        drive_ground=ground, check_states=cavity_tail)
+                        drive_ground=ground)
     # the state at the energy-optimal sample, from the drive eigenpairs
-    _, vals, vecs = drive[0]
     t = trace.times[int(np.argmax(trace.energies))]
-    psi = np.zeros((dim, 1), dtype=complex)
-    start.embed(_matmul(vecs, (np.exp(-1j * vals * t)
-                               * (vecs.T @ start.coords(psi0)))[:, None]), psi)
+    psi = np.zeros(dim, dtype=complex)
+    psi[rows] = _matmul(vecs, (np.exp(-1j * vals * t) * coeffs)[:, None])[:, 0]
     block = psi.reshape(dim_spin, dim_cav)
     try:
         fraction = extractable_fraction(block @ block.conj().T,

@@ -489,7 +489,7 @@ def test_group_energies_matches_level_loop(evals):
     assert np.allclose(energies, ref_energies, rtol=1e-15, atol=0)
     ref = np.stack([pops[:, g].sum(axis=1) for g in ref_groups], axis=1)
     assert np.array_equal(np.unique(group), np.arange(len(ref_groups)))
-    assert np.allclose(battery._aggregate(pops.T, group).T, ref, rtol=1e-14,
+    assert np.allclose((battery._aggregate(group) @ pops.T).T, ref, rtol=1e-14,
                        atol=0)
 
 
@@ -1058,16 +1058,25 @@ def test_charge_dicke_memory_does_not_grow_with_the_steps():
     assert long < short + 2**20
 
 
+def _embed(sector, coords, dim):
+    """Full-space vectors (dim x columns) with components ``coords`` in the
+    sector basis: scale_k coords_k added with character chi_g at
+    images[g, k] (one orbit never repeats an index within one image row)."""
+    coords = coords * sector.scale[:, None]
+    full = np.zeros((dim, coords.shape[1]), dtype=complex)
+    for chi, img in zip(sector.chars, sector.images):
+        full[img] += chi * coords
+    return full
+
+
 def _reassembled(h, sectors):
     """Full-space eigenvectors and levels from per-sector eigenpairs, each
     sector's block built from the nonzero entries of h."""
     columns, levels = [], []
-    triples = [t for s in sectors
-               for t in battery._sector_eig([s], _entries(h), len(h))]
-    for sector, vals, vecs in triples:
-        full = np.zeros((len(h), len(vals)), dtype=complex)
-        sector.embed(vecs, full)
-        columns.append(full)
+    for sector in sectors:
+        vals, vecs = np.linalg.eigh(
+            battery._blocks([sector], _entries(h), len(h))[0])
+        columns.append(_embed(sector, vecs, len(h)))
         levels.append(vals)
     return np.hstack(columns), np.concatenate(levels)
 
@@ -1234,6 +1243,105 @@ def test_sector_blocks_are_real_symmetric(n):
     _assert_blocks_symmetric(
         battery._sectors(np.arange(len(parity))[None], (1,), parity), entries,
         len(parity))
+
+
+@pytest.mark.parametrize("interaction_range", ["nearest_neighbor",
+                                               "power_law"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_flip_odd_blocks_are_dbd_and_paired_levels_are_h0s(n,
+                                                           interaction_range):
+    group = _flip_reflection_group(n)
+    magnetisation = _magnetisation(n)
+    layout = battery._xxz_layout(n, interaction_range)
+    b = 0.7
+    for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
+        # H0 at B = 0 is H_g
+        h_g = battery._xxz_entries(n, 0.0, g, alpha, 1.3, interaction_range,
+                                   0.9)[1]
+        for r in (1, -1):
+            plus, minus = (battery._sectors(group, (1, f, r, f * r),
+                                            np.abs(magnetisation))
+                           for f in (1, -1))
+            assert set(plus) - {0} == set(minus) - {0}
+            for m in set(plus) - {0}:
+                assert np.array_equal(plus[m].images[0], minus[m].images[0])
+                block, flipped = (battery._blocks([s[m]], h_g, 2**n)[0]
+                                  for s in (plus, minus))
+                d = np.sign(magnetisation[plus[m].images[0]])
+                assert np.array_equal(flipped, d[:, None] * block * d)
+        if (g, alpha) == (0.4, 0.3):
+            continue  # the Kronecker-product oracle is slow at n = 9
+        levels = np.concatenate([
+            sectors.levels([np.linalg.eigvalsh(blk)
+                            for blk in sectors.blocks(h_g[2])], b)
+            for sectors in (layout.even, layout.odd)])
+        _, h0 = _xxz_dense(n, b, g, alpha, 1.3, interaction_range, 0.9)
+        exact = np.linalg.eigvalsh(h0)
+        assert len(levels) == 2**n
+        assert np.max(np.abs(np.sort(levels) - exact)) <= (
+            1e-12 * np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9])
+def test_xxz_trace_makes_one_h0_eigh_per_magnetisation_pair(n, monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    battery.charge_spins_xxz(n, 0.7, 0.4, 0.3, 1.3, "power_law", 0.9, 3.0, 0.02)
+    pairs = len(set(np.abs(_magnetisation(n))) - {0})
+    zero_blocks = sum(z > 0 for z in battery._xxz_layout(n, "power_law")
+                      .even.zeros)
+    # the two drive sectors, which span the reflection-even space, then H_g
+    # on the flip-even one at each |M| and on the flip-odd one at M = 0
+    even = battery._xxz_layout(n, "power_law").even
+    assert len(sizes) == 2 + pairs + zero_blocks
+    assert zero_blocks <= 2 * (n % 2 == 0)
+    assert sizes[:2] == [len(even.plus.scale), len(even.minus.scale)]
+    assert sum(sizes[:2]) == (2**n + 2 ** ((n + 1) // 2)) // 2
+    assert sum(sizes[2:]) == len(even.plus.scale) + even.zeros[1]
+
+
+def _arrays(obj):
+    """Every array held by a layout, its sectors and its plans."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+def test_xxz_layout_is_cached_per_chain_shape_and_read_only():
+    battery._xxz_layout.cache_clear()
+    battery.charge_spins_xxz(6, 0.7, 0.4, 0.3, 1.3, "power_law", 0.9, 3.0,
+                             0.02)
+    other = (6, 1.1, -0.3, 0.8, 2.1, "power_law", 1.2, 3.0, 0.02)
+    hits = battery._xxz_layout.cache_info().hits
+    warm = battery.charge_spins_xxz(*other)
+    assert battery._xxz_layout.cache_info().hits > hits
+    assert battery._xxz_layout.cache_info().misses == 1
+    arrays = [a for n in (2, 6) for a in _arrays(battery._xxz_layout(
+        n, "power_law"))]
+    assert len(arrays) > 30
+    for array in arrays:
+        assert not array.flags.writeable
+        if array.size:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+    battery._xxz_layout.cache_clear()
+    cold = battery.charge_spins_xxz(*other)
+    for name in ("energies", "powers", "variances", "energy_fisher",
+                 "bound_tightness"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+    assert warm.qsl == cold.qsl
+    assert warm.final_fraction == cold.final_fraction
 
 
 # --- extractable fraction ---------------------------------------------------------

@@ -787,7 +787,8 @@ def test_sta_cd_residual_is_a_few_ulps(capsys):
 
 # sizes kept small so that no example allocates much
 _SIZE_CAPS = {"n_cycles": 3, "t_h_steps": 50, "omega_k_steps": 50,
-              "samples": 50, "n_copies": 4, "m_max": 40, "n_max": 40}
+              "samples": 50, "n_copies": 4, "m_max": 40, "n_max": 40,
+              "n_cells": 4, "n_photons": 4, "photon_cutoff": 20}
 # an unbounded side is drawn out to 1e100, where near 1e154 the squares
 # that a model takes of its inputs leave the float range, or over the whole
 # float range for the experiments that guard every such overflow
@@ -823,7 +824,8 @@ def _bounded_runs(draw):
     name = draw(st.sampled_from(["qfi", "thermometry", "outcoupled", "sta-cd",
                                  "box-carnot", "two-stroke", "magnetometry",
                                  "maser", "otto", "otto-squeezed", "otto-numeric",
-                                 "ctm", "qsl", "ergotropy", "n-copy"]))
+                                 "ctm", "qsl", "ergotropy", "n-copy",
+                                 "charge-xxz", "charge-lmg", "charge-dicke"]))
     scale = sys.float_info.max if name in _FULL_RANGE else _SCALE
     args = [name]
     for key, spec in cli.EXPERIMENTS[name].params.items():
@@ -881,11 +883,25 @@ def test_bounded_parameters_never_exit_4(args):
      "--set", f"t_hot={_FLOAT_MAX}", "--set", "t_cold=1",
      "--set", f"rate={_FLOAT_MAX}", "--set", f"amplitude=-{_FLOAT_MAX}",
      "--set", "m_max=2"],
+    # 2 ** 1e100 in the power-law coupling overflowed Python's float power
+    ["charge-xxz", "--set", "n_cells=4", "--set", "b=8e99", "--set",
+     "g=-1e100", "--set", "alpha=0.0", "--set", "nu=-1e100", "--set",
+     "interaction_range=power_law", "--set", "omega=-1e100", "--set",
+     "tau=1e100", "--set", "dt=1e98"],
+    # drive levels of 1e198 overflowed their squares in the energy moments
+    ["charge-lmg", "--set", "n_cells=3", "--set", "lam=1.8e98", "--set",
+     "gamma=1e100", "--set", "b=4.5e16", "--set", "tau=6.5e99", "--set",
+     "dt=1.8e98"],
+    ["charge-dicke", "--set", "n_cells=1", "--set", "n_photons=1", "--set",
+     "lam=-1e100", "--set", "rescale=false", "--set", "omega=1e100",
+     "--set", "omega_c=1e100", "--set", "photon_cutoff=17", "--set",
+     "tau=1e100", "--set", "dt=3e98"],
 ], ids=["qsl-largest-tau", "qsl-largest-omega", "qsl-subnormal-omega",
         "otto-numeric-overflowing-square", "otto-squeezed-overflowing-2t_h",
         "ergotropy-spread-1e-305", "ergotropy-spread-1e-309",
         "ergotropy-overflowing-spread", "ctm-overflowing-sideband",
-        "ctm-overflowing-current"])
+        "ctm-overflowing-current", "charge-xxz-overflowing-coupling",
+        "charge-lmg-overflowing-moments", "charge-dicke-overflowing-moments"])
 def test_float_range_edges_exit_0_or_3(args):
     _assert_exit_0_with_finite_rows_or_3(args)
 
