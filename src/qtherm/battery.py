@@ -879,8 +879,6 @@ class _XXZLayout(NamedTuple):
     even: _PairedSectors  # reflection-even, which holds every reached state
     odd: _PairedSectors
     drive: Tuple[_BlockPlan, _BlockPlan]  # H_c on even.plus and even.minus
-    # H_c on odd.plus and odd.minus, where they hold vectors
-    odd_drive: Tuple[_BlockPlan, ...]
 
     @property
     def n_h_g(self) -> int:
@@ -928,9 +926,7 @@ def _xxz_layout(n_cells: int, interaction_range: str) -> _XXZLayout:
         rows=rows, cols=cols, pair=np.concatenate(pair).astype(np.int32),
         magnetisation=magnetisation, even=even, odd=odd,
         drive=tuple(_block_plan([s], rows, cols, dim)
-                    for s in (even.plus, even.minus)),
-        odd_drive=tuple(_block_plan([s], rows, cols, dim)
-                        for s in (odd.plus, odd.minus) if s is not None)))
+                    for s in (even.plus, even.minus))))
 
 
 # the largest float whose square is a float: an energy above it has no
@@ -1020,11 +1016,13 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
     # (that product commutes with the reflection), so by Perron-Frobenius
     # its ground level has a reflection-even eigenvector. Otherwise the
     # ground can be reflection-odd, and the odd sectors give their lowest
-    # level.
+    # level (their plans are built here, as only this branch reads them).
     ground = [vals[0] for vals, _ in drive]
     if np.sign(g) * np.sign(alpha) < 0:
-        ground += [sla.eigvalsh(plan.blocks(h_c)[0], subset_by_index=[0, 0])[0]
-                   for plan in layout.odd_drive]
+        ground += [sla.eigvalsh(blk, subset_by_index=[0, 0])[0]
+                   for s in (odd.plus, odd.minus) if s is not None
+                   for blk in _blocks([s], (layout.rows, layout.cols, h_c),
+                                      2 ** n_cells)]
     # the all-down start, on each sector's drive eigenvectors
     coeffs = [vecs.T @ s.basis_coords(2 ** n_cells - 1)
               for (_, vecs), s in zip(drive, (even.plus, even.minus))]
