@@ -1,13 +1,13 @@
-"""CLI rows of the Magnus-route and charging experiments against
-checked-in reference rows.
+"""CLI rows of the closed-form, Magnus-route and charging experiments
+against checked-in reference rows.
 
 ``reference_rows/<experiment>.csv`` holds, per row, a config's keys and the
 result row the CLI printed for it (17 significant digits, NumPy 2.4 on
-x86-64). A ramp whose every Magnus grid fits in one batch of
-``oscillators._fundamental`` must reproduce its row byte for byte; a longer
-ramp groups its products by batch, and each of its numbers may move by
-1e-13 relative. A charging row meets the per-column tolerances of
-``TOLERANCES``.
+x86-64). A closed form, which runs no Magnus grid, and a ramp whose every
+Magnus grid fits in one batch of ``oscillators._fundamental`` must
+reproduce its row byte for byte; a longer ramp groups its products by
+batch, and each of its numbers may move by 1e-13 relative. A charging row
+meets the per-column tolerances of ``TOLERANCES``.
 
     PYTHONPATH=src python tests/test_reference_rows.py [EXPERIMENT ...]
 
@@ -31,6 +31,8 @@ from qtherm import cli, oscillators
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROWS = os.path.join(HERE, "reference_rows")
 MAGNUS = ("otto-numeric", "sta-ermakov")
+CLOSED = ("otto", "otto-squeezed", "box-carnot", "two-stroke", "ctm",
+          "ergotropy", "n-copy")
 REL = 1e-13
 # a charging trace's numbers move with the rounding of its eigensolvers:
 # (kind, tol) per column, "rel" relative, "abs" absolute in units of
@@ -44,16 +46,20 @@ TOLERANCES = {"charge-xxz": _TRACE, "charge-lmg": _TRACE,
               "charge-dicke": _TRACE,
               # a first-passage time ratio, read off the energy traces
               "advantage": {"gamma": ("rel", 1e-12)}}
-EXPERIMENTS = MAGNUS + tuple(TOLERANCES)
+EXPERIMENTS = MAGNUS + CLOSED + tuple(TOLERANCES)
 
 
 def configs(experiment):
     """The configs of the reference rows: ramps from 1e-3 to 800 at three
     (omega_a, omega_b, T_h, T_c) sets and 40 near the benchmark's, or
     Ermakov schedules near the benchmark's and over two decades of tau, or
-    charging runs of 1 to 9 cells and one sweep of a coupling."""
+    charging runs of 1 to 9 cells and one sweep of a coupling, or closed
+    forms at about twenty configs and one sweep."""
     if experiment in TOLERANCES:
         yield from _charging_configs(experiment)
+        return
+    if experiment in CLOSED:
+        yield from _closed_configs(experiment)
         return
     rng = np.random.default_rng(7)
     if experiment == "otto-numeric":
@@ -133,6 +139,97 @@ def _charging_configs(experiment):
         yield dict(zip(names, values), **extra)
 
 
+def _closed_configs(experiment):
+    """Engine and refrigerator points of each closed form (the two-stroke
+    machine also Off), drawn at random around a hand-picked set, and an
+    evenly spaced sweep of one key across a change of mode."""
+    rng = np.random.default_rng(11)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    if experiment in ("otto", "otto-squeezed"):
+        names = ("omega_a", "omega_b", "t_h", "t_c")
+        picked = [(2.0, 1.0, 4.0, 1.0), (2.0, 1.0, 1.5, 1.0),
+                  (2.0, 1.0, 2.0, 1.0),  # omega_b/omega_a = T_c/T_h
+                  (5.0, 0.2, 3.0, 1.0),
+                  # both coth round to 1: no net work, the ratio decides
+                  (2000.0, 1000.0, 2.0, 0.5), (2000.0, 100.0, 2.0, 0.5),
+                  (1e-6, 5e-7, 4e-6, 1e-6), (3e5, 1e5, 2e5, 1e5)]
+        picked += [(wa, u(0.05, 0.95) * wa, th, u(0.05, 0.95) * th)
+                   for wa, th in ((u(0.5, 5.0), u(0.5, 5.0)) for _ in range(12))]
+        swept = [(2.0, float(wb), 2.0, 1.0) for wb in np.linspace(0.2, 1.8, 9)]
+        if experiment == "otto-squeezed":
+            names += ("r",)
+            squeeze = [0.0, 0.3, 1.0, 1e-8, 0.0, 0.0, 0.7, 0.05]
+            picked = [p + (s,) for p, s in zip(picked, squeeze)] + [
+                p + (u(0.0, 1.5),) for p in picked[8:]]
+            swept = [(2.0, 0.6, 4.0, 1.0, float(r))
+                     for r in np.linspace(0.0, 1.2, 9)]
+            # a refrigerator until the squeezed hot end dominates
+            swept[0] = (2.0, 0.2, 2.0, 1.0, 0.0)
+    elif experiment == "box-carnot":
+        names = ("l_a", "l_b", "mass")
+        picked = [(2.0, 1.0, 1.0), (1.0, 0.5, 1.0), (3.0, 2.9, 0.5),
+                  (1e-3, 5e-4, 1e3), (1e6, 1.0, 1e-6)]
+        picked += [(la, u(0.05, 0.95) * la, u(0.1, 10.0))
+                   for la in (u(0.5, 5.0) for _ in range(15))]
+        swept = [(2.0, float(lb), 1.0) for lb in np.linspace(0.2, 1.8, 9)]
+    elif experiment == "two-stroke":
+        names = ("omega_k", "omega_un", "t_h", "t_c", "theta")
+        half = float(np.pi / 2)
+        picked = [(2.0, 1.0, 4.0, 1.0, half),  # engine: n_k > n_un
+                  (2.0, 1.0, 1.5, 1.0, half),  # refrigerator
+                  (2.0, 1.0, 4.0, 1.0, 0.0),  # Off at theta = 0, both sides
+                  (2.0, 1.0, 1.5, 1.0, 0.0),
+                  (2.0, 1.0, 2.0, 1.0, 0.4),  # equal populations: Off
+                  (2.0, 1.0, 4.0, 1.0, float(np.pi)),
+                  (500.0, 1.0, 2.0, 1.0, 0.3), (2.5, 2.0, 3.0, 1.0, 1.2)]
+        picked += [(u(1.1, 3.0) * wun, wun, th, u(0.1, 0.9) * th, u(0.0, 3.1))
+                   for wun, th in ((u(0.2, 2.0), u(0.5, 4.0)) for _ in range(12))]
+        swept = [(2.0, 1.0, 3.0, 1.0, float(t))
+                 for t in np.linspace(0.0, np.pi, 9)]
+    elif experiment == "ctm":
+        names = ("omega0", "drive_frequency", "t_hot", "t_cold", "rate",
+                 "amplitude", "waveform", "m_max")
+        # the mode flips at omega_cr = omega0 (T_h - T_c)/(T_h + T_c), 6 here
+        picked = [(10.0, 1.0, 4.0, 1.0, 1.0, 0.0, "sinusoidal", 40),
+                  (10.0, 8.0, 4.0, 1.0, 1.0, 0.0, "sinusoidal", 40),
+                  (10.0, 2.0, 4.0, 1.0, 0.5, 1.7, "piecewise_asymmetric", 40),
+                  (10.0, 7.0, 4.0, 1.0, 2.0, 2.0, "piecewise_asymmetric", 60),
+                  (1e-3, 1e-4, 4e-4, 1e-4, 1e-3, 0.0, "sinusoidal", 40)]
+        picked += [(w0, u(0.05, 0.9) * w0, th, u(0.1, 0.9) * th, u(0.5, 2.0),
+                    u(0.0, 0.8) * w0 / 10, wave, 40)
+                   for w0, th, wave in ((u(5.0, 20.0), u(1.0, 6.0), wave)
+                                        for wave in ("sinusoidal",
+                                                     "piecewise_asymmetric")
+                                        for _ in range(8))]
+        swept = [(10.0, float(f), 4.0, 1.0, 1.0, 0.0, "sinusoidal", 40)
+                 for f in np.linspace(0.55, 8.05, 11)]
+    else:  # ergotropy, n-copy: diagonal states
+        names = ("energies", "populations")
+        picked = [((0.0, 1.0), (0.3, 0.7)), ((0.0, 1.0), (0.7, 0.3)),
+                  ((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.5, 0.5)),
+                  ((0.0, 1.0, 1.0, 2.5), (0.1, 0.2, 0.3, 0.4)),  # degenerate
+                  ((2.0, -1.0, 0.5), (0.2, 0.5, 0.3)),  # unsorted levels
+                  ((0.0, 1e-9, 3e-9), (0.1, 0.3, 0.6)),
+                  ((0.0, 1.0, 2.0), (0.333, 0.333, 0.333))]  # sums to 0.999
+        for d in (2, 3, 3, 4, 5, 5, 6, 7, 7, 4, 6, 2):
+            levels = np.round(np.sort(rng.uniform(0.0, 3.0, d)), 6)
+            pops = rng.dirichlet(np.ones(d))
+            picked.append((tuple(levels.tolist()), tuple(pops.tolist())))
+        swept = [((0.0, 1.0, 1.7), (float(p), float(0.8 - p), 0.2))
+                 for p in np.linspace(0.0, 0.8, 9)]
+        if experiment == "n-copy":
+            names += ("n_copies",)
+            copies = [1, 2, 3, 5, 2, 4, 3, 6, 1, 7, 5, 4, 3, 2, 3, 3, 2, 4, 2,
+                      6]
+            picked = [p + (n,) for p, n in zip(picked, copies)]
+            swept = [((0.0, 1.0, 1.7), (0.5, 0.3, 0.2), n) for n in range(1, 8)]
+    for values in picked + swept:
+        yield dict(zip(names, values))
+
+
 def _close(kind_tol, got, want, scale):
     if kind_tol is None:
         return got == want
@@ -208,6 +305,8 @@ def _text(value):
     """A config value as the CLI reads it back exactly."""
     if isinstance(value, bool):
         return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
     return value if isinstance(value, str) else repr(value)
 
 
