@@ -15,7 +15,7 @@ sum(W) + sum(Q) = 0 and the useful output is net_work_output = -sum(W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -23,11 +23,13 @@ import numpy as np
 from scipy.linalg import expm  # noqa: F401
 
 from . import oscillators, qcore
-from .errors import InvalidParams, NumericalInstability
-from .floquet import classify_mode
+from .errors import InvalidParams, NumericalInstability, UnclassifiableState
 from .qcore import SIGMA_X, SIGMA_Z
 
 QUASI_STATIC = "QuasiStatic"
+# the work of a heat-only stroke: -0.0 is the additive identity of floats
+# (x + 0.0 is +0.0 for x = -0.0), so it never moves a sum's sign of zero
+_NO_WORK = -0.0
 
 
 # --- report types ----------------------------------------------------------------
@@ -53,7 +55,7 @@ class CycleReport:
     cop: Optional[float]
     mode: str
     carnot_margin: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,75 @@ class MaserReport:
     cop: float
     inversion: bool
     mode: str
+
+
+# --- the machine ledger ---------------------------------------------------------------
+
+
+def classify_mode(j_h: float, j_c: float, p: float, tol: float = 1e-9) -> str:
+    """Operating mode from the sign table of the hot and cold heats (or
+    steady currents) J_h, J_c and the work (or power) P put in. A value at
+    most tol scale counts as zero, and the first law must hold to 1e-8
+    scale, with scale = max(|J_h|, |J_c|, |P|): no energy unit enters."""
+    scale = max(abs(j_h), abs(j_c), abs(p))
+    if abs(j_h + j_c + p) > 1e-8 * scale:
+        raise UnclassifiableState("first-law residual exceeds tolerance")
+    sh, sc, sp = (0 if abs(x) <= tol * scale else (1 if x > 0 else -1)
+                  for x in (j_h, j_c, p))
+    if sh == sc == sp == 0:
+        return "Off"
+    if sh >= 0 and sc <= 0 and sp <= 0:
+        return "Engine"
+    if sh <= 0 and sc >= 0 and sp >= 0:
+        return "Refrigerator"
+    if sh <= 0 and sc <= 0 and sp >= 0:
+        return "Heater"
+    if sh >= 0 and sc <= 0 and sp >= 0:
+        # work consumed while heat still flows from hot to cold
+        return "Accelerator"
+    raise UnclassifiableState(
+        f"sign pattern (J_h={j_h}, J_c={j_c}, P={p}) matches no operating mode"
+    )
+
+
+def _merit(mode: str, q_h: float, q_c: float, w_in: float) -> Optional[float]:
+    """Figure of merit of a machine whose heats are integrated, from its
+    heats and work input: eta = W_out/Q_h for an Engine with Q_h > 0,
+    COP = Q_c/W_in for a Refrigerator with W_in > 0, None otherwise."""
+    if mode == "Engine" and q_h > 0:
+        return -w_in / q_h
+    if mode == "Refrigerator" and w_in > 0:
+        return q_c / w_in
+    return None
+
+
+def _report(strokes, q_h, q_c, mode, merit, t_h, t_c, extras) -> CycleReport:
+    """The CycleReport of a cycle. Its net work output is minus the stroke
+    works added one by one in stroke order; ``merit`` is an Engine's
+    efficiency or a Refrigerator's COP, with its Carnot margin between the
+    reference temperatures t_h > t_c, or None (margin 0)."""
+    total = _NO_WORK
+    for stroke in strokes:
+        total += stroke.work
+    eta = merit if mode == "Engine" else None
+    cop = merit if mode == "Refrigerator" else None
+    margin = 0.0
+    if eta is not None:
+        margin = (1 - t_c / t_h) - eta
+    elif cop is not None:
+        margin = t_c / (t_h - t_c) - cop
+    return CycleReport(strokes, -total, q_h, q_c, eta, cop, mode, margin,
+                       extras)
+
+
+def _otto_strokes(w_ab, q_c, w_ba, q_h, ramp, thermalization):
+    """The four strokes of an Otto cycle from omega_a to omega_b and back."""
+    return [
+        StrokeRecord("IsentropicExpansion", w_ab, 0.0, ramp),
+        StrokeRecord("ColdIsochore", _NO_WORK, q_c, thermalization),
+        StrokeRecord("IsentropicCompression", w_ba, 0.0, ramp),
+        StrokeRecord("HotIsochore", _NO_WORK, q_h, thermalization),
+    ]
 
 
 def _coth(x: float) -> float:
@@ -128,20 +199,10 @@ def box_carnot(l_a: float, l_b: float, mass: float) -> CycleReport:
         StrokeRecord("IsentropicExpansion", -w_cd, 0.0),
         StrokeRecord("IsothermalCompression", -w_da, q_cold),
     ]
-    net_out = w_ab + w_bc + w_cd + w_da
-    eta = net_out / q_hot
+    eta = _merit("Engine", q_hot, q_cold, -(w_ab + w_bc + w_cd + w_da))
     # <E_A> and <E_B> play the role of the cold/hot temperatures here, so
     # the cycle saturates its own Carnot bound by construction.
-    return CycleReport(
-        strokes=strokes,
-        net_work_output=net_out,
-        q_hot=q_hot,
-        q_cold=q_cold,
-        efficiency=eta,
-        cop=None,
-        mode="Engine",
-        carnot_margin=(1 - e_a / e_b) - eta,
-    )
+    return _report(strokes, q_hot, q_cold, "Engine", eta, e_b, e_a, {})
 
 
 # --- harmonic-oscillator Otto cycle ----------------------------------------------------
@@ -172,27 +233,13 @@ def _otto_report(omega_a, omega_b, t_h, t_c, delta_h_r, t_h_gen, extras, engine)
     if not np.all(np.isfinite([w_ab, q_c, w_ba, q_h])):
         raise NumericalInstability(
             "an Otto stroke energy leaves the float range")
-    strokes = [
-        StrokeRecord("IsentropicExpansion", w_ab, 0.0),
-        StrokeRecord("ColdIsochore", 0.0, q_c),
-        StrokeRecord("IsentropicCompression", w_ba, 0.0),
-        StrokeRecord("HotIsochore", 0.0, q_h),
-    ]
-    net_out = -(w_ab + w_ba)
+    strokes = _otto_strokes(w_ab, q_c, w_ba, q_h, QUASI_STATIC, QUASI_STATIC)
     ratio = omega_b / omega_a
     if engine:
-        eta = 1.0 - ratio
-        return CycleReport(
-            strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
-            efficiency=eta, cop=None, mode="Engine",
-            carnot_margin=(1 - t_c / t_h_gen) - eta, extras=extras,
-        )
-    cop = ratio / (1.0 - ratio)
-    return CycleReport(
-        strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
-        efficiency=None, cop=cop, mode="Refrigerator",
-        carnot_margin=t_c / (t_h_gen - t_c) - cop, extras=extras,
-    )
+        mode, merit = "Engine", 1.0 - ratio
+    else:
+        mode, merit = "Refrigerator", ratio / (1.0 - ratio)
+    return _report(strokes, q_h, q_c, mode, merit, t_h_gen, t_c, extras)
 
 
 def otto_qho(omega_a: float, omega_b: float, t_h: float, t_c: float) -> CycleReport:
@@ -328,19 +375,11 @@ def otto_numeric(omega_a: float, omega_b: float, t_h: float, t_c: float,
         "diabatic_work_excess": ideal.net_work_output - net_out,
         "cycle_closure": e4 - e0,
     }
-    strokes = [
-        StrokeRecord("IsentropicExpansion", w_ab, 0.0, ramp_duration),
-        StrokeRecord("ColdIsochore", 0.0, q_c, thermalization_time),
-        StrokeRecord("IsentropicCompression", w_ba, 0.0, ramp_duration),
-        StrokeRecord("HotIsochore", 0.0, q_h, thermalization_time),
-    ]
-    mode = classify_mode(q_h, q_c, -(net_out), tol=1e-12)
-    eta = net_out / q_h if mode == "Engine" and q_h > 1e-14 else None
-    margin = (1 - t_c / t_h) - eta if eta is not None else 0.0
-    return CycleReport(
-        strokes=strokes, net_work_output=net_out, q_hot=q_h, q_cold=q_c,
-        efficiency=eta, cop=None, mode=mode, carnot_margin=margin, extras=extras,
-    )
+    strokes = _otto_strokes(w_ab, q_c, w_ba, q_h, ramp_duration,
+                            thermalization_time)
+    mode = classify_mode(q_h, q_c, -net_out, tol=1e-12)
+    return _report(strokes, q_h, q_c, mode, _merit(mode, q_h, q_c, -net_out),
+                   t_h, t_c, extras)
 
 
 # --- two-stroke two-qubit machine -----------------------------------------------------
@@ -388,23 +427,17 @@ def two_stroke(omega_k: float, omega_un: float, t_h: float, t_c: float,
             "two-stroke work or heat leaves the float range")
     strokes = [
         StrokeRecord("UnitaryStroke", w, 0.0),
-        StrokeRecord("ThermalizationStroke", 0.0, q_h),
-        StrokeRecord("ThermalizationStroke", 0.0, q_c),
+        StrokeRecord("ThermalizationStroke", _NO_WORK, q_h),
+        StrokeRecord("ThermalizationStroke", _NO_WORK, q_c),
     ]
     if abs(n_k - n_un) < 1e-15 or s2 == 0.0:
-        mode, eta, cop, margin = "Off", None, None, 0.0
+        mode, merit = "Off", None
     elif n_k > n_un:
-        mode, eta, cop = "Engine", 1.0 - omega_un / omega_k, None
-        margin = (1 - t_c / t_h) - eta
+        mode, merit = "Engine", 1.0 - omega_un / omega_k
     else:
-        mode, eta = "Refrigerator", None
-        cop = omega_un / (omega_k - omega_un)
-        margin = t_c / (t_h - t_c) - cop
-    return CycleReport(
-        strokes=strokes, net_work_output=-w, q_hot=q_h, q_cold=q_c,
-        efficiency=eta, cop=cop, mode=mode, carnot_margin=margin,
-        extras={"n_k": n_k, "n_un": n_un},
-    )
+        mode, merit = "Refrigerator", omega_un / (omega_k - omega_un)
+    return _report(strokes, q_h, q_c, mode, merit, t_h, t_c,
+                   {"n_k": n_k, "n_un": n_un})
 
 
 # --- outcoupled engine: inter-cycle coherence ------------------------------------------

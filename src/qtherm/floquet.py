@@ -17,8 +17,9 @@ import numpy as np
 from scipy.special import jv
 
 from . import lindblad
+from .cycles import _merit, classify_mode
 from .errors import (InvalidParams, NoCoupling, NumericalInstability,
-                     TruncationTooSmall, UnclassifiableState)
+                     TruncationTooSmall)
 from .qcore import SIGMA_X
 
 
@@ -225,31 +226,6 @@ class CTMReport:
     omega_cr: float
 
 
-def classify_mode(j_h: float, j_c: float, p: float, tol: float = 1e-9) -> str:
-    """Operating mode from the steady-current sign table. A current at most
-    tol scale counts as zero, and the first law must hold to 1e-8 scale,
-    with scale = max(|J_h|, |J_c|, |P|): no energy unit enters."""
-    scale = max(abs(j_h), abs(j_c), abs(p))
-    if abs(j_h + j_c + p) > 1e-8 * scale:
-        raise UnclassifiableState("first-law residual exceeds tolerance")
-    sh, sc, sp = (0 if abs(x) <= tol * scale else (1 if x > 0 else -1)
-                  for x in (j_h, j_c, p))
-    if sh == sc == sp == 0:
-        return "Off"
-    if sh >= 0 and sc <= 0 and sp <= 0:
-        return "Engine"
-    if sh <= 0 and sc >= 0 and sp >= 0:
-        return "Refrigerator"
-    if sh <= 0 and sc <= 0 and sp >= 0:
-        return "Heater"
-    if sh >= 0 and sc <= 0 and sp >= 0:
-        # work consumed while heat still flows from hot to cold
-        return "Accelerator"
-    raise UnclassifiableState(
-        f"sign pattern (J_h={j_h}, J_c={j_c}, P={p}) matches no operating mode"
-    )
-
-
 def ctm_currents(cfg: CTMConfig, m_max: int = 40) -> CTMReport:
     """Steady-state heat currents, power, and operating mode.
 
@@ -278,9 +254,5 @@ def ctm_currents(cfg: CTMConfig, m_max: int = 40) -> CTMReport:
     if not all(map(math.isfinite, (j_h, j_c, power))):
         raise NumericalInstability("CTM heat currents leave the float range")
     mode = classify_mode(j_h, j_c, power)
-    eff = None
-    if mode == "Engine" and j_h > 0:
-        eff = -power / j_h
-    elif mode == "Refrigerator" and power > 0:
-        eff = j_c / power
-    return CTMReport(r, j_h, j_c, power, mode, eff, omega_cr)
+    return CTMReport(r, j_h, j_c, power, mode, _merit(mode, j_h, j_c, power),
+                     omega_cr)

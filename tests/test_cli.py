@@ -1053,6 +1053,31 @@ def test_ctm_mode_does_not_depend_on_the_energy_unit(capsys):
                                                    rel=1e-12), key
 
 
+@pytest.mark.parametrize("k", [-25, -3, 3, 25])
+@pytest.mark.parametrize("cycle", [
+    {"omega_a": 2, "omega_b": 1, "t_h": 2, "t_c": 0.5},  # an engine
+    {"omega_a": 5, "omega_b": 0.2, "t_h": 3, "t_c": 1},  # a refrigerator
+], ids=["engine", "refrigerator"])
+def test_otto_numeric_does_not_depend_on_the_energy_unit(cycle, k, capsys):
+    # energies, temperatures and kappa times s = 4^k and times over s scale
+    # every energy by s exactly; an absolute 1e-14 floor on Q_h once left a
+    # k = -25 engine with efficiency nan and no Carnot margin
+    s = 4.0**k
+    energies = {**cycle, "kappa": 1.0}
+    times = {"ramp_duration": 2.0, "thermalization_time": 20.0}
+    unit, scaled = _scaled_rows(
+        "otto-numeric",
+        [f"{key}={v!r}" for key, v in {**energies, **times}.items()],
+        [f"{key}={v * s!r}" for key, v in energies.items()]
+        + [f"{key}={v / s!r}" for key, v in times.items()], [], capsys)
+    for key in ("net_work_output", "q_hot", "q_cold"):
+        assert float(scaled[key]) == s * float(unit[key]), key
+    for key in ("efficiency", "cop", "mode", "carnot_margin"):
+        assert scaled[key] == unit[key], key
+    assert unit["mode"] == ("Engine" if cycle["omega_b"] == 1 else
+                            "Refrigerator")
+
+
 def test_charge_dicke_does_not_depend_on_the_energy_unit(capsys):
     # at omega = 1e-9, an absolute floor of 1e-9 in the level clustering
     # put every level of H0 in one group, so no energy was deposited
