@@ -125,43 +125,39 @@ class ChargeTrace:
 
 
 def _passive(rho: np.ndarray, h: np.ndarray):
-    """Spectrum of rho (ascending), levels of h (ascending) and the passive
-    state, from one eigendecomposition of each."""
+    """Spectrum of rho (ascending) and its entropy, levels of h (ascending)
+    and the passive state, from one eigendecomposition of each."""
     rho = np.asarray(rho, dtype=complex)
     h = qcore.require_hermitian(np.asarray(h, dtype=complex))
     if rho.shape != h.shape:
         raise DimMismatch("state and Hamiltonian dimensions differ")
-    pops = _spectrum(rho)
+    pops, entropy = _spectrum(rho)
     eps, vecs = qcore.hermitian_eig(h)
-    return pops, eps, (vecs * pops[::-1]) @ vecs.conj().T
+    return pops, entropy, eps, (vecs * pops[::-1]) @ vecs.conj().T
 
 
-def _spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of rho (ascending); InvalidState if one is below -1e-9.
-    The trace is not checked: a state given to three digits may sum to
-    0.999."""
+def _spectrum(rho: np.ndarray):
+    """Eigenvalues of rho (ascending) and its von Neumann entropy;
+    InvalidState if an eigenvalue is below -1e-9 or the entropy lies
+    outside [0, ln d] (a population near the float maximum overflows
+    p ln p to -inf). The trace is not checked: a state given to three
+    digits may sum to 0.999."""
     pops = np.linalg.eigvalsh(qcore.hermitianize(np.asarray(rho, dtype=complex)))
     if pops[0] < -1e-9:
         raise InvalidState(f"state has a negative eigenvalue {pops[0]:.3g}")
-    return pops
+    nz = pops[pops > 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(-np.sum(nz * np.log(nz)))
+    if not -1e-9 <= s <= np.log(len(pops)) + 1e-9:
+        raise InvalidState(f"entropy {s} outside [0, ln {len(pops)}]")
+    return pops, s
 
 
 def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Unique passive state of rho: populations sorted descending, paired
     with the energy levels of h sorted ascending (ties broken by the
     ascending energy index of the stable sort)."""
-    return _passive(rho, h)[2]
-
-
-def _entropy(pops: np.ndarray) -> float:
-    """Von Neumann entropy of a spectrum; InvalidState outside [0, ln d]
-    (a population near the float maximum overflows p ln p to -inf)."""
-    nz = pops[pops > 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = float(-np.sum(nz * np.log(nz)))
-    if not -1e-9 <= s <= np.log(len(pops)) + 1e-9:
-        raise InvalidState(f"entropy {s} outside [0, ln {len(pops)}]")
-    return s
+    return _passive(rho, h)[3]
 
 
 def _gibbs_populations(x: np.ndarray, b: float) -> np.ndarray:
@@ -190,8 +186,7 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> ErgotropyReport:
     on the energy unit; b is clamped to the end of that bracket when the
     target entropy lies beyond it. InvalidParams when the spread, or beta
     itself (b over the spread), is not a finite float."""
-    pops, eps, sigma = _passive(rho, h)
-    s_target = _entropy(pops)
+    pops, s_target, eps, sigma = _passive(rho, h)
     e_rho = float(np.vdot(h, rho).real)  # Tr(h^dagger rho) = Tr(rho h)
     e_pass = float(pops[::-1] @ eps)
     with np.errstate(over="ignore"):
@@ -236,9 +231,10 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
     """Per-cell energy of the passive state of N identical copies of
     ``sigma`` against H0 = sum_i h0_i.
 
-    Both the copies' populations and the composite energies factorize, so
-    the passive pairing (populations descending, energies ascending) is
-    computed on the product arrays without building composite operators.
+    The spectrum of the N copies is the products of sigma's eigenvalues and
+    the composite levels are the sums of h0's, so the passive pairing
+    (populations descending, energies ascending) is computed on the product
+    arrays without building composite operators.
     """
     h0 = qcore.require_hermitian(np.asarray(h0, dtype=complex))
     d = h0.shape[0]
@@ -248,10 +244,8 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
     # d**n == budget inside (the next integer is 2e-4 away in log)
     if n * np.log(d) > np.log(DENSE_DIM_BUDGET) + 1e-9:
         raise TooLarge(f"composite dimension {d}**{n} exceeds {DENSE_DIM_BUDGET}")
-    _entropy(_spectrum(sigma))  # rejects a non-state, as ``ergotropy`` does
-    evals, evecs = qcore.hermitian_eig(h0)
-    pops = np.real(np.einsum("ik,ij,jk->k", evecs.conj(),
-                             np.asarray(sigma, dtype=complex), evecs))
+    pops = _spectrum(sigma)[0]  # rejects a non-state, as ``ergotropy`` does
+    evals = np.linalg.eigvalsh(h0)
     total_e = np.zeros(1)
     total_p = np.ones(1)
     for _ in range(n):
@@ -1169,11 +1163,10 @@ def extractable_fraction(rho_sub: np.ndarray, h_sub: np.ndarray) -> float:
     energy of at most 1e-12 of the spread of h's levels raises
     UndefinedFraction.
     """
-    pops, eps, _ = _passive(rho_sub, h_sub)
+    pops, _, eps, _ = _passive(rho_sub, h_sub)
     e_rho = float(np.vdot(h_sub, rho_sub).real)
     energy = e_rho - eps[0]
     if energy <= 1e-12 * (eps[-1] - eps[0]):
         raise UndefinedFraction(f"stored energy {energy} is not positive")
-    _entropy(pops)  # rejects a non-state, as ``ergotropy`` does
     work = e_rho - float(pops[::-1] @ eps)
     return float(min(max(work / energy, 0.0), 1.0))
