@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 
 from qtherm import battery, qcore
 from qtherm.errors import (
@@ -43,6 +45,23 @@ def site_op(pauli, i, n, other=None, j=None):
     if other is not None:
         ops[j] = other
     return qcore.kron_all(ops)
+
+
+PAULI = {"x": SX, "y": SY, "z": SZ}
+
+
+@functools.cache
+def pauli_string(labels, sites, n):
+    """The Pauli matrices named by ``labels`` on ``sites`` (ascending) of n
+    qubits, as a sparse Kronecker product with the identities between them
+    merged. Cached: the XXZ oracle builds the same strings for every
+    coupling (read-only; a sum makes a new matrix)."""
+    out, end = sparse.identity(1, dtype=complex, format="csr"), 0
+    for label, site in zip(labels, sites):
+        out = sparse.kron(out, sparse.identity(2 ** (site - end)), format="csr")
+        out = sparse.kron(out, PAULI[label], format="csr")
+        end = site + 1
+    return sparse.kron(out, sparse.identity(2 ** (n - end)), format="csr")
 
 
 # --- passive states ---------------------------------------------------------
@@ -124,6 +143,17 @@ def test_ergotropy_invalid_state_raises():
     with pytest.raises(InvalidState):
         battery.ergotropy(1.5 * np.eye(2, dtype=complex),
                           np.diag([0.0, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("routine", [
+    battery.passive_state, battery.extractable_fraction,
+    lambda rho, h: battery.n_copy_passive_energy(rho, h, 2),
+], ids=["passive_state", "extractable_fraction", "n_copy_passive_energy"])
+def test_passive_routines_reject_a_non_state(routine):
+    # 2.5 I has no negative eigenvalue, but its entropy -5 ln 2.5 is below 0
+    with pytest.raises(InvalidState):
+        routine(2.5 * np.eye(2, dtype=complex),
+                np.diag([0.0, 1.0]).astype(complex))
 
 
 def _bisection_beta(rho, h):
@@ -245,6 +275,21 @@ def test_n_copy_single_copy_is_passive_energy():
     h = np.diag([0.0, 1.0, 2.0]).astype(complex)
     assert battery.n_copy_passive_energy(sigma, h, 1) == pytest.approx(
         0.3 + 0.4, abs=1e-12)
+
+
+def test_n_copy_single_copy_of_a_coherent_state_is_its_passive_energy():
+    # the diagonal of sigma in H0's eigenbasis is not sigma's spectrum: |+>
+    # against diag(0, 1) once gave 0.5 per cell, where its passive energy is 0
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    h = np.diag([0.0, 1.0]).astype(complex)
+    for n in (1, 2):
+        assert battery.n_copy_passive_energy(plus, h, n) == pytest.approx(
+            0.0, abs=1e-12)
+    for d in (2, 3, 5):
+        for _ in range(10):
+            sigma, h = random_density(d), random_hermitian(d)
+            assert battery.n_copy_passive_energy(sigma, h, 1) == pytest.approx(
+                battery.ergotropy(sigma, h).passive_energy, abs=1e-12)
 
 
 def test_n_copy_too_large():
@@ -639,20 +684,20 @@ def test_advantage_dicke_disappears_with_rescaling():
 
 def _xxz_dense(n, b, g, alpha, nu, interaction_range, omega):
     """Charging and bare Hamiltonians of the XXZ battery, built from
-    Kronecker products of Pauli matrices."""
-    h_g = np.zeros((2**n, 2**n), dtype=complex)
+    sparse Kronecker products of Pauli matrices and made dense at the end."""
+    h_g = sparse.csr_matrix((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
             if interaction_range == "nearest_neighbor":
                 g_ij = g if j == i + 1 else 0.0
             else:
                 g_ij = g * float(j - i) ** (-nu)
-            h_g -= g_ij * (site_op(SZ, i, n, SZ, j)
-                           + alpha * (site_op(SX, i, n, SX, j)
-                                      + site_op(SY, i, n, SY, j)))
-    h_drive = h_g + omega * sum(site_op(SX, i, n) for i in range(n))
-    h0 = h_g + b * sum(site_op(SZ, i, n) for i in range(n))
-    return h_drive, h0
+            h_g -= g_ij * (pauli_string("zz", (i, j), n)
+                           + alpha * (pauli_string("xx", (i, j), n)
+                                      + pauli_string("yy", (i, j), n)))
+    h_drive = h_g + omega * sum(pauli_string("x", (i,), n) for i in range(n))
+    h0 = h_g + b * sum(pauli_string("z", (i,), n) for i in range(n))
+    return h_drive.toarray(), h0.toarray()
 
 
 def test_xxz_isotropic_matches_noninteracting():
