@@ -73,16 +73,6 @@ class BatterySpec:
     def dim(self) -> int:
         return self.cell_dim ** self.n_cells
 
-    def battery_hamiltonian(self) -> np.ndarray:
-        """H0 = sum_i h0_i on the full composite space."""
-        d, n = self.cell_dim, self.n_cells
-        h0 = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(n):
-            ops = [np.eye(d, dtype=complex)] * n
-            ops[i] = self.cell_hamiltonian
-            h0 += qcore.kron_all(ops)
-        return h0
-
 
 @dataclass(frozen=True)
 class ErgotropyReport:
@@ -234,9 +224,12 @@ def n_copy_passive_energy(sigma: np.ndarray, h0: np.ndarray, n: int) -> float:
     The spectrum of the N copies is the products of sigma's eigenvalues and
     the composite levels are the sums of h0's, so the passive pairing
     (populations descending, energies ascending) is computed on the product
-    arrays without building composite operators.
+    arrays without building composite operators. DimMismatch unless sigma
+    has h0's shape.
     """
     h0 = qcore.require_hermitian(np.asarray(h0, dtype=complex))
+    if np.shape(sigma) != h0.shape:
+        raise DimMismatch("state and Hamiltonian dimensions differ")
     d = h0.shape[0]
     if n < 1:
         raise InvalidParams("need at least one copy")
@@ -660,8 +653,8 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 # the end
 @np.errstate(over="ignore", invalid="ignore")
 def _pure_trace(times: np.ndarray, dim: int, drive: list, reached: np.ndarray,
-                populations: Callable[[list], np.ndarray], bare_levels=(),
-                drive_ground: float = None) -> ChargeTrace:
+                populations: Callable[[list], np.ndarray], bare_levels,
+                drive_ground: float) -> ChargeTrace:
     """Exact closed evolution of a pure state of a dim-dimensional space
     under a constant drive, with all ChargeTrace observables taken on the
     bare Hamiltonian H0, in the coordinates of the drive's sectors: no
@@ -674,9 +667,8 @@ def _pure_trace(times: np.ndarray, dim: int, drive: list, reached: np.ndarray,
     populations of ``reached``, the levels of H0 on a subspace holding
     every state the drive reaches, in that order. ``bare_levels`` are the levels
     of H0 on the rest of the space, which enter its ground level, its
-    largest |E| and the grouping of its levels. The drive's ground level
-    (the speed-limit reference) is its lowest level over its sectors unless
-    ``drive_ground`` gives it.
+    largest |E| and the grouping of its levels. ``drive_ground`` is the
+    drive's ground level over the whole space, the speed-limit reference.
 
     Time is walked in chunks of CHUNK_AMPLITUDES // dim samples (at least
     one). Only the populations of the energy groups are kept, and groups
@@ -697,7 +689,7 @@ def _pure_trace(times: np.ndarray, dim: int, drive: list, reached: np.ndarray,
     e_mean = probs @ vals
     e2_mean = probs @ vals**2
     de_tau = np.sqrt(max(e2_mean - e_mean**2, 0.0))
-    e_tau = e_mean - (vals.min() if drive_ground is None else drive_ground)
+    e_tau = e_mean - drive_ground
     # Bures angle arccos|<psi(0)|psi(tau)>| = 2 arcsin(|psi(tau) - e^{i phi}
     # psi(0)| / 2), phi the phase of the overlap: exact to rounding where
     # the overlap is near 1 and arccos is not
@@ -874,11 +866,6 @@ class _XXZLayout(NamedTuple):
     odd: _PairedSectors
     drive: Tuple[_BlockPlan, _BlockPlan]  # H_c on even.plus and even.minus
 
-    @property
-    def n_h_g(self) -> int:
-        """The number of H_g's entries, which come first."""
-        return len(self.magnetisation) + len(self.pair)
-
 
 @cache
 def _xxz_layout(n_cells: int, interaction_range: str) -> _XXZLayout:
@@ -928,13 +915,13 @@ def _xxz_layout(n_cells: int, interaction_range: str) -> _XXZLayout:
 _SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-def _xxz_entries(n_cells: int, b: float, g: float, alpha: float, nu: float,
+def _xxz_entries(n_cells: int, g: float, alpha: float, nu: float,
                  interaction_range: str, omega: float):
-    """Nonzero entries (rows, cols, values) of the XXZ battery's charging
-    Hamiltonian H_c and of its H0 on the 2^N basis, each position once,
-    at the positions of ``_xxz_layout`` (see ``charge_spins_xxz``); also
-    every index's magnetisation. InvalidParams if a value is not a float
-    whose square is a float."""
+    """Values of the nonzero entries of the XXZ battery's charging
+    Hamiltonian H_c and of its couplings H_g on the 2^N basis, each
+    position once: H_c's at the positions of ``_xxz_layout``, H_g's at the
+    first of them (see ``charge_spins_xxz``). InvalidParams if a value is
+    not a float whose square is a float."""
     layout = _xxz_layout(n_cells, interaction_range)
     dim = 2 ** n_cells
     with np.errstate(over="ignore", invalid="ignore"):
@@ -946,18 +933,14 @@ def _xxz_entries(n_cells: int, b: float, g: float, alpha: float, nu: float,
         # the diagonal sums the pairs in turn
         diag = (g_ij[:, None] * layout.zz).sum(axis=0)
         h_g = np.concatenate([diag, (-2.0 * g_ij * alpha)[layout.pair]])
-        h0 = h_g.copy()
-        h0[:dim] += b * layout.magnetisation
-        drive = np.concatenate([h_g, np.full(n_cells * dim, float(omega))])
-    largest = max(np.max(np.abs(v)) for v in (drive, h0))
+        h_c = np.concatenate([h_g, np.full(n_cells * dim, float(omega))])
+    largest = np.max(np.abs(h_c))
     if not largest <= _SQRT_FLOAT_MAX:  # also a nan (an inf times 0)
         raise InvalidParams(
             f"the couplings give a Hamiltonian entry of magnitude "
             f"{largest:.3g}; above {_SQRT_FLOAT_MAX:.3g} its square, and so "
             f"an energy variance, is not a float")
-    n = layout.n_h_g
-    return ((layout.rows, layout.cols, drive),
-            (layout.rows[:n], layout.cols[:n], h0), layout.magnetisation)
+    return h_c, h_g
 
 
 def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
@@ -999,9 +982,7 @@ def charge_spins_xxz(n_cells: int, b: float, g: float, alpha: float, nu: float,
             "interaction_range must be 'nearest_neighbor' or 'power_law'")
     times = _time_grid(tau, dt)
     layout = _xxz_layout(n_cells, interaction_range)
-    # H0 at B = 0 is H_g
-    (_, _, h_c), (_, _, h_g), _ = _xxz_entries(n_cells, 0.0, g, alpha, nu,
-                                              interaction_range, omega)
+    h_c, h_g = _xxz_entries(n_cells, g, alpha, nu, interaction_range, omega)
     even, odd = layout.even, layout.odd
     drive = [np.linalg.eigh(plan.blocks(h_c)[0]) for plan in layout.drive]
     # The speed-limit reference is the global ground of H_c. Where no
@@ -1054,7 +1035,7 @@ def charge_lmg(n_cells: int, lam: float, gamma: float, b: float, tau: float,
     vals, vecs = qcore.hermitian_eig(h_drive)
     # H0 is diagonal in the basis of the drive's one sector
     return _pure_trace(times, n_cells + 1, [(vals, vecs.conj().T @ psi0, vecs)],
-                       h0_diag, lambda products: _abs2(products[0]))
+                       h0_diag, lambda products: _abs2(products[0]), (), vals[0])
 
 
 def _dicke_entries(n_cells: int, omega: float, omega_c: float,

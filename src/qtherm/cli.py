@@ -662,11 +662,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, run_p
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser of ``_parsers``."""
-    return _parsers()[0]
-
-
 def _print_catalog(stream) -> None:
     for name in sorted(EXPERIMENTS):
         exp = EXPERIMENTS[name]

@@ -20,7 +20,6 @@ from . import lindblad
 from .cycles import _merit, classify_mode
 from .errors import (InvalidParams, NoCoupling, NumericalInstability,
                      TruncationTooSmall)
-from .qcore import SIGMA_X
 
 
 # --- modulation ---------------------------------------------------------------
@@ -138,14 +137,18 @@ def _sideband_weights(mod: PeriodicModulation, m_max: int) -> SidebandWeights:
 
 @dataclass(frozen=True)
 class CTMConfig:
-    """Modulated TLS between spectrally separated hot and cold baths."""
+    """Modulated TLS between spectrally separated hot and cold baths, each
+    given by its temperature and coupling spectrum; both couple through
+    sigma_x."""
 
     modulation: PeriodicModulation
-    hot_bath: lindblad.BathSpec
-    cold_bath: lindblad.BathSpec
+    t_hot: float
+    hot_spectrum: lindblad.SpectralFunction
+    t_cold: float
+    cold_spectrum: lindblad.SpectralFunction
 
     def __post_init__(self):
-        if not self.hot_bath.temperature > self.cold_bath.temperature > 0:
+        if not self.t_hot > self.t_cold > 0:
             raise InvalidParams("require T_h > T_c > 0")
 
 
@@ -175,21 +178,17 @@ def spectral_separation_preset(
         mean_gap=omega0, drive_frequency=omega, waveform=waveform,
         amplitude=amplitude,
     )
-    hot = lindblad.BathSpec(
-        "hot", t_hot,
-        lindblad.SpectralFunction("windowed_flat", rate, window=hot_window),
-        SIGMA_X,
+    return CTMConfig(
+        mod,
+        t_hot, lindblad.SpectralFunction("windowed_flat", rate, window=hot_window),
+        t_cold, lindblad.SpectralFunction("windowed_flat", rate, window=cold_window),
     )
-    cold = lindblad.BathSpec(
-        "cold", t_cold,
-        lindblad.SpectralFunction("windowed_flat", rate, window=cold_window),
-        SIGMA_X,
-    )
-    return CTMConfig(mod, hot, cold)
 
 
 def _channels(cfg: CTMConfig, m_max: int):
-    """Active sideband channels: (m, bath, omega_m, P_m * gamma(omega_m)).
+    """Active sideband channels: (m, hot, T, omega_m, P_m * gamma(omega_m)),
+    with hot True for a channel of the hot bath and T its bath's
+    temperature.
 
     Raises NoCoupling when no sideband falls inside any bath window. A
     sideband beyond the float range is inf, so the caller sets np.errstate.
@@ -199,10 +198,11 @@ def _channels(cfg: CTMConfig, m_max: int):
     w = cfg.modulation.mean_gap + m * cfg.modulation.drive_frequency
     up = w > 0
     m, w = m[up], w[up]
-    baths = (cfg.hot_bath, cfg.cold_bath)
+    sides = ((True, cfg.t_hot), (False, cfg.t_cold))
     u = weights.weights[up, None] * np.stack(
-        [bath.spectral.positive_side(w) for bath in baths], axis=1)
-    out = [(int(m[k]), baths[j], float(w[k]), float(u[k, j]))
+        [cfg.hot_spectrum.positive_side(w), cfg.cold_spectrum.positive_side(w)],
+        axis=1)
+    out = [(int(m[k]), *sides[j], float(w[k]), float(u[k, j]))
            for k, j in zip(*np.nonzero(u > 0))]  # by m, then hot before cold
     if not out:
         raise NoCoupling("no sideband falls inside any bath window")
@@ -210,8 +210,8 @@ def _channels(cfg: CTMConfig, m_max: int):
 
 
 def _population_ratio(channels) -> float:
-    num = sum(u * np.exp(-w / b.temperature) for _m, b, w, u in channels)
-    den = sum(u for _m, _b, _w, u in channels)
+    num = sum(u * np.exp(-w / t) for _m, _hot, t, w, u in channels)
+    den = sum(u for *_, u in channels)
     return float(num / den)
 
 
@@ -235,21 +235,21 @@ def ctm_currents(cfg: CTMConfig, m_max: int = 40) -> CTMReport:
     omega0 (T_h - T_c)/(T_h + T_c) is formed from T_c/T_h, so it overflows
     only where omega0 does.
     """
-    t_h, t_c = cfg.hot_bath.temperature, cfg.cold_bath.temperature
     with np.errstate(all="ignore"):  # checked below
         channels = _channels(cfg, m_max)
         r = _population_ratio(channels)
         p_e = r / (1.0 + r)
         p_g = 1.0 / (1.0 + r)
-        currents = {cfg.hot_bath.label: 0.0, cfg.cold_bath.label: 0.0}
-        for _m, bath, w_m, u in channels:
+        j_h = j_c = 0.0
+        for _m, hot, t, w_m, u in channels:
             # net upward population flux of this channel at the steady state
-            flux = u * (np.exp(-w_m / bath.temperature) * p_g - p_e)
-            currents[bath.label] += w_m * flux
-        j_h = currents[cfg.hot_bath.label]
-        j_c = currents[cfg.cold_bath.label]
+            flux = u * (np.exp(-w_m / t) * p_g - p_e)
+            if hot:
+                j_h += w_m * flux
+            else:
+                j_c += w_m * flux
         power = -(j_h + j_c)
-        ratio = t_c / t_h
+        ratio = cfg.t_cold / cfg.t_hot
         omega_cr = cfg.modulation.mean_gap * ((1.0 - ratio) / (1.0 + ratio))
     if not all(map(math.isfinite, (j_h, j_c, power))):
         raise NumericalInstability("CTM heat currents leave the float range")

@@ -39,7 +39,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import quad
 
 from . import qcore
 from .errors import (
@@ -117,10 +116,6 @@ class BathSpec:
         if self.temperature <= 0:
             raise InvalidParams("bath temperature must be positive")
         qcore.require_hermitian(self.coupling_operator, tol=1e-10)
-
-    def rate(self, omega: float) -> float:
-        """KMS-completed rate at any (signed) frequency."""
-        return float(self.rates(omega))
 
     def rates(self, omegas: np.ndarray) -> np.ndarray:
         """KMS-completed rate at each of an array of (signed) frequencies:
@@ -576,19 +571,3 @@ def entropy_production(gen: LindbladGenerator, rho: np.ndarray, baths) -> float:
         flux += j / bath.temperature
     return ds_dt - flux
 
-
-def bath_action(dissipator_of_t: Callable, tau_cyc: float) -> float:
-    """Integral of the operator norm (largest singular value) of the
-    dissipative superoperator over one cycle."""
-
-    def integrand(t):
-        d = dissipator_of_t(t)
-        if d is None:
-            return 0.0
-        d = np.asarray(d)
-        if not np.any(d):
-            return 0.0
-        return float(np.linalg.norm(d, 2))
-
-    val, _err = quad(integrand, 0.0, tau_cyc, limit=200)
-    return float(val)

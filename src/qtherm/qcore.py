@@ -73,13 +73,6 @@ def spin_operators(j: float):
     return jx, jy, jz
 
 
-def kron_all(ops) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def partial_trace(rho: np.ndarray, space: CompositeSpace, keep) -> np.ndarray:
     """Trace out all factors not listed in ``keep`` (indices into the space).
 

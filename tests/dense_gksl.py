@@ -43,7 +43,7 @@ def jump_terms(gen) -> dict:
     out = {}
     for bath in gen.baths:
         freqs, ops = lindblad.decompose_coupling(bath.coupling_operator, gen.hamiltonian)
-        out[bath.label] = [JumpTerm(f, op, bath.rate(f)) for f, op in zip(freqs, ops)]
+        out[bath.label] = [JumpTerm(f, op, float(bath.rates(f))) for f, op in zip(freqs, ops)]
     return out
 
 

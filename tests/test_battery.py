@@ -44,7 +44,7 @@ def site_op(pauli, i, n, other=None, j=None):
     ops[i] = pauli
     if other is not None:
         ops[j] = other
-    return qcore.kron_all(ops)
+    return functools.reduce(np.kron, ops)
 
 
 PAULI = {"x": SX, "y": SY, "z": SZ}
@@ -154,6 +154,19 @@ def test_passive_routines_reject_a_non_state(routine):
     with pytest.raises(InvalidState):
         routine(2.5 * np.eye(2, dtype=complex),
                 np.diag([0.0, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("routine", [
+    battery.ergotropy, battery.passive_state, battery.extractable_fraction,
+    lambda rho, h: battery.n_copy_passive_energy(rho, h, 2),
+], ids=["ergotropy", "passive_state", "extractable_fraction",
+        "n_copy_passive_energy"])
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.full((2, 3), 1 / 3),
+                                 np.array([0.5, 0.5])],
+                         ids=["3x3", "2x3", "vector"])
+def test_passive_routines_reject_a_state_of_another_shape(routine, rho):
+    with pytest.raises(DimMismatch):
+        routine(rho, np.diag([0.0, 1.0]))
 
 
 def _bisection_beta(rho, h):
@@ -584,10 +597,10 @@ def test_power_bound_stationary_segment():
 def test_variance_decomposition_product_state():
     spec = battery.BatterySpec(cell_hamiltonian=SZ / 2, n_cells=3)
     cells = [random_density(2) for _ in range(3)]
-    rho = qcore.kron_all(cells)
+    rho = functools.reduce(np.kron, cells)
     parts = battery.variance_decomposition(rho, spec)
     assert abs(parts["entanglement_part"]) < 1e-10
-    h0 = spec.battery_hamiltonian()
+    h0 = sum(site_op(SZ / 2, i, 3) for i in range(3))
     var = np.trace(rho @ h0 @ h0).real - np.trace(rho @ h0).real ** 2
     assert parts["local_sum"] + parts["entanglement_part"] == pytest.approx(
         var, abs=1e-10)
@@ -603,7 +616,7 @@ def test_variance_decomposition_ghz():
     assert parts["entanglement_part"] == pytest.approx(n * (n - 1) / 4,
                                                        abs=1e-10)
     assert parts["local_sum"] == pytest.approx(n / 4, abs=1e-10)
-    h0 = spec.battery_hamiltonian()
+    h0 = sum(site_op(SZ / 2, i, n) for i in range(n))
     var = np.trace(rho @ h0 @ h0).real - np.trace(rho @ h0).real ** 2
     assert parts["local_sum"] + parts["entanglement_part"] == pytest.approx(
         var, abs=1e-10)
@@ -615,7 +628,7 @@ def test_variance_decomposition_k_producible_bound(n, k):
     ghz = np.zeros(2**k, dtype=complex)
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
     blocks = [np.outer(ghz, ghz.conj())] * (n // k)
-    rho = qcore.kron_all(blocks)
+    rho = functools.reduce(np.kron, blocks)
     spec = battery.BatterySpec(cell_hamiltonian=SZ / 2, n_cells=n)
     parts = battery.variance_decomposition(rho, spec)
     var = parts["local_sum"] + parts["entanglement_part"]
@@ -1215,6 +1228,19 @@ def _xxz_dense_bits(n, b, g, alpha, nu, interaction_range, omega):
     return h, h0
 
 
+def _xxz_entry_lists(n, b, g, alpha, nu, interaction_range, omega):
+    """Entries (rows, cols, values) of H_c and of H0 = H_g + b M, from the
+    values of ``battery._xxz_entries``: H0's field is added to H_g's
+    diagonal, which comes first."""
+    layout = battery._xxz_layout(n, interaction_range)
+    h_c, h_g = battery._xxz_entries(n, g, alpha, nu, interaction_range, omega)
+    h0 = h_g.copy()
+    h0[:2**n] += b * layout.magnetisation
+    k = len(h_g)
+    return ((layout.rows, layout.cols, h_c),
+            (layout.rows[:k], layout.cols[:k], h0))
+
+
 def _assert_blocks_equal_gathers(sectors, entries, h):
     sectors = list(sectors.values())
     for sector, blk in zip(sectors, battery._blocks(sectors, entries, len(h))):
@@ -1227,10 +1253,11 @@ def _assert_blocks_equal_gathers(sectors, entries, h):
 def test_entry_blocks_equal_dense_gathers_bit_for_bit(n, interaction_range):
     group = _flip_reflection_group(n)
     magnetisation = _magnetisation(n)
+    assert np.array_equal(battery._xxz_layout(n, interaction_range).magnetisation,
+                          magnetisation)
     for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
-        drive, h0, mag = battery._xxz_entries(n, 0.7, g, alpha, 1.3,
-                                              interaction_range, 0.9)
-        assert np.array_equal(mag, magnetisation)
+        drive, h0 = _xxz_entry_lists(n, 0.7, g, alpha, 1.3, interaction_range,
+                                     0.9)
         h_drive, h0_dense = _xxz_dense_bits(n, 0.7, g, alpha, 1.3,
                                             interaction_range, 0.9)
         # each position once, so a bincount never sums two entries
@@ -1273,8 +1300,8 @@ def test_sector_blocks_are_real_symmetric(n):
     magnetisation = _magnetisation(n)
     for interaction_range in ("nearest_neighbor", "power_law"):
         for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
-            drive, h0, _ = battery._xxz_entries(n, 0.7, g, alpha, 1.3,
-                                                interaction_range, 0.9)
+            drive, h0 = _xxz_entry_lists(n, 0.7, g, alpha, 1.3,
+                                         interaction_range, 0.9)
             for f, r in itertools.product((1, -1), (1, -1)):
                 _assert_blocks_symmetric(
                     battery._sectors(group, (1, f, r, f * r)), drive, 2**n)
@@ -1301,8 +1328,8 @@ def test_flip_odd_blocks_are_dbd_and_paired_levels_are_h0s(n,
     b = 0.7
     for g, alpha in ((0.4, 0.3), (-0.4, 1.0), (0.4, -0.5), (0.0, 0.3)):
         # H0 at B = 0 is H_g
-        h_g = battery._xxz_entries(n, 0.0, g, alpha, 1.3, interaction_range,
-                                   0.9)[1]
+        h_g = _xxz_entry_lists(n, 0.0, g, alpha, 1.3, interaction_range,
+                               0.9)[1]
         for r in (1, -1):
             plus, minus = (battery._sectors(group, (1, f, r, f * r),
                                             np.abs(magnetisation))

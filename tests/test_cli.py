@@ -307,7 +307,7 @@ def test_malformed_set():
 
 def test_parser_is_built_once_and_reused_safely(tmp_path, capsys,
                                                 monkeypatch):
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     seen = []
     run = cli.run
     monkeypatch.setattr(cli, "run",

@@ -177,10 +177,10 @@ def ctm_generator(cfg, m_max=40):
     one dissipator at its summed down and up rates."""
     channels = floquet._channels(cfg, m_max)
     total = 0
-    for bath in (cfg.hot_bath, cfg.cold_bath):
-        down = sum(u for _m, b, _w, u in channels if b is bath)
-        up = sum(u * np.exp(-w_m / bath.temperature)
-                 for _m, b, w_m, u in channels if b is bath)
+    for side in (True, False):
+        down = sum(u for _m, hot, _t, _w, u in channels if hot is side)
+        up = sum(u * np.exp(-w_m / t)
+                 for _m, hot, t, w_m, u in channels if hot is side)
         total = total + dense_gksl.dissipator([SIGMA_MINUS, SIGMA_PLUS], [down, up])
     return total
 
@@ -189,13 +189,9 @@ def test_ctm_single_bath_constant_is_gibbs():
     cfg = floquet.spectral_separation_preset(10.0, 2.0, 4.0, 1.0)
     # constant modulation, one flat bath covering the gap
     mod = floquet.PeriodicModulation(10.0, 2.0, "constant")
-    bath = lindblad.BathSpec(
-        "hot", 4.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(0.0, 20.0)), SX
-    )
-    cold = lindblad.BathSpec(
-        "cold", 1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(30.0, 40.0)), SX
-    )
-    cfg = floquet.CTMConfig(mod, bath, cold)
+    cfg = floquet.CTMConfig(
+        mod, 4.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(0.0, 20.0)),
+        1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(30.0, 40.0)))
     r = floquet.ctm_currents(cfg).r
     assert r == pytest.approx(np.exp(-10.0 / 4.0), abs=1e-12)
 
@@ -221,14 +217,11 @@ def test_ctm_matches_generator_nullspace():
 
 def test_ctm_no_coupling():
     mod = floquet.PeriodicModulation(10.0, 2.0, "constant")
-    hot = lindblad.BathSpec(
-        "hot", 4.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(100.0, 101.0)), SX
-    )
-    cold = lindblad.BathSpec(
-        "cold", 1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(102.0, 103.0)), SX
-    )
+    cfg = floquet.CTMConfig(
+        mod, 4.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(100.0, 101.0)),
+        1.0, lindblad.SpectralFunction("windowed_flat", 1.0, window=(102.0, 103.0)))
     with pytest.raises(NoCoupling):
-        floquet.ctm_currents(floquet.CTMConfig(mod, hot, cold))
+        floquet.ctm_currents(cfg)
 
 
 def test_ctm_engine_efficiency_closed_form():

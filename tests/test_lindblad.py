@@ -577,7 +577,7 @@ def test_vectorised_rates_match_scalar_rate(family):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bath.rates(w)
-            scalar = [bath.rate(float(x)) for x in w]
+            scalar = [float(bath.rates(float(x))) for x in w]
         want = [_written_out_rate(spectral, temperature, float(x)) for x in w]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert np.array_equal(scalar, got)
@@ -704,18 +704,6 @@ def test_entropy_production_random_states():
     for _ in range(100):
         sigma = lindblad.entropy_production(gen, random_density(2), [hot, cold])
         assert sigma >= -1e-9
-
-
-# --- bath action -----------------------------------------------------------------
-
-
-def test_bath_action():
-    assert lindblad.bath_action(lambda t: None, 3.0) == pytest.approx(0.0)
-    d = lindblad.dissipator_super(np.array([[0, 0], [1, 0]], dtype=complex), 0.7)
-    norm = np.linalg.norm(d, 2)
-    assert lindblad.bath_action(lambda t: d, 3.0) == pytest.approx(3.0 * norm, rel=1e-9)
-    piecewise = lambda t: d if t < 1.5 else None
-    assert lindblad.bath_action(piecewise, 3.0) == pytest.approx(1.5 * norm, rel=1e-6)
 
 
 def test_evolve_ode_matches_expm():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -98,7 +100,7 @@ def test_partial_trace_bad_index():
 
 def test_partial_trace_three_factors():
     parts = [random_density(2) for _ in range(3)]
-    rho = qcore.kron_all(parts)
+    rho = functools.reduce(np.kron, parts)
     space = qcore.CompositeSpace((2, 2, 2))
     for k in range(3):
         assert np.allclose(qcore.partial_trace(rho, space, [k]), parts[k], atol=1e-12)
