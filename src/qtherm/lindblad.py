@@ -570,4 +570,3 @@ def entropy_production(gen: LindbladGenerator, rho: np.ndarray, baths) -> float:
         j = heat_current(gen.dissipator_parts[bath.label], rho, gen.hamiltonian)
         flux += j / bath.temperature
     return ds_dt - flux
-
